@@ -48,24 +48,39 @@ class SpanningTree:
 
 
 def validate_tree(g: DiGraph, t: SpanningTree) -> None:
-    if len(t.out_edge) != g.n or not (0 <= t.root < g.n):
+    """Raise InvalidTreeError unless t is an arborescence of g; O(n)."""
+    root, out_edge = t.root, t.out_edge
+    if len(out_edge) != g.n or not (0 <= root < g.n):
         raise InvalidTreeError("tree shape does not match the graph")
-    if t.out_edge[t.root] is not None:
+    if out_edge[root] is not None:
         raise InvalidTreeError("root must not have an out-edge")
-    for v, e in enumerate(t.out_edge):
-        if v == t.root:
+    source, m = g.source, g.m
+    for v, e in enumerate(out_edge):
+        if v == root:
             continue
-        if e is None or not (0 <= e < g.m) or g.source(e) != v:
+        if e is None or not (0 <= e < m) or source(e) != v:
             raise InvalidTreeError(f"vertex {v} needs exactly one out-edge with source {v}")
-    # every chain of out-edges must reach the root without revisiting
-    for v in range(g.n):
-        seen = set()
+    # Every chain of out-edges must reach the root without revisiting.  Each
+    # vertex is walked once: state 0 unvisited, 1 on the current chain, 2
+    # known to reach the root.  The first chain that fails starts at the
+    # same vertex, and repeats first at the same vertex, as a fresh walk
+    # from every start would.
+    target = g.target
+    state = bytearray(len(out_edge))
+    state[root] = 2
+    for v in range(len(out_edge)):
+        if state[v]:
+            continue
+        chain = []
         w = v
-        while w != t.root:
-            if w in seen:
-                raise InvalidTreeError(f"cycle through vertex {w}")
-            seen.add(w)
-            w = g.target(t.out_edge[w])
+        while not state[w]:
+            state[w] = 1
+            chain.append(w)
+            w = target(out_edge[w])
+        if state[w] == 1:
+            raise InvalidTreeError(f"cycle through vertex {w}")
+        for u in chain:
+            state[u] = 2
 
 
 def tree_candidate_count(g: DiGraph, root: int) -> int:

@@ -44,7 +44,7 @@ from functools import lru_cache
 from .arborescence import SpanningTree
 from .digraph import debruijn
 from .errors import InvalidSequenceError
-from .line_bijection import LineContext, OMEGA, TreeArray
+from .line_bijection import LineContext, OMEGA, TreeArray, array_tree
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,12 @@ class HamPath:
 
 def validate(bits: str, degree: int) -> bool:
     """True iff bits is a de Bruijn sequence of the given degree."""
+    windows = _windows(bits, degree)
+    return len(set(windows)) == len(windows)
+
+
+def _windows(bits: str, degree: int) -> list[int]:
+    """The cyclic windows of bits as integers, one rolling pass; checks shape."""
     if degree < 1:
         raise InvalidSequenceError("degree must be at least 1")
     if len(bits) != 2 ** degree:
@@ -63,28 +69,22 @@ def validate(bits: str, degree: int) -> bool:
             f"sequence of degree {degree} must have length {2 ** degree}, got {len(bits)}")
     if any(c not in "01" for c in bits):
         raise InvalidSequenceError("sequence must consist of 0s and 1s")
-    size = len(bits)
-    seen = set()
-    for i in range(size):
-        window = 0
-        for j in range(degree):
-            window = 2 * window + (bits[(i + j) % size] == "1")
-        seen.add(window)
-    return len(seen) == size
+    mask = (1 << degree) - 1
+    # seeded with the first degree-1 bits, each further bit completes a window
+    window = int(bits[:degree - 1] or "0", 2)
+    windows = []
+    for c in bits[degree - 1:] + bits[:degree - 1]:
+        window = ((window << 1) & mask) | (c == "1")
+        windows.append(window)
+    return windows
 
 
 def seq_to_path(bits: str, degree: int) -> HamPath:
     """Window i of the sequence becomes vertex i of the path."""
-    if not validate(bits, degree):
+    windows = _windows(bits, degree)
+    if len(set(windows)) != len(windows):
         raise InvalidSequenceError("not a de Bruijn sequence")
-    size = len(bits)
-    vertices = []
-    for i in range(size):
-        v = 0
-        for j in range(degree):
-            v = 2 * v + (bits[(i + j) % size] == "1")
-        vertices.append(v)
-    return HamPath(degree, tuple(vertices))
+    return HamPath(degree, tuple(windows))
 
 
 def path_to_seq(path: HamPath) -> str:
@@ -147,25 +147,20 @@ def encode(bits: str, degree: int | None = None) -> str:
     path = seq_to_path(bits, degree)
     out = ["?"] * 2 ** (degree - 1)
 
-    array = _context(degree - 1).pi(_path_tree(path))
+    # The path tree comes from a validated sequence and each array from a
+    # valid tree, so the levels run the unchecked bodies of pi.
+    array = _context(degree - 1)._pi(_path_tree(path))
     # Top level: only the root's first entry is a free bit.
     out[2 ** (degree - 1) - 1] = "0" if array.lists[array.root][0] == _zero_edge(array.root) else "1"
 
     for k in range(degree - 2, 0, -1):
-        array = _context(k).pi(_last_entry_tree(array))
+        ctx = _context(k)
+        array = ctx._pi(array_tree(ctx.line, array))
         for i, entries in enumerate(array.lists):
             out[2 ** k - 1 + i] = "0" if entries[0] == _zero_edge(i) else "1"
 
-    out[0] = "0" if _last_entry_tree(array).root == 0 else "1"
+    out[0] = "0" if array.root == 0 else "1"
     return "".join(out)
-
-
-def _last_entry_tree(array: TreeArray) -> SpanningTree:
-    out: list[int | None] = [None] * len(array.lists)
-    for v, entries in enumerate(array.lists):
-        if v != array.root:
-            out[v] = entries[-1]
-    return SpanningTree(array.root, tuple(out))
 
 
 def decode(code: str, degree: int) -> str:
@@ -183,6 +178,10 @@ def decode(code: str, degree: int) -> str:
     out[other] = 2 * other + root
     tree = SpanningTree(root, tuple(out))
 
+    # Every array below is a valid tree array for any code of the right
+    # length (out-edges of each vertex, last entries a spanning tree), so
+    # the levels run the unchecked body of sigma; path_to_seq still checks
+    # the final sequence.
     for k in range(1, degree - 1):
         lists = []
         for v in range(2 ** k):
@@ -190,7 +189,7 @@ def decode(code: str, degree: int) -> str:
             second = OMEGA if v == tree.root else tree.out_edge[v]
             lists.append((first, second))
         array = TreeArray(tree.root, tuple(lists))
-        tree = _context(k).sigma(array)
+        tree = _context(k)._sigma(array)
 
     lists = []
     for v in range(2 ** (degree - 1)):
@@ -201,7 +200,7 @@ def decode(code: str, degree: int) -> str:
             # two distinct entries, the second being the tree edge
             lists.append((tree.out_edge[v] ^ 1, tree.out_edge[v]))
     array = TreeArray(tree.root, tuple(lists))
-    path = _tree_path(_context(degree - 1).sigma(array), degree)
+    path = _tree_path(_context(degree - 1)._sigma(array), degree)
     return path_to_seq(path)
 
 

@@ -28,11 +28,15 @@ pi, given a spanning tree T' of LG and empty lists:
      to l_{t(f)}, then repeat from 1;
   3. if f is the root, append OMEGA to l_{t(f)} and return the lists.
 
-The two invariants that make the loop in sigma well-defined (the candidate
-set and the popped list are never empty) are asserted, and every sigma run
-checks that indeg of e in the output tree equals the initial count of e in
-l_{s(e)} - the per-monomial statement behind the generating-function
-identity.
+The public entry points (``sigma``, ``pi``, ``LineContext.sigma``/``pi``,
+``make_tree_array``) validate their input once, in time linear in the size
+of the graph, and then run a private body that trusts it; internal callers
+(``enumerate_tree_arrays``, the de Bruijn codec) call the bodies directly.
+The invariants that make the loop in sigma well-defined (the candidate set
+and the popped list are never empty) are checked and raise typed errors,
+and every sigma run checks that indeg of e in the output tree equals the
+initial count of e in l_{s(e)} - the per-monomial statement behind the
+generating-function identity.
 """
 
 from __future__ import annotations
@@ -75,32 +79,34 @@ class TreeArray:
 
 
 def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
-    if len(a.lists) != g.n or not (0 <= a.root < g.n):
+    """Raise InvalidTreeArrayError unless a is a tree array of g; O(n + m)."""
+    n, m, indeg, source = g.n, g.m, g.indeg, g.source
+    if len(a.lists) != n or not (0 <= a.root < n):
         raise InvalidTreeArrayError("array shape does not match the graph")
     omegas = 0
     for v, entries in enumerate(a.lists):
-        if len(entries) != g.indeg[v]:
+        if len(entries) != indeg[v]:
             raise InvalidTreeArrayError(
-                f"list of vertex {v} has length {len(entries)}, expected indeg {g.indeg[v]}")
+                f"list of vertex {v} has length {len(entries)}, expected indeg {indeg[v]}")
         for pos, entry in enumerate(entries):
             if entry is OMEGA:
                 omegas += 1
                 if v != a.root or pos != len(entries) - 1:
                     raise InvalidTreeArrayError("OMEGA must be the last entry of the root's list")
-            elif isinstance(entry, int) and 0 <= entry < g.m:
-                if g.source(entry) != v:
+            elif isinstance(entry, int) and 0 <= entry < m:
+                if source(entry) != v:
                     raise InvalidTreeArrayError(
-                        f"entry {entry} in list of vertex {v} has source {g.source(entry)}")
+                        f"entry {entry} in list of vertex {v} has source {source(entry)}")
             else:
                 raise InvalidTreeArrayError(f"entry {entry!r} is not an edge id")
     if omegas != 1:
         raise InvalidTreeArrayError(f"expected exactly one OMEGA, found {omegas}")
-    out: list[int | None] = [None] * g.n
     for v, entries in enumerate(a.lists):
-        if v != a.root:
-            out[v] = entries[-1]
+        if not entries:  # not the root's: it holds the one OMEGA
+            raise InvalidTreeArrayError(
+                f"list of vertex {v} is empty: tree arrays need every indegree to be positive")
     try:
-        validate_tree(g, SpanningTree(a.root, tuple(out)))
+        validate_tree(g, array_tree(g, a))
     except InvalidTreeError as exc:
         raise InvalidTreeArrayError(f"last entries do not form a spanning tree: {exc}") from None
 
@@ -111,20 +117,26 @@ def make_tree_array(g: DiGraph, tree: SpanningTree,
     validate_tree(g, tree)
     if len(proto) != g.n:
         raise InvalidTreeArrayError("need one proto list per vertex")
+    m, source = g.m, g.source
     lists = []
     for v in range(g.n):
         entries = list(proto[v])
         if len(entries) != g.indeg[v] - 1:
             raise InvalidTreeArrayError(
                 f"proto list of vertex {v} must have indeg-1 = {g.indeg[v] - 1} entries")
-        if any(not (isinstance(e, int) and 0 <= e < g.m and g.source(e) == v)
+        if any(not (isinstance(e, int) and 0 <= e < m and source(e) == v)
                for e in entries):
             raise InvalidTreeArrayError(f"proto list of vertex {v} contains a non-out-edge")
-        entries.append(OMEGA if v == tree.root else tree.out_edge[v])
-        lists.append(tuple(entries))
-    a = TreeArray(tree.root, tuple(lists))
-    validate_tree_array(g, a)
-    return a
+        lists.append(entries)
+    return _tree_array(tree, lists)
+
+
+def _tree_array(tree: SpanningTree, proto: Sequence[Sequence[int]]) -> TreeArray:
+    # make_tree_array's body: a valid tree plus valid proto lists always
+    # give a valid tree array, so nothing is checked here.
+    root, out_edge = tree.root, tree.out_edge
+    return TreeArray(root, tuple((*entries, OMEGA if v == root else out_edge[v])
+                                 for v, entries in enumerate(proto)))
 
 
 def array_tree(g: DiGraph, a: TreeArray) -> SpanningTree:
@@ -137,12 +149,16 @@ def array_tree(g: DiGraph, a: TreeArray) -> SpanningTree:
 
 
 def _edge_ranks(g: DiGraph, order: Sequence[int] | None) -> list[int]:
+    m = g.m
     if order is None:
-        return list(range(g.m))
-    if sorted(order) != list(range(g.m)):
+        return list(range(m))
+    if len(order) != m:
         raise ValueError("edge order must be a permutation of all edge ids")
-    ranks = [0] * g.m
+    # m distinct ids in range(m) are a permutation of it
+    ranks: list[int | None] = [None] * m
     for rank, e in enumerate(order):
+        if not (isinstance(e, int) and 0 <= e < m) or ranks[e] is not None:
+            raise ValueError("edge order must be a permutation of all edge ids")
         ranks[e] = rank
     return ranks
 
@@ -184,86 +200,100 @@ class LineContext:
 
     def sigma(self, a: TreeArray, order: Sequence[int] | None = None) -> SpanningTree:
         """Map a tree array of g to a spanning tree of the line graph."""
+        validate_tree_array(self.g, a)
+        return self._sigma(a, order)
+
+    def _sigma(self, a: TreeArray, order: Sequence[int] | None = None) -> SpanningTree:
+        # sigma's body, for arrays already known to be valid.  Its guards
+        # hold for every valid array and are checked anyway, as the safety
+        # net of callers that skip validation.
         g = self.g
-        validate_tree_array(g, a)
+        m = g.m
         rank = _edge_ranks(g, order)
-        count = [0] * g.m              # remaining copies of e in l_{s(e)}
-        for entries in a.lists:
+        target, lists, pair_edge = g.target, a.lists, self.pair_edge
+        count = [0] * m                # remaining copies of e in l_{s(e)}
+        for entries in lists:
             for entry in entries:
                 if entry is not OMEGA:
                     count[entry] += 1
         initial_count = list(count)
         heads = [0] * g.n              # next unpopped position per list
-        out_edge: list[int | None] = [None] * g.m
-        ready = [(rank[e], e) for e in range(g.m) if count[e] == 0]
+        out_edge: list[int | None] = [None] * m
+        ready = [(rank[e], e) for e in range(m) if count[e] == 0]
         heapq.heapify(ready)
         added = 0
         while True:
             # Step 1: smallest edge with no remaining list copies and no
             # out-edge chosen yet.  Non-emptiness is the well-definedness
             # guarantee for valid arrays.
-            assert ready, "candidate set empty: tree-array invariant violated"
+            if not ready:
+                raise InvalidTreeArrayError("candidate set empty: tree-array invariant violated")
             _, f = heapq.heappop(ready)
             # Step 2: pop the head of l_{t(f)}.
-            v = g.target(f)
-            assert heads[v] < len(a.lists[v]), "popped an exhausted list"
-            entry = a.lists[v][heads[v]]
+            v = target(f)
+            if heads[v] >= len(lists[v]):
+                raise InvalidTreeArrayError("popped an exhausted list")
+            entry = lists[v][heads[v]]
             heads[v] += 1
             if entry is OMEGA:
+                if added != m - 1:
+                    raise InvalidTreeArrayError(
+                        f"output has {added} line edges, expected {m - 1}")
                 tree = SpanningTree(f, tuple(out_edge))
-                assert added == g.m - 1
-                self._check_term_counts(a, tree, initial_count)
+                self._check_term_counts(tree, initial_count)
                 return tree
             # Step 3: record the line edge (f, entry).
-            out_edge[f] = self.pair_edge[(f, entry)]
+            out_edge[f] = pair_edge[(f, entry)]
             added += 1
             count[entry] -= 1
             if count[entry] == 0:
                 heapq.heappush(ready, (rank[entry], entry))
 
-    def _check_term_counts(self, a: TreeArray, tree: SpanningTree,
-                           initial_count: list[int]) -> None:
+    def _check_term_counts(self, tree: SpanningTree, initial_count: list[int]) -> None:
         # indeg of e in the output tree == initial copies of e in l_{s(e)}:
         # both sides contribute the same monomial to the identity.
+        target = self.line.target
         indeg = [0] * self.g.m
-        for e, j in enumerate(tree.out_edge):
+        for j in tree.out_edge:
             if j is not None:
-                indeg[self.line.target(j)] += 1
-        assert indeg == initial_count, "output tree indegrees disagree with list counts"
+                indeg[target(j)] += 1
+        if indeg != initial_count:
+            raise InvalidTreeArrayError("output tree indegrees disagree with list counts")
 
     # -- inverse map ----------------------------------------------------
 
     def pi(self, tree: SpanningTree, order: Sequence[int] | None = None) -> TreeArray:
         """Map a spanning tree of the line graph back to a tree array of g."""
-        g = self.g
         validate_tree(self.line, tree)
+        return self._pi(tree, order)
+
+    def _pi(self, tree: SpanningTree, order: Sequence[int] | None = None) -> TreeArray:
+        # pi's body, for trees already known to be valid.  Its output is a
+        # valid tree array by the bijection, so it is not re-validated;
+        # pi(sigma(A)) == A in the tests and verify-all covers that.
+        g = self.g
+        m = g.m
         rank = _edge_ranks(g, order)
-        indeg = [0] * g.m
-        for e, j in enumerate(tree.out_edge):
+        g_target, line_target, out_edge = g.target, self.line.target, tree.out_edge
+        indeg = [0] * m
+        for j in out_edge:
             if j is not None:
-                indeg[self.line.target(j)] += 1
+                indeg[line_target(j)] += 1
         lists: list[list[ArrayEntry]] = [[] for _ in range(g.n)]
-        leaves = [(rank[e], e) for e in range(g.m) if indeg[e] == 0 and e != tree.root]
+        leaves = [(rank[e], e) for e in range(m) if indeg[e] == 0 and e != tree.root]
         heapq.heapify(leaves)
-        remaining = g.m
-        while True:
-            if remaining == 1:
-                # Only the root is left; close its target's list with OMEGA.
-                f = tree.root
-                lists[g.target(f)].append(OMEGA)
-                break
-            assert leaves, "no removable leaf: not a spanning tree of the line graph"
+        for _ in range(m - 1):
+            if not leaves:
+                raise InvalidTreeError("no removable leaf: not a spanning tree of the line graph")
             _, f = heapq.heappop(leaves)
-            j = tree.out_edge[f]
-            succ = self.line.target(j)
-            lists[g.target(f)].append(succ)
-            remaining -= 1
+            succ = line_target(out_edge[f])
+            lists[g_target(f)].append(succ)
             indeg[succ] -= 1
             if indeg[succ] == 0 and succ != tree.root:
                 heapq.heappush(leaves, (rank[succ], succ))
-        a = TreeArray(g.target(tree.root), tuple(tuple(entries) for entries in lists))
-        validate_tree_array(g, a)
-        return a
+        # Only the root is left; close its target's list with OMEGA.
+        lists[g_target(tree.root)].append(OMEGA)
+        return TreeArray(g_target(tree.root), tuple(tuple(entries) for entries in lists))
 
 
 def sigma(g: DiGraph, a: TreeArray, order: Sequence[int] | None = None) -> SpanningTree:
@@ -302,7 +332,7 @@ def enumerate_tree_arrays(g: DiGraph, bound: int = DEFAULT_BOUND) -> Iterator[Tr
         idx = [0] * g.n
         while True:
             proto = [protos[v][idx[v]] for v in range(g.n)]
-            yield make_tree_array(g, tree, proto)
+            yield _tree_array(tree, proto)
             v = g.n - 1
             while v >= 0 and idx[v] == len(protos[v]) - 1:
                 idx[v] = 0

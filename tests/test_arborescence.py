@@ -1,3 +1,5 @@
+import time
+
 import pytest
 import sympy
 from hypothesis import given, strategies as st
@@ -49,6 +51,80 @@ def test_validate_tree_rejects_cycles():
         validate_tree(g, SpanningTree(2, (0, 1, None)))  # 0 and 1 chase each other
     with pytest.raises(InvalidTreeError):
         validate_tree(g, SpanningTree(0, (1, None, None)))  # vertex 2 missing an edge
+
+
+def _reference_validate_tree(g, t):
+    # The per-vertex chain walk validate_tree replaced: O(n * depth), kept
+    # as the oracle for the memoised walk's verdicts and messages.
+    if len(t.out_edge) != g.n or not (0 <= t.root < g.n):
+        raise InvalidTreeError("tree shape does not match the graph")
+    if t.out_edge[t.root] is not None:
+        raise InvalidTreeError("root must not have an out-edge")
+    for v, e in enumerate(t.out_edge):
+        if v == t.root:
+            continue
+        if e is None or not (0 <= e < g.m) or g.source(e) != v:
+            raise InvalidTreeError(f"vertex {v} needs exactly one out-edge with source {v}")
+    for v in range(g.n):
+        seen = set()
+        w = v
+        while w != t.root:
+            if w in seen:
+                raise InvalidTreeError(f"cycle through vertex {w}")
+            seen.add(w)
+            w = g.target(t.out_edge[w])
+
+
+def _verdict(validator, g, t):
+    try:
+        validator(g, t)
+    except InvalidTreeError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def out_edge_assignments(draw):
+    """A graph and an out-edge per vertex: mostly out-edges of that vertex
+    (trees and cycles), sometimes arbitrary values and roots (bad shapes)."""
+    g = draw(digraphs_with_indeg(max_n=7, max_m=12))
+    noisy = draw(st.booleans())
+    root = draw(st.integers(-1, g.n) if noisy else st.integers(0, g.n - 1))
+    out = []
+    for v in range(g.n):
+        options = st.sampled_from(g.out_edges(v)) if g.out_edges(v) else st.none()
+        if v == root and not noisy:
+            options = st.none()
+        elif noisy:
+            options = st.one_of(options, st.none(), st.integers(-1, g.m))
+        out.append(draw(options))
+    return g, SpanningTree(root, tuple(out))
+
+
+@given(out_edge_assignments())
+def test_validate_tree_matches_reference_walk(case):
+    g, t = case
+    assert _verdict(validate_tree, g, t) == _verdict(_reference_validate_tree, g, t)
+
+
+def test_validate_tree_reports_first_cycle_like_reference():
+    # 0 -> 1 -> 2 -> 1 and 3 -> 4 -> 3, root 5: the first failing start is
+    # 0 and its first repeated vertex is 1
+    g = build_graph([(0, 1), (1, 2), (2, 1), (3, 4), (4, 3), (5, 0)])
+    t = SpanningTree(5, (0, 1, 2, 3, 4, None))
+    assert _verdict(validate_tree, g, t) == "cycle through vertex 1"
+    assert _verdict(_reference_validate_tree, g, t) == "cycle through vertex 1"
+
+
+def test_validate_tree_linear_on_long_path():
+    # a path-shaped tree is the deepest one; the reference walk would take
+    # about n^2 / 2 steps here
+    n = 2 ** 17
+    g = DiGraph(n, [(v, v + 1) for v in range(n - 1)])
+    tree = SpanningTree(n - 1, tuple(range(n - 1)) + (None,))
+    start = time.perf_counter()
+    validate_tree(g, tree)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_count_rooted_kautz21():

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from linetrees.arborescence import validate_tree
 from linetrees.db_codec import (HamPath, decode, encode, enumerate_db_sequences,
                                 path_to_seq, seq_to_path, validate)
 from linetrees.errors import InvalidSequenceError
+from linetrees.line_bijection import LineContext, validate_tree_array
 
 
 def test_validate_degree2():
@@ -138,3 +142,58 @@ def test_large_degree_roundtrip_spot():
     bits = decode(code, 7)
     assert validate(bits, 7)
     assert encode(bits, 7) == code
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_internal_levels_match_public_maps(seed, monkeypatch):
+    # The codec levels call the unchecked bodies of sigma and pi.  Record
+    # every call at degree 9 and check each input and output with the
+    # public validators, and each output against the public map.
+    degree = 9
+    rng = random.Random(seed)
+    code = "".join(rng.choice("01") for _ in range(2 ** (degree - 1)))
+    calls = []
+    body_sigma, body_pi = LineContext._sigma, LineContext._pi
+
+    def record_sigma(ctx, a, order=None):
+        tree = body_sigma(ctx, a, order)
+        calls.append(("sigma", ctx, a, tree))
+        return tree
+
+    def record_pi(ctx, tree, order=None):
+        a = body_pi(ctx, tree, order)
+        calls.append(("pi", ctx, a, tree))
+        return a
+
+    monkeypatch.setattr(LineContext, "_sigma", record_sigma)
+    monkeypatch.setattr(LineContext, "_pi", record_pi)
+    bits = decode(code, degree)
+    assert encode(bits, degree) == code
+    monkeypatch.undo()
+    assert [c[0] for c in calls] == ["sigma"] * (degree - 1) + ["pi"] * (degree - 1)
+    for kind, ctx, a, tree in calls:
+        validate_tree_array(ctx.g, a)
+        validate_tree(ctx.line, tree)
+        if kind == "sigma":
+            assert ctx.sigma(a) == tree
+        else:
+            assert ctx.pi(tree) == a
+
+
+def test_windows_match_direct_reading():
+    # the rolling windows against windows read directly, cyclically
+    for degree in (1, 2, 3, 5, 7):
+        size = 2 ** degree
+        rng = random.Random(degree)
+        samples = ["".join(rng.choice("01") for _ in range(size)) for _ in range(20)]
+        if degree >= 2:  # de Bruijn sequences, which random strings rarely are
+            samples += [decode("".join(rng.choice("01") for _ in range(size // 2)), degree)
+                        for _ in range(5)]
+        for bits in samples:
+            direct = [int((bits + bits)[i:i + degree], 2) for i in range(size)]
+            assert validate(bits, degree) == (len(set(direct)) == size)
+            if len(set(direct)) == size:
+                assert list(seq_to_path(bits, degree).vertices) == direct
+            else:
+                with pytest.raises(InvalidSequenceError, match="not a de Bruijn sequence"):
+                    seq_to_path(bits, degree)

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linetrees.arborescence import SpanningTree, enumerate_trees
+import linetrees
+from linetrees.arborescence import SpanningTree, enumerate_trees, validate_tree
 from linetrees.digraph import DiGraph, build_graph, debruijn, kautz
-from linetrees.errors import InvalidTreeArrayError
-from linetrees.line_bijection import (LineContext, OMEGA, TreeArray,
+from linetrees.errors import InvalidTreeArrayError, InvalidTreeError
+from linetrees.line_bijection import (LineContext, OMEGA, TreeArray, array_tree,
                                       enumerate_tree_arrays, make_tree_array,
                                       pi, shuffled_order, sigma,
                                       tree_array_count, validate_tree_array)
@@ -151,6 +157,13 @@ def test_validate_rejects_non_tree_last_entries():
         validate_tree_array(g, TreeArray(0, ((0, OMEGA), (2, 3))))
 
 
+def test_validate_rejects_indegree_zero_vertex():
+    # vertex 1 has no in-edges, so its list is empty and has no last entry
+    g = build_graph([(0, 0), (1, 0)])
+    with pytest.raises(InvalidTreeArrayError, match="list of vertex 1 is empty"):
+        validate_tree_array(g, TreeArray(0, ((0, OMEGA), ())))
+
+
 def test_sigma_rejects_invalid_array():
     with pytest.raises(InvalidTreeArrayError):
         sigma(TWO_CYCLE, TreeArray(0, ((0,), (1,))))
@@ -158,5 +171,84 @@ def test_sigma_rejects_invalid_array():
 
 def test_order_must_be_permutation():
     a = TreeArray(0, ((OMEGA,), (1,)))
-    with pytest.raises(ValueError):
-        sigma(TWO_CYCLE, a, order=[0, 0])
+    t = SpanningTree(1, (0, None))
+    bad_orders = [
+        [0, 0], [1, 1],      # duplicates
+        [0, 2], [-1, 0],     # out of range
+        [0], [0, 1, 1],      # wrong length
+        [0, "a"],            # mixed types that sorted() cannot compare
+        [0, 1.0], [0, None],  # not ints
+    ]
+    for order in bad_orders:
+        with pytest.raises(ValueError, match="edge order must be a permutation of all edge ids"):
+            sigma(TWO_CYCLE, a, order=order)
+        with pytest.raises(ValueError, match="edge order must be a permutation of all edge ids"):
+            pi(TWO_CYCLE, t, order=order)
+
+
+def test_enumerated_arrays_pass_public_validation():
+    # enumerate_tree_arrays skips make_tree_array's checks; the public
+    # validator and make_tree_array itself must agree with what it yields
+    for g in (TWO_CYCLE, SELF_LOOP, debruijn(2, 1), kautz(2, 1)):
+        trees = enumerate_trees(g)
+        for a in enumerate_tree_arrays(g):
+            validate_tree_array(g, a)
+            tree = array_tree(g, a)
+            assert tree in trees
+            assert make_tree_array(g, tree, [entries[:-1] for entries in a.lists]) == a
+
+
+# Malformed arrays that skip validation and reach sigma's body, one per guard.
+# TWO_CYCLE has edges 0 = 0->1 and 1 = 1->0.
+UNCHECKED_SIGMA_CASES = [
+    (TreeArray(0, ((0,), (1,))), "candidate set empty"),       # no OMEGA, every edge listed
+    (TreeArray(0, ((OMEGA,), ())), "popped an exhausted list"),
+    (TreeArray(0, ((), (OMEGA,))), "output has 0 line edges, expected 1"),
+]
+
+
+@pytest.mark.parametrize("array,message", UNCHECKED_SIGMA_CASES)
+def test_sigma_body_guards_raise_typed_errors(array, message):
+    with pytest.raises(InvalidTreeArrayError, match=message):
+        LineContext(TWO_CYCLE)._sigma(array)
+
+
+def test_term_count_check_raises_typed_error():
+    ctx = LineContext(TWO_CYCLE)
+    tree = ctx.sigma(TreeArray(0, ((OMEGA,), (1,))))
+    with pytest.raises(InvalidTreeArrayError, match="indegrees disagree"):
+        ctx._check_term_counts(tree, [0, 0])
+
+
+def test_pi_body_guard_raises_typed_error():
+    # both line vertices get an out-edge, so each has an in-edge and there
+    # is no leaf to peel
+    ctx = LineContext(TWO_CYCLE)
+    cycle = SpanningTree(1, (ctx.pair_edge[(0, 1)], ctx.pair_edge[(1, 0)]))
+    with pytest.raises(InvalidTreeError):
+        validate_tree(ctx.line, cycle)
+    with pytest.raises(InvalidTreeError, match="no removable leaf"):
+        ctx._pi(cycle)
+
+
+def test_sigma_body_guards_survive_optimize_flag():
+    # python -O strips assert statements; the guards must still raise
+    src = Path(linetrees.__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "from linetrees.digraph import build_graph\n"
+        "from linetrees.errors import InvalidTreeArrayError\n"
+        "from linetrees.line_bijection import LineContext, TreeArray\n"
+        "assert False, 'asserts are not stripped'\n"
+        "ctx = LineContext(build_graph([(0, 1), (1, 0)]))\n"
+        "try:\n"
+        "    ctx._sigma(TreeArray(0, ((0,), (1,))))\n"
+        "except InvalidTreeArrayError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "else:\n"
+        "    sys.exit('no error raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvalidTreeArrayError candidate set empty")
