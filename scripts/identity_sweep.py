@@ -31,7 +31,7 @@ def main():
     failures = 0
     started = time.time()
     for i, g in enumerate(graphs):
-        lg, _ = line_graph(g)
+        lg = line_graph(g)
         n_trees = tree_array_count(g)
         report = verify_identity(g, bound=10 ** 8)
         check = verify_identity(g, method="evaluate", seed=args.seed + i)

@@ -5,7 +5,9 @@ An oriented spanning tree (arborescence) rooted at r gives every non-root
 vertex exactly one out-edge and a unique directed path to r.  Two
 independent counting routes are kept side by side: :func:`enumerate_trees`
 is the brute-force oracle, :func:`count_trees_rooted` is the matrix-tree
-determinant, and the test suite insists they agree.
+determinant, and the test suite insists they agree.  The brute-force route
+is one search, shared by :func:`enumerate_trees` and the generating
+functions; the determinant route is one Laplacian, :func:`out_laplacian`.
 
 The generating functions attach one variable per edge or per vertex:
 
@@ -18,7 +20,7 @@ graph LG (all indegrees positive) is
 
     kappa_vertex(LG) = kappa_edge(G) * prod_v (sum_{s(e)=v} x_e)^(indeg(v)-1)
 
-after identifying each vertex of LG with the edge of G it came from;
+where vertex e of LG is edge e of G;
 :func:`verify_identity` checks it as exact multiset equality of monomials,
 and :func:`knuth_check` checks the numeric specialization
 
@@ -28,7 +30,7 @@ and :func:`knuth_check` checks the numeric specialization
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 import random
 
 from .digraph import DiGraph, line_graph
@@ -58,7 +60,7 @@ def validate_tree(g: DiGraph, t: SpanningTree) -> None:
     for v, e in enumerate(out_edge):
         if v == root:
             continue
-        if e is None or not (0 <= e < m) or source(e) != v:
+        if not isinstance(e, int) or not (0 <= e < m) or source(e) != v:
             raise InvalidTreeError(f"vertex {v} needs exactly one out-edge with source {v}")
     # Every chain of out-edges must reach the root without revisiting.  Each
     # vertex is walked once: state 0 unvisited, 1 on the current chain, 2
@@ -83,12 +85,59 @@ def validate_tree(g: DiGraph, t: SpanningTree) -> None:
             state[u] = 2
 
 
-def tree_candidate_count(g: DiGraph, root: int) -> int:
-    total = 1
-    for v in range(g.n):
-        if v != root:
-            total *= g.outdeg[v]
-    return total
+def _search_trees(g: DiGraph, roots: Sequence[int], variables: Sequence[int],
+                  leaf: Callable[[int, list, list], None], bound: int) -> None:
+    """The one brute-force arborescence search.
+
+    For each root in turn, calls leaf(root, choice, mon) once per oriented
+    spanning tree, in lexicographic order of the out-edge choice vector:
+    choice[v] is v's tree edge (None at the root) and mon lists variables[e]
+    for the tree edges e.  Both lists are reused, so leaf copies what it
+    keeps.  The bound caps the number of candidate out-edge assignments
+    (the product of the non-root out-degrees, summed over the roots), not
+    the number of trees.
+    """
+    n, outdeg = g.n, g.outdeg
+    candidates = 0
+    for r in roots:
+        count = 1
+        for v in range(n):
+            if v != r:
+                count *= outdeg[v]
+        candidates += count
+    if candidates > bound:
+        raise EnumerationBound(f"{candidates} candidate assignments exceed bound {bound}")
+    target = [t for _, t in g.edges]
+    out = g._out
+    for r in roots:
+        vertices = [v for v in range(n) if v != r]
+        k = len(vertices)
+        choice: list[int | None] = [None] * n
+        mon: list[int] = []
+
+        def extend(i: int) -> None:
+            v = vertices[i]
+            last = i + 1 == k  # call leaf from here: one Python call per tree, not two
+            for e in out[v]:
+                # follow chosen edges from the new edge's target; reaching v
+                # again closes a cycle, anything unassigned (or the root) is fine
+                w = target[e]
+                while w != v and choice[w] is not None:
+                    w = target[choice[w]]
+                if w != v:
+                    choice[v] = e
+                    mon.append(variables[e])
+                    if last:
+                        leaf(r, choice, mon)
+                    else:
+                        extend(i + 1)
+                    mon.pop()
+                    choice[v] = None
+
+        if k:
+            extend(0)
+        else:
+            leaf(r, choice, mon)
 
 
 def enumerate_trees(g: DiGraph, root: int | None = None,
@@ -99,40 +148,10 @@ def enumerate_trees(g: DiGraph, root: int | None = None,
     vector.  The bound caps the number of candidate out-edge assignments
     (the product of out-degrees), not the number of trees.
     """
-    roots = range(g.n) if root is None else [root]
-    candidates = sum(tree_candidate_count(g, r) for r in roots)
-    if candidates > bound:
-        raise EnumerationBound(f"{candidates} candidate assignments exceed bound {bound}")
     trees: list[SpanningTree] = []
-    for r in roots:
-        vertices = [v for v in range(g.n) if v != r]
-        choice: list[int | None] = [None] * g.n
-
-        def reaches_root(v: int) -> bool:
-            # Follow assigned out-edges from v; a repeat before hitting an
-            # unassigned vertex or the root means a cycle.
-            seen = set()
-            while choice[v] is not None:
-                if v in seen:
-                    return False
-                seen.add(v)
-                v = g.target(choice[v])
-                if v == r:
-                    return True
-            return True
-
-        def extend(i: int) -> None:
-            if i == len(vertices):
-                trees.append(SpanningTree(r, tuple(choice)))
-                return
-            v = vertices[i]
-            for e in g.out_edges(v):
-                choice[v] = e
-                if reaches_root(v):
-                    extend(i + 1)
-            choice[v] = None
-
-        extend(0)
+    _search_trees(g, range(g.n) if root is None else [root], list(range(g.m)),
+                  lambda r, choice, mon: trees.append(SpanningTree(r, tuple(choice))),
+                  bound)
     return trees
 
 
@@ -162,42 +181,47 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def out_laplacian(g: DiGraph) -> list[list[int]]:
-    """D - A with D = diag(outdeg); self-loop contributions cancel."""
+def out_laplacian(g: DiGraph, weights: Sequence[int] | None = None) -> list[list[int]]:
+    """D - A, the package's one Laplacian: entry (v, v) is the total weight
+    of v's out-edges and entry (s, t) is minus the weight of the edges s -> t,
+    so a self-loop cancels.  Unit weights (the default) count trees.
+    """
     lap = [[0] * g.n for _ in range(g.n)]
-    for v in range(g.n):
-        lap[v][v] = g.outdeg[v]
-    for s, t in g.edges:
-        lap[s][t] -= 1
+    for e, (s, t) in enumerate(g.edges):
+        w = 1 if weights is None else weights[e]
+        lap[s][s] += w
+        lap[s][t] -= w
     return lap
 
 
-def _minor(matrix: Sequence[Sequence[int]], r: int) -> list[list[int]]:
+def minor(matrix: Sequence[Sequence[int]], r: int) -> list[list[int]]:
+    """The matrix with row r and column r deleted."""
     return [[row[j] for j in range(len(row)) if j != r]
             for i, row in enumerate(matrix) if i != r]
 
 
 def count_trees_rooted(g: DiGraph, root: int) -> int:
     """Number of spanning trees rooted at `root`, by the matrix-tree theorem."""
-    return abs(bareiss_determinant(_minor(out_laplacian(g), root)))
+    return abs(bareiss_determinant(minor(out_laplacian(g), root)))
 
 
 def count_trees(g: DiGraph) -> int:
     """kappa(G): spanning trees summed over all roots."""
-    lap = out_laplacian(g)
-    return sum(abs(bareiss_determinant(_minor(lap, r))) for r in range(g.n))
+    return weighted_tree_sum(g, [1] * g.m)
 
 
 def weighted_tree_sum(g: DiGraph, weights: Sequence[int]) -> int:
     """sum over all trees (all roots) of prod_{e in T} weights[e], by determinants."""
-    lap = [[0] * g.n for _ in range(g.n)]
-    for e, (s, t) in enumerate(g.edges):
-        lap[s][s] += weights[e]
-        lap[s][t] -= weights[e]
-    total = 0
-    for r in range(g.n):
-        total += abs(bareiss_determinant(_minor(lap, r)))
-    return total
+    lap = out_laplacian(g, weights)
+    return sum(abs(bareiss_determinant(minor(lap, r))) for r in range(g.n))
+
+
+def degree_product(g: DiGraph) -> int:
+    """prod_v outdeg(v)^(indeg(v)-1): tree arrays per spanning tree of g."""
+    prod = 1
+    for v in range(g.n):
+        prod *= g.outdeg[v] ** (g.indeg[v] - 1)
+    return prod
 
 
 # --- generating functions ----------------------------------------------------
@@ -267,71 +291,29 @@ class GenPoly:
     def total_coefficient(self) -> int:
         return sum(self.terms.values())
 
-    def rename(self, mapping: Sequence[int], family: str) -> "GenPoly":
-        out: dict[tuple[int, ...], int] = {}
-        for mon, c in self.terms.items():
-            new = tuple(sorted(mapping[x] for x in mon))
-            out[new] = out.get(new, 0) + c
-        return GenPoly(family, out)
-
     def __repr__(self) -> str:
         return f"GenPoly({self.family}, {self.n_terms()} terms)"
 
 
-def _accumulate_tree_monomials(g: DiGraph, variables: Sequence[int],
-                               terms: dict[tuple[int, ...], int]) -> None:
-    """Add one monomial per spanning tree, tree edge e contributing variables[e].
+def _kappa(g: DiGraph, family: str, variables: Sequence[int], bound: int) -> GenPoly:
+    # one monomial per spanning tree, tree edge e contributing variables[e]
+    poly = GenPoly(family)
+    terms = poly.terms
 
-    Same search as enumerate_trees, but leaves only touch the term dict;
-    this is the hot loop behind the generating functions.
-    """
-    n = g.n
-    target = [t for _, t in g.edges]
-    out = g._out
-    for r in range(n):
-        vertices = [v for v in range(n) if v != r]
-        k = len(vertices)
-        choice: list[int | None] = [None] * n
-        mon: list[int] = []
+    def leaf(root: int, choice: list, mon: list) -> None:
+        key = tuple(sorted(mon))
+        terms[key] = terms.get(key, 0) + 1
 
-        def extend(i: int) -> None:
-            if i == k:
-                key = tuple(sorted(mon))
-                terms[key] = terms.get(key, 0) + 1
-                return
-            v = vertices[i]
-            for e in out[v]:
-                # follow chosen edges from the new edge's target; reaching v
-                # again closes a cycle, anything unassigned (or the root) is fine
-                w = target[e]
-                while w != v and choice[w] is not None:
-                    w = target[choice[w]]
-                if w != v:
-                    choice[v] = e
-                    mon.append(variables[e])
-                    extend(i + 1)
-                    mon.pop()
-                    choice[v] = None
-
-        extend(0)
+    _search_trees(g, range(g.n), variables, leaf, bound)
+    return poly
 
 
 def kappa_edge(g: DiGraph, bound: int = DEFAULT_BOUND) -> GenPoly:
-    candidates = sum(tree_candidate_count(g, r) for r in range(g.n))
-    if candidates > bound:
-        raise EnumerationBound(f"{candidates} candidate assignments exceed bound {bound}")
-    poly = GenPoly("edge")
-    _accumulate_tree_monomials(g, list(range(g.m)), poly.terms)
-    return poly
+    return _kappa(g, "edge", list(range(g.m)), bound)
 
 
 def kappa_vertex(g: DiGraph, bound: int = DEFAULT_BOUND) -> GenPoly:
-    candidates = sum(tree_candidate_count(g, r) for r in range(g.n))
-    if candidates > bound:
-        raise EnumerationBound(f"{candidates} candidate assignments exceed bound {bound}")
-    poly = GenPoly("vertex")
-    _accumulate_tree_monomials(g, [t for _, t in g.edges], poly.terms)
-    return poly
+    return _kappa(g, "vertex", [t for _, t in g.edges], bound)
 
 
 def rhs_product(g: DiGraph, bound: int = DEFAULT_BOUND) -> GenPoly:
@@ -371,9 +353,10 @@ def verify_identity(g: DiGraph, method: str = "expand",
     """
     if any(d == 0 for d in g.indeg):
         raise InvalidTreeError("identity requires every indegree to be positive")
-    lg, lg_map = line_graph(g)
+    lg = line_graph(g)
     if method == "expand":
-        lhs = kappa_vertex(lg, bound=bound).rename(lg_map.backward, "edge")
+        # vertex e of lg is edge e of g: its vertex monomials are edge monomials
+        lhs = GenPoly("edge", kappa_vertex(lg, bound=bound).terms)
         rhs = rhs_product(g, bound=bound)
         if lhs == rhs:
             return IdentityReport(True, lhs.n_terms(), rhs.n_terms(), None, method)
@@ -388,7 +371,7 @@ def verify_identity(g: DiGraph, method: str = "expand",
         rng = random.Random(seed)
         for _ in range(trials):
             x = [rng.randint(1, 9) for _ in range(g.m)]
-            lg_weights = [x[lg_map.backward[g2]] for _, g2 in lg.edges]
+            lg_weights = [x[f] for _, f in lg.edges]
             lhs_val = weighted_tree_sum(lg, lg_weights)
             rhs_val = weighted_tree_sum(g, x)
             for v in range(g.n):
@@ -417,12 +400,9 @@ def knuth_check(g: DiGraph) -> KnuthReport:
     """kappa(LG) = kappa(G) * prod_v outdeg(v)^(indeg(v)-1), both sides by determinant."""
     if any(d == 0 for d in g.indeg):
         raise InvalidTreeError("Knuth's formula requires every indegree to be positive")
-    lg, _ = line_graph(g)
-    lhs = count_trees(lg)
+    lhs = count_trees(line_graph(g))
     base = count_trees(g)
-    prod = 1
-    for v in range(g.n):
-        prod *= g.outdeg[v] ** (g.indeg[v] - 1)
+    prod = degree_product(g)
     return KnuthReport(lhs == base * prod, lhs, base, prod)
 
 

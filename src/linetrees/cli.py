@@ -13,12 +13,13 @@ import json
 import sys
 
 from . import db_codec, verify
-from .arborescence import (SpanningTree, count_trees, count_trees_rooted,
-                           enumerate_trees, knuth_check, verify_identity)
+from .arborescence import (SpanningTree, count_trees_rooted, enumerate_trees,
+                           knuth_check, verify_identity)
 from .crit_group import (check_divbym, critical_group, db_formula, group_order_db,
-                         group_order_kautz, kautz_formula, smith_normal_form, laplacian)
+                         group_order_kautz, kautz_formula)
 from .digraph import (DiGraph, debruijn, format_edge_list, kautz, line_graph,
                       parse_edge_list, to_dot, to_json_dict)
+from .errors import InvalidTreeArrayError, InvalidTreeError
 from .line_bijection import OMEGA, LineContext, TreeArray
 
 OK, DOMAIN_ERROR, USAGE_ERROR = 0, 1, 2
@@ -59,18 +60,19 @@ def _emit_graph(g: DiGraph, fmt: str) -> None:
         sys.stdout.write(format_edge_list(g))
 
 
-def _vertex_id(g: DiGraph, name: str) -> int:
-    for v in range(g.n):
-        if g.vertex_label(v) == name:
-            return v
-    raise ValueError(f"unknown vertex {name!r}")
+def _label_index(label, count: int) -> dict[str, int]:
+    # label -> first index carrying it: edge labels need not be unique
+    index: dict[str, int] = {}
+    for i in range(count):
+        index.setdefault(label(i), i)
+    return index
 
 
-def _edge_id(g: DiGraph, name: str) -> int:
-    for e in range(g.m):
-        if g.edge_label(e) == name:
-            return e
-    raise ValueError(f"unknown edge {name!r}")
+def _lookup(index: dict[str, int], kind: str, name, error: type[ValueError]) -> int:
+    name = str(name)
+    if name not in index:
+        raise error(f"unknown {kind} {name!r}")
+    return index[name]
 
 
 def _array_to_json(g: DiGraph, a: TreeArray) -> dict:
@@ -81,12 +83,21 @@ def _array_to_json(g: DiGraph, a: TreeArray) -> dict:
     return {"root": g.vertex_label(a.root), "lists": lists}
 
 
-def _array_from_json(g: DiGraph, data: dict) -> TreeArray:
-    root = _vertex_id(g, str(data["root"]))
+def _array_from_json(g: DiGraph, data) -> TreeArray:
+    err = InvalidTreeArrayError
+    shape = 'tree array JSON must be {"root": VERTEX, "lists": {VERTEX: [EDGE or "OMEGA", ...]}}'
+    if not (isinstance(data, dict) and "root" in data):
+        raise err(shape)
+    vertices, edges = _label_index(g.vertex_label, g.n), _label_index(g.edge_label, g.m)
+    root = _lookup(vertices, "vertex", data["root"], err)
+    if not (isinstance(data.get("lists"), dict)
+            and all(isinstance(entries, list) for entries in data["lists"].values())):
+        raise err(shape)
     lists: list[tuple] = [()] * g.n
     for name, entries in data["lists"].items():
-        v = _vertex_id(g, str(name))
-        lists[v] = tuple(OMEGA if x == "OMEGA" else _edge_id(g, str(x)) for x in entries)
+        v = _lookup(vertices, "vertex", name, err)
+        lists[v] = tuple(OMEGA if x == "OMEGA" else _lookup(edges, "edge", x, err)
+                         for x in entries)
     return TreeArray(root, tuple(lists))
 
 
@@ -98,13 +109,21 @@ def _line_tree_to_json(g: DiGraph, ctx: LineContext, t: SpanningTree) -> dict:
     return {"root": g.edge_label(t.root), "edges": edges}
 
 
-def _line_tree_from_json(g: DiGraph, ctx: LineContext, data: dict) -> SpanningTree:
-    root = _edge_id(g, str(data["root"]))
+def _line_tree_from_json(g: DiGraph, ctx: LineContext, data) -> SpanningTree:
+    err = InvalidTreeError
+    shape = 'line tree JSON must be {"root": EDGE, "edges": [[EDGE, EDGE], ...]}'
+    if not (isinstance(data, dict) and "root" in data):
+        raise err(shape)
+    edges = _label_index(g.edge_label, g.m)
+    root = _lookup(edges, "edge", data["root"], err)
+    if not (isinstance(data.get("edges"), list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in data["edges"])):
+        raise err(shape)
     out: list[int | None] = [None] * g.m
     for e_name, f_name in data["edges"]:
-        e, f = _edge_id(g, str(e_name)), _edge_id(g, str(f_name))
+        e, f = _lookup(edges, "edge", e_name, err), _lookup(edges, "edge", f_name, err)
         if (e, f) not in ctx.pair_edge:
-            raise ValueError(f"({e_name},{f_name}) is not an edge of the line graph")
+            raise InvalidTreeError(f"({e_name},{f_name}) is not an edge of the line graph")
         out[e] = ctx.pair_edge[(e, f)]
     return SpanningTree(root, tuple(out))
 
@@ -119,8 +138,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_linegraph(args) -> int:
     g = _load_graph(args)
-    lg, _ = line_graph(g)
-    _emit_graph(lg, args.format)
+    _emit_graph(line_graph(g), args.format)
     return OK
 
 

@@ -1,10 +1,12 @@
 """Laplacians, exact integer Smith normal form, and the critical groups of
 the de Bruijn and Kautz families.
 
-The Laplacian used here is L(G) = A(G) - D(G) with A the adjacency matrix
-(counting multiplicities, self-loops included) and D = diag(outdeg); a
-self-loop adds one to both and cancels on the diagonal.  The sandpile group
-with sink r is the cokernel of the reduced Laplacian (row and column of r
+The Laplacian is the package's one builder, arborescence.out_laplacian:
+L(G) = D(G) - A(G) with D = diag(outdeg) and A the adjacency matrix
+(counting multiplicities, self-loops included), so a self-loop cancels on
+the diagonal.  The paper's figure shows A - D, the negation; a cokernel and
+a Smith normal form do not depend on the sign.  The sandpile group with
+sink r is the cokernel of the reduced Laplacian (row and column of r
 deleted); its order is the number of spanning trees rooted at r.  On a
 balanced (indeg = outdeg) strongly connected graph the choice of sink does
 not matter and the common group is the critical group.
@@ -36,58 +38,21 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
+from .arborescence import minor, out_laplacian
 from .digraph import DiGraph, detect_family, is_eulerian, is_strongly_connected
 from .errors import GraphError
-
-Matrix = list[list[int]]
-
-
-def laplacian(g: DiGraph) -> Matrix:
-    """A(G) - D(G); row v is the net chip movement of firing v."""
-    lap = [[0] * g.n for _ in range(g.n)]
-    for s, t in g.edges:
-        lap[s][t] += 1
-        lap[s][s] -= 1
-    return lap
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    cols = len(b[0])
-    inner = len(b)
-    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for row in a]
 
 
 @dataclass
 class SmithResult:
     diagonal: list[int]          # full diagonal, zeros included, d1 | d2 | ...
-    left: Matrix | None          # U with U * M * V diagonal, det +-1
-    right: Matrix | None
-
-    def nonzero_factors(self) -> list[int]:
-        return [d for d in self.diagonal if d != 0]
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]],
-                      transforms: bool = False) -> SmithResult:
+def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithResult:
     """Exact Smith normal form of an integer matrix.
 
     Smallest-nonzero-entry pivoting with immediate remainder swaps keeps
-    intermediate entries tame at the matrix sizes used here.  When
-    `transforms` is set, unimodular U and V with U*M*V = diag are returned.
+    intermediate entries tame at the matrix sizes used here.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -95,41 +60,22 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
     for row in d:
         if len(row) != cols:
             raise ValueError("matrix rows must have equal length")
-    u = identity_matrix(rows) if transforms else None
-    v = identity_matrix(cols) if transforms else None
 
     def row_op(i, j, q):  # row_j -= q * row_i
         dj, di = d[j], d[i]
         for c in range(cols):
             dj[c] -= q * di[c]
-        if u is not None:
-            uj, ui = u[j], u[i]
-            for c in range(rows):
-                uj[c] -= q * ui[c]
 
     def col_op(i, j, q):  # col_j -= q * col_i
         for row in d:
             row[j] -= q * row[i]
-        if v is not None:
-            for row in v:
-                row[j] -= q * row[i]
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
 
     def col_swap(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     for t in range(min(rows, cols)):
         # locate the smallest nonzero entry of the trailing submatrix
@@ -167,12 +113,12 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
             if restart:
                 continue
             break
-        if d[t][t] < 0:
-            negate_row(t)
+    # each pivot row ends as (0, ..., 0, pivot, 0, ...) and later steps
+    # leave it alone, so only the pivot's sign is left to fix
+    diag = [abs(d[i][i]) for i in range(min(rows, cols))]
 
-    diag = [d[i][i] for i in range(min(rows, cols))]
-
-    # enforce the divisibility chain d1 | d2 | ... with 2x2 unimodular fixes
+    # enforce the divisibility chain d1 | d2 | ...: (a, b) -> (gcd, lcm) is
+    # a 2x2 unimodular change of basis, and a zero moves past a nonzero
     k = len(diag)
     changed = True
     while changed:
@@ -180,30 +126,13 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
         for i in range(k - 1):
             a, b = diag[i], diag[i + 1]
             if a == 0 and b != 0:
-                row_swap(i, i + 1)
-                col_swap(i, i + 1)
                 diag[i], diag[i + 1] = b, a
                 changed = True
             elif a != 0 and b % a != 0:
-                g, x, y = _xgcd(a, b)
-                lcm = a // g * b
-                if u is not None:
-                    bu, au = b // g, a // g
-                    ri, rj = u[i], u[i + 1]
-                    u[i] = [x * p + y * q for p, q in zip(ri, rj)]
-                    u[i + 1] = [-bu * p + au * q for p, q in zip(ri, rj)]
-                    xa, yb = x * a // g, y * b // g
-                    for row in v:
-                        p, q = row[i], row[i + 1]
-                        row[i] = p + q
-                        row[i + 1] = -yb * p + xa * q
-                diag[i], diag[i + 1] = g, lcm
-                d[i][i], d[i + 1][i + 1] = g, lcm
+                g = gcd(a, b)
+                diag[i], diag[i + 1] = g, a // g * b
                 changed = True
-    for i in range(min(rows, cols)):
-        d[i][i] = diag[i]
-
-    return SmithResult(diag, u, v)
+    return SmithResult(diag)
 
 
 # --- finite abelian groups ---------------------------------------------------
@@ -342,19 +271,13 @@ def tree_count_kautz(m: int, n: int) -> int:
 
 # --- sandpile / critical groups ----------------------------------------------
 
-def _reduced_laplacian(g: DiGraph, sink: int) -> Matrix:
-    lap = laplacian(g)
-    return [[-lap[i][j] for j in range(g.n) if j != sink]
-            for i in range(g.n) if i != sink]
-
-
 def sandpile_group(g: DiGraph, sink: int) -> AbelianGroup:
     """Cokernel of the reduced Laplacian; order = trees rooted at the sink."""
     if not (0 <= sink < g.n):
         raise GraphError("sink out of range")
     if not is_strongly_connected(g):
         raise GraphError("sandpile group requires a strongly connected graph")
-    snf = smith_normal_form(_reduced_laplacian(g, sink))
+    snf = smith_normal_form(minor(out_laplacian(g), sink))
     group = group_from_diagonal(snf.diagonal)
     if group.free_rank:
         raise GraphError("reduced Laplacian is singular")  # unreachable when strongly connected
@@ -438,7 +361,7 @@ def check_divbym(g: DiGraph) -> DivisibilityReport:
     if length < 2:
         raise GraphError("divisibility split needs string length >= 2")
     c = g.n // m
-    diag = smith_normal_form(laplacian(g)).diagonal
+    diag = smith_normal_form(out_laplacian(g)).diagonal
     holds = (all(gcd(d, m) == 1 for d in diag[:c])
              and all(d % m == 0 for d in diag[c:]))
     return DivisibilityReport(family, m, length, c, diag, holds)

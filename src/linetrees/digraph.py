@@ -18,7 +18,6 @@ exactly the vertex labels of the level-(n+1) graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import GraphError, UnsupportedFamilyError
@@ -105,19 +104,12 @@ def build_graph(edge_list: Iterable[tuple[int, int]], n_vertices: int | None = N
     return DiGraph(n_vertices, edges, vertex_labels, edge_labels)
 
 
-@dataclass(frozen=True)
-class LineGraphMap:
-    """Bijection between edges of G and vertices of its line graph."""
-    forward: tuple[int, ...]   # edge of G  -> vertex of LG
-    backward: tuple[int, ...]  # vertex of LG -> edge of G
-
-
-def line_graph(g: DiGraph) -> tuple[DiGraph, LineGraphMap]:
+def line_graph(g: DiGraph) -> DiGraph:
     """Directed line graph: one vertex per edge of g, one edge per 2-path.
 
-    Vertex i of the result is edge i of g (so the map is the identity on
-    indices, but is returned explicitly).  Line edges are emitted in
-    (e, then out-edges of t(e)) order, giving a deterministic edge list.
+    Vertex i of the result is edge i of g, so no index map is needed.  Line
+    edges are emitted in (e, then out-edges of t(e)) order, giving a
+    deterministic edge list.
     """
     if g.m == 0:
         raise GraphError("line graph of an edgeless graph has no vertices")
@@ -126,9 +118,7 @@ def line_graph(g: DiGraph) -> tuple[DiGraph, LineGraphMap]:
         for f in g.out_edges(g.target(e)):
             lg_edges.append((e, f))
     labels = tuple(g.edge_label(e) for e in range(g.m)) if g.edge_labels else None
-    lg = DiGraph(g.m, lg_edges, vertex_labels=labels)
-    ident = tuple(range(g.m))
-    return lg, LineGraphMap(forward=ident, backward=ident)
+    return DiGraph(g.m, lg_edges, vertex_labels=labels)
 
 
 def _strings(m: int, length: int, kautz: bool) -> list[str]:
@@ -291,7 +281,6 @@ def class_cycle(g: DiGraph) -> list[int]:
         # graph, so an Eulerian circuit below is a Hamiltonian cycle here.
         ham = eulerian_circuit(grand)
     c = len(ham)
-    assert c == g.n // m
     s = pred.vertex_label(ham[0]) + "".join(pred.vertex_label(u)[-1] for u in ham[1:])
     # The cyclic string has period c; indices past c wrap around.
     cyc = lambda i: s[i % c]

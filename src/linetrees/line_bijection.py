@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .arborescence import (SpanningTree, count_trees, enumerate_trees,
+from .arborescence import (SpanningTree, count_trees, degree_product, enumerate_trees,
                            iter_proto_lists, validate_tree, DEFAULT_BOUND)
 from .digraph import DiGraph, line_graph
 from .errors import EnumerationBound, InvalidTreeArrayError, InvalidTreeError
@@ -179,7 +179,7 @@ class LineContext:
 
     def __init__(self, g: DiGraph, line: DiGraph | None = None):
         if line is None:
-            line, _ = line_graph(g)
+            line = line_graph(g)
         if line.n != g.m:
             raise InvalidTreeError("line graph must have one vertex per edge of g")
         pair_edge: dict[tuple[int, int], int] = {}
@@ -306,10 +306,7 @@ def pi(g: DiGraph, tree: SpanningTree, order: Sequence[int] | None = None) -> Tr
 
 def tree_array_count(g: DiGraph) -> int:
     """kappa(G) * prod_v outdeg(v)^(indeg(v)-1), via determinants."""
-    prod = 1
-    for v in range(g.n):
-        prod *= g.outdeg[v] ** (g.indeg[v] - 1)
-    return count_trees(g) * prod
+    return count_trees(g) * degree_product(g)
 
 
 def enumerate_tree_arrays(g: DiGraph, bound: int = DEFAULT_BOUND) -> Iterator[TreeArray]:

@@ -51,6 +51,8 @@ def test_validate_tree_rejects_cycles():
         validate_tree(g, SpanningTree(2, (0, 1, None)))  # 0 and 1 chase each other
     with pytest.raises(InvalidTreeError):
         validate_tree(g, SpanningTree(0, (1, None, None)))  # vertex 2 missing an edge
+    with pytest.raises(InvalidTreeError, match="vertex 1 needs exactly one out-edge"):
+        validate_tree(TWO_CYCLE, SpanningTree(0, (None, "x")))  # not an edge id
 
 
 def _reference_validate_tree(g, t):
@@ -151,6 +153,9 @@ def test_count_zero_when_unreachable():
 @given(digraphs_with_indeg())
 def test_determinant_matches_enumeration(g):
     trees = enumerate_trees(g, bound=10 ** 6)
+    for t in trees:
+        validate_tree(g, t)
+    assert len(set(trees)) == len(trees)
     by_root = trees_by_root(trees)
     for r in range(g.n):
         assert count_trees_rooted(g, r) == by_root.get(r, 0)
@@ -211,8 +216,7 @@ def test_verify_identity_two_cycle():
 def test_verify_identity_db21():
     report = verify_identity(debruijn(2, 1))
     assert report.holds
-    lg, lgm = line_graph(debruijn(2, 1))
-    assert kappa_vertex(lg).rename(lgm.backward, "edge").total_coefficient() == 8
+    assert kappa_vertex(line_graph(debruijn(2, 1))).total_coefficient() == 8
 
 
 def test_verify_identity_kautz21():

@@ -162,6 +162,24 @@ def test_bijection_rejects_malformed_array(tmp_path, capsys, monkeypatch):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("action,data", [
+    ("sigma", {"lists": {}}),                                      # no "root"
+    ("sigma", [["a", "OMEGA"]]),                                   # a list, not an object
+    ("roundtrip", [["a", "OMEGA"]]),
+    ("pi", [["0", "1"]]),
+    ("roundtrip", {"root": "a", "lists": {"a": "OMEGA", "b": ["1"]}}),  # list not a list
+    ("pi", {"root": "1", "edges": [["0"]]}),                       # edge pair too short
+])
+def test_bijection_rejects_malformed_json(tmp_path, capsys, monkeypatch, action, data):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("a b\nb a\n")
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["bijection", action, "--input", str(graph_file)],
+                             stdin=json.dumps(data))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_all_subset(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch, ["verify-all", "6", "9"])
     assert code == 0
