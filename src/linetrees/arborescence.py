@@ -45,9 +45,6 @@ class SpanningTree:
     root: int
     out_edge: tuple[int | None, ...]
 
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(e for e in self.out_edge if e is not None)
-
 
 def validate_tree(g: DiGraph, t: SpanningTree) -> None:
     """Raise InvalidTreeError unless t is an arborescence of g; O(n)."""
@@ -250,12 +247,6 @@ class GenPoly:
             terms[(x,)] = terms.get((x,), 0) + 1
         return cls(family, terms)
 
-    def add_monomial(self, variables: Sequence[int], coeff: int = 1) -> None:
-        mon = tuple(sorted(variables))
-        self.terms[mon] = self.terms.get(mon, 0) + coeff
-        if self.terms[mon] == 0:
-            del self.terms[mon]
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GenPoly) and self.family == other.family
                 and self.terms == other.terms)
@@ -342,13 +333,12 @@ class IdentityReport:
 
 
 def verify_identity(g: DiGraph, method: str = "expand",
-                    bound: int = DEFAULT_BOUND, seed: int = 0,
-                    trials: int = 4) -> IdentityReport:
+                    bound: int = DEFAULT_BOUND, seed: int = 0) -> IdentityReport:
     """Check the line-graph generating-function identity on g.
 
     method="expand" compares exact monomial multisets.  method="evaluate"
     is the probabilistic fallback for graphs past the expansion bound: both
-    sides are evaluated at `trials` pseudorandom small integer points via
+    sides are evaluated at 4 pseudorandom small integer points via
     weighted matrix-tree determinants, with no enumeration at all.
     """
     if any(d == 0 for d in g.indeg):
@@ -369,7 +359,7 @@ def verify_identity(g: DiGraph, method: str = "expand",
         raise AssertionError("polynomials differ but no witness found")
     if method == "evaluate":
         rng = random.Random(seed)
-        for _ in range(trials):
+        for _ in range(4):
             x = [rng.randint(1, 9) for _ in range(g.m)]
             lg_weights = [x[f] for _, f in lg.edges]
             lhs_val = weighted_tree_sum(lg, lg_weights)
@@ -404,13 +394,6 @@ def knuth_check(g: DiGraph) -> KnuthReport:
     base = count_trees(g)
     prod = degree_product(g)
     return KnuthReport(lhs == base * prod, lhs, base, prod)
-
-
-def trees_by_root(trees: Sequence[SpanningTree]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for t in trees:
-        counts[t.root] = counts.get(t.root, 0) + 1
-    return counts
 
 
 def iter_proto_lists(g: DiGraph, v: int) -> Iterator[tuple[int, ...]]:

@@ -284,18 +284,13 @@ def sandpile_group(g: DiGraph, sink: int) -> AbelianGroup:
     return group
 
 
-def critical_group(g: DiGraph, check_all_sinks: bool = False) -> AbelianGroup:
+def critical_group(g: DiGraph) -> AbelianGroup:
     """Sink-independent sandpile group of a balanced strongly connected graph."""
     if not is_eulerian(g):
         raise GraphError("critical group requires indeg = outdeg everywhere")
     if not is_strongly_connected(g):
         raise GraphError("critical group requires strong connectivity")
-    group = sandpile_group(g, 0)
-    if check_all_sinks:
-        for sink in range(1, g.n):
-            if sandpile_group(g, sink) != group:
-                raise AssertionError(f"sink {sink} gives a different group")
-    return group
+    return sandpile_group(g, 0)
 
 
 def mult_by_k(group: AbelianGroup, k: int) -> AbelianGroup:
@@ -342,12 +337,6 @@ class DivisibilityReport:
     class_count: int
     diagonal: list[int]
     holds: bool
-
-    def to_json_dict(self) -> dict:
-        return {"family": self.family, "m": self.m, "n": self.n,
-                "class_count": self.class_count,
-                "invariant_factors": [str(d) for d in self.diagonal],
-                "holds": self.holds}
 
 
 def check_divbym(g: DiGraph) -> DivisibilityReport:

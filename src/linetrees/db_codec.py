@@ -101,10 +101,7 @@ def path_to_seq(path: HamPath) -> str:
 
 @lru_cache(maxsize=None)
 def _context(k: int) -> LineContext:
-    # DB_{k+1}(2) is the line graph of DB_k(2), with vertex i of the upper
-    # graph equal to edge i of the lower one (both are the label read as a
-    # binary number), so the pair is already index-aligned.
-    return LineContext(debruijn(2, k), line=debruijn(2, k + 1))
+    return LineContext(debruijn(2, k))
 
 
 def _zero_edge(v: int) -> int:
@@ -142,9 +139,9 @@ def encode(bits: str, degree: int | None = None) -> str:
     """Map a de Bruijn sequence of degree n to a bit string of length 2^(n-1)."""
     if degree is None:
         degree = (len(bits) - 1).bit_length()
+    path = seq_to_path(bits, degree)
     if degree < 2:
         raise InvalidSequenceError("encoding requires degree >= 2")
-    path = seq_to_path(bits, degree)
     out = ["?"] * 2 ** (degree - 1)
 
     # The path tree comes from a validated sequence and each array from a

@@ -29,7 +29,7 @@ class DiGraph:
     """Immutable directed multigraph with an ordered edge list."""
 
     __slots__ = ("n", "edges", "vertex_labels", "edge_labels",
-                 "_out", "_in", "indeg", "outdeg")
+                 "_out", "indeg", "outdeg")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
                  vertex_labels: Sequence[str] | None = None,
@@ -55,14 +55,13 @@ class DiGraph:
         self.vertex_labels = vertex_labels
         self.edge_labels = edge_labels
         out: list[list[int]] = [[] for _ in range(n)]
-        inn: list[list[int]] = [[] for _ in range(n)]
+        indeg = [0] * n
         for i, (s, t) in enumerate(edges):
             out[s].append(i)
-            inn[t].append(i)
+            indeg[t] += 1
         self._out = tuple(tuple(es) for es in out)
-        self._in = tuple(tuple(es) for es in inn)
         self.outdeg = tuple(len(es) for es in self._out)
-        self.indeg = tuple(len(es) for es in self._in)
+        self.indeg = tuple(indeg)
 
     @property
     def m(self) -> int:
@@ -76,9 +75,6 @@ class DiGraph:
 
     def out_edges(self, v: int) -> tuple[int, ...]:
         return self._out[v]
-
-    def in_edges(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
 
     def vertex_label(self, v: int) -> str:
         return self.vertex_labels[v] if self.vertex_labels else str(v)
@@ -380,19 +376,28 @@ def to_json_dict(g: DiGraph) -> dict:
 
 
 def from_json_dict(data: dict) -> DiGraph:
+    """Inverse of :func:`to_json_dict`; a malformed object raises GraphError."""
+    if not (isinstance(data, dict) and isinstance(data.get("vertices"), list)
+            and isinstance(data.get("edges"), list)
+            and all(isinstance(edge, list) and len(edge) == 3 for edge in data["edges"])):
+        raise GraphError('graph JSON must be {"vertices": [NAME, ...], '
+                         '"edges": [[SRC, DST, LABEL], ...]}')
     names = [str(v) for v in data["vertices"]]
     index = {name: i for i, name in enumerate(names)}
     edges = []
     edge_labels = []
     for s, t, lbl in data["edges"]:
-        edges.append((index[str(s)], index[str(t)]))
+        s, t = str(s), str(t)
+        if s not in index or t not in index:
+            raise GraphError(f"edge ({s},{t}) has an endpoint that is not a listed vertex")
+        edges.append((index[s], index[t]))
         edge_labels.append(str(lbl))
     vertex_labels = None if names == [str(i) for i in range(len(names))] else names
     return DiGraph(len(names), edges, vertex_labels=vertex_labels, edge_labels=edge_labels)
 
 
-def to_dot(g: DiGraph, name: str = "G") -> str:
-    lines = [f"digraph {name} {{"]
+def to_dot(g: DiGraph) -> str:
+    lines = ["digraph G {"]
     for v in range(g.n):
         lines.append(f'  v{v} [label="{g.vertex_label(v)}"];')
     for e, (s, t) in enumerate(g.edges):

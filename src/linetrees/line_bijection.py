@@ -12,7 +12,8 @@ The forward map (here ``sigma``) consumes a tree array and emits a spanning
 tree of the line graph LG; the inverse (``pi``) peels a spanning tree of LG
 leaf by leaf and reconstructs the array.  Both depend on a total order on
 the edges of G; any order works, as long as the same one is used in both
-directions.
+directions.  LG is always built by ``line_graph``, so vertex e of LG is
+edge e of G and no index map is needed.
 
 sigma, given array <l_v> and an empty subgraph T' of LG:
   1. among edges e with no remaining copy in l_{s(e)} and no out-edge in
@@ -170,31 +171,16 @@ def shuffled_order(g: DiGraph, seed: int) -> list[int]:
 
 
 class LineContext:
-    """A graph together with one concrete realization of its line graph.
+    """A graph together with its line graph, built by :func:`line_graph`.
 
-    The line graph may be supplied explicitly (e.g. the next de Bruijn
-    graph, whose vertex and edge indices are already aligned); by default
-    it is constructed.  Vertex i of the line graph must be edge i of g.
+    Vertex i of the line graph is edge i of g, and ``pair_edge`` maps each
+    pair (e, f) of consecutive edges of g to its line edge.
     """
 
-    def __init__(self, g: DiGraph, line: DiGraph | None = None):
-        if line is None:
-            line = line_graph(g)
-        if line.n != g.m:
-            raise InvalidTreeError("line graph must have one vertex per edge of g")
-        pair_edge: dict[tuple[int, int], int] = {}
-        for j, (e, f) in enumerate(line.edges):
-            if g.target(e) != g.source(f):
-                raise InvalidTreeError(f"line edge {j} does not join consecutive edges of g")
-            if (e, f) in pair_edge:
-                raise InvalidTreeError(f"duplicate line edge for pair ({e},{f})")
-            pair_edge[(e, f)] = j
-        expected = sum(g.indeg[v] * g.outdeg[v] for v in range(g.n))
-        if line.m != expected:
-            raise InvalidTreeError("line graph edge count does not match sum of indeg*outdeg")
+    def __init__(self, g: DiGraph):
         self.g = g
-        self.line = line
-        self.pair_edge = pair_edge
+        self.line = line_graph(g)
+        self.pair_edge = {pair: j for j, pair in enumerate(self.line.edges)}
 
     # -- forward map ----------------------------------------------------
 
@@ -306,6 +292,8 @@ def pi(g: DiGraph, tree: SpanningTree, order: Sequence[int] | None = None) -> Tr
 
 def tree_array_count(g: DiGraph) -> int:
     """kappa(G) * prod_v outdeg(v)^(indeg(v)-1), via determinants."""
+    if any(d == 0 for d in g.indeg):
+        raise InvalidTreeArrayError("tree arrays need every indegree to be positive")
     return count_trees(g) * degree_product(g)
 
 
@@ -315,8 +303,6 @@ def enumerate_tree_arrays(g: DiGraph, bound: int = DEFAULT_BOUND) -> Iterator[Tr
     Outer order: spanning trees in enumerate_trees order; inner order:
     proto lists in lexicographic slot order, vertex by vertex.
     """
-    if any(d == 0 for d in g.indeg):
-        raise InvalidTreeArrayError("tree arrays need every indegree to be positive")
     expected = tree_array_count(g)
     if expected > bound:
         raise EnumerationBound(f"{expected} tree arrays exceed bound {bound}")

@@ -212,13 +212,12 @@ CRITERIA: Sequence[Callable[[], CriterionResult]] = (
 )
 
 
-def run(numbers: Sequence[int] | None = None,
-        report: Callable[[str], None] = print) -> list[CriterionResult]:
+def run(numbers: Sequence[int] | None = None) -> list[CriterionResult]:
     wanted = set(numbers) if numbers else set(range(1, len(CRITERIA) + 1))
     results = []
     for i, criterion in enumerate(CRITERIA, start=1):
         if i in wanted:
             result = criterion()
             results.append(result)
-            report(result.line())
+            print(result.line())
     return results

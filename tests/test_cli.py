@@ -27,6 +27,18 @@ def test_codec_encode_rejects_non_sequence(capsys, monkeypatch):
     assert "not a de Bruijn sequence" in err
 
 
+@pytest.mark.parametrize("degree,bits,message", [
+    ("0", "01", "degree must be at least 1"),
+    ("1", "01", "encoding requires degree >= 2"),
+    ("1", "0", "sequence of degree 1 must have length 2, got 1"),
+    ("2", "0101", "not a de Bruijn sequence"),
+])
+def test_codec_encode_error_lines(capsys, monkeypatch, degree, bits, message):
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["codec", "encode", "--degree", degree], stdin=bits + "\n")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_codec_decode_roundtrip(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch,
                            ["codec", "decode", "--degree", "3"], stdin="0011\n")

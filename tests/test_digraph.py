@@ -106,12 +106,20 @@ def test_generators_reject_zero_parameters():
             make(2, 0)
 
 
-@pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("make", [debruijn, kautz])
+# the codec's top level at degree 12 is the line graph of debruijn(2, 11)
+LINE_GRAPH_LEVELS = ([(make, m, n) for make in (debruijn, kautz) for n in (1, 2, 3) for m in (2, 3)]
+                     + [(debruijn, 2, n) for n in range(4, 12)])
+
+
+@pytest.mark.parametrize("make,m,n", [pytest.param(make, m, n, id=f"{make.__name__}-{n}-{m}")
+                                      for make, m, n in LINE_GRAPH_LEVELS])
 def test_family_line_graph_identity(make, m, n):
     lg = line_graph(make(m, n))
-    assert label_isomorphic(lg, make(m, n + 1))
+    lifted = make(m, n + 1)
+    assert label_isomorphic(lg, lifted)
+    # index for index: vertex e of the line graph is edge e, numbered as the lifted graph
+    assert lg.edges == lifted.edges
+    assert lg.vertex_labels == lifted.vertex_labels
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
@@ -218,6 +226,20 @@ def test_json_roundtrip():
     assert h.vertex_labels == g.vertex_labels
     assert h.edges == g.edges
     assert h.edge_labels == g.edge_labels
+
+
+@pytest.mark.parametrize("data", [
+    {},
+    [],
+    {"vertices": ["a", "b"]},                                  # no "edges"
+    {"vertices": "ab", "edges": [["a", "b", "x"]]},            # vertices not a list
+    {"vertices": ["a", "b"], "edges": [["a", "b"]]},           # edge of two items
+    {"vertices": ["a", "b"], "edges": ["abx"]},                # edge not a list
+    {"vertices": ["a", "b"], "edges": [["a", "c", "x"]]},      # unlisted endpoint
+])
+def test_json_rejects_malformed_graph(data):
+    with pytest.raises(GraphError):
+        from_json_dict(data)
 
 
 def test_dot_export_mentions_labels():

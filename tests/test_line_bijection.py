@@ -54,6 +54,12 @@ def test_tree_array_count_examples():
     assert tree_array_count(TWO_CYCLE) == 2
     assert tree_array_count(debruijn(2, 1)) == 8   # kappa * prod outdeg^(indeg-1)
     assert tree_array_count(kautz(2, 1)) == 72
+    # vertex 0 has indegree 0: no tree arrays, and the count says so
+    source = build_graph([(0, 1), (0, 1), (1, 1)])
+    with pytest.raises(InvalidTreeArrayError, match="every indegree to be positive"):
+        tree_array_count(source)
+    with pytest.raises(InvalidTreeArrayError, match="every indegree to be positive"):
+        next(enumerate_tree_arrays(source))
 
 
 def test_enumerate_tree_arrays_counts():
