@@ -14,8 +14,10 @@ The generating functions attach one variable per edge or per vertex:
     kappa_edge(G)   = sum over trees T of prod_{e in T} x_e
     kappa_vertex(G) = sum over trees T of prod_{e in T} x_{t(e)}
 
-summed over all roots.  With every variable set to 1 both collapse to the
-tree count kappa(G).  The headline identity relating a graph to its line
+summed over all roots, each a dict from monomial (the sorted tuple of the
+tree edges' variable ids) to the positive number of trees giving it.  With
+every variable set to 1 both collapse to the tree count kappa(G), the sum
+of the coefficients.  The headline identity relating a graph to its line
 graph LG (all indegrees positive) is
 
     kappa_vertex(LG) = kappa_edge(G) * prod_v (sum_{s(e)=v} x_e)^(indeg(v)-1)
@@ -30,7 +32,8 @@ and :func:`knuth_check` checks the numeric specialization
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from functools import reduce
+from typing import Callable, Sequence
 import random
 
 from .digraph import DiGraph, line_graph
@@ -223,98 +226,47 @@ def degree_product(g: DiGraph) -> int:
 
 # --- generating functions ----------------------------------------------------
 
-class GenPoly:
-    """Sparse polynomial: monomial (sorted tuple of variable ids) -> coefficient.
-
-    `family` tags whether variable ids refer to edges or vertices; arithmetic
-    is only defined within one family.
-    """
-
-    __slots__ = ("family", "terms")
-
-    def __init__(self, family: str, terms: dict[tuple[int, ...], int] | None = None):
-        self.family = family
-        self.terms = {mon: c for mon, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def constant(cls, family: str, value: int) -> "GenPoly":
-        return cls(family, {(): value} if value else {})
-
-    @classmethod
-    def linear(cls, family: str, variables: Sequence[int]) -> "GenPoly":
-        terms: dict[tuple[int, ...], int] = {}
-        for x in variables:
-            terms[(x,)] = terms.get((x,), 0) + 1
-        return cls(family, terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GenPoly) and self.family == other.family
-                and self.terms == other.terms)
-
-    def __mul__(self, other: "GenPoly") -> "GenPoly":
-        if self.family != other.family:
-            raise ValueError("cannot multiply polynomials over different variable families")
-        out: dict[tuple[int, ...], int] = {}
-        for mon_a, ca in self.terms.items():
-            for mon_b, cb in other.terms.items():
-                mon = tuple(sorted(mon_a + mon_b))
-                out[mon] = out.get(mon, 0) + ca * cb
-        return GenPoly(self.family, out)
-
-    def power(self, k: int) -> "GenPoly":
-        result = GenPoly.constant(self.family, 1)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def evaluate(self, values: Sequence[int]) -> int:
-        total = 0
-        for mon, c in self.terms.items():
-            prod = c
-            for x in mon:
-                prod *= values[x]
-            total += prod
-        return total
-
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-    def total_coefficient(self) -> int:
-        return sum(self.terms.values())
-
-    def __repr__(self) -> str:
-        return f"GenPoly({self.family}, {self.n_terms()} terms)"
+Poly = dict[tuple[int, ...], int]  # sorted tuple of variable ids -> coefficient
 
 
-def _kappa(g: DiGraph, family: str, variables: Sequence[int], bound: int) -> GenPoly:
+def _poly_mul(a: Poly, b: Poly) -> Poly:
+    out: Poly = {}
+    for mon_a, ca in a.items():
+        for mon_b, cb in b.items():
+            mon = tuple(sorted(mon_a + mon_b))
+            out[mon] = out.get(mon, 0) + ca * cb
+    return out
+
+
+def _kappa(g: DiGraph, variables: Sequence[int], bound: int) -> Poly:
     # one monomial per spanning tree, tree edge e contributing variables[e]
-    poly = GenPoly(family)
-    terms = poly.terms
+    poly: Poly = {}
 
     def leaf(root: int, choice: list, mon: list) -> None:
         key = tuple(sorted(mon))
-        terms[key] = terms.get(key, 0) + 1
+        poly[key] = poly.get(key, 0) + 1
 
     _search_trees(g, range(g.n), variables, leaf, bound)
     return poly
 
 
-def kappa_edge(g: DiGraph, bound: int = DEFAULT_BOUND) -> GenPoly:
-    return _kappa(g, "edge", list(range(g.m)), bound)
+def kappa_edge(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:
+    return _kappa(g, list(range(g.m)), bound)
 
 
-def kappa_vertex(g: DiGraph, bound: int = DEFAULT_BOUND) -> GenPoly:
-    return _kappa(g, "vertex", [t for _, t in g.edges], bound)
+def kappa_vertex(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:
+    return _kappa(g, [t for _, t in g.edges], bound)
 
 
-def rhs_product(g: DiGraph, bound: int = DEFAULT_BOUND) -> GenPoly:
+def rhs_product(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:
     """kappa_edge(G) times prod_v (sum of v's out-edge variables)^(indeg(v)-1)."""
     if any(d == 0 for d in g.indeg):
         raise InvalidTreeError("identity requires every indegree to be positive")
     poly = kappa_edge(g, bound=bound)
     for v in range(g.n):
         if g.indeg[v] > 1:
-            poly = poly * GenPoly.linear("edge", g.out_edges(v)).power(g.indeg[v] - 1)
+            linear = {(e,): 1 for e in g.out_edges(v)}
+            poly = _poly_mul(poly, reduce(_poly_mul, [linear] * (g.indeg[v] - 1), {(): 1}))
     return poly
 
 
@@ -346,17 +298,14 @@ def verify_identity(g: DiGraph, method: str = "expand",
     lg = line_graph(g)
     if method == "expand":
         # vertex e of lg is edge e of g: its vertex monomials are edge monomials
-        lhs = GenPoly("edge", kappa_vertex(lg, bound=bound).terms)
+        lhs = kappa_vertex(lg, bound=bound)
         rhs = rhs_product(g, bound=bound)
         if lhs == rhs:
-            return IdentityReport(True, lhs.n_terms(), rhs.n_terms(), None, method)
-        for mon in sorted(set(lhs.terms) | set(rhs.terms)):
-            if lhs.terms.get(mon, 0) != rhs.terms.get(mon, 0):
-                witness = {"monomial": list(mon),
-                           "lhs": lhs.terms.get(mon, 0),
-                           "rhs": rhs.terms.get(mon, 0)}
-                return IdentityReport(False, lhs.n_terms(), rhs.n_terms(), witness, method)
-        raise AssertionError("polynomials differ but no witness found")
+            return IdentityReport(True, len(lhs), len(rhs), None, method)
+        # the least monomial whose coefficients differ
+        mon = min(mon for mon in lhs.keys() | rhs.keys() if lhs.get(mon, 0) != rhs.get(mon, 0))
+        witness = {"monomial": list(mon), "lhs": lhs.get(mon, 0), "rhs": rhs.get(mon, 0)}
+        return IdentityReport(False, len(lhs), len(rhs), witness, method)
     if method == "evaluate":
         rng = random.Random(seed)
         for _ in range(4):
@@ -394,24 +343,3 @@ def knuth_check(g: DiGraph) -> KnuthReport:
     base = count_trees(g)
     prod = degree_product(g)
     return KnuthReport(lhs == base * prod, lhs, base, prod)
-
-
-def iter_proto_lists(g: DiGraph, v: int) -> Iterator[tuple[int, ...]]:
-    """All length-(indeg(v)-1) sequences of out-edges of v, lexicographically."""
-    slots = g.indeg[v] - 1
-    out = g.out_edges(v)
-    if slots == 0:
-        yield ()
-        return
-    if not out:
-        return
-    idx = [0] * slots
-    while True:
-        yield tuple(out[i] for i in idx)
-        j = slots - 1
-        while j >= 0 and idx[j] == len(out) - 1:
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
-        idx[j] += 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import db_codec, verify
 from .arborescence import (SpanningTree, count_trees_rooted, enumerate_trees,
@@ -42,7 +43,10 @@ def _load_graph(args) -> DiGraph:
         return make(args.m, args.n)
     if args.input is None:
         raise SystemExit2("provide --input FILE or --family db|kautz -m M -n N")
-    text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    try:
+        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+    except OSError as exc:
+        raise SystemExit2(f"cannot read {args.input}: {exc.strerror}") from None
     return parse_edge_list(text)
 
 

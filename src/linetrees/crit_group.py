@@ -297,8 +297,10 @@ def mult_by_k(group: AbelianGroup, k: int) -> AbelianGroup:
     """The subgroup k*K: each Z_d becomes Z_(d / gcd(d, k))."""
     if group.free_rank:
         raise ValueError("mult_by_k is defined for finite groups")
-    orders = [d // gcd(d, k) for d in group.invariant_factors]
-    return group_from_cyclic_orders([d for d in orders if d > 1])
+    # d / gcd(d, k) takes each prime's exponent e in d to max(e - e_p(k), 0),
+    # which keeps the exponents in order, so d1 | d2 | ... stays a chain
+    orders = (d // gcd(d, k) for d in group.invariant_factors)
+    return AbelianGroup(tuple(d for d in orders if d > 1))
 
 
 def is_prime(p: int) -> bool:
@@ -318,15 +320,10 @@ def sylow(group: AbelianGroup, p: int) -> AbelianGroup:
         raise ValueError(f"{p} is not prime")
     if group.free_rank:
         raise ValueError("sylow is defined for finite groups")
-    orders = []
-    for d in group.invariant_factors:
-        part = 1
-        while d % p == 0:
-            part *= p
-            d //= p
-        if part > 1:
-            orders.append(part)
-    return group_from_cyclic_orders(orders)
+    # gcd(d, p^bits(d)) is the p-part of d, as p^bits(d) > d; the p-parts of
+    # a chain d1 | d2 | ... form a chain too
+    parts = (gcd(d, p ** d.bit_length()) for d in group.invariant_factors)
+    return AbelianGroup(tuple(x for x in parts if x > 1))
 
 
 @dataclass

@@ -396,11 +396,16 @@ def from_json_dict(data: dict) -> DiGraph:
     return DiGraph(len(names), edges, vertex_labels=vertex_labels, edge_labels=edge_labels)
 
 
+def _dot_string(label: str) -> str:
+    # a DOT quoted string ends at an unescaped '"'; '\\' escapes itself
+    return label.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(g: DiGraph) -> str:
     lines = ["digraph G {"]
     for v in range(g.n):
-        lines.append(f'  v{v} [label="{g.vertex_label(v)}"];')
+        lines.append(f'  v{v} [label="{_dot_string(g.vertex_label(v))}"];')
     for e, (s, t) in enumerate(g.edges):
-        lines.append(f'  v{s} -> v{t} [label="{g.edge_label(e)}"];')
+        lines.append(f'  v{s} -> v{t} [label="{_dot_string(g.edge_label(e))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

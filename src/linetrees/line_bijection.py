@@ -29,7 +29,7 @@ pi, given a spanning tree T' of LG and empty lists:
      to l_{t(f)}, then repeat from 1;
   3. if f is the root, append OMEGA to l_{t(f)} and return the lists.
 
-The public entry points (``sigma``, ``pi``, ``LineContext.sigma``/``pi``,
+The public entry points (``LineContext.sigma``/``pi`` and
 ``make_tree_array``) validate their input once, in time linear in the size
 of the graph, and then run a private body that trusts it; internal callers
 (``enumerate_tree_arrays``, the de Bruijn codec) call the bodies directly.
@@ -45,10 +45,11 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 from .arborescence import (SpanningTree, count_trees, degree_product, enumerate_trees,
-                           iter_proto_lists, validate_tree, DEFAULT_BOUND)
+                           validate_tree, DEFAULT_BOUND)
 from .digraph import DiGraph, line_graph
 from .errors import EnumerationBound, InvalidTreeArrayError, InvalidTreeError
 
@@ -282,14 +283,6 @@ class LineContext:
         return TreeArray(g_target(tree.root), tuple(tuple(entries) for entries in lists))
 
 
-def sigma(g: DiGraph, a: TreeArray, order: Sequence[int] | None = None) -> SpanningTree:
-    return LineContext(g).sigma(a, order)
-
-
-def pi(g: DiGraph, tree: SpanningTree, order: Sequence[int] | None = None) -> TreeArray:
-    return LineContext(g).pi(tree, order)
-
-
 def tree_array_count(g: DiGraph) -> int:
     """kappa(G) * prod_v outdeg(v)^(indeg(v)-1), via determinants."""
     if any(d == 0 for d in g.indeg):
@@ -306,20 +299,12 @@ def enumerate_tree_arrays(g: DiGraph, bound: int = DEFAULT_BOUND) -> Iterator[Tr
     expected = tree_array_count(g)
     if expected > bound:
         raise EnumerationBound(f"{expected} tree arrays exceed bound {bound}")
-    protos = [list(iter_proto_lists(g, v)) for v in range(g.n)]
+    # all length-(indeg(v)-1) sequences of v's out-edges, lexicographically
+    protos = [list(product(g.out_edges(v), repeat=g.indeg[v] - 1)) for v in range(g.n)]
     if any(not p for p in protos):
         # some vertex has surplus indegree but no out-edges: the proto-list
         # product is empty, matching the zero factor in the array count
         return
     for tree in enumerate_trees(g, bound=bound):
-        idx = [0] * g.n
-        while True:
-            proto = [protos[v][idx[v]] for v in range(g.n)]
+        for proto in product(*protos):
             yield _tree_array(tree, proto)
-            v = g.n - 1
-            while v >= 0 and idx[v] == len(protos[v]) - 1:
-                idx[v] = 0
-                v -= 1
-            if v < 0:
-                break
-            idx[v] += 1

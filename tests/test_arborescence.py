@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from linetrees.arborescence import (GenPoly, SpanningTree, bareiss_determinant,
+from linetrees.arborescence import (SpanningTree, _poly_mul, bareiss_determinant,
                                     count_trees, count_trees_rooted,
                                     enumerate_trees, kappa_edge, kappa_vertex,
                                     knuth_check, rhs_product,
@@ -169,34 +169,33 @@ def test_bareiss_against_sympy(rows):
 
 
 def test_kappa_polys_two_cycle():
-    assert kappa_edge(TWO_CYCLE).terms == {(0,): 1, (1,): 1}
-    assert kappa_vertex(TWO_CYCLE).terms == {(0,): 1, (1,): 1}
+    assert kappa_edge(TWO_CYCLE) == {(0,): 1, (1,): 1}
+    assert kappa_vertex(TWO_CYCLE) == {(0,): 1, (1,): 1}
 
 
 def test_kappa_self_loop_is_constant_one():
-    assert kappa_edge(SELF_LOOP).terms == {(): 1}
-    assert kappa_vertex(SELF_LOOP).terms == {(): 1}
+    assert kappa_edge(SELF_LOOP) == {(): 1}
+    assert kappa_vertex(SELF_LOOP) == {(): 1}
 
 
 @given(digraphs_with_indeg())
 def test_kappa_at_ones_is_tree_count(g):
+    # at x = 1 a polynomial's value is the sum of its coefficients
     trees = enumerate_trees(g, bound=10 ** 6)
-    ones_e = [1] * g.m
-    ones_v = [1] * g.n
-    assert kappa_edge(g).evaluate(ones_e) == len(trees)
-    assert kappa_vertex(g).evaluate(ones_v) == len(trees)
+    assert sum(kappa_edge(g).values()) == len(trees)
+    assert sum(kappa_vertex(g).values()) == len(trees)
 
 
 @given(digraphs_with_indeg())
 def test_kappa_monomial_degree(g):
-    for mon in kappa_edge(g).terms:
+    for mon in kappa_edge(g):
         assert len(mon) == g.n - 1
 
 
 def test_rhs_product_trivial_cases():
     # both indegrees 1: the degree product is empty
     assert rhs_product(TWO_CYCLE) == kappa_edge(TWO_CYCLE)
-    assert rhs_product(SELF_LOOP).terms == {(): 1}
+    assert rhs_product(SELF_LOOP) == {(): 1}
 
 
 def test_rhs_product_requires_positive_indegree():
@@ -206,7 +205,7 @@ def test_rhs_product_requires_positive_indegree():
 
 def test_rhs_product_db21_total():
     poly = rhs_product(debruijn(2, 1))
-    assert poly.total_coefficient() == 8  # = kappa(DB_2(2))
+    assert sum(poly.values()) == 8  # = kappa(DB_2(2))
 
 
 def test_verify_identity_two_cycle():
@@ -217,13 +216,13 @@ def test_verify_identity_two_cycle():
 def test_verify_identity_db21():
     report = verify_identity(debruijn(2, 1))
     assert report.holds
-    assert kappa_vertex(line_graph(debruijn(2, 1))).total_coefficient() == 8
+    assert sum(kappa_vertex(line_graph(debruijn(2, 1))).values()) == 8
 
 
 def test_verify_identity_kautz21():
     report = verify_identity(kautz(2, 1))
     assert report.holds
-    assert rhs_product(kautz(2, 1)).total_coefficient() == 72
+    assert sum(rhs_product(kautz(2, 1)).values()) == 72
 
 
 def test_verify_identity_reports_witness(monkeypatch):
@@ -233,8 +232,8 @@ def test_verify_identity_reports_witness(monkeypatch):
 
     def skewed(g, bound=arb.DEFAULT_BOUND):
         poly = real(g, bound=bound)
-        mon = next(iter(poly.terms))
-        poly.terms[mon] += 1
+        mon = next(iter(poly))
+        poly[mon] += 1
         return poly
 
     monkeypatch.setattr(arb, "rhs_product", skewed)
@@ -278,10 +277,8 @@ def test_knuth_examples(g, line_count, base, prod):
         (line_count, base, prod)
 
 
-def test_genpoly_arithmetic():
-    p = GenPoly.linear("edge", [0, 1])
-    sq = p * p
-    assert sq.terms == {(0, 0): 1, (0, 1): 2, (1, 1): 1}
-    assert p.power(3).total_coefficient() == 8
-    with pytest.raises(ValueError):
-        p * GenPoly.linear("vertex", [0])
+def test_poly_mul():
+    p = {(0,): 1, (1,): 1}  # x_0 + x_1
+    sq = _poly_mul(p, p)
+    assert sq == {(0, 0): 1, (0, 1): 2, (1, 1): 1}
+    assert sum(_poly_mul(sq, p).values()) == 8

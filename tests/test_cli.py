@@ -1,7 +1,10 @@
+import contextlib
 import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linetrees.cli import main
 
@@ -221,3 +224,69 @@ def test_usage_error_exit_code():
 def test_missing_graph_source_is_usage_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["trees", "count"])
     assert code == 2 and "provide --input" in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_input_is_usage_error(tmp_path, capsys, monkeypatch, kind):
+    path = tmp_path / "absent.txt" if kind == "missing" else tmp_path
+    code, out, err = run_cli(capsys, monkeypatch, ["trees", "count", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
+# --- fuzz: arbitrary short stdin ends in an exit code, never a traceback -----
+
+FUZZ_GRAPH = "a b\nb a\na a\n"  # the graph file of the bijection actions
+FUZZ_COMMANDS = {
+    "linegraph": [["linegraph", "--input", "-", "--format", fmt]
+                  for fmt in ("edgelist", "json", "dot")],
+    "trees": ([["trees", action, "--input", "-"] for action in ("count", "enumerate")]
+              + [["trees", action, "--input", "-", "--bound", "10000"]
+                 for action in ("identity-check", "knuth-check")]),
+    "bijection": [["bijection", action, "--input", "GRAPH"]
+                  for action in ("sigma", "pi", "roundtrip")],
+    "codec": [["codec", action, "--degree", str(d)]
+              for action in ("encode", "decode") for d in range(2, 7)],
+}
+
+_token = st.sampled_from(["a", "b", "c", "0", "1", "2", "01", "0011", "x\"y", "z\\",
+                          "#", "{", "}", "[", "]", ":", ",", "OMEGA", '"OMEGA"',
+                          '"root"', '"lists"', '"edges"', '"a"', '"1"'])
+_line = st.one_of(st.text(max_size=25), st.lists(_token, max_size=5).map(" ".join))
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.sampled_from(["a", "b", "0", "1", "2", "OMEGA", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["root", "lists", "edges", "a", "b"]), inner, max_size=3),
+    max_leaves=8).map(json.dumps)
+_stdin = st.one_of(st.lists(_line, max_size=8).map("\n".join), _json,
+                   st.text("01", max_size=40)).filter(lambda text: len(text) <= 200)
+
+
+@pytest.fixture(scope="module")
+def fuzz_graph_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "g.txt"
+    path.write_text(FUZZ_GRAPH)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+def test_cli_fuzz_stdin(command, fuzz_graph_file):
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(FUZZ_COMMANDS[command]), _stdin)
+    def run(argv, stdin):
+        argv = [fuzz_graph_file if arg == "GRAPH" else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        real_stdin = sys.stdin
+        sys.stdin = io.StringIO(stdin)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.stdin = real_stdin
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
+
+    run()

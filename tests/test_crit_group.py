@@ -162,6 +162,17 @@ def test_sylow():
         sylow(AbelianGroup((4,)), 4)
 
 
+@given(st.lists(st.integers(1, 200), max_size=6), st.integers(0, 60),
+       st.sampled_from([2, 3, 5, 7, 11]))
+def test_mult_by_k_and_sylow_match_normalized_orders(orders, k, p):
+    # the direct chain construction against normalizing the cyclic orders
+    group = group_from_cyclic_orders(orders)
+    factors = group.invariant_factors
+    assert mult_by_k(group, k) == group_from_cyclic_orders([d // gcd(d, k) for d in factors])
+    assert sylow(group, p) == group_from_cyclic_orders(
+        [p ** sympy.multiplicity(p, d) for d in factors])
+
+
 def test_sylow_decomposition_rebuilds_group():
     for g in (kautz(2, 2), debruijn(2, 3), kautz(3, 2)):
         group = critical_group(g)

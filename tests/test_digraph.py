@@ -245,3 +245,12 @@ def test_json_rejects_malformed_graph(data):
 def test_dot_export_mentions_labels():
     dot = to_dot(debruijn(2, 1))
     assert "digraph" in dot and '"01"' in dot and "v0 -> v1" in dot
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    # vertex x"y, vertex z\ and edge label q"\ each stay one DOT string
+    g = parse_edge_list('x"y z\\ q"\\\nz\\ x"y\n')
+    dot = to_dot(g)
+    assert 'v0 [label="x\\"y"];' in dot
+    assert 'v1 [label="z\\\\"];' in dot
+    assert 'v0 -> v1 [label="q\\"\\\\"];' in dot

@@ -12,8 +12,8 @@ from linetrees.digraph import DiGraph, build_graph, debruijn, kautz
 from linetrees.errors import InvalidTreeArrayError, InvalidTreeError
 from linetrees.line_bijection import (LineContext, OMEGA, TreeArray, array_tree,
                                       enumerate_tree_arrays, make_tree_array,
-                                      pi, shuffled_order, sigma,
-                                      tree_array_count, validate_tree_array)
+                                      shuffled_order, tree_array_count,
+                                      validate_tree_array)
 
 TWO_CYCLE = build_graph([(0, 1), (1, 0)])
 SELF_LOOP = build_graph([(0, 0)])
@@ -70,7 +70,7 @@ def test_enumerate_tree_arrays_counts():
 
 def test_sigma_two_cycle_hand_trace():
     a = TreeArray(0, ((OMEGA,), (1,)))
-    t = sigma(TWO_CYCLE, a)
+    t = LineContext(TWO_CYCLE).sigma(a)
     # edge 0 starts outside the lists, pops edge 1 from vertex 1's list,
     # then edge 1 pops OMEGA: tree {(e0,e1)} rooted at e1
     assert t.root == 1
@@ -78,13 +78,14 @@ def test_sigma_two_cycle_hand_trace():
 
 
 def test_sigma_self_loop():
-    t = sigma(SELF_LOOP, TreeArray(0, ((OMEGA,),)))
+    t = LineContext(SELF_LOOP).sigma(TreeArray(0, ((OMEGA,),)))
     assert t == SpanningTree(0, (None,))
 
 
 def test_pi_inverts_hand_trace():
     a = TreeArray(0, ((OMEGA,), (1,)))
-    assert pi(TWO_CYCLE, sigma(TWO_CYCLE, a)) == a
+    ctx = LineContext(TWO_CYCLE)
+    assert ctx.pi(ctx.sigma(a)) == a
 
 
 def test_db21_bijection_exhaustive():
@@ -172,12 +173,13 @@ def test_validate_rejects_indegree_zero_vertex():
 
 def test_sigma_rejects_invalid_array():
     with pytest.raises(InvalidTreeArrayError):
-        sigma(TWO_CYCLE, TreeArray(0, ((0,), (1,))))
+        LineContext(TWO_CYCLE).sigma(TreeArray(0, ((0,), (1,))))
 
 
 def test_order_must_be_permutation():
     a = TreeArray(0, ((OMEGA,), (1,)))
     t = SpanningTree(1, (0, None))
+    ctx = LineContext(TWO_CYCLE)
     bad_orders = [
         [0, 0], [1, 1],      # duplicates
         [0, 2], [-1, 0],     # out of range
@@ -187,9 +189,9 @@ def test_order_must_be_permutation():
     ]
     for order in bad_orders:
         with pytest.raises(ValueError, match="edge order must be a permutation of all edge ids"):
-            sigma(TWO_CYCLE, a, order=order)
+            ctx.sigma(a, order=order)
         with pytest.raises(ValueError, match="edge order must be a permutation of all edge ids"):
-            pi(TWO_CYCLE, t, order=order)
+            ctx.pi(t, order=order)
 
 
 def test_enumerated_arrays_pass_public_validation():
