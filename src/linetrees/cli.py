@@ -56,8 +56,7 @@ class SystemExit2(Exception):
 
 def _emit_graph(g: DiGraph, fmt: str) -> None:
     if fmt == "json":
-        json.dump(to_json_dict(g), sys.stdout)
-        sys.stdout.write("\n")
+        print(json.dumps(to_json_dict(g)))
     elif fmt == "dot":
         sys.stdout.write(to_dot(g))
     else:
@@ -106,10 +105,8 @@ def _array_from_json(g: DiGraph, data) -> TreeArray:
 
 
 def _line_tree_to_json(g: DiGraph, ctx: LineContext, t: SpanningTree) -> dict:
-    edges = []
-    for e, j in enumerate(t.out_edge):
-        if j is not None:
-            edges.append([g.edge_label(e), g.edge_label(ctx.line.target(j))])
+    edges = [[g.edge_label(e), g.edge_label(f)]
+             for e, f in enumerate(ctx.successors(t)) if f is not None]
     return {"root": g.edge_label(t.root), "edges": edges}
 
 
@@ -123,13 +120,15 @@ def _line_tree_from_json(g: DiGraph, ctx: LineContext, data) -> SpanningTree:
     if not (isinstance(data.get("edges"), list)
             and all(isinstance(pair, list) and len(pair) == 2 for pair in data["edges"])):
         raise err(shape)
-    out: list[int | None] = [None] * g.m
+    succ: list[int | None] = [None] * g.m
     for e_name, f_name in data["edges"]:
         e, f = _lookup(edges, "edge", e_name, err), _lookup(edges, "edge", f_name, err)
-        if (e, f) not in ctx.pair_edge:
-            raise InvalidTreeError(f"({e_name},{f_name}) is not an edge of the line graph")
-        out[e] = ctx.pair_edge[(e, f)]
-    return SpanningTree(root, tuple(out))
+        if g.target(e) != g.source(f):
+            raise err(f"({e_name},{f_name}) is not an edge of the line graph")
+        if succ[e] is not None:
+            raise err(f"line vertex {e_name} has more than one out-edge")
+        succ[e] = f
+    return ctx.line_tree(root, succ)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -152,9 +151,8 @@ def _cmd_trees(args) -> int:
         by_root = {g.vertex_label(r): count_trees_rooted(g, r) for r in range(g.n)}
         total = sum(by_root.values())
         if args.json:
-            json.dump({"total": str(total),
-                       "by_root": {k: str(v) for k, v in by_root.items()}}, sys.stdout)
-            sys.stdout.write("\n")
+            print(json.dumps({"total": str(total),
+                              "by_root": {k: str(v) for k, v in by_root.items()}}))
         else:
             print(f"spanning trees: {total}")
             for name, cnt in by_root.items():
@@ -165,8 +163,7 @@ def _cmd_trees(args) -> int:
             out = [{"root": g.vertex_label(t.root),
                     "edges": [g.edge_label(e) for e in t.out_edge if e is not None]}
                    for t in trees]
-            json.dump({"trees": out}, sys.stdout)
-            sys.stdout.write("\n")
+            print(json.dumps({"trees": out}))
         else:
             for t in trees:
                 edges = ",".join(g.edge_label(e) for e in t.out_edge if e is not None)
@@ -174,8 +171,7 @@ def _cmd_trees(args) -> int:
     elif args.action == "identity-check":
         report = verify_identity(g, method=args.method, bound=args.bound)
         if args.json:
-            json.dump(report.to_json_dict(), sys.stdout)
-            sys.stdout.write("\n")
+            print(json.dumps(report.to_json_dict()))
         else:
             print(f"identity holds: {report.holds} "
                   f"(lhs terms: {report.lhs_terms}, rhs terms: {report.rhs_terms})")
@@ -183,8 +179,7 @@ def _cmd_trees(args) -> int:
     else:  # knuth-check
         report = knuth_check(g)
         if args.json:
-            json.dump(report.to_json_dict(), sys.stdout)
-            sys.stdout.write("\n")
+            print(json.dumps(report.to_json_dict()))
         else:
             print(f"kappa(LG) = {report.kappa_line}, "
                   f"kappa(G) * product = {report.kappa_base} * {report.degree_product}, "
@@ -199,19 +194,17 @@ def _cmd_bijection(args) -> int:
     data = json.load(sys.stdin)
     if args.action == "sigma":
         tree = ctx.sigma(_array_from_json(g, data))
-        json.dump(_line_tree_to_json(g, ctx, tree), sys.stdout)
+        print(json.dumps(_line_tree_to_json(g, ctx, tree)))
     elif args.action == "pi":
         array = ctx.pi(_line_tree_from_json(g, ctx, data))
-        json.dump(_array_to_json(g, array), sys.stdout)
+        print(json.dumps(_array_to_json(g, array)))
     else:  # roundtrip
         array = _array_from_json(g, data)
         tree = ctx.sigma(array)
         back = ctx.pi(tree)
-        json.dump({"tree": _line_tree_to_json(g, ctx, tree),
-                   "roundtrip_ok": back == array}, sys.stdout)
-        sys.stdout.write("\n")
+        print(json.dumps({"tree": _line_tree_to_json(g, ctx, tree),
+                          "roundtrip_ok": back == array}))
         return OK if back == array else DOMAIN_ERROR
-    sys.stdout.write("\n")
     return OK
 
 
@@ -219,9 +212,8 @@ def _cmd_codec(args) -> int:
     if args.action == "enumerate":
         sequences = db_codec.enumerate_db_sequences(args.degree)
         if args.json:
-            json.dump({"degree": args.degree, "count": len(sequences),
-                       "sequences": sequences}, sys.stdout)
-            sys.stdout.write("\n")
+            print(json.dumps({"degree": args.degree, "count": len(sequences),
+                              "sequences": sequences}))
         else:
             for bits in sequences:
                 print(bits)
@@ -232,9 +224,8 @@ def _cmd_codec(args) -> int:
     else:
         result = db_codec.decode(data, args.degree)
     if args.json:
-        json.dump({"degree": args.degree, "input": data, "output": result,
-                   "valid": True}, sys.stdout)
-        sys.stdout.write("\n")
+        print(json.dumps({"degree": args.degree, "input": data, "output": result,
+                          "valid": True}))
     else:
         print(result)
     return OK
@@ -248,9 +239,7 @@ def _cmd_group(args) -> int:
     if args.action == "order":
         value = order_formula(m, n)
         if args.json:
-            json.dump({"family": args.family, "m": m, "n": n, "order": str(value)},
-                      sys.stdout)
-            sys.stdout.write("\n")
+            print(json.dumps({"family": args.family, "m": m, "n": n, "order": str(value)}))
         else:
             print(value)
         return OK
@@ -258,11 +247,10 @@ def _cmd_group(args) -> int:
         f = formula(m, n)
         normalized = f.normalize()
         if args.json:
-            json.dump({"family": args.family, "m": m, "n": n,
-                       "summands": [[mod, mult] for mod, mult in f.summands],
-                       "invariant_factors": list(normalized.invariant_factors),
-                       "order": str(f.order())}, sys.stdout)
-            sys.stdout.write("\n")
+            print(json.dumps({"family": args.family, "m": m, "n": n,
+                              "summands": [[mod, mult] for mod, mult in f.summands],
+                              "invariant_factors": list(normalized.invariant_factors),
+                              "order": str(f.order())}))
         else:
             print(f"{f}  =  {normalized}")
         return OK
@@ -272,11 +260,10 @@ def _cmd_group(args) -> int:
         divis = check_divbym(make(m, n)).holds if n >= 2 else None
         ok = matches and group.order == order_formula(m, n) and divis is not False
         if args.json:
-            json.dump({"family": args.family, "m": m, "n": n,
-                       "invariant_factors": list(group.invariant_factors),
-                       "order": str(group.order), "matches_formula": matches,
-                       "divisibility_split": divis, "ok": ok}, sys.stdout)
-            sys.stdout.write("\n")
+            print(json.dumps({"family": args.family, "m": m, "n": n,
+                              "invariant_factors": list(group.invariant_factors),
+                              "order": str(group.order), "matches_formula": matches,
+                              "divisibility_split": divis, "ok": ok}))
         else:
             print(f"computed {group}; matches formula: {matches}; "
                   f"order ok: {group.order == order_formula(m, n)}; "
@@ -284,11 +271,9 @@ def _cmd_group(args) -> int:
         return OK if ok else DOMAIN_ERROR
     # compute
     if args.json:
-        json.dump({"family": args.family, "m": m, "n": n,
-                   "invariant_factors": list(group.invariant_factors),
-                   "order": str(group.order), "matches_formula": matches},
-                  sys.stdout)
-        sys.stdout.write("\n")
+        print(json.dumps({"family": args.family, "m": m, "n": n,
+                          "invariant_factors": list(group.invariant_factors),
+                          "order": str(group.order), "matches_formula": matches}))
     else:
         print(f"{group} (order {group.order})")
     return OK

@@ -35,7 +35,7 @@ exponent is the one implemented and tested here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf, log10
 from typing import Sequence
 
 from .arborescence import minor, out_laplacian
@@ -229,10 +229,35 @@ class GroupFormula:
         return " + ".join(parts) if parts else "0"
 
 
+# The closed forms build the group order as an integer, and normalizing a
+# formula builds a list with one entry per cyclic summand, about as many as
+# the order has bits.  Past this many decimal digits (CPython's default limit
+# on printing an int) the order is refused before either is built.
+MAX_ORDER_DIGITS = 4300
+
+
+def _check_order_size(m: int, n: int, kautz: bool) -> None:
+    """Raise GraphError if the family's group order has over MAX_ORDER_DIGITS digits.
+
+    The order is m^(m^n - n - 1) for de Bruijn graphs and
+    (m+1)^(m-1) m^(m^n + m^(n-1) - m - n) for Kautz graphs; its digit count
+    comes from logarithms, so nothing of the order's size is built.
+    """
+    if n * log10(m) > 300:  # m^n > 10^300: far past the cap, and past a float
+        digits = inf
+    else:
+        x = float(m) ** n
+        digits = ((x + x / m - m - n) * log10(m) + (m - 1) * log10(m + 1) if kautz
+                  else (x - n - 1) * log10(m))
+    if digits > MAX_ORDER_DIGITS:
+        raise GraphError(f"group order exceeds the cap of {MAX_ORDER_DIGITS} decimal digits")
+
+
 def db_formula(m: int, n: int) -> GroupFormula:
     """Critical group of DB_n(m), as a formula."""
     if m < 2 or n < 1:
         raise GraphError("formula requires m >= 2 and n >= 1")
+    _check_order_size(m, n, kautz=False)
     summands = [(m ** n, m - 2)]
     summands += [(m ** i, m ** (n - 1 - i) * (m - 1) ** 2) for i in range(1, n)]
     return GroupFormula(tuple(summands))
@@ -242,6 +267,7 @@ def kautz_formula(m: int, n: int) -> GroupFormula:
     """Critical group of Kautz_n(m), as a formula."""
     if m < 2 or n < 1:
         raise GraphError("formula requires m >= 2 and n >= 1")
+    _check_order_size(m, n, kautz=True)
     summands = [(m + 1, m - 1), (m ** (n - 1), m * m - 2)]
     summands += [(m ** i, m ** (n - 2 - i) * (m - 1) ** 2 * (m + 1)) for i in range(1, n - 1)]
     return GroupFormula(tuple(summands))
@@ -250,12 +276,14 @@ def kautz_formula(m: int, n: int) -> GroupFormula:
 def group_order_db(m: int, n: int) -> int:
     if m < 2 or n < 1:
         raise GraphError("order formula requires m >= 2 and n >= 1")
+    _check_order_size(m, n, kautz=False)
     return m ** (m ** n - n - 1)
 
 
 def group_order_kautz(m: int, n: int) -> int:
     if m < 2 or n < 1:
         raise GraphError("order formula requires m >= 2 and n >= 1")
+    _check_order_size(m, n, kautz=True)
     return (m + 1) ** (m - 1) * m ** (m ** n + m ** (n - 1) - m - n)
 
 
@@ -301,29 +329,6 @@ def mult_by_k(group: AbelianGroup, k: int) -> AbelianGroup:
     # which keeps the exponents in order, so d1 | d2 | ... stays a chain
     orders = (d // gcd(d, k) for d in group.invariant_factors)
     return AbelianGroup(tuple(d for d in orders if d > 1))
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
-
-
-def sylow(group: AbelianGroup, p: int) -> AbelianGroup:
-    """The Sylow-p subgroup: p-power part of each invariant factor."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if group.free_rank:
-        raise ValueError("sylow is defined for finite groups")
-    # gcd(d, p^bits(d)) is the p-part of d, as p^bits(d) > d; the p-parts of
-    # a chain d1 | d2 | ... form a chain too
-    parts = (gcd(d, p ** d.bit_length()) for d in group.invariant_factors)
-    return AbelianGroup(tuple(x for x in parts if x > 1))
 
 
 @dataclass

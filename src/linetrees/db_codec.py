@@ -34,6 +34,10 @@ Decoding reverses the levels with the forward map: rebuild T_1 from bit 1,
 assemble each A_k from its bits and T_k, apply the forward map to get
 T_{k+1}, and finally assemble A_{n-1} (non-root lists [non-tree edge, tree
 edge], root list [chosen edge, OMEGA]) whose image is the Hamiltonian path.
+
+No line graph is built: L(DB_k(2)) is DB_{k+1}(2) index for index, so the
+path enters the inverse map as succ[a] = b for its steps a -> b, and T_{k+1}
+as succ[v] = the target of v's tree edge in DB_{k+1}(2).
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from functools import lru_cache
 from .arborescence import SpanningTree
 from .digraph import debruijn
 from .errors import InvalidSequenceError
-from .line_bijection import LineContext, OMEGA, TreeArray, array_tree
+from .line_bijection import LineContext, OMEGA, Succ, TreeArray, array_tree
 
 
 @dataclass(frozen=True)
@@ -109,29 +113,21 @@ def _zero_edge(v: int) -> int:
     return 2 * v
 
 
-def _path_tree(path: HamPath) -> SpanningTree:
-    """The path as a spanning tree of DB_n(2) = L(DB_{n-1}(2))."""
-    ctx = _context(path.degree - 1)
-    out: list[int | None] = [None] * ctx.line.n
+def _path_tree(path: HamPath) -> tuple[int, Succ]:
+    """The path as a tree of DB_n(2) = L(DB_{n-1}(2)): root and successors."""
+    succ: list[int | None] = [None] * len(path.vertices)
     for a, b in zip(path.vertices, path.vertices[1:]):
-        out[a] = ctx.pair_edge[(a, b)]
-    return SpanningTree(path.vertices[-1], tuple(out))
+        succ[a] = b
+    return path.vertices[-1], tuple(succ)
 
 
-def _tree_path(tree: SpanningTree, degree: int) -> HamPath:
-    ctx = _context(degree - 1)
-    succ: dict[int, int] = {}
-    has_pred = set()
-    for e, j in enumerate(tree.out_edge):
-        if j is not None:
-            succ[e] = ctx.line.target(j)
-            has_pred.add(ctx.line.target(j))
-    starts = [v for v in range(ctx.line.n) if v not in has_pred]
+def _tree_path(succ: Succ, degree: int) -> HamPath:
+    starts = set(range(len(succ))).difference(succ)
     if len(starts) != 1:
         raise InvalidSequenceError("tree is not a path")
-    vertices = [starts[0]]
-    while vertices[-1] in succ:
-        vertices.append(succ[vertices[-1]])
+    vertices = [starts.pop()]
+    while (v := succ[vertices[-1]]) is not None:
+        vertices.append(v)
     return HamPath(degree, tuple(vertices))
 
 
@@ -146,13 +142,16 @@ def encode(bits: str, degree: int | None = None) -> str:
 
     # The path tree comes from a validated sequence and each array from a
     # valid tree, so the levels run the unchecked bodies of pi.
-    array = _context(degree - 1)._pi(_path_tree(path))
+    ctx = _context(degree - 1)
+    array = ctx._pi(*_path_tree(path), range(ctx.g.m))
     # Top level: only the root's first entry is a free bit.
     out[2 ** (degree - 1) - 1] = "0" if array.lists[array.root][0] == _zero_edge(array.root) else "1"
 
     for k in range(degree - 2, 0, -1):
+        tree, target = array_tree(ctx.g, array), ctx.target
         ctx = _context(k)
-        array = ctx._pi(array_tree(ctx.line, array))
+        succ = tuple([None if e is None else target[e] for e in tree.out_edge])
+        array = ctx._pi(tree.root, succ, range(ctx.g.m))
         for i, entries in enumerate(array.lists):
             out[2 ** k - 1 + i] = "0" if entries[0] == _zero_edge(i) else "1"
 
@@ -178,15 +177,15 @@ def decode(code: str, degree: int) -> str:
     # Every array below is a valid tree array for any code of the right
     # length (out-edges of each vertex, last entries a spanning tree), so
     # the levels run the unchecked body of sigma; path_to_seq still checks
-    # the final sequence.
+    # the final sequence.  Line edges of L(DB_k(2)) are edges of DB_{k+1}(2).
     for k in range(1, degree - 1):
         lists = []
         for v in range(2 ** k):
             first = _zero_edge(v) + (code[2 ** k - 1 + v] == "1")
             second = OMEGA if v == tree.root else tree.out_edge[v]
             lists.append((first, second))
-        array = TreeArray(tree.root, tuple(lists))
-        tree = _context(k)._sigma(array)
+        ctx = _context(k)
+        tree = ctx.line_tree(*ctx._sigma(TreeArray(tree.root, tuple(lists)), range(ctx.g.m)))
 
     lists = []
     for v in range(2 ** (degree - 1)):
@@ -196,9 +195,9 @@ def decode(code: str, degree: int) -> str:
         else:
             # two distinct entries, the second being the tree edge
             lists.append((tree.out_edge[v] ^ 1, tree.out_edge[v]))
-    array = TreeArray(tree.root, tuple(lists))
-    path = _tree_path(_context(degree - 1)._sigma(array), degree)
-    return path_to_seq(path)
+    ctx = _context(degree - 1)
+    _, succ = ctx._sigma(TreeArray(tree.root, tuple(lists)), range(ctx.g.m))
+    return path_to_seq(_tree_path(succ, degree))
 
 
 def enumerate_db_sequences(degree: int) -> list[str]:

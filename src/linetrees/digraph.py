@@ -182,24 +182,6 @@ def is_strongly_connected(g: DiGraph) -> bool:
     return _reachable(g.n, fwd, 0) == g.n and _reachable(g.n, bwd, 0) == g.n
 
 
-def similarity_classes(g: DiGraph) -> list[list[int]]:
-    """Partition vertices by the last n-1 characters of their labels.
-
-    Defined for string-labelled graphs with uniform label length >= 2
-    (the DB/Kautz families for n >= 2).  Classes are returned in
-    lexicographic order of the shared suffix, each sorted by vertex id.
-    """
-    if g.vertex_labels is None:
-        raise GraphError("similarity classes need string vertex labels")
-    length = len(g.vertex_labels[0])
-    if length < 2 or any(len(lbl) != length for lbl in g.vertex_labels):
-        raise GraphError("similarity classes need uniform label length >= 2")
-    classes: dict[str, list[int]] = {}
-    for v, lbl in enumerate(g.vertex_labels):
-        classes.setdefault(lbl[1:], []).append(v)
-    return [sorted(classes[key]) for key in sorted(classes)]
-
-
 def detect_family(g: DiGraph) -> tuple[str, int, int]:
     """Recognize g as debruijn(m, n) or kautz(m, n) by its labels.
 

@@ -12,8 +12,7 @@ The forward map (here ``sigma``) consumes a tree array and emits a spanning
 tree of the line graph LG; the inverse (``pi``) peels a spanning tree of LG
 leaf by leaf and reconstructs the array.  Both depend on a total order on
 the edges of G; any order works, as long as the same one is used in both
-directions.  LG is always built by ``line_graph``, so vertex e of LG is
-edge e of G and no index map is needed.
+directions.
 
 sigma, given array <l_v> and an empty subgraph T' of LG:
   1. among edges e with no remaining copy in l_{s(e)} and no out-edge in
@@ -28,6 +27,11 @@ pi, given a spanning tree T' of LG and empty lists:
   2. if f is not the root, remove f and its out-edge (f, g) and append g
      to l_{t(f)}, then repeat from 1;
   3. if f is the root, append OMEGA to l_{t(f)} and return the lists.
+
+Vertex e of LG is edge e of G, and a line edge is a path (f, g) in G.  The
+maps' private bodies hold a tree of LG as a successor list, succ[f] = g,
+None at the root; line-edge ids, numbered by :class:`LineContext`, appear
+only at the public boundary, so the codec never builds LG.
 
 The public entry points (``LineContext.sigma``/``pi`` and
 ``make_tree_array``) validate their input once, in time linear in the size
@@ -45,7 +49,8 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import accumulate, product
 from typing import Iterator, Sequence
 
 from .arborescence import (SpanningTree, count_trees, degree_product, enumerate_trees,
@@ -71,6 +76,7 @@ class _OmegaType:
 OMEGA = _OmegaType()
 
 ArrayEntry = object  # int edge id or OMEGA
+Succ = tuple[int | None, ...]  # a line-graph tree as a successor list
 
 
 @dataclass(frozen=True)
@@ -150,10 +156,10 @@ def array_tree(g: DiGraph, a: TreeArray) -> SpanningTree:
     return SpanningTree(a.root, tuple(out))
 
 
-def _edge_ranks(g: DiGraph, order: Sequence[int] | None) -> list[int]:
+def _edge_ranks(g: DiGraph, order: Sequence[int] | None) -> Sequence[int]:
     m = g.m
     if order is None:
-        return list(range(m))
+        return range(m)
     if len(order) != m:
         raise ValueError("edge order must be a permutation of all edge ids")
     # m distinct ids in range(m) are a permutation of it
@@ -172,40 +178,54 @@ def shuffled_order(g: DiGraph, seed: int) -> list[int]:
 
 
 class LineContext:
-    """A graph together with its line graph, built by :func:`line_graph`.
-
-    Vertex i of the line graph is edge i of g, and ``pair_edge`` maps each
-    pair (e, f) of consecutive edges of g to its line edge.
-    """
+    """A graph g and the numbering of its line edges: (e, f) is edge
+    ``off[e] + pos[f]`` of ``line`` (built on first use), with off the prefix
+    sums of outdeg(t(e)) and pos[f] the index of f in ``out_edges(s(f))``."""
 
     def __init__(self, g: DiGraph):
         self.g = g
-        self.line = line_graph(g)
-        self.pair_edge = {pair: j for j, pair in enumerate(self.line.edges)}
+        self.target = [t for _, t in g.edges]
+        self.off = list(accumulate((g.outdeg[t] for t in self.target), initial=0))
+        self.pos = [0] * g.m
+        for v in range(g.n):
+            for i, f in enumerate(g.out_edges(v)):
+                self.pos[f] = i
+
+    @cached_property
+    def line(self) -> DiGraph:
+        return line_graph(self.g)
+
+    def line_tree(self, root: int, succ: Sequence[int | None]) -> SpanningTree:
+        """The line-graph tree with the line edge (e, succ[e]) out of each e."""
+        off, pos = self.off, self.pos
+        return SpanningTree(root, tuple([None if f is None else off[e] + pos[f]
+                                         for e, f in enumerate(succ)]))
+
+    def successors(self, tree: SpanningTree) -> Succ:
+        """Inverse of :meth:`line_tree` on a valid tree: the head of each edge."""
+        edges = self.line.edges
+        return tuple([None if j is None else edges[j][1] for j in tree.out_edge])
 
     # -- forward map ----------------------------------------------------
 
     def sigma(self, a: TreeArray, order: Sequence[int] | None = None) -> SpanningTree:
         """Map a tree array of g to a spanning tree of the line graph."""
         validate_tree_array(self.g, a)
-        return self._sigma(a, order)
+        return self.line_tree(*self._sigma(a, _edge_ranks(self.g, order)))
 
-    def _sigma(self, a: TreeArray, order: Sequence[int] | None = None) -> SpanningTree:
-        # sigma's body, for arrays already known to be valid.  Its guards
-        # hold for every valid array and are checked anyway, as the safety
-        # net of callers that skip validation.
-        g = self.g
-        m = g.m
-        rank = _edge_ranks(g, order)
-        target, lists, pair_edge = g.target, a.lists, self.pair_edge
+    def _sigma(self, a: TreeArray, rank: Sequence[int]) -> tuple[int, Succ]:
+        # sigma's body, for arrays already known to be valid; gives the root
+        # and successors of the image.  Its guards hold for every valid array
+        # and are checked anyway, as the safety net of callers that skip it.
+        m, target, lists = self.g.m, self.target, a.lists
         count = [0] * m                # remaining copies of e in l_{s(e)}
         for entries in lists:
             for entry in entries:
                 if entry is not OMEGA:
                     count[entry] += 1
         initial_count = list(count)
-        heads = [0] * g.n              # next unpopped position per list
-        out_edge: list[int | None] = [None] * m
+        heads = [0] * self.g.n         # next unpopped position per list
+        succ: list[int | None] = [None] * m
         ready = [(rank[e], e) for e in range(m) if count[e] == 0]
         heapq.heapify(ready)
         added = 0
@@ -217,7 +237,7 @@ class LineContext:
                 raise InvalidTreeArrayError("candidate set empty: tree-array invariant violated")
             _, f = heapq.heappop(ready)
             # Step 2: pop the head of l_{t(f)}.
-            v = target(f)
+            v = target[f]
             if heads[v] >= len(lists[v]):
                 raise InvalidTreeArrayError("popped an exhausted list")
             entry = lists[v][heads[v]]
@@ -226,61 +246,58 @@ class LineContext:
                 if added != m - 1:
                     raise InvalidTreeArrayError(
                         f"output has {added} line edges, expected {m - 1}")
-                tree = SpanningTree(f, tuple(out_edge))
-                self._check_term_counts(tree, initial_count)
-                return tree
+                _check_term_counts(succ, initial_count)
+                return f, tuple(succ)
             # Step 3: record the line edge (f, entry).
-            out_edge[f] = pair_edge[(f, entry)]
+            succ[f] = entry
             added += 1
             count[entry] -= 1
             if count[entry] == 0:
                 heapq.heappush(ready, (rank[entry], entry))
-
-    def _check_term_counts(self, tree: SpanningTree, initial_count: list[int]) -> None:
-        # indeg of e in the output tree == initial copies of e in l_{s(e)}:
-        # both sides contribute the same monomial to the identity.
-        target = self.line.target
-        indeg = [0] * self.g.m
-        for j in tree.out_edge:
-            if j is not None:
-                indeg[target(j)] += 1
-        if indeg != initial_count:
-            raise InvalidTreeArrayError("output tree indegrees disagree with list counts")
 
     # -- inverse map ----------------------------------------------------
 
     def pi(self, tree: SpanningTree, order: Sequence[int] | None = None) -> TreeArray:
         """Map a spanning tree of the line graph back to a tree array of g."""
         validate_tree(self.line, tree)
-        return self._pi(tree, order)
+        return self._pi(tree.root, self.successors(tree), _edge_ranks(self.g, order))
 
-    def _pi(self, tree: SpanningTree, order: Sequence[int] | None = None) -> TreeArray:
+    def _pi(self, root: int, succ: Succ, rank: Sequence[int]) -> TreeArray:
         # pi's body, for trees already known to be valid.  Its output is a
         # valid tree array by the bijection, so it is not re-validated;
         # pi(sigma(A)) == A in the tests and verify-all covers that.
-        g = self.g
-        m = g.m
-        rank = _edge_ranks(g, order)
-        g_target, line_target, out_edge = g.target, self.line.target, tree.out_edge
-        indeg = [0] * m
-        for j in out_edge:
-            if j is not None:
-                indeg[line_target(j)] += 1
-        lists: list[list[ArrayEntry]] = [[] for _ in range(g.n)]
-        leaves = [(rank[e], e) for e in range(m) if indeg[e] == 0 and e != tree.root]
+        m, target = self.g.m, self.target
+        indeg = _indegrees(succ)
+        lists: list[list[ArrayEntry]] = [[] for _ in range(self.g.n)]
+        leaves = [(rank[e], e) for e in range(m) if indeg[e] == 0 and e != root]
         heapq.heapify(leaves)
         for _ in range(m - 1):
             if not leaves:
                 raise InvalidTreeError("no removable leaf: not a spanning tree of the line graph")
-            _, f = heapq.heappop(leaves)
-            succ = line_target(out_edge[f])
-            lists[g_target(f)].append(succ)
-            indeg[succ] -= 1
-            if indeg[succ] == 0 and succ != tree.root:
-                heapq.heappush(leaves, (rank[succ], succ))
+            _, e = heapq.heappop(leaves)
+            f = succ[e]
+            lists[target[e]].append(f)
+            indeg[f] -= 1
+            if indeg[f] == 0 and f != root:
+                heapq.heappush(leaves, (rank[f], f))
         # Only the root is left; close its target's list with OMEGA.
-        lists[g_target(tree.root)].append(OMEGA)
-        return TreeArray(g_target(tree.root), tuple(tuple(entries) for entries in lists))
+        lists[target[root]].append(OMEGA)
+        return TreeArray(target[root], tuple(tuple(entries) for entries in lists))
+
+
+def _indegrees(succ: Succ) -> list[int]:
+    indeg = [0] * len(succ)
+    for f in succ:
+        if f is not None:
+            indeg[f] += 1
+    return indeg
+
+
+def _check_term_counts(succ: Succ, initial_count: list[int]) -> None:
+    # indeg of e in the output tree == initial copies of e in l_{s(e)}:
+    # both sides contribute the same monomial to the identity.
+    if _indegrees(succ) != initial_count:
+        raise InvalidTreeArrayError("output tree indegrees disagree with list counts")
 
 
 def tree_array_count(g: DiGraph) -> int:

@@ -20,8 +20,8 @@ from .crit_group import (check_divbym, critical_group, db_formula, group_order_d
                          group_order_kautz, kautz_formula, mult_by_k,
                          tree_count_db, tree_count_kautz)
 from .digraph import class_cycle, debruijn, kautz, label_isomorphic, line_graph
-from .line_bijection import (LineContext, enumerate_tree_arrays, shuffled_order,
-                             tree_array_count)
+from .line_bijection import (LineContext, _edge_ranks, enumerate_tree_arrays,
+                             shuffled_order, tree_array_count)
 
 DB_PARAMS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)]
 KAUTZ_PARAMS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
@@ -73,26 +73,24 @@ def criterion_3_bijection() -> CriterionResult:
     checked = 0
     for g in graphs:
         ctx = LineContext(g)
-        orders = [None] + [shuffled_order(g, seed) for seed in ORDER_SEEDS]
         arrays = list(enumerate_tree_arrays(g))
-        line_trees = set(enumerate_trees(ctx.line, bound=10 ** 8))
-        for order in orders:
-            images = set()
-            # the arrays and trees here are built by the enumerations, so the
-            # trusted bodies skip re-validating them
-            for a in arrays:
-                t = ctx._sigma(a, order)
-                images.add(t)
-                if ctx._pi(t, order) != a:
-                    return _result(3, "tree-array bijection", started, False,
-                                   f"pi(sigma(A)) != A on a {g.n}-vertex graph")
-            if images != line_trees:
-                return _result(3, "tree-array bijection", started, False,
-                               "sigma image is not all line-graph trees")
-            for t in line_trees:
-                if ctx._sigma(ctx._pi(t, order), order) != t:
-                    return _result(3, "tree-array bijection", started, False,
-                                   f"sigma(pi(T)) != T on a {g.n}-vertex graph")
+        # The bodies take and give line trees as (root, successors), and the
+        # enumerations build valid input, so the bodies skip validation.
+        line_trees = {(t.root, ctx.successors(t))
+                      for t in enumerate_trees(ctx.line, bound=10 ** 8)}
+        for order in [None] + [shuffled_order(g, seed) for seed in ORDER_SEEDS]:
+            rank = _edge_ranks(g, order)
+            images = [ctx._sigma(a, rank) for a in arrays]
+            if any(ctx._pi(*t, rank) != a for a, t in zip(arrays, images)):
+                failure = "pi(sigma(A)) != A"
+            elif set(images) != line_trees:
+                failure = "sigma image is not all line-graph trees"
+            elif any(ctx._sigma(ctx._pi(*t, rank), rank) != t for t in line_trees):
+                failure = "sigma(pi(T)) != T"
+            else:
+                continue
+            return _result(3, "tree-array bijection", started, False,
+                           f"{failure} on a {g.n}-vertex graph")
         checked += len(arrays)
     return _result(3, "tree-array bijection under 4 edge orders", started, True,
                    f"{len(graphs)} graphs, {checked} arrays")

@@ -2,11 +2,15 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from linetrees.cli import main
+from linetrees.crit_group import (MAX_ORDER_DIGITS, group_order_db, group_order_kautz,
+                                  kautz_formula)
+from linetrees.errors import GraphError
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -84,6 +88,30 @@ def test_group_order_and_formula(capsys, monkeypatch):
                             "-m", "2", "-n", "2", "--json"])
     data = json.loads(out)
     assert code == 0 and data["invariant_factors"] == [2, 6]
+
+
+@pytest.mark.parametrize("n", [14, 64])
+@pytest.mark.parametrize("argv", [["order"], ["order", "--json"], ["formula", "--json"],
+                                  ["formula"]])
+def test_group_order_past_the_cap_is_one_error_line(capsys, monkeypatch, argv, n):
+    # db(2,14) has an order of 4928 digits, which CPython refuses to print;
+    # at n = 64 it would need 2^64 bits, so the cap must come first
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["group", *argv, "--family", "db", "-m", "2", "-n", str(n)])
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and out == ""
+    assert err == f"error: group order exceeds the cap of {MAX_ORDER_DIGITS} decimal digits\n"
+
+
+def test_group_order_cap_admits_the_largest_printable_orders():
+    # kautz(3,8) has 4170 digits and db(2,13) 2462: both under the cap
+    assert len(str(group_order_kautz(3, 8))) == 4170
+    assert len(str(group_order_db(2, 13))) == 2462
+    assert kautz_formula(3, 8).order() == group_order_kautz(3, 8)
+    for make in (group_order_kautz, kautz_formula):
+        with pytest.raises(GraphError, match="exceeds the cap"):
+            make(3, 9)
 
 
 def test_gen_and_linegraph_json(capsys, monkeypatch):
@@ -184,10 +212,14 @@ def test_bijection_rejects_malformed_array(tmp_path, capsys, monkeypatch):
     ("pi", [["0", "1"]]),
     ("roundtrip", {"root": "a", "lists": {"a": "OMEGA", "b": ["1"]}}),  # list not a list
     ("pi", {"root": "1", "edges": [["0"]]}),                       # edge pair too short
+    # line vertex 1 given two out-edges, (1,0) and (1,2), in either order:
+    # keeping either pair would make the answer depend on the order
+    ("pi", {"root": "2", "edges": [["0", "1"], ["1", "0"], ["1", "2"]]}),
+    ("pi", {"root": "2", "edges": [["0", "1"], ["1", "2"], ["1", "0"]]}),
 ])
 def test_bijection_rejects_malformed_json(tmp_path, capsys, monkeypatch, action, data):
     graph_file = tmp_path / "g.txt"
-    graph_file.write_text("a b\nb a\n")
+    graph_file.write_text("a b\nb a\na a\n")  # edges 0 = a->b, 1 = b->a, 2 = a->a
     code, out, err = run_cli(capsys, monkeypatch,
                              ["bijection", action, "--input", str(graph_file)],
                              stdin=json.dumps(data))

@@ -11,7 +11,7 @@ from linetrees.crit_group import (AbelianGroup, DivisibilityReport, check_divbym
                                   critical_group, db_formula, group_from_cyclic_orders,
                                   group_from_diagonal, group_order_db,
                                   group_order_kautz, kautz_formula, mult_by_k,
-                                  sandpile_group, smith_normal_form, sylow,
+                                  sandpile_group, smith_normal_form,
                                   tree_count_db, tree_count_kautz)
 from linetrees.digraph import build_graph, debruijn, kautz
 from linetrees.errors import GraphError
@@ -155,33 +155,12 @@ def test_mult_by_k():
     assert mult_by_k(critical_group(debruijn(2, 3)), 2) == critical_group(debruijn(2, 2))
 
 
-def test_sylow():
-    assert sylow(group_from_cyclic_orders([3, 2, 2]), 2) == AbelianGroup((2, 2))
-    assert sylow(group_from_cyclic_orders([12]), 2) == AbelianGroup((4,))
-    with pytest.raises(ValueError):
-        sylow(AbelianGroup((4,)), 4)
-
-
-@given(st.lists(st.integers(1, 200), max_size=6), st.integers(0, 60),
-       st.sampled_from([2, 3, 5, 7, 11]))
-def test_mult_by_k_and_sylow_match_normalized_orders(orders, k, p):
+@given(st.lists(st.integers(1, 200), max_size=6), st.integers(0, 60))
+def test_mult_by_k_matches_normalized_orders(orders, k):
     # the direct chain construction against normalizing the cyclic orders
     group = group_from_cyclic_orders(orders)
     factors = group.invariant_factors
     assert mult_by_k(group, k) == group_from_cyclic_orders([d // gcd(d, k) for d in factors])
-    assert sylow(group, p) == group_from_cyclic_orders(
-        [p ** sympy.multiplicity(p, d) for d in factors])
-
-
-def test_sylow_decomposition_rebuilds_group():
-    for g in (kautz(2, 2), debruijn(2, 3), kautz(3, 2)):
-        group = critical_group(g)
-        primes = {p for d in group.invariant_factors
-                  for p in sympy.factorint(d)}
-        parts = []
-        for p in primes:
-            parts.extend(sylow(group, p).invariant_factors)
-        assert group_from_cyclic_orders(parts) == group
 
 
 def test_group_normalization():

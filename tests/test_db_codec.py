@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from linetrees import digraph
 from linetrees.arborescence import validate_tree
-from linetrees.db_codec import (HamPath, decode, encode, enumerate_db_sequences,
-                                path_to_seq, seq_to_path, validate)
+from linetrees.db_codec import (HamPath, _context, _path_tree, decode, encode,
+                                enumerate_db_sequences, path_to_seq, seq_to_path, validate)
+from linetrees.digraph import debruijn
 from linetrees.errors import InvalidSequenceError
 from linetrees.line_bijection import LineContext, validate_tree_array
 
@@ -124,10 +126,10 @@ def test_bit_budget_identity():
 def test_top_level_arrays_have_distinct_entries():
     # for a Hamiltonian path, every non-root list of the top-level array
     # must hold two distinct edges, the second being the tree edge
-    from linetrees.db_codec import _context, _path_tree
+    ctx = LineContext(debruijn(2, 2))
     for bits in enumerate_db_sequences(3):
         path = seq_to_path(bits, 3)
-        array = _context(2).pi(_path_tree(path))
+        array = ctx.pi(ctx.line_tree(*_path_tree(path)))
         tree_edges = {v: entries[-1] for v, entries in enumerate(array.lists)
                       if v != array.root}
         for v, entries in enumerate(array.lists):
@@ -155,14 +157,14 @@ def test_internal_levels_match_public_maps(seed, monkeypatch):
     calls = []
     body_sigma, body_pi = LineContext._sigma, LineContext._pi
 
-    def record_sigma(ctx, a, order=None):
-        tree = body_sigma(ctx, a, order)
-        calls.append(("sigma", ctx, a, tree))
-        return tree
+    def record_sigma(ctx, a, rank):
+        root, succ = body_sigma(ctx, a, rank)
+        calls.append(("sigma", ctx, a, root, succ))
+        return root, succ
 
-    def record_pi(ctx, tree, order=None):
-        a = body_pi(ctx, tree, order)
-        calls.append(("pi", ctx, a, tree))
+    def record_pi(ctx, root, succ, rank):
+        a = body_pi(ctx, root, succ, rank)
+        calls.append(("pi", ctx, a, root, succ))
         return a
 
     monkeypatch.setattr(LineContext, "_sigma", record_sigma)
@@ -171,13 +173,31 @@ def test_internal_levels_match_public_maps(seed, monkeypatch):
     assert encode(bits, degree) == code
     monkeypatch.undo()
     assert [c[0] for c in calls] == ["sigma"] * (degree - 1) + ["pi"] * (degree - 1)
-    for kind, ctx, a, tree in calls:
+    for kind, ctx, a, root, succ in calls:
         validate_tree_array(ctx.g, a)
+        tree = ctx.line_tree(root, succ)
         validate_tree(ctx.line, tree)
+        assert ctx.successors(tree) == tuple(succ)  # every (e, succ[e]) is a line edge
         if kind == "sigma":
             assert ctx.sigma(a) == tree
         else:
             assert ctx.pi(tree) == a
+
+
+def test_codec_builds_no_line_graph(monkeypatch):
+    # DB_{k+1}(2) = L(DB_k(2)) index for index, so the levels need no line
+    # graph; fresh contexts make sure none is built on the way
+    def refuse(g):
+        raise AssertionError("line_graph called")
+
+    monkeypatch.setattr(digraph, "line_graph", refuse)
+    monkeypatch.setattr("linetrees.line_bijection.line_graph", refuse)
+    _context.cache_clear()
+    try:
+        code = "".join(random.Random(9).choice("01") for _ in range(2 ** 8))
+        assert encode(decode(code, 9), 9) == code
+    finally:
+        _context.cache_clear()
 
 
 def test_windows_match_direct_reading():

@@ -7,7 +7,7 @@ from linetrees.digraph import (DiGraph, build_graph, class_cycle, debruijn,
                                detect_family, eulerian_circuit, format_edge_list,
                                from_json_dict, is_eulerian, is_strongly_connected,
                                kautz, label_isomorphic, line_graph, parse_edge_list,
-                               similarity_classes, to_dot, to_json_dict)
+                               to_dot, to_json_dict)
 from linetrees.errors import GraphError, UnsupportedFamilyError
 
 
@@ -137,28 +137,6 @@ def test_eulerian_and_connectivity_basics():
     assert not is_eulerian(path) and not is_strongly_connected(path)
     loop = build_graph([(0, 0)])
     assert is_eulerian(loop) and is_strongly_connected(loop)
-
-
-def test_similarity_classes_kautz22():
-    g = kautz(2, 2)
-    classes = [[g.vertex_label(v) for v in cls] for cls in similarity_classes(g)]
-    assert classes == [["10", "20"], ["01", "21"], ["02", "12"]]
-
-
-def test_similarity_classes_debruijn():
-    g = debruijn(2, 2)
-    assert [len(c) for c in similarity_classes(g)] == [2, 2]
-    g = debruijn(2, 3)
-    classes = [[g.vertex_label(v) for v in cls] for cls in similarity_classes(g)]
-    assert ["000", "100"] in classes and ["001", "101"] in classes
-    assert len(classes) == 4
-
-
-def test_similarity_classes_need_labels():
-    with pytest.raises(GraphError):
-        similarity_classes(build_graph([(0, 1), (1, 0)]))
-    with pytest.raises(GraphError):
-        similarity_classes(debruijn(2, 1))  # labels too short
 
 
 def test_eulerian_circuit_is_a_circuit():

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import linetrees
 from linetrees.arborescence import SpanningTree, enumerate_trees, validate_tree
-from linetrees.digraph import DiGraph, build_graph, debruijn, kautz
+from linetrees.digraph import DiGraph, build_graph, debruijn, kautz, line_graph
 from linetrees.errors import InvalidTreeArrayError, InvalidTreeError
-from linetrees.line_bijection import (LineContext, OMEGA, TreeArray, array_tree,
-                                      enumerate_tree_arrays, make_tree_array,
+from linetrees.line_bijection import (LineContext, OMEGA, TreeArray, _check_term_counts,
+                                      array_tree, enumerate_tree_arrays, make_tree_array,
                                       shuffled_order, tree_array_count,
                                       validate_tree_array)
 
@@ -218,25 +218,25 @@ UNCHECKED_SIGMA_CASES = [
 @pytest.mark.parametrize("array,message", UNCHECKED_SIGMA_CASES)
 def test_sigma_body_guards_raise_typed_errors(array, message):
     with pytest.raises(InvalidTreeArrayError, match=message):
-        LineContext(TWO_CYCLE)._sigma(array)
+        LineContext(TWO_CYCLE)._sigma(array, range(2))
 
 
 def test_term_count_check_raises_typed_error():
     ctx = LineContext(TWO_CYCLE)
-    tree = ctx.sigma(TreeArray(0, ((OMEGA,), (1,))))
+    root, succ = ctx._sigma(TreeArray(0, ((OMEGA,), (1,))), range(2))
+    _check_term_counts(succ, [0, 1])  # one copy of edge 1, in vertex 1's list
     with pytest.raises(InvalidTreeArrayError, match="indegrees disagree"):
-        ctx._check_term_counts(tree, [0, 0])
+        _check_term_counts(succ, [0, 0])
 
 
 def test_pi_body_guard_raises_typed_error():
     # both line vertices get an out-edge, so each has an in-edge and there
     # is no leaf to peel
     ctx = LineContext(TWO_CYCLE)
-    cycle = SpanningTree(1, (ctx.pair_edge[(0, 1)], ctx.pair_edge[(1, 0)]))
     with pytest.raises(InvalidTreeError):
-        validate_tree(ctx.line, cycle)
+        validate_tree(ctx.line, ctx.line_tree(1, (1, 0)))
     with pytest.raises(InvalidTreeError, match="no removable leaf"):
-        ctx._pi(cycle)
+        ctx._pi(1, (1, 0), range(2))
 
 
 def test_sigma_body_guards_survive_optimize_flag():
@@ -250,7 +250,7 @@ def test_sigma_body_guards_survive_optimize_flag():
         "assert False, 'asserts are not stripped'\n"
         "ctx = LineContext(build_graph([(0, 1), (1, 0)]))\n"
         "try:\n"
-        "    ctx._sigma(TreeArray(0, ((0,), (1,))))\n"
+        "    ctx._sigma(TreeArray(0, ((0,), (1,))), range(2))\n"
         "except InvalidTreeArrayError as exc:\n"
         "    print(type(exc).__name__, exc)\n"
         "else:\n"
@@ -260,3 +260,16 @@ def test_sigma_body_guards_survive_optimize_flag():
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("InvalidTreeArrayError candidate set empty")
+
+
+@settings(max_examples=50)
+@given(digraphs_positive_indeg(max_n=4, max_m=8))
+def test_line_edge_numbering_matches_line_graph(g):
+    # sigma's output ids and the codec's levels rely on this alignment:
+    # off[e] + pos[f] is where line_graph emits the line edge (e, f)
+    ctx = LineContext(g)
+    lg = line_graph(g)
+    pairs = [(e, f) for e in range(g.m) for f in range(g.m) if g.target(e) == g.source(f)]
+    assert len(pairs) == lg.m
+    for e, f in pairs:
+        assert lg.edges[ctx.off[e] + ctx.pos[f]] == (e, f)
