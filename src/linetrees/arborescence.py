@@ -5,7 +5,10 @@ An oriented spanning tree (arborescence) rooted at r gives every non-root
 vertex exactly one out-edge and a unique directed path to r.  Two
 independent counting routes are kept side by side: :func:`enumerate_trees`
 is the brute-force oracle, :func:`count_trees_rooted` is the matrix-tree
-determinant, and the test suite insists they agree.  The brute-force route
+determinant, and the test suite insists they agree.  The count over all
+roots, :func:`weighted_tree_sum`, takes one determinant rather than one per
+root: the rows of L = D - A sum to 0, so by the matrix determinant lemma
+det(L + 1 e_0^T) is the sum of the rooted counts.  The brute-force route
 is one search, shared by :func:`enumerate_trees` and the generating
 functions; the determinant route is one Laplacian, :func:`out_laplacian`.
 
@@ -196,8 +199,7 @@ def out_laplacian(g: DiGraph, weights: Sequence[int] | None = None) -> list[list
 
 def minor(matrix: Sequence[Sequence[int]], r: int) -> list[list[int]]:
     """The matrix with row r and column r deleted."""
-    return [[row[j] for j in range(len(row)) if j != r]
-            for i, row in enumerate(matrix) if i != r]
+    return [[*row[:r], *row[r + 1:]] for i, row in enumerate(matrix) if i != r]
 
 
 def count_trees_rooted(g: DiGraph, root: int) -> int:
@@ -211,9 +213,17 @@ def count_trees(g: DiGraph) -> int:
 
 
 def weighted_tree_sum(g: DiGraph, weights: Sequence[int]) -> int:
-    """sum over all trees (all roots) of prod_{e in T} weights[e], by determinants."""
+    """sum over all trees (all roots) of prod_{e in T} weights[e], by one determinant.
+
+    The rows of L = D - A sum to 0, so adj(L) = 1 kappa^T with kappa_r the
+    weighted count of trees rooted at r, and by the matrix determinant
+    lemma det(L + 1 e_0^T) = det(L) + e_0^T adj(L) 1 = sum_r kappa_r: add 1
+    to every entry of column 0 and take one n x n determinant.
+    """
     lap = out_laplacian(g, weights)
-    return sum(abs(bareiss_determinant(minor(lap, r))) for r in range(g.n))
+    for row in lap:
+        row[0] += 1
+    return bareiss_determinant(lap)
 
 
 def degree_product(g: DiGraph) -> int:

@@ -254,10 +254,14 @@ def _cmd_group(args) -> int:
         else:
             print(f"{f}  =  {normalized}")
         return OK
-    group = critical_group(make(m, n))
-    matches = group == formula(m, n).normalize()
+    # the closed form refuses an order past its cap before the graph and its
+    # SNF are built; an -m or -n below 1 still gets the graph's own error
+    f = formula(m, n) if m >= 1 and n >= 1 else None
+    g = make(m, n)
+    group = critical_group(g)
+    matches = group == f.normalize()
     if args.action == "verify":
-        divis = check_divbym(make(m, n)).holds if n >= 2 else None
+        divis = check_divbym(g).holds if n >= 2 else None
         ok = matches and group.order == order_formula(m, n) and divis is not False
         if args.json:
             print(json.dumps({"family": args.family, "m": m, "n": n,

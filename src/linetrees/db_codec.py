@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arborescence import SpanningTree
-from .digraph import debruijn
+from .digraph import DiGraph
 from .errors import InvalidSequenceError
 from .line_bijection import LineContext, OMEGA, Succ, TreeArray, array_tree
 
@@ -105,7 +105,10 @@ def path_to_seq(path: HamPath) -> str:
 
 @lru_cache(maxsize=None)
 def _context(k: int) -> LineContext:
-    return LineContext(debruijn(2, k))
+    # DB_k(2) without labels, which the codec never reads: edge e is the
+    # (k+1)-bit string e, from its first k bits to its last k bits, the
+    # same numbering as debruijn(2, k)
+    return LineContext(DiGraph(1 << k, [(e >> 1, e & ((1 << k) - 1)) for e in range(2 << k)]))
 
 
 def _zero_edge(v: int) -> int:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from linetrees.arborescence import (SpanningTree, _poly_mul, bareiss_determinant,
                                     count_trees, count_trees_rooted,
                                     enumerate_trees, kappa_edge, kappa_vertex,
-                                    knuth_check, rhs_product,
+                                    knuth_check, minor, out_laplacian, rhs_product,
                                     validate_tree, verify_identity,
                                     weighted_tree_sum)
 from linetrees.digraph import DiGraph, build_graph, debruijn, kautz, line_graph
@@ -263,6 +263,27 @@ def test_weighted_tree_sum_matches_enumeration():
                 prod *= weights[e]
         expected += prod
     assert weighted_tree_sum(g, weights) == expected
+
+
+@st.composite
+def weighted_multigraphs(draw, max_n=5, max_m=9):
+    """Any multigraph: self-loops, sources, sinks, several components."""
+    n = draw(st.integers(1, max_n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=max_m))
+    weights = draw(st.lists(st.integers(0, 9), min_size=len(edges), max_size=len(edges)))
+    return DiGraph(n, edges), weights
+
+
+@given(weighted_multigraphs())
+def test_weighted_tree_sum_is_the_sum_of_rooted_minors(case):
+    # one determinant of L + 1 e_0^T against the n per-root determinants
+    g, weights = case
+    lap = out_laplacian(g, weights)
+    assert weighted_tree_sum(g, weights) == sum(abs(bareiss_determinant(minor(lap, r)))
+                                                for r in range(g.n))
+    assert count_trees(g) == len(enumerate_trees(g)) == sum(
+        count_trees_rooted(g, r) for r in range(g.n))
 
 
 @pytest.mark.parametrize("g,line_count,base,prod", [

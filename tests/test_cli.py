@@ -92,10 +92,12 @@ def test_group_order_and_formula(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", [14, 64])
 @pytest.mark.parametrize("argv", [["order"], ["order", "--json"], ["formula", "--json"],
-                                  ["formula"]])
+                                  ["formula"], ["compute"], ["compute", "--json"],
+                                  ["verify"], ["verify", "--json"]])
 def test_group_order_past_the_cap_is_one_error_line(capsys, monkeypatch, argv, n):
     # db(2,14) has an order of 4928 digits, which CPython refuses to print;
-    # at n = 64 it would need 2^64 bits, so the cap must come first
+    # at n = 64 it would need 2^64 bits, so the cap must come first, and
+    # before compute/verify build the 16384-vertex graph and its SNF
     started = time.perf_counter()
     code, out, err = run_cli(capsys, monkeypatch,
                              ["group", *argv, "--family", "db", "-m", "2", "-n", str(n)])

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 from math import gcd, prod
 
@@ -6,8 +7,9 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, strategies as st
 
-from linetrees.arborescence import count_trees, count_trees_rooted, out_laplacian
-from linetrees.crit_group import (AbelianGroup, DivisibilityReport, check_divbym,
+from linetrees.arborescence import count_trees, count_trees_rooted, minor, out_laplacian
+from linetrees.crit_group import (AbelianGroup, DivisibilityReport, _chain, _dense_diagonal,
+                                  _divisor_pivots, check_divbym,
                                   critical_group, db_formula, group_from_cyclic_orders,
                                   group_from_diagonal, group_order_db,
                                   group_order_kautz, kautz_formula, mult_by_k,
@@ -55,14 +57,37 @@ def _determinantal_divisor(rows, k):
     for r in combinations(range(len(rows)), k):
         for c in combinations(range(len(rows[0])), k):
             divisor = gcd(divisor, int(sympy.Matrix([[rows[i][j] for j in c] for i in r]).det()))
+            if divisor == 1:
+                return 1
     return divisor
 
 
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-                min_size=2, max_size=4))
+@st.composite
+def sparse_matrices(draw):
+    """Integer matrices up to 6 x 6, mostly zeros, some with a zero row or column."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.integers(-9, 9) | st.just(0) | st.just(0)
+    rows = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [0] * m
+    if draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+def _dense_snf(rows):
+    """The dense loop alone, the Smith form's former route, as an oracle."""
+    return _chain(sorted(_dense_diagonal([list(row) for row in rows]),
+                         key=lambda d: (d == 0, d)))
+
+
+@given(sparse_matrices())
 def test_snf_transforms_and_sympy_agreement(rows):
     result = smith_normal_form(rows)
     n, m = len(rows), len(rows[0])
+    assert len(result.diagonal) == min(n, m)
     # d1 * ... * dk is the k-th determinantal divisor: the certificate that
     # the diagonal is the Smith form, independent of the elimination
     for k in range(1, min(n, m) + 1):
@@ -73,6 +98,48 @@ def test_snf_transforms_and_sympy_agreement(rows):
     ref_diag = [abs(int(reference[i, i])) for i in range(min(n, m))]
     # sympy leaves factor order loose in edge cases; compare as multisets
     assert sorted(ref_diag) == sorted(result.diagonal)
+    assert result.diagonal == _dense_snf(rows)
+
+
+@pytest.mark.parametrize("rows,split,diagonal", [
+    # no entry divides its row and column: all of it goes to the dense loop
+    ([[2, 3], [3, 2]], ([], [0, 1], [0, 1]), [1, 5]),
+    # one sparse step, then a 2 x 2 dense block
+    ([[1, 0, 0], [0, 2, 3], [0, 3, 2]], ([1], [1, 2], [1, 2]), [1, 1, 5]),
+    # 2 divides its row and column; the row operation leaves [[2, 0], [0, -2]]
+    ([[2, 4], [4, 6]], ([2, 2], [], []), [2, 2]),
+])
+def test_divisor_pivots_split(rows, split, diagonal):
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    assert _divisor_pivots(sparse, len(rows[0])) == split
+    assert smith_normal_form(rows).diagonal == diagonal
+
+
+@pytest.mark.parametrize("make,m,n", [(debruijn, 2, 4), (debruijn, 3, 2), (kautz, 2, 3),
+                                      (kautz, 3, 2)])
+def test_snf_full_laplacians_match_dense_loop(make, m, n):
+    lap = out_laplacian(make(m, n))
+    assert smith_normal_form(lap).diagonal == _dense_snf(lap)
+
+
+@pytest.mark.parametrize("make,m,n,most", [(debruijn, 2, 8, 0), (debruijn, 3, 5, 5),
+                                           (debruijn, 4, 4, 5), (kautz, 2, 8, 5),
+                                           (kautz, 3, 5, 5)])
+def test_divisor_pivots_leave_family_laplacians_a_small_dense_block(make, m, n, most):
+    # the sparse phase does nearly all the work on the reduced Laplacians
+    reduced = minor(out_laplacian(make(m, n)), 0)
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in reduced]
+    pivots, rest_rows, rest_cols = _divisor_pivots(sparse, len(reduced))
+    assert len(rest_rows) == len(rest_cols) <= most
+    assert len(pivots) + len(rest_rows) == len(reduced)
+
+
+def test_critical_group_db_2_10_within_bound():
+    g = debruijn(2, 10)
+    started = time.perf_counter()
+    group = critical_group(g)
+    assert time.perf_counter() - started < 5.0
+    assert group == db_formula(2, 10).normalize()
 
 
 def test_sandpile_kautz21_every_sink():

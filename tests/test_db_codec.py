@@ -200,6 +200,13 @@ def test_codec_builds_no_line_graph(monkeypatch):
         _context.cache_clear()
 
 
+def test_context_graphs_match_debruijn_edges():
+    # the codec's unlabelled level graphs number their edges as debruijn(2, k)
+    for k in range(1, 13):
+        g = _context(k).g
+        assert g.n == 2 ** k and g.edges == debruijn(2, k).edges
+
+
 def test_windows_match_direct_reading():
     # the rolling windows against windows read directly, cyclically
     for degree in (1, 2, 3, 5, 7):
