@@ -4,22 +4,15 @@
 For each case in CASES, a child process builds the graph, times one
 `critical_group` or `count_trees` call, and checks the answer against the
 closed forms (`db_formula`/`kautz_formula`, `tree_count_db`).  Each child
-gets --timeout seconds, so a slow source tree shows as "timeout" instead of
-stalling the table.  Give --src more than once to compare source trees
-(e.g. a parent checkout's src/ and this one) in one run; columns follow the
-order given.
+gets TIMEOUT_S seconds; the harness and --src are in scaling.py.
 
 Usage:
-    python scripts/matrix_scaling.py [--src DIR ...] [--timeout S]
+    python scripts/matrix_scaling.py [--src DIR ...]
 """
 
-import argparse
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import scaling
 
+TIMEOUT_S = 120.0
 # (what, family, m, n)
 CASES = ([("critical_group", "db", 2, n) for n in range(8, 13)]
          + [("critical_group", "kautz", 3, 5)]
@@ -44,46 +37,15 @@ print(json.dumps({"s": elapsed,
 """
 
 
-def measure(src: Path, case: tuple, timeout: float) -> dict | None:
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    try:
-        proc = subprocess.run([sys.executable, "-c", CHILD, *map(str, case)],
-                              env=env, capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return None
-    if proc.returncode != 0:
-        raise RuntimeError(f"{case} with {src}: {proc.stderr.strip()}")
-    return json.loads(proc.stdout)
+def label(case: tuple) -> list[str]:
+    what, family, m, n = case
+    size = m ** n if family == "db" else (m + 1) * m ** (n - 1)
+    return [what, f"{family}({m},{n})", str(size)]
 
 
 def main():
-    root = Path(__file__).resolve().parent.parent
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--src", type=Path, action="append",
-                        help="a src/ directory holding linetrees (default: this one's)")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds per case and source tree (default: 300)")
-    args = parser.parse_args()
-    sources = args.src or [root / "src"]
-
-    header = ["call", "graph", "|V|"]
-    for i in range(len(sources)):
-        header += [f"s [{i}]", f"peak MB [{i}]"]
-    for i, src in enumerate(sources):
-        print(f"[{i}] {src}")
-    print("| " + " | ".join(header) + " |")
-    print("|" + " --- |" * len(header))
-    for case in CASES:
-        what, family, m, n = case
-        size = m ** n if family == "db" else (m + 1) * m ** (n - 1)
-        row = [what, f"{family}({m},{n})", str(size)]
-        for src in sources:
-            r = measure(src, case, args.timeout)
-            if r is None:
-                row += [f"timeout (> {args.timeout:g} s)", "-"]
-            else:
-                row += [f"{r['s']:.3f}", f"{r['peak_rss_mb']:.0f}"]
-        print("| " + " | ".join(row) + " |", flush=True)
+    scaling.main(CHILD, CASES, TIMEOUT_S, ["call", "graph", "|V|"], label,
+                 ["s", "peak MB"], lambda r: [f"{r['s']:.3f}", f"{r['peak_rss_mb']:.0f}"])
 
 
 if __name__ == "__main__":

@@ -254,9 +254,11 @@ def _cmd_group(args) -> int:
         else:
             print(f"{f}  =  {normalized}")
         return OK
-    # the closed form refuses an order past its cap before the graph and its
-    # SNF are built; an -m or -n below 1 still gets the graph's own error
-    f = formula(m, n) if m >= 1 and n >= 1 else None
+    # an -m or -n below 1 gets the graph's own error; past that, the closed
+    # form refuses an order past its cap before the graph and its SNF are built
+    if m < 1 or n < 1:
+        make(m, n)  # raises GraphError
+    f = formula(m, n)
     g = make(m, n)
     group = critical_group(g)
     matches = group == f.normalize()
