@@ -344,12 +344,13 @@ class GroupFormula:
 MAX_ORDER_DIGITS = 4300
 
 
-def _check_order_size(m: int, n: int, kautz: bool) -> None:
+def _check_order_size(m: int, n: int, kautz: bool, what: str = "group order") -> None:
     """Raise GraphError if the family's group order has over MAX_ORDER_DIGITS digits.
 
     The order is m^(m^n - n - 1) for de Bruijn graphs and
     (m+1)^(m-1) m^(m^n + m^(n-1) - m - n) for Kautz graphs; its digit count
-    comes from logarithms, so nothing of the order's size is built.
+    comes from logarithms, so nothing of the order's size is built.  With
+    what="tree count" the bound is on the tree count, the order times |V|.
     """
     if n * log10(m) > 300:  # m^n > 10^300: far past the cap, and past a float
         digits = inf
@@ -357,8 +358,10 @@ def _check_order_size(m: int, n: int, kautz: bool) -> None:
         x = float(m) ** n
         digits = ((x + x / m - m - n) * log10(m) + (m - 1) * log10(m + 1) if kautz
                   else (x - n - 1) * log10(m))
+        if what == "tree count":  # |V| = (m+1)m^(n-1) or m^n
+            digits += log10(x / m * (m + 1) if kautz else x)
     if digits > MAX_ORDER_DIGITS:
-        raise GraphError(f"group order exceeds the cap of {MAX_ORDER_DIGITS} decimal digits")
+        raise GraphError(f"{what} exceeds the cap of {MAX_ORDER_DIGITS} decimal digits")
 
 
 def db_formula(m: int, n: int) -> GroupFormula:
@@ -397,11 +400,17 @@ def group_order_kautz(m: int, n: int) -> int:
 
 def tree_count_db(m: int, n: int) -> int:
     """kappa(DB_n(m)) = m^(m^n - 1)."""
+    if m < 1 or n < 1:
+        raise GraphError("tree count requires m >= 1 and n >= 1")
+    _check_order_size(m, n, kautz=False, what="tree count")
     return m ** (m ** n - 1)
 
 
 def tree_count_kautz(m: int, n: int) -> int:
     """kappa(Kautz_n(m)) = (m+1)^m m^((m^(n-1)-1)(m+1)); see the module notes."""
+    if m < 1 or n < 1:
+        raise GraphError("tree count requires m >= 1 and n >= 1")
+    _check_order_size(m, n, kautz=True, what="tree count")
     return (m + 1) ** m * m ** ((m ** (n - 1) - 1) * (m + 1))
 
 

@@ -18,7 +18,7 @@ exactly the vertex labels of the level-(n+1) graph.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import GraphError, UnsupportedFamilyError
 
@@ -84,20 +84,6 @@ class DiGraph:
 
     def __repr__(self) -> str:
         return f"DiGraph(n={self.n}, m={self.m})"
-
-
-def build_graph(edge_list: Iterable[tuple[int, int]], n_vertices: int | None = None,
-                vertex_labels: Sequence[str] | None = None,
-                edge_labels: Sequence[str] | None = None) -> DiGraph:
-    """Build a graph from (source, target) pairs, inferring |V| if not given."""
-    edges = [(int(s), int(t)) for s, t in edge_list]
-    if n_vertices is None:
-        if not edges and vertex_labels is None:
-            raise GraphError("cannot infer vertex count from an empty edge list")
-        n_vertices = max((max(s, t) for s, t in edges), default=-1) + 1
-        if vertex_labels is not None:
-            n_vertices = max(n_vertices, len(vertex_labels))
-    return DiGraph(n_vertices, edges, vertex_labels, edge_labels)
 
 
 def line_graph(g: DiGraph) -> DiGraph:
@@ -194,17 +180,15 @@ def detect_family(g: DiGraph) -> tuple[str, int, int]:
     length = len(g.vertex_labels[0])
     alphabet = sorted(set("".join(g.vertex_labels)))
     k = len(alphabet)
-    if alphabet != list(SYMBOLS[:k]):
+    if length < 1 or alphabet != list(SYMBOLS[:k]):
         raise UnsupportedFamilyError("labels do not use the canonical alphabet")
-    for name, make, m in (("db", debruijn, k), ("kautz", kautz, k - 1)):
-        if m < 1:
-            continue
-        try:
+    # a candidate of the wrong vertex count is ruled out before it is built
+    for name, make, m, size in (("db", debruijn, k, k ** length),
+                                ("kautz", kautz, k - 1, k * (k - 1) ** (length - 1))):
+        if m >= 1 and size == g.n:
             cand = make(m, length)
-        except GraphError:
-            continue
-        if cand.vertex_labels == g.vertex_labels and cand.edges == g.edges:
-            return name, m, length
+            if cand.vertex_labels == g.vertex_labels and cand.edges == g.edges:
+                return name, m, length
     raise UnsupportedFamilyError("graph is not a de Bruijn or Kautz graph")
 
 
@@ -355,27 +339,6 @@ def to_json_dict(g: DiGraph) -> dict:
         "edges": [[g.vertex_label(s), g.vertex_label(t), g.edge_label(e)]
                   for e, (s, t) in enumerate(g.edges)],
     }
-
-
-def from_json_dict(data: dict) -> DiGraph:
-    """Inverse of :func:`to_json_dict`; a malformed object raises GraphError."""
-    if not (isinstance(data, dict) and isinstance(data.get("vertices"), list)
-            and isinstance(data.get("edges"), list)
-            and all(isinstance(edge, list) and len(edge) == 3 for edge in data["edges"])):
-        raise GraphError('graph JSON must be {"vertices": [NAME, ...], '
-                         '"edges": [[SRC, DST, LABEL], ...]}')
-    names = [str(v) for v in data["vertices"]]
-    index = {name: i for i, name in enumerate(names)}
-    edges = []
-    edge_labels = []
-    for s, t, lbl in data["edges"]:
-        s, t = str(s), str(t)
-        if s not in index or t not in index:
-            raise GraphError(f"edge ({s},{t}) has an endpoint that is not a listed vertex")
-        edges.append((index[s], index[t]))
-        edge_labels.append(str(lbl))
-    vertex_labels = None if names == [str(i) for i in range(len(names))] else names
-    return DiGraph(len(names), edges, vertex_labels=vertex_labels, edge_labels=edge_labels)
 
 
 def _dot_string(label: str) -> str:

@@ -33,10 +33,11 @@ maps' private bodies hold a tree of LG as a successor list, succ[f] = g,
 None at the root; line-edge ids, numbered by :class:`LineContext`, appear
 only at the public boundary, so the codec never builds LG.
 
-The public entry points (``LineContext.sigma``/``pi`` and
-``make_tree_array``) validate their input once, in time linear in the size
-of the graph, and then run a private body that trusts it; internal callers
-(``enumerate_tree_arrays``, the de Bruijn codec) call the bodies directly.
+The public maps (``LineContext.sigma``/``pi``) validate their input once,
+in time linear in the size of the graph, and then run a private body that
+trusts it; internal callers (the de Bruijn codec, verify-all's round trips)
+call the bodies directly.  ``validate_tree_array`` is the one check of a
+tree array; ``enumerate_tree_arrays`` builds arrays valid by construction.
 The invariants that make the loop in sigma well-defined (the candidate set
 and the popped list are never empty) are checked and raise typed errors,
 and every sigma run checks that indeg of e in the output tree equals the
@@ -119,34 +120,6 @@ def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
         raise InvalidTreeArrayError(f"last entries do not form a spanning tree: {exc}") from None
 
 
-def make_tree_array(g: DiGraph, tree: SpanningTree,
-                    proto: Sequence[Sequence[int]]) -> TreeArray:
-    """Append the tree's out-edge (OMEGA at the root) to each proto list."""
-    validate_tree(g, tree)
-    if len(proto) != g.n:
-        raise InvalidTreeArrayError("need one proto list per vertex")
-    m, source = g.m, g.source
-    lists = []
-    for v in range(g.n):
-        entries = list(proto[v])
-        if len(entries) != g.indeg[v] - 1:
-            raise InvalidTreeArrayError(
-                f"proto list of vertex {v} must have indeg-1 = {g.indeg[v] - 1} entries")
-        if any(not (isinstance(e, int) and 0 <= e < m and source(e) == v)
-               for e in entries):
-            raise InvalidTreeArrayError(f"proto list of vertex {v} contains a non-out-edge")
-        lists.append(entries)
-    return _tree_array(tree, lists)
-
-
-def _tree_array(tree: SpanningTree, proto: Sequence[Sequence[int]]) -> TreeArray:
-    # make_tree_array's body: a valid tree plus valid proto lists always
-    # give a valid tree array, so nothing is checked here.
-    root, out_edge = tree.root, tree.out_edge
-    return TreeArray(root, tuple((*entries, OMEGA if v == root else out_edge[v])
-                                 for v, entries in enumerate(proto)))
-
-
 def array_tree(g: DiGraph, a: TreeArray) -> SpanningTree:
     """The spanning tree formed by the last entries of the non-root lists."""
     out: list[int | None] = [None] * g.n
@@ -202,9 +175,13 @@ class LineContext:
                                          for e, f in enumerate(succ)]))
 
     def successors(self, tree: SpanningTree) -> Succ:
-        """Inverse of :meth:`line_tree` on a valid tree: the head of each edge."""
-        edges = self.line.edges
-        return tuple([None if j is None else edges[j][1] for j in tree.out_edge])
+        """Inverse of :meth:`line_tree` on a valid tree: the head of each edge.
+
+        Line edge j out of e is (e, f) with f the (j - off[e])-th out-edge
+        of t(e), so no line graph is built."""
+        out, target, off = self.g.out_edges, self.target, self.off
+        return tuple([None if j is None else out(t)[j - o]
+                      for j, t, o in zip(tree.out_edge, target, off)])
 
     # -- forward map ----------------------------------------------------
 
@@ -323,5 +300,10 @@ def enumerate_tree_arrays(g: DiGraph, bound: int = DEFAULT_BOUND) -> Iterator[Tr
         # product is empty, matching the zero factor in the array count
         return
     for tree in enumerate_trees(g, bound=bound):
+        # each list ends in the tree's out-edge, OMEGA at the root; a valid
+        # tree and lists of out-edges always give a valid array, so nothing
+        # is checked here
+        last = [OMEGA if v == tree.root else f for v, f in enumerate(tree.out_edge)]
         for proto in product(*protos):
-            yield _tree_array(tree, proto)
+            yield TreeArray(tree.root, tuple((*entries, end)
+                                             for entries, end in zip(proto, last)))

@@ -11,11 +11,11 @@ from linetrees.arborescence import (SpanningTree, _poly_mul, bareiss_determinant
                                     knuth_check, minor, out_laplacian, rhs_product,
                                     validate_tree, verify_identity,
                                     weighted_tree_sum)
-from linetrees.digraph import DiGraph, build_graph, debruijn, kautz, line_graph
+from linetrees.digraph import DiGraph, debruijn, kautz, line_graph
 from linetrees.errors import EnumerationBound, InvalidTreeError
 
-TWO_CYCLE = build_graph([(0, 1), (1, 0)])
-SELF_LOOP = build_graph([(0, 0)])
+TWO_CYCLE = DiGraph(2, [(0, 1), (1, 0)])
+SELF_LOOP = DiGraph(1, [(0, 0)])
 
 
 @st.composite
@@ -47,7 +47,7 @@ def test_enumerate_respects_bound():
 
 
 def test_validate_tree_rejects_cycles():
-    g = build_graph([(0, 1), (1, 0), (2, 0)])
+    g = DiGraph(3, [(0, 1), (1, 0), (2, 0)])
     with pytest.raises(InvalidTreeError):
         validate_tree(g, SpanningTree(2, (0, 1, None)))  # 0 and 1 chase each other
     with pytest.raises(InvalidTreeError):
@@ -113,7 +113,7 @@ def test_validate_tree_matches_reference_walk(case):
 def test_validate_tree_reports_first_cycle_like_reference():
     # 0 -> 1 -> 2 -> 1 and 3 -> 4 -> 3, root 5: the first failing start is
     # 0 and its first repeated vertex is 1
-    g = build_graph([(0, 1), (1, 2), (2, 1), (3, 4), (4, 3), (5, 0)])
+    g = DiGraph(6, [(0, 1), (1, 2), (2, 1), (3, 4), (4, 3), (5, 0)])
     t = SpanningTree(5, (0, 1, 2, 3, 4, None))
     assert _verdict(validate_tree, g, t) == "cycle through vertex 1"
     assert _verdict(_reference_validate_tree, g, t) == "cycle through vertex 1"
@@ -146,7 +146,7 @@ def test_count_db22_by_roots():
 
 
 def test_count_zero_when_unreachable():
-    g = build_graph([(0, 1), (1, 0), (0, 2)])  # nothing leaves vertex 2
+    g = DiGraph(3, [(0, 1), (1, 0), (0, 2)])  # nothing leaves vertex 2
     assert count_trees_rooted(g, 0) == 0
     assert count_trees_rooted(g, 2) == 1
 
@@ -200,7 +200,7 @@ def test_rhs_product_trivial_cases():
 
 def test_rhs_product_requires_positive_indegree():
     with pytest.raises(InvalidTreeError):
-        rhs_product(build_graph([(0, 1)], n_vertices=2))
+        rhs_product(DiGraph(2, [(0, 1)]))
 
 
 def test_rhs_product_db21_total():

@@ -15,7 +15,7 @@ from linetrees.crit_group import (AbelianGroup, DivisibilityReport, _chain, _den
                                   group_order_kautz, kautz_formula, mult_by_k,
                                   sandpile_group, smith_normal_form,
                                   tree_count_db, tree_count_kautz)
-from linetrees.digraph import build_graph, debruijn, kautz
+from linetrees.digraph import DiGraph, debruijn, kautz
 from linetrees.errors import GraphError
 
 FIGURE_LAPLACIAN = [
@@ -35,8 +35,8 @@ def test_laplacian_kautz22_matches_reference_matrix():
 
 
 def test_laplacian_self_loop_and_two_cycle():
-    assert out_laplacian(build_graph([(0, 0)])) == [[0]]
-    assert out_laplacian(build_graph([(0, 1), (1, 0)])) == [[1, -1], [-1, 1]]
+    assert out_laplacian(DiGraph(1, [(0, 0)])) == [[0]]
+    assert out_laplacian(DiGraph(2, [(0, 1), (1, 0)])) == [[1, -1], [-1, 1]]
 
 
 def test_snf_identity():
@@ -151,7 +151,7 @@ def test_sandpile_kautz21_every_sink():
 
 
 def test_sandpile_two_cycle_trivial():
-    g = build_graph([(0, 1), (1, 0)])
+    g = DiGraph(2, [(0, 1), (1, 0)])
     assert sandpile_group(g, 0) == AbelianGroup(())
     assert sandpile_group(g, 0).order == 1
 
@@ -162,11 +162,11 @@ def test_sandpile_db22():
 
 def test_sandpile_rejects_disconnected():
     with pytest.raises(GraphError):
-        sandpile_group(build_graph([(0, 1), (1, 0), (0, 2)]), 0)
+        sandpile_group(DiGraph(3, [(0, 1), (1, 0), (0, 2)]), 0)
 
 
 def test_critical_group_requires_eulerian():
-    g = build_graph([(0, 1), (1, 0), (0, 1)])  # indeg(1) = 2 but outdeg(1) = 1
+    g = DiGraph(2, [(0, 1), (1, 0), (0, 1)])  # indeg(1) = 2 but outdeg(1) = 1
     with pytest.raises(GraphError):
         critical_group(g)
 
@@ -214,6 +214,16 @@ def test_tree_count_closed_forms():
     assert tree_count_kautz(2, 2) == 72 == count_trees(kautz(2, 2))
     # the uncorrected exponent overshoots by the factor seen here
     assert (2 + 1) ** 2 * 2 ** ((2 ** 2 - 1) * (2 + 1)) == 4608 != 72
+
+
+@pytest.mark.parametrize("tree_count", [tree_count_db, tree_count_kautz])
+@pytest.mark.parametrize("m,n,message", [
+    (0, 2, "requires"), (2, 0, "requires"), (-1, 3, "requires"),  # m >= 1 and n >= 1
+    (2, 14, "cap"), (3, 64, "cap"), (10 ** 6, 10 ** 6, "cap"),      # over MAX_ORDER_DIGITS
+])
+def test_tree_counts_refuse_bad_and_huge_inputs(tree_count, m, n, message):
+    with pytest.raises(GraphError, match=message):
+        tree_count(m, n)
 
 
 def test_mult_by_k():
@@ -267,7 +277,7 @@ def test_check_divbym_examples():
 
 def test_check_divbym_rejects():
     with pytest.raises(GraphError):
-        check_divbym(build_graph([(0, 1), (1, 0)]))
+        check_divbym(DiGraph(2, [(0, 1), (1, 0)]))
     with pytest.raises(GraphError):
         check_divbym(debruijn(2, 1))
 

@@ -3,11 +3,10 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from linetrees.digraph import (DiGraph, build_graph, class_cycle, debruijn,
-                               detect_family, eulerian_circuit, format_edge_list,
-                               from_json_dict, is_eulerian, is_strongly_connected,
-                               kautz, label_isomorphic, line_graph, parse_edge_list,
-                               to_dot, to_json_dict)
+from linetrees.digraph import (DiGraph, class_cycle, debruijn, detect_family,
+                               eulerian_circuit, format_edge_list, is_eulerian,
+                               is_strongly_connected, kautz, label_isomorphic,
+                               line_graph, parse_edge_list, to_dot, to_json_dict)
 from linetrees.errors import GraphError, UnsupportedFamilyError
 
 
@@ -21,18 +20,18 @@ def small_digraphs(draw, max_n=4, max_m=8):
 
 
 def test_build_two_cycle():
-    g = build_graph([(0, 1), (1, 0)])
+    g = DiGraph(2, [(0, 1), (1, 0)])
     assert g.n == 2 and g.m == 2
     assert g.indeg == (1, 1) and g.outdeg == (1, 1)
 
 
 def test_build_self_loop():
-    g = build_graph([(0, 0)])
+    g = DiGraph(1, [(0, 0)])
     assert g.indeg == (1,) and g.outdeg == (1,)
 
 
 def test_build_parallel_edges():
-    g = build_graph([(0, 1), (0, 1)])
+    g = DiGraph(2, [(0, 1), (0, 1)])
     assert g.m == 2 and g.indeg[1] == 2
 
 
@@ -41,12 +40,10 @@ def test_build_rejects_bad_input():
         DiGraph(0, [])
     with pytest.raises(GraphError):
         DiGraph(2, [(0, 5)])
-    with pytest.raises(GraphError):
-        build_graph([])
 
 
 def test_line_graph_two_cycle():
-    g = build_graph([(0, 1), (1, 0)])
+    g = DiGraph(2, [(0, 1), (1, 0)])
     lg = line_graph(g)
     assert lg.n == 2 and lg.m == 2
     assert sorted(lg.edges) == [(0, 1), (1, 0)]
@@ -56,7 +53,7 @@ def test_line_graph_two_cycle():
 
 
 def test_line_graph_self_loop():
-    lg = line_graph(build_graph([(0, 0)]))
+    lg = line_graph(DiGraph(1, [(0, 0)]))
     assert lg.n == 1 and lg.edges == ((0, 0),)
 
 
@@ -133,9 +130,9 @@ def test_families_balanced_and_connected(make, m, n):
 def test_eulerian_and_connectivity_basics():
     assert is_eulerian(debruijn(3, 2))
     assert is_strongly_connected(debruijn(3, 2))
-    path = build_graph([(0, 1)])
+    path = DiGraph(2, [(0, 1)])
     assert not is_eulerian(path) and not is_strongly_connected(path)
-    loop = build_graph([(0, 0)])
+    loop = DiGraph(1, [(0, 0)])
     assert is_eulerian(loop) and is_strongly_connected(loop)
 
 
@@ -171,14 +168,29 @@ def test_class_cycle_families(make, m, n):
 
 def test_class_cycle_rejects_non_family():
     with pytest.raises(UnsupportedFamilyError):
-        class_cycle(build_graph([(0, 1), (1, 0)]))
+        class_cycle(DiGraph(2, [(0, 1), (1, 0)]))
 
 
 def test_detect_family():
     assert detect_family(debruijn(3, 2)) == ("db", 3, 2)
     assert detect_family(kautz(2, 3)) == ("kautz", 2, 3)
     with pytest.raises(UnsupportedFamilyError):
-        detect_family(build_graph([(0, 1), (1, 0)]))
+        detect_family(DiGraph(2, [(0, 1), (1, 0)]))
+
+
+def test_detect_family_builds_only_candidates_of_the_right_size(monkeypatch):
+    import linetrees.digraph as digraph
+    g = kautz(2, 5)  # 48 vertices; debruijn(3, 5) would have 243
+
+    def refuse(m, n):
+        raise AssertionError(f"debruijn({m}, {n}) built")
+
+    monkeypatch.setattr(digraph, "debruijn", refuse)
+    assert detect_family(g) == ("kautz", 2, 5)
+    # a labelled graph of neither family's size builds no candidate at all
+    monkeypatch.setattr(digraph, "kautz", refuse)
+    with pytest.raises(UnsupportedFamilyError):
+        detect_family(DiGraph(3, [(0, 1), (1, 2)], vertex_labels=["0", "1", "01"]))
 
 
 def test_edge_list_roundtrip():
@@ -200,24 +212,11 @@ def test_edge_list_rejects_garbage():
 def test_json_roundtrip():
     g = kautz(2, 2)
     data = json.loads(json.dumps(to_json_dict(g)))
-    h = from_json_dict(data)
-    assert h.vertex_labels == g.vertex_labels
-    assert h.edges == g.edges
-    assert h.edge_labels == g.edge_labels
-
-
-@pytest.mark.parametrize("data", [
-    {},
-    [],
-    {"vertices": ["a", "b"]},                                  # no "edges"
-    {"vertices": "ab", "edges": [["a", "b", "x"]]},            # vertices not a list
-    {"vertices": ["a", "b"], "edges": [["a", "b"]]},           # edge of two items
-    {"vertices": ["a", "b"], "edges": ["abx"]},                # edge not a list
-    {"vertices": ["a", "b"], "edges": [["a", "c", "x"]]},      # unlisted endpoint
-])
-def test_json_rejects_malformed_graph(data):
-    with pytest.raises(GraphError):
-        from_json_dict(data)
+    assert set(data) == {"vertices", "edges"}
+    assert data["vertices"] == list(g.vertex_labels)
+    assert data["edges"] == [[g.vertex_label(s), g.vertex_label(t), g.edge_label(e)]
+                             for e, (s, t) in enumerate(g.edges)]
+    assert data["edges"][0] == ["01", "10", "010"]
 
 
 def test_dot_export_mentions_labels():

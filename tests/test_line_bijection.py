@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import linetrees
 from linetrees.arborescence import SpanningTree, enumerate_trees, validate_tree
-from linetrees.digraph import DiGraph, build_graph, debruijn, kautz, line_graph
+from linetrees.digraph import DiGraph, debruijn, kautz, line_graph
 from linetrees.errors import InvalidTreeArrayError, InvalidTreeError
 from linetrees.line_bijection import (LineContext, OMEGA, TreeArray, _check_term_counts,
-                                      array_tree, enumerate_tree_arrays, make_tree_array,
-                                      shuffled_order, tree_array_count,
-                                      validate_tree_array)
+                                      array_tree, enumerate_tree_arrays, shuffled_order,
+                                      tree_array_count, validate_tree_array)
 
-TWO_CYCLE = build_graph([(0, 1), (1, 0)])
-SELF_LOOP = build_graph([(0, 0)])
+TWO_CYCLE = DiGraph(2, [(0, 1), (1, 0)])
+SELF_LOOP = DiGraph(1, [(0, 0)])
 
 
 @st.composite
@@ -29,33 +28,12 @@ def digraphs_positive_indeg(draw, max_n=3, max_m=6):
     return g
 
 
-def test_make_tree_array_two_cycle():
-    t = SpanningTree(0, (None, 1))
-    a = make_tree_array(TWO_CYCLE, t, [[], []])
-    assert a == TreeArray(0, ((OMEGA,), (1,)))
-
-
-def test_make_tree_array_self_loop():
-    a = make_tree_array(SELF_LOOP, SpanningTree(0, (None,)), [[]])
-    assert a == TreeArray(0, ((OMEGA,),))
-
-
-def test_make_tree_array_rejects_bad_proto():
-    t = SpanningTree(0, (None, 1))
-    with pytest.raises(InvalidTreeArrayError):
-        make_tree_array(TWO_CYCLE, t, [[0], []])  # wrong length
-    g = debruijn(2, 1)
-    tree = enumerate_trees(g)[0]
-    with pytest.raises(InvalidTreeArrayError):
-        make_tree_array(g, tree, [[2], [2]])  # edge 2 has source 1, not 0
-
-
 def test_tree_array_count_examples():
     assert tree_array_count(TWO_CYCLE) == 2
     assert tree_array_count(debruijn(2, 1)) == 8   # kappa * prod outdeg^(indeg-1)
     assert tree_array_count(kautz(2, 1)) == 72
     # vertex 0 has indegree 0: no tree arrays, and the count says so
-    source = build_graph([(0, 1), (0, 1), (1, 1)])
+    source = DiGraph(2, [(0, 1), (0, 1), (1, 1)])
     with pytest.raises(InvalidTreeArrayError, match="every indegree to be positive"):
         tree_array_count(source)
     with pytest.raises(InvalidTreeArrayError, match="every indegree to be positive"):
@@ -132,6 +110,23 @@ def test_roundtrip_random_graphs_and_orders(g, seed):
         assert ctx.sigma(ctx.pi(t, order), order) == t
 
 
+def test_sigma_and_successors_build_no_line_graph(monkeypatch):
+    import linetrees.line_bijection as lb
+
+    def refuse(_):
+        raise AssertionError("line graph built")
+
+    monkeypatch.setattr(lb, "line_graph", refuse)
+    g = kautz(2, 1)
+    lg = line_graph(g)  # the oracle: this module's own reference, not patched
+    ctx = LineContext(g)
+    for a in enumerate_tree_arrays(g):
+        t = ctx.sigma(a)
+        succ = ctx.successors(t)
+        assert succ == tuple(None if j is None else lg.edges[j][1] for j in t.out_edge)
+        assert ctx.line_tree(t.root, succ) == t
+
+
 def test_validate_rejects_wrong_lengths():
     with pytest.raises(InvalidTreeArrayError):
         validate_tree_array(TWO_CYCLE, TreeArray(0, ((OMEGA, 0), (1,))))
@@ -166,7 +161,7 @@ def test_validate_rejects_non_tree_last_entries():
 
 def test_validate_rejects_indegree_zero_vertex():
     # vertex 1 has no in-edges, so its list is empty and has no last entry
-    g = build_graph([(0, 0), (1, 0)])
+    g = DiGraph(2, [(0, 0), (1, 0)])
     with pytest.raises(InvalidTreeArrayError, match="list of vertex 1 is empty"):
         validate_tree_array(g, TreeArray(0, ((0, OMEGA), ())))
 
@@ -195,15 +190,13 @@ def test_order_must_be_permutation():
 
 
 def test_enumerated_arrays_pass_public_validation():
-    # enumerate_tree_arrays skips make_tree_array's checks; the public
-    # validator and make_tree_array itself must agree with what it yields
+    # enumerate_tree_arrays checks nothing; the public validator must
+    # accept what it yields
     for g in (TWO_CYCLE, SELF_LOOP, debruijn(2, 1), kautz(2, 1)):
         trees = enumerate_trees(g)
         for a in enumerate_tree_arrays(g):
             validate_tree_array(g, a)
-            tree = array_tree(g, a)
-            assert tree in trees
-            assert make_tree_array(g, tree, [entries[:-1] for entries in a.lists]) == a
+            assert array_tree(g, a) in trees
 
 
 # Malformed arrays that skip validation and reach sigma's body, one per guard.
@@ -244,11 +237,11 @@ def test_sigma_body_guards_survive_optimize_flag():
     src = Path(linetrees.__file__).resolve().parent.parent
     script = (
         "import sys\n"
-        "from linetrees.digraph import build_graph\n"
+        "from linetrees.digraph import DiGraph\n"
         "from linetrees.errors import InvalidTreeArrayError\n"
         "from linetrees.line_bijection import LineContext, TreeArray\n"
         "assert False, 'asserts are not stripped'\n"
-        "ctx = LineContext(build_graph([(0, 1), (1, 0)]))\n"
+        "ctx = LineContext(DiGraph(2, [(0, 1), (1, 0)]))\n"
         "try:\n"
         "    ctx._sigma(TreeArray(0, ((0,), (1,))), range(2))\n"
         "except InvalidTreeArrayError as exc:\n"
