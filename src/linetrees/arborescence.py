@@ -18,10 +18,11 @@ The generating functions attach one variable per edge or per vertex:
     kappa_vertex(G) = sum over trees T of prod_{e in T} x_{t(e)}
 
 summed over all roots, each a dict from monomial (the sorted tuple of the
-tree edges' variable ids) to the positive number of trees giving it.  With
-every variable set to 1 both collapse to the tree count kappa(G), the sum
-of the coefficients.  The headline identity relating a graph to its line
-graph LG (all indegrees positive) is
+tree edges' variable ids) to the positive number of trees giving it, in
+the order of each monomial's first tree.  With every variable set to 1 both
+collapse to the tree count kappa(G), the sum of the coefficients.  The
+headline identity relating a graph to its line graph LG (all indegrees
+positive) is
 
     kappa_vertex(LG) = kappa_edge(G) * prod_v (sum_{s(e)=v} x_e)^(indeg(v)-1)
 
@@ -30,6 +31,15 @@ where vertex e of LG is edge e of G;
 and :func:`knuth_check` checks the numeric specialization
 
     kappa(LG) = kappa(G) * prod_v outdeg(v)^(indeg(v)-1).
+
+Both generating functions run the one search.  A tree is its edge set, so
+every coefficient of kappa_edge is 1 and its leaf keeps each tree's sorted
+edges.  kappa_vertex merges many trees into each monomial, so the search
+carries a tree's monomial as one packed int: the sum over its edges of
+1 << (w * t(e)), with w the bit length of n - 1.  A tree has n - 1 edges,
+so each w-bit field counts one vertex variable and never carries into the
+next.  The leaf counts keys, and each distinct key is unpacked to its
+sorted tuple once at the end.
 """
 
 from __future__ import annotations
@@ -55,25 +65,38 @@ class SpanningTree:
 def validate_tree(g: DiGraph, t: SpanningTree) -> None:
     """Raise InvalidTreeError unless t is an arborescence of g; O(n)."""
     root, out_edge = t.root, t.out_edge
-    if len(out_edge) != g.n or not (0 <= root < g.n):
-        raise InvalidTreeError("tree shape does not match the graph")
-    if out_edge[root] is not None:
-        raise InvalidTreeError("root must not have an out-edge")
-    source, m = g.source, g.m
+    _check_shape(root, out_edge, g.n)
+    edges, m = g.edges, g.m
+    succ: list[int | None] = [None] * g.n
     for v, e in enumerate(out_edge):
         if v == root:
             continue
-        if not isinstance(e, int) or not (0 <= e < m) or source(e) != v:
+        if not isinstance(e, int) or not (0 <= e < m) or edges[e][0] != v:
             raise InvalidTreeError(f"vertex {v} needs exactly one out-edge with source {v}")
-    # Every chain of out-edges must reach the root without revisiting.  Each
-    # vertex is walked once: state 0 unvisited, 1 on the current chain, 2
-    # known to reach the root.  The first chain that fails starts at the
-    # same vertex, and repeats first at the same vertex, as a fresh walk
-    # from every start would.
-    target = g.target
-    state = bytearray(len(out_edge))
+        succ[v] = edges[e][1]
+    _check_reaches_root(root, succ)
+
+
+def _check_shape(root: int, out_edge: Sequence, n: int) -> None:
+    # validate_tree's first two checks, shared with LineContext.pi
+    if len(out_edge) != n or not (0 <= root < n):
+        raise InvalidTreeError("tree shape does not match the graph")
+    if out_edge[root] is not None:
+        raise InvalidTreeError("root must not have an out-edge")
+
+
+def _check_reaches_root(root: int, succ: Sequence[int | None]) -> None:
+    """Raise InvalidTreeError unless every chain v, succ[v], ... reaches root.
+
+    succ[v] is the head of v's tree edge (any value at the root).  Each
+    vertex is walked once: state 0 unvisited, 1 on the current chain, 2
+    known to reach the root.  The first chain that fails starts at the same
+    vertex, and repeats first at the same vertex, as a fresh walk from every
+    start would.  Shared by validate_tree and LineContext.pi.
+    """
+    state = bytearray(len(succ))
     state[root] = 2
-    for v in range(len(out_edge)):
+    for v in range(len(succ)):
         if state[v]:
             continue
         chain = []
@@ -81,33 +104,43 @@ def validate_tree(g: DiGraph, t: SpanningTree) -> None:
         while not state[w]:
             state[w] = 1
             chain.append(w)
-            w = target(out_edge[w])
+            w = succ[w]
         if state[w] == 1:
             raise InvalidTreeError(f"cycle through vertex {w}")
         for u in chain:
             state[u] = 2
 
 
-def _search_trees(g: DiGraph, roots: Sequence[int], variables: Sequence[int],
-                  leaf: Callable[[int, list, list], None], bound: int) -> None:
+def _candidate_count(outdeg: Sequence[int], roots: Sequence[int]) -> int:
+    """sum over r in roots of prod_{v != r} outdeg[v], exactly, in O(n) steps.
+
+    Over the vertices seen so far, `prod` is the product of their
+    out-degrees and `total` the sum above; a new vertex v multiplies both
+    by outdeg[v], and if v is a root, adds the product without v to total.
+    """
+    is_root = bytearray(len(outdeg))
+    for r in roots:
+        is_root[r] = 1
+    prod, total = 1, 0
+    for d, k in zip(outdeg, is_root):
+        prod, total = prod * d, total * d + k * prod
+    return total
+
+
+def _search_trees(g: DiGraph, roots: Sequence[int], weights: Sequence[int],
+                  leaf: Callable[[int, list, int], None], bound: int) -> None:
     """The one brute-force arborescence search.
 
-    For each root in turn, calls leaf(root, choice, mon) once per oriented
+    For each root in turn, calls leaf(root, choice, key) once per oriented
     spanning tree, in lexicographic order of the out-edge choice vector:
-    choice[v] is v's tree edge (None at the root) and mon lists variables[e]
-    for the tree edges e.  Both lists are reused, so leaf copies what it
-    keeps.  The bound caps the number of candidate out-edge assignments
-    (the product of the non-root out-degrees, summed over the roots), not
-    the number of trees.
+    choice[v] is v's tree edge (None at the root) and key is the sum of
+    weights[e] over the tree edges e, carried down the search as one int.
+    The choice list is reused, so leaf copies what it keeps.  The bound caps
+    the number of candidate out-edge assignments (the product of the
+    non-root out-degrees, summed over the roots), not the number of trees.
     """
-    n, outdeg = g.n, g.outdeg
-    candidates = 0
-    for r in roots:
-        count = 1
-        for v in range(n):
-            if v != r:
-                count *= outdeg[v]
-        candidates += count
+    n = g.n
+    candidates = _candidate_count(g.outdeg, roots)
     if candidates > bound:
         raise EnumerationBound(f"{candidates} candidate assignments exceed bound {bound}")
     target = [t for _, t in g.edges]
@@ -116,9 +149,8 @@ def _search_trees(g: DiGraph, roots: Sequence[int], variables: Sequence[int],
         vertices = [v for v in range(n) if v != r]
         k = len(vertices)
         choice: list[int | None] = [None] * n
-        mon: list[int] = []
 
-        def extend(i: int) -> None:
+        def extend(i: int, key: int) -> None:
             v = vertices[i]
             last = i + 1 == k  # call leaf from here: one Python call per tree, not two
             for e in out[v]:
@@ -129,18 +161,16 @@ def _search_trees(g: DiGraph, roots: Sequence[int], variables: Sequence[int],
                     w = target[choice[w]]
                 if w != v:
                     choice[v] = e
-                    mon.append(variables[e])
                     if last:
-                        leaf(r, choice, mon)
+                        leaf(r, choice, key + weights[e])
                     else:
-                        extend(i + 1)
-                    mon.pop()
+                        extend(i + 1, key + weights[e])
                     choice[v] = None
 
         if k:
-            extend(0)
+            extend(0, 0)
         else:
-            leaf(r, choice, mon)
+            leaf(r, choice, 0)
 
 
 def enumerate_trees(g: DiGraph, root: int | None = None,
@@ -152,8 +182,8 @@ def enumerate_trees(g: DiGraph, root: int | None = None,
     (the product of out-degrees), not the number of trees.
     """
     trees: list[SpanningTree] = []
-    _search_trees(g, range(g.n) if root is None else [root], list(range(g.m)),
-                  lambda r, choice, mon: trees.append(SpanningTree(r, tuple(choice))),
+    _search_trees(g, range(g.n) if root is None else [root], [0] * g.m,
+                  lambda r, choice, key: trees.append(SpanningTree(r, tuple(choice))),
                   bound)
     return trees
 
@@ -248,24 +278,43 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _kappa(g: DiGraph, variables: Sequence[int], bound: int) -> Poly:
-    # one monomial per spanning tree, tree edge e contributing variables[e]
-    poly: Poly = {}
-
-    def leaf(root: int, choice: list, mon: list) -> None:
-        key = tuple(sorted(mon))
-        poly[key] = poly.get(key, 0) + 1
-
-    _search_trees(g, range(g.n), variables, leaf, bound)
-    return poly
-
-
 def kappa_edge(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:
-    return _kappa(g, list(range(g.m)), bound)
+    # A tree is its edge set, so no two trees share a monomial: every
+    # coefficient is 1, and each leaf keeps its sorted edges as they are.
+    mons: list[tuple[int, ...]] = []
+
+    def leaf(root: int, choice: list, key: int) -> None:
+        mons.append(tuple(sorted(choice[:root] + choice[root + 1:])))
+
+    _search_trees(g, range(g.n), [0] * g.m, leaf, bound)
+    return dict.fromkeys(mons, 1)
 
 
 def kappa_vertex(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:
-    return _kappa(g, [t for _, t in g.edges], bound)
+    # Packed keys (see the module docstring): a field of `width` bits holds
+    # a multiplicity up to n - 1, the number of edges in a tree.
+    width = (g.n - 1).bit_length()
+    counts: dict[int, int] = {}
+    get = counts.get
+
+    def leaf(root: int, choice: list, key: int) -> None:
+        counts[key] = get(key, 0) + 1
+
+    _search_trees(g, range(g.n), [1 << (width * t) for _, t in g.edges], leaf, bound)
+    # Unpack each distinct key once, lowest field first, into the sorted
+    # tuple of its variables; dicts keep first-seen order, so the result is
+    # ordered by each monomial's first tree, as if the tuples were counted.
+    mask = (1 << width) - 1
+    poly: Poly = {}
+    for key, count in counts.items():
+        mon: list[int] = []
+        x = 0
+        while key:
+            mon += [x] * (key & mask)
+            key >>= width
+            x += 1
+        poly[tuple(mon)] = count
+    return poly
 
 
 def rhs_product(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:

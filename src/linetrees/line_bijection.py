@@ -36,8 +36,14 @@ only at the public boundary, so the codec never builds LG.
 The public maps (``LineContext.sigma``/``pi``) validate their input once,
 in time linear in the size of the graph, and then run a private body that
 trusts it; internal callers (the de Bruijn codec, verify-all's round trips)
-call the bodies directly.  ``validate_tree_array`` is the one check of a
-tree array; ``enumerate_tree_arrays`` builds arrays valid by construction.
+call the bodies directly.  ``pi`` checks its tree through the numbering, in
+the pass that builds the successor list, so it builds no line graph either:
+line edge j out of e is valid iff off[e] <= j < off[e + 1], and its head is
+the (j - off[e])-th out-edge of t(e); the acyclicity walk is the one
+``validate_tree`` runs, and the errors are those of
+``validate_tree(ctx.line, tree)``.  ``validate_tree_array`` is the one
+check of a tree array; ``enumerate_tree_arrays`` builds arrays valid by
+construction.
 The invariants that make the loop in sigma well-defined (the candidate set
 and the popped list are never empty) are checked and raise typed errors,
 and every sigma run checks that indeg of e in the output tree equals the
@@ -54,8 +60,8 @@ from functools import cached_property
 from itertools import accumulate, product
 from typing import Iterator, Sequence
 
-from .arborescence import (SpanningTree, count_trees, degree_product, enumerate_trees,
-                           validate_tree, DEFAULT_BOUND)
+from .arborescence import (SpanningTree, _check_reaches_root, _check_shape, count_trees,
+                           degree_product, enumerate_trees, validate_tree, DEFAULT_BOUND)
 from .digraph import DiGraph, line_graph
 from .errors import EnumerationBound, InvalidTreeArrayError, InvalidTreeError
 
@@ -89,7 +95,7 @@ class TreeArray:
 
 def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
     """Raise InvalidTreeArrayError unless a is a tree array of g; O(n + m)."""
-    n, m, indeg, source = g.n, g.m, g.indeg, g.source
+    n, m, indeg, edges = g.n, g.m, g.indeg, g.edges
     if len(a.lists) != n or not (0 <= a.root < n):
         raise InvalidTreeArrayError("array shape does not match the graph")
     omegas = 0
@@ -103,9 +109,9 @@ def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
                 if v != a.root or pos != len(entries) - 1:
                     raise InvalidTreeArrayError("OMEGA must be the last entry of the root's list")
             elif isinstance(entry, int) and 0 <= entry < m:
-                if source(entry) != v:
+                if edges[entry][0] != v:
                     raise InvalidTreeArrayError(
-                        f"entry {entry} in list of vertex {v} has source {source(entry)}")
+                        f"entry {entry} in list of vertex {v} has source {edges[entry][0]}")
             else:
                 raise InvalidTreeArrayError(f"entry {entry!r} is not an edge id")
     if omegas != 1:
@@ -235,11 +241,25 @@ class LineContext:
     # -- inverse map ----------------------------------------------------
 
     def pi(self, tree: SpanningTree, order: Sequence[int] | None = None) -> TreeArray:
-        """Map a spanning tree of the line graph back to a tree array of g."""
-        validate_tree(self.line, tree)
-        return self._pi(tree.root, self.successors(tree), _edge_ranks(self.g, order))
+        """Map a spanning tree of the line graph back to a tree array of g.
 
-    def _pi(self, root: int, succ: Succ, rank: Sequence[int]) -> TreeArray:
+        The tree is checked as ``validate_tree(self.line, tree)`` would, with
+        the same errors in the same order, through the numbering alone."""
+        root, out_edge, m = tree.root, tree.out_edge, self.g.m
+        _check_shape(root, out_edge, m)
+        out, target, off = self.g._out, self.target, self.off
+        succ: list[int | None] = [None] * m
+        for e, j in enumerate(out_edge):
+            if e == root:
+                continue
+            o = off[e]
+            if not isinstance(j, int) or not (o <= j < off[e + 1]):
+                raise InvalidTreeError(f"vertex {e} needs exactly one out-edge with source {e}")
+            succ[e] = out[target[e]][j - o]
+        _check_reaches_root(root, succ)
+        return self._pi(root, succ, _edge_ranks(self.g, order))
+
+    def _pi(self, root: int, succ: Sequence[int | None], rank: Sequence[int]) -> TreeArray:
         # pi's body, for trees already known to be valid.  Its output is a
         # valid tree array by the bijection, so it is not re-validated;
         # pi(sigma(A)) == A in the tests and verify-all covers that.

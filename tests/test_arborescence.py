@@ -3,10 +3,10 @@ from collections import Counter
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from linetrees.arborescence import (SpanningTree, _poly_mul, bareiss_determinant,
-                                    count_trees, count_trees_rooted,
+from linetrees.arborescence import (SpanningTree, _candidate_count, _poly_mul,
+                                    bareiss_determinant, count_trees, count_trees_rooted,
                                     enumerate_trees, kappa_edge, kappa_vertex,
                                     knuth_check, minor, out_laplacian, rhs_product,
                                     validate_tree, verify_identity,
@@ -44,6 +44,34 @@ def test_enumerate_db21():
 def test_enumerate_respects_bound():
     with pytest.raises(EnumerationBound):
         enumerate_trees(debruijn(2, 2), bound=3)
+
+
+@st.composite
+def multigraphs(draw, max_n=5, max_m=8):
+    # any edges at all: self-loops, parallel edges, sources and sinks
+    n = draw(st.integers(1, max_n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=max_m))
+    return DiGraph(n, edges)
+
+
+@given(multigraphs(), st.data())
+def test_candidate_count_matches_double_loop(g, data):
+    root = data.draw(st.one_of(st.none(), st.integers(0, g.n - 1)))
+    roots = range(g.n) if root is None else [root]
+    expected = 0
+    for r in roots:
+        count = 1
+        for v in range(g.n):
+            if v != r:
+                count *= g.outdeg[v]
+        expected += count
+    assert _candidate_count(g.outdeg, roots) == expected
+    if expected:
+        with pytest.raises(EnumerationBound,
+                           match=f"^{expected} candidate assignments exceed bound {expected - 1}$"):
+            enumerate_trees(g, root, bound=expected - 1)
+        enumerate_trees(g, root, bound=expected)
 
 
 def test_validate_tree_rejects_cycles():
@@ -190,6 +218,44 @@ def test_kappa_at_ones_is_tree_count(g):
 def test_kappa_monomial_degree(g):
     for mon in kappa_edge(g):
         assert len(mon) == g.n - 1
+
+
+def _counted_monomials(g, variables):
+    # the oracle: one sorted tuple per enumerated tree, counted in tree order
+    poly = {}
+    for t in enumerate_trees(g):
+        mon = tuple(sorted(variables[e] for e in t.out_edge if e is not None))
+        poly[mon] = poly.get(mon, 0) + 1
+    return poly
+
+
+@settings(max_examples=200)
+@given(multigraphs())
+def test_kappa_polys_match_counted_monomials(g):
+    # equal item for item, in the same insertion order
+    targets = [t for _, t in g.edges]
+    assert list(kappa_edge(g).items()) == list(_counted_monomials(g, range(g.m)).items())
+    assert list(kappa_vertex(g).items()) == list(_counted_monomials(g, targets).items())
+
+
+@pytest.mark.parametrize("leaves", [1, 2, 4, 8])
+@pytest.mark.parametrize("hub_first", [True, False])
+def test_kappa_vertex_fields_hold_indegree_n_minus_1(leaves, hub_first):
+    # An in-star whose hub has a loop, plus an edge from each leaf to the
+    # next: the trees are rooted at the hub, and the one where every leaf
+    # points at the hub gives it indegree n - 1 = leaves, a power of two
+    # that overflows a key field one bit too narrow.
+    n = leaves + 1
+    hub = 0 if hub_first else leaves
+    others = [v for v in range(n) if v != hub]
+    edges = [(hub, hub), *((v, hub) for v in others), *zip(others, others[1:])]
+    g = DiGraph(n, edges)
+    poly = kappa_vertex(g)
+    assert poly[(hub,) * leaves] == 1
+    assert sum(poly.values()) == 2 ** (leaves - 1)
+    targets = [t for _, t in g.edges]
+    assert list(poly.items()) == list(_counted_monomials(g, targets).items())
+    assert list(kappa_edge(g).items()) == list(_counted_monomials(g, range(g.m)).items())
 
 
 def test_rhs_product_trivial_cases():

@@ -249,6 +249,34 @@ def test_experiment_scripts_run():
         assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv,code,first,last,err", [
+    (["linegraph"], 0, "0 1", "10000 10000", ""),
+    (["trees", "enumerate", "--bound", "10"], 1, None, None,
+     "error: 19999 candidate assignments exceed bound 10\n"),
+    (["trees", "identity-check", "--bound", "10"], 1, None, None,
+     "error: 40000 candidate assignments exceed bound 10\n"),
+], ids=["linegraph", "trees-enumerate", "trees-identity-check"])
+def test_large_edge_list_within_time_bound(tmp_path, capsys, monkeypatch,
+                                           argv, code, first, last, err):
+    # a 10^4-line edge list: a cycle on 10^4 vertices plus a loop at 0; no
+    # subcommand may be quadratic in it before its enumeration bound refuses
+    n = 10 ** 4
+    path = tmp_path / "big.txt"
+    path.write_text("".join(f"{v} {(v + 1) % n}\n" for v in range(n)) + "0 0\n")
+    start = time.perf_counter()
+    got_code, out, got_err = run_cli(capsys, monkeypatch, [*argv, "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    assert (got_code, got_err) == (code, err)
+    lines = out.splitlines()
+    if first is None:
+        assert lines == []
+    else:
+        # the line graph: edges into vertex 0 (n - 1 -> 0 and the loop) have
+        # two successors, the other n - 1 edges one
+        assert (len(lines), lines[0], lines[-1]) == (n + 3, first, last)
+    assert elapsed < 1.0
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["group", "compute", "--family", "nope", "-m", "2", "-n", "2"])

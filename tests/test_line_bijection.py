@@ -125,6 +125,90 @@ def test_sigma_and_successors_build_no_line_graph(monkeypatch):
         succ = ctx.successors(t)
         assert succ == tuple(None if j is None else lg.edges[j][1] for j in t.out_edge)
         assert ctx.line_tree(t.root, succ) == t
+        assert ctx.pi(t) == a
+    # pi checks its input through the numbering too
+    with pytest.raises(InvalidTreeError, match="cycle through vertex"):
+        ctx.pi(_cycle_tree(ctx, lg))
+
+
+def _cycle_tree(ctx, lg):
+    # a valid line tree with one vertex's edge redirected into its own subtree
+    t = enumerate_trees(lg, bound=10 ** 6)[0]
+    for e in range(lg.n):
+        for j in range(ctx.off[e], ctx.off[e + 1]):
+            bad = SpanningTree(t.root, t.out_edge[:e] + (j,) + t.out_edge[e + 1:])
+            try:
+                validate_tree(lg, bad)
+            except InvalidTreeError as exc:
+                if "cycle" in str(exc):
+                    return bad
+    raise AssertionError("no cycle found")
+
+
+def _outcome(f):
+    try:
+        return f()
+    except Exception as exc:  # the error type and message are compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def line_trees(draw):
+    # Trees of L(g) as pi's callers may give them: in half of them every
+    # non-root entry is a line edge out of its vertex (cycles and valid
+    # trees), in the other half entries are of any kind; a few have a wrong
+    # length or a root out of range.
+    g = draw(digraphs_positive_indeg(max_n=3, max_m=5))
+    ctx = LineContext(g)
+    m, off = g.m, ctx.off
+    length = draw(st.sampled_from([m] * 8 + [m - 1, m + 1]))
+    root = draw(st.sampled_from([*range(m)] * 4 + [-1, m]))
+    loose = draw(st.booleans())
+    out_edge = []
+    for e in range(length):
+        line_edge = (st.integers(off[e], off[e + 1] - 1)
+                     if e < m and off[e] < off[e + 1] else st.none())
+        if loose:
+            entry = st.one_of(st.none(), line_edge, st.integers(-1, off[-1]),
+                              st.sampled_from(["x", 1.5, True]))
+        else:
+            entry = st.none() if e == root else line_edge
+        out_edge.append(draw(entry))
+    return ctx, SpanningTree(root, tuple(out_edge))
+
+
+@settings(max_examples=300)
+@given(line_trees())
+def test_pi_rejects_what_validate_tree_rejects(case):
+    ctx, t = case
+    expected = _outcome(lambda: validate_tree(ctx.line, t))
+    got = _outcome(lambda: ctx.pi(t))
+    if expected is None:
+        assert got == ctx._pi(t.root, ctx.successors(t), range(ctx.g.m))
+    else:
+        assert got == expected
+
+
+def test_pi_error_kinds_match_validate_tree():
+    # one case per check, on kautz(2, 1): m = 6 line vertices
+    g = kautz(2, 1)
+    ctx = LineContext(g)
+    t = ctx.sigma(next(enumerate_tree_arrays(g)))
+    e = next(v for v in range(g.m) if v != t.root)
+    other = next(j for j in range(ctx.off[-1]) if not ctx.off[e] <= j < ctx.off[e + 1])
+    cases = [
+        SpanningTree(t.root, t.out_edge[:-1]),                      # wrong length
+        SpanningTree(g.m, t.out_edge),                              # root out of range
+        SpanningTree(-1, t.out_edge),
+        SpanningTree(e, t.out_edge),                                # root with an out-edge
+        *(SpanningTree(t.root, t.out_edge[:e] + (j,) + t.out_edge[e + 1:])
+          for j in (None, "x", 1.5, -1, ctx.off[-1], other)),       # not a line edge out of e
+        _cycle_tree(ctx, ctx.line),
+    ]
+    for bad in cases:
+        expected = _outcome(lambda: validate_tree(ctx.line, bad))
+        assert expected is not None and expected[0] is InvalidTreeError
+        assert _outcome(lambda: ctx.pi(bad)) == expected
 
 
 def test_validate_rejects_wrong_lengths():
