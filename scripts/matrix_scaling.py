@@ -14,9 +14,9 @@ import scaling
 
 TIMEOUT_S = 120.0
 # (what, family, m, n)
-CASES = ([("critical_group", "db", 2, n) for n in range(8, 13)]
+CASES = ([("critical_group", "db", 2, n) for n in range(8, 14)]
          + [("critical_group", "kautz", 3, 5)]
-         + [("count_trees", "db", 2, n) for n in range(5, 9)])
+         + [("count_trees", "db", 2, n) for n in range(5, 12)])
 CHILD = """
 import json, resource, sys, time
 from linetrees.arborescence import count_trees

@@ -4,13 +4,16 @@ and the spanning-tree generating functions.
 An oriented spanning tree (arborescence) rooted at r gives every non-root
 vertex exactly one out-edge and a unique directed path to r.  Two
 independent counting routes are kept side by side: :func:`enumerate_trees`
-is the brute-force oracle, :func:`count_trees_rooted` is the matrix-tree
-determinant, and the test suite insists they agree.  The count over all
+is the brute-force oracle, :func:`rooted_tree_counts` takes the matrix-tree
+determinants, and the test suite insists they agree.  The count over all
 roots, :func:`weighted_tree_sum`, takes one determinant rather than one per
 root: the rows of L = D - A sum to 0, so by the matrix determinant lemma
 det(L + 1 e_0^T) is the sum of the rooted counts.  The brute-force route
 is one search, shared by :func:`enumerate_trees` and the generating
-functions; the determinant route is one Laplacian, :func:`out_laplacian`.
+functions.  The determinant route is one Laplacian, :func:`out_laplacian`,
+held as sparse rows (one {col: value} dict per row), and one sparse exact
+elimination, :func:`determinant`, which hands the small dense block it may
+leave to :func:`bareiss_determinant`.
 
 The generating functions attach one variable per edge or per vertex:
 
@@ -46,11 +49,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from heapq import heapify, heappop, heappush
+from math import gcd, prod
+from typing import Callable, Mapping, Sequence
 import random
 
 from .digraph import DiGraph, line_graph
-from .errors import EnumerationBound, InvalidTreeError
+from .errors import EnumerationBound, InvalidTreeError, count_text
 
 DEFAULT_BOUND = 10 ** 6
 
@@ -142,7 +147,8 @@ def _search_trees(g: DiGraph, roots: Sequence[int], weights: Sequence[int],
     n = g.n
     candidates = _candidate_count(g.outdeg, roots)
     if candidates > bound:
-        raise EnumerationBound(f"{candidates} candidate assignments exceed bound {bound}")
+        raise EnumerationBound(f"{count_text(candidates)} candidate assignments "
+                               f"exceed bound {count_text(bound)}")
     target = [t for _, t in g.edges]
     out = g._out
     for r in roots:
@@ -190,6 +196,16 @@ def enumerate_trees(g: DiGraph, root: int | None = None,
 
 # --- exact determinants ------------------------------------------------------
 
+# A matrix with at most this many rows goes to bareiss_determinant at once,
+# and so does the block the sparse phase leaves at this size: on the
+# matrices of a few vertices that knuth_check and the identity corpus feed
+# in, the heap costs more than dense elimination does.
+DENSE_HANDOFF = 10
+# determinant offers the entries of a column again after a pivot only while
+# the column has at most this many; see there.
+SHORT_COLUMN = 16
+
+
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Fraction-free Gaussian elimination; exact over the integers."""
     n = len(matrix)
@@ -207,34 +223,178 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
+        pivot_row = m[k]
+        p = pivot_row[k]
+        for row in m[k + 1:]:
+            a = row[k]
+            if a or p != prev:      # else the update leaves the row as it is
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * p - a * pivot_row[j]) // prev
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
-def out_laplacian(g: DiGraph, weights: Sequence[int] | None = None) -> list[list[int]]:
-    """D - A, the package's one Laplacian: entry (v, v) is the total weight
-    of v's out-edges and entry (s, t) is minus the weight of the edges s -> t,
-    so a self-loop cancels.  Unit weights (the default) count trees.
+def determinant(rows: Sequence[Mapping[int, int]]) -> int:
+    """Exact determinant of a square matrix held as sparse rows.
+
+    Row i is rows[i] as {col: value}; the columns are the distinct keys in
+    increasing order (a key that holds 0 still names one), and there may be
+    no more of them than rows (fewer means a zero column, so the
+    determinant is 0).  The input is not changed.
+
+    Sparse fraction-free elimination with pivots in Markowitz order: the
+    nonzero p at (i, j) with the least cost (r - 1)(c - 1), for r entries in
+    its row and c in its column, then the least |p|.  Each row with an
+    entry a in column j becomes (p/g) row - (a/g) row_i, g = gcd(p, a), and
+    is then divided by its content (the gcd of its entries); the pivots,
+    the multipliers p/g and the contents are carried into the determinant.
+    Entries are popped from a heap of (cost, |p|, i, j) and checked against
+    the matrix: a stale one is dropped, and one whose cost has changed goes
+    back in at its current cost.  After each pivot the entries of the
+    changed rows are offered again, and so are those of the changed columns
+    with at most SHORT_COLUMN entries; a long column (column 0 of
+    L + 1 e_0^T) is left to the lazy check, since offering it again costs
+    O(n) per pivot.  Once at most DENSE_HANDOFF rows are left, or the
+    cheapest pivot would touch over half of the block left, that block goes
+    to bareiss_determinant.
     """
-    lap = [[0] * g.n for _ in range(g.n)]
+    k = len(rows)
+    cols = sorted(set().union(*rows))
+    if len(cols) > k:
+        raise ValueError(f"{len(cols)} columns in a matrix of {k} rows")
+    if len(cols) < k:
+        return 0
+    if k <= DENSE_HANDOFF:
+        return bareiss_determinant([[row.get(c, 0) for c in cols] for row in rows])
+    rows = [{c: v for c, v in row.items() if v} for row in rows]    # reduced in place below
+    col_rows: dict[int, set[int]] = {c: set() for c in cols}
+    for i, row in enumerate(rows):
+        for c in row:
+            col_rows[c].add(i)
+    heap = [((len(row) - 1) * (len(col_rows[j]) - 1), abs(v), i, j)
+            for i, row in enumerate(rows) for j, v in row.items()]
+    heapify(heap)
+    live = [True] * k
+    left = k
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    factors: list[int] = []    # pivots and contents
+    scales: list[int] = []     # the multipliers p/g
+    while heap and left > DENSE_HANDOFF:
+        cost, v, i, j = heappop(heap)
+        prow = rows[i]
+        if not live[i] or j not in prow or abs(prow[j]) != v:
+            continue
+        now = (len(prow) - 1) * (len(col_rows[j]) - 1)
+        if now != cost:
+            heappush(heap, (now, v, i, j))
+            continue
+        if 2 * cost > (left - 1) * (left - 1):
+            break
+        live[i] = False
+        left -= 1
+        pivot_rows.append(i)
+        pivot_cols.append(j)
+        p = prow[j]
+        factors.append(p)
+        for c in prow:
+            col_rows[c].discard(i)
+        changed_rows = col_rows.pop(j)
+        for r in changed_rows:
+            row = rows[r]
+            a = row.pop(j)
+            if len(prow) > 1:   # else row_i = p e_j, and row - (a/p) row_i only drops a
+                g = gcd(p, a)
+                q, b = p // g, a // g
+                if q != 1:
+                    scales.append(q)
+                    for c in row:
+                        row[c] *= q
+                for c, x in prow.items():
+                    if c == j:
+                        continue
+                    y = row.get(c, 0) - b * x
+                    if y:
+                        if c not in row:
+                            col_rows[c].add(r)
+                        row[c] = y
+                    else:
+                        del row[c]
+                        col_rows[c].discard(r)
+            content = gcd(*row.values())
+            if content == 0:
+                return 0       # a zero row
+            if content != 1:
+                factors.append(content)
+                for c in row:
+                    row[c] //= content
+        for r in changed_rows:
+            row = rows[r]
+            for c, x in row.items():
+                heappush(heap, ((len(row) - 1) * (len(col_rows[c]) - 1), abs(x), r, c))
+        for c in prow:
+            rs = col_rows.get(c, ())
+            if c != j and len(rs) <= SHORT_COLUMN:
+                for r in rs:
+                    row = rows[r]
+                    heappush(heap, ((len(row) - 1) * (len(rs) - 1), abs(row[c]), r, c))
+    # the pivots, in order, then the block, in index order: a block
+    # triangular matrix whose determinant is the pivots' product times the block's
+    rest_rows = [i for i in range(k) if live[i]]
+    rest_cols = sorted(col_rows)
+    rank = {c: x for x, c in enumerate(cols)}
+    sign = _parity(pivot_rows + rest_rows) * _parity([rank[c] for c in pivot_cols + rest_cols])
+    block = bareiss_determinant([[rows[i].get(c, 0) for c in rest_cols] for i in rest_rows])
+    return sign * prod(factors) * block // prod(scales)
+
+
+def _parity(order: list[int]) -> int:
+    """The sign of `order` as a permutation of 0..len(order)-1."""
+    seen = bytearray(len(order))
+    sign = 1
+    for x in range(len(order)):
+        if seen[x]:
+            continue
+        while not seen[x]:     # walk x's cycle; a cycle of length L is L - 1 swaps
+            seen[x] = 1
+            x = order[x]
+            sign = -sign
+        sign = -sign
+    return sign
+
+
+def out_laplacian(g: DiGraph, weights: Sequence[int] | None = None) -> list[dict[int, int]]:
+    """D - A as sparse rows, the package's one Laplacian.
+
+    Row v is {col: value} over its nonzero entries: entry (v, v) is the
+    total weight of v's out-edges and entry (s, t) is minus the weight of
+    the edges s -> t, so a self-loop cancels.  Unit weights (the default)
+    count trees.
+    """
+    lap: list[dict[int, int]] = [{} for _ in range(g.n)]
     for e, (s, t) in enumerate(g.edges):
         w = 1 if weights is None else weights[e]
-        lap[s][s] += w
-        lap[s][t] -= w
+        row = lap[s]
+        row[s] = row.get(s, 0) + w
+        row[t] = row.get(t, 0) - w
+    for row in lap:
+        if 0 in row.values():      # a self-loop cancelled, or weights summed to 0
+            for c in [c for c, v in row.items() if not v]:
+                del row[c]
     return lap
 
 
-def minor(matrix: Sequence[Sequence[int]], r: int) -> list[list[int]]:
-    """The matrix with row r and column r deleted."""
-    return [[*row[:r], *row[r + 1:]] for i, row in enumerate(matrix) if i != r]
+def minor(rows: Sequence[Mapping[int, int]], r: int) -> list[dict[int, int]]:
+    """The matrix with row r and column r deleted: row r goes, and key r
+    leaves the others (the other keys keep their names)."""
+    return [{c: v for c, v in row.items() if c != r} for i, row in enumerate(rows) if i != r]
 
 
-def count_trees_rooted(g: DiGraph, root: int) -> int:
-    """Number of spanning trees rooted at `root`, by the matrix-tree theorem."""
-    return abs(bareiss_determinant(minor(out_laplacian(g), root)))
+def rooted_tree_counts(g: DiGraph) -> list[int]:
+    """The number of spanning trees rooted at each vertex, by the
+    matrix-tree theorem: one sparse minor of the one Laplacian per root."""
+    lap = out_laplacian(g)
+    return [abs(determinant(minor(lap, r))) for r in range(g.n)]
 
 
 def count_trees(g: DiGraph) -> int:
@@ -252,8 +412,8 @@ def weighted_tree_sum(g: DiGraph, weights: Sequence[int]) -> int:
     """
     lap = out_laplacian(g, weights)
     for row in lap:
-        row[0] += 1
-    return bareiss_determinant(lap)
+        row[0] = row.get(0, 0) + 1
+    return determinant(lap)
 
 
 def degree_product(g: DiGraph) -> int:

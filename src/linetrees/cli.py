@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import db_codec, verify
-from .arborescence import (SpanningTree, count_trees_rooted, enumerate_trees,
-                           knuth_check, verify_identity)
+from .arborescence import (SpanningTree, enumerate_trees, knuth_check, rooted_tree_counts,
+                           verify_identity)
 from .crit_group import (check_divbym, critical_group, db_formula, group_order_db,
                          group_order_kautz, kautz_formula)
 from .digraph import (DiGraph, debruijn, format_edge_list, kautz, line_graph,
@@ -148,7 +148,7 @@ def _cmd_linegraph(args) -> int:
 def _cmd_trees(args) -> int:
     g = _load_graph(args)
     if args.action == "count":
-        by_root = {g.vertex_label(r): count_trees_rooted(g, r) for r in range(g.n)}
+        by_root = {g.vertex_label(r): c for r, c in enumerate(rooted_tree_counts(g))}
         total = sum(by_root.values())
         if args.json:
             print(json.dumps({"total": str(total),

@@ -4,7 +4,9 @@ the de Bruijn and Kautz families.
 The Laplacian is the package's one builder, arborescence.out_laplacian:
 L(G) = D(G) - A(G) with D = diag(outdeg) and A the adjacency matrix
 (counting multiplicities, self-loops included), so a self-loop cancels on
-the diagonal.  The paper's figure shows A - D, the negation; a cokernel and
+the diagonal.  It is held as sparse rows, one {col: value} dict per row,
+and the Smith normal form starts from those rows; no dense n x n matrix
+is built.  The paper's figure shows A - D, the negation; a cokernel and
 a Smith normal form do not depend on the sign.  The sandpile group with
 sink r is the cokernel of the reduced Laplacian (row and column of r
 deleted); its order is the number of spanning trees rooted at r.  On a
@@ -12,7 +14,7 @@ balanced (indeg = outdeg) strongly connected graph the choice of sink does
 not matter and the common group is the critical group.
 
 Smith normal form is computed over the integers with exact arithmetic, in
-three phases.  A sparse phase holds rows as {col: value} dicts and pivots
+three phases.  A sparse phase reduces the rows in that form and pivots
 on entries p that divide every entry of their row and column (least |p|
 first, then least Markowitz cost (r-1)(c-1)): row operations clear p's
 column and Z_|p| splits off with no column operations.  The block left
@@ -44,13 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import compress
 from math import gcd, inf, log10
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .arborescence import minor, out_laplacian
 from .digraph import DiGraph, detect_family, is_eulerian, is_strongly_connected
-from .errors import GraphError
+from .errors import MAX_ORDER_DIGITS, GraphError
 
 
 @dataclass
@@ -58,30 +59,32 @@ class SmithResult:
     diagonal: list[int]          # full diagonal, zeros included, d1 | d2 | ...
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithResult:
-    """Exact Smith normal form of an integer matrix.
+def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None) -> SmithResult:
+    """Exact Smith normal form of an integer matrix held as sparse rows.
 
-    A sparse divisor-pivot phase splits off one cyclic factor per pivot,
-    the dense loop reduces whatever block it leaves, and the
-    divisibility-chain fix-up runs over the whole diagonal.
+    Row i is rows[i] as {col: value}, over `cols` columns (default: as
+    many as rows); distinct keys name distinct columns, and a column with
+    no entry is a zero column.  The input is not changed.  A sparse
+    divisor-pivot phase splits off one cyclic factor per pivot, the dense
+    loop reduces whatever block it leaves, and the divisibility-chain
+    fix-up runs over the whole diagonal.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    for row in matrix:
-        if len(row) != cols:
-            raise ValueError("matrix rows must have equal length")
-    # compress keeps the (column, value) pairs of the nonzero values
-    sparse = [dict(compress(enumerate(row), row)) for row in matrix]
-    pivots, rest_rows, rest_cols = _divisor_pivots(sparse, cols)
+    cols = len(rows) if cols is None else cols
+    sparse = [{c: v for c, v in row.items() if v} for row in rows]
+    keyed = len(set().union(*sparse))
+    if keyed > cols:
+        raise ValueError(f"{keyed} distinct columns in a matrix of {cols} columns")
+    pivots, rest_rows, rest_cols = _divisor_pivots(sparse)
     rest = [[sparse[i].get(j, 0) for j in rest_cols] for i in rest_rows]
+    # each zero column the keys never name adds a 0 while rows are left
+    zeros = min(len(rest_rows), cols - len(pivots)) - min(len(rest_rows), len(rest_cols))
     # the chain is unique, so sorting first changes only how long the
     # fix-up takes, and sorted powers of one prime already form a chain
-    diagonal = sorted(pivots + _dense_diagonal(rest), key=lambda d: (d == 0, d))
+    diagonal = sorted(pivots + _dense_diagonal(rest) + [0] * zeros, key=lambda d: (d == 0, d))
     return SmithResult(_chain(diagonal))
 
 
-def _divisor_pivots(sparse: list[dict[int, int]],
-                    cols: int) -> tuple[list[int], list[int], list[int]]:
+def _divisor_pivots(sparse: list[dict[int, int]]) -> tuple[list[int], list[int], list[int]]:
     """Eliminate with divisor pivots on rows stored as {col: value} dicts.
 
     An entry p that divides every entry of its row and of its column (so
@@ -94,16 +97,17 @@ def _divisor_pivots(sparse: list[dict[int, int]],
     key that no longer matches its entry is stale and is dropped.
 
     Reduces the rows of `sparse` in place and returns the |p| in pivot
-    order, then the rows and the columns left for the dense loop.
+    order, then the rows and the columns (of those the keys name) left for
+    the dense loop.
     """
-    col_rows: list[set[int]] = [set() for _ in range(cols)]
+    col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(sparse):
         for j in row:
-            col_rows[j].add(i)
+            col_rows.setdefault(j, set()).add(i)
     row_gcd = [gcd(*row.values()) for row in sparse]
-    col_gcd = [gcd(*[sparse[i][j] for i in col_rows[j]]) for j in range(cols)]
+    col_gcd = {j: gcd(*[sparse[i][j] for i in rs]) for j, rs in col_rows.items()}
     live_rows = [True] * len(sparse)
-    live_cols = [True] * cols
+    live_cols = set(col_rows)
     heap: list[tuple[int, int, int, int]] = []
 
     def offer(i: int, j: int) -> None:
@@ -123,7 +127,8 @@ def _divisor_pivots(sparse: list[dict[int, int]],
                 or (len(prow) - 1) * (len(col_rows[j]) - 1) != cost):
             continue
         pivots.append(v)
-        live_rows[i] = live_cols[j] = False
+        live_rows[i] = False
+        live_cols.discard(j)
         for c in prow:
             col_rows[c].discard(i)
         p = prow[j]
@@ -150,8 +155,7 @@ def _divisor_pivots(sparse: list[dict[int, int]],
         for c in changed_cols:
             for r in col_rows[c]:
                 offer(r, c)
-    return (pivots, [i for i, live in enumerate(live_rows) if live],
-            [j for j, live in enumerate(live_cols) if live])
+    return pivots, [i for i, live in enumerate(live_rows) if live], sorted(live_cols)
 
 
 def _dense_diagonal(d: list[list[int]]) -> list[int]:
@@ -339,9 +343,8 @@ class GroupFormula:
 
 # The closed forms build the group order as an integer, and normalizing a
 # formula builds a list with one entry per cyclic summand, about as many as
-# the order has bits.  Past this many decimal digits (CPython's default limit
-# on printing an int) the order is refused before either is built.
-MAX_ORDER_DIGITS = 4300
+# the order has bits.  Past MAX_ORDER_DIGITS decimal digits the order is
+# refused before either is built.
 
 
 def _check_order_size(m: int, n: int, kautz: bool, what: str = "group order") -> None:

@@ -36,10 +36,14 @@ class DiGraph:
                  edge_labels: Sequence[str] | None = None):
         if n <= 0:
             raise GraphError("graph must have at least one vertex")
-        edges = tuple((int(s), int(t)) for s, t in edges)
-        for s, t in edges:
+        edges = tuple([(int(s), int(t)) for s, t in edges])
+        out: list[list[int]] = [[] for _ in range(n)]
+        indeg = [0] * n
+        for i, (s, t) in enumerate(edges):
             if not (0 <= s < n and 0 <= t < n):
                 raise GraphError(f"edge endpoint out of range: ({s},{t}) with {n} vertices")
+            out[s].append(i)
+            indeg[t] += 1
         if vertex_labels is not None:
             vertex_labels = tuple(vertex_labels)
             if len(vertex_labels) != n:
@@ -54,13 +58,8 @@ class DiGraph:
         self.edges = edges
         self.vertex_labels = vertex_labels
         self.edge_labels = edge_labels
-        out: list[list[int]] = [[] for _ in range(n)]
-        indeg = [0] * n
-        for i, (s, t) in enumerate(edges):
-            out[s].append(i)
-            indeg[t] += 1
-        self._out = tuple(tuple(es) for es in out)
-        self.outdeg = tuple(len(es) for es in self._out)
+        self._out = tuple(map(tuple, out))
+        self.outdeg = tuple(map(len, out))
         self.indeg = tuple(indeg)
 
     @property

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the way their messages
+print large counts."""
+
+from math import log10
+
+# CPython's default limit on printing an int: str() of an int with more
+# decimal digits raises ValueError.  The closed forms refuse group orders
+# past it, and messages give counts past it by their logarithm.
+MAX_ORDER_DIGITS = 4300
 
 
 class GraphError(ValueError):
@@ -23,3 +31,12 @@ class InvalidSequenceError(ValueError):
 
 class EnumerationBound(RuntimeError):
     """A brute-force enumeration would exceed its configured bound."""
+
+
+def count_text(n: int) -> str:
+    """A count for a message: in decimal while it has at most
+    MAX_ORDER_DIGITS digits, past that as "about 10^x" from its logarithm
+    (anything but an int as str() gives it)."""
+    if not isinstance(n, int) or n < 10 ** MAX_ORDER_DIGITS:
+        return str(n)
+    return f"about 10^{log10(n):.1f}"

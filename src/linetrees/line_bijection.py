@@ -63,7 +63,7 @@ from typing import Iterator, Sequence
 from .arborescence import (SpanningTree, _check_reaches_root, _check_shape, count_trees,
                            degree_product, enumerate_trees, validate_tree, DEFAULT_BOUND)
 from .digraph import DiGraph, line_graph
-from .errors import EnumerationBound, InvalidTreeArrayError, InvalidTreeError
+from .errors import EnumerationBound, InvalidTreeArrayError, InvalidTreeError, count_text
 
 
 class _OmegaType:
@@ -312,7 +312,8 @@ def enumerate_tree_arrays(g: DiGraph, bound: int = DEFAULT_BOUND) -> Iterator[Tr
     """
     expected = tree_array_count(g)
     if expected > bound:
-        raise EnumerationBound(f"{expected} tree arrays exceed bound {bound}")
+        raise EnumerationBound(f"{count_text(expected)} tree arrays "
+                               f"exceed bound {count_text(bound)}")
     # all length-(indeg(v)-1) sequences of v's out-edges, lexicographically
     protos = [list(product(g.out_edges(v), repeat=g.indeg[v] - 1)) for v in range(g.n)]
     if any(not p for p in protos):

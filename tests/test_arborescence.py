@@ -1,18 +1,21 @@
+import random
 import time
 from collections import Counter
+from math import prod
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from linetrees.arborescence import (SpanningTree, _candidate_count, _poly_mul,
-                                    bareiss_determinant, count_trees, count_trees_rooted,
-                                    enumerate_trees, kappa_edge, kappa_vertex,
+from linetrees.arborescence import (DENSE_HANDOFF, SpanningTree, _candidate_count, _parity,
+                                    _poly_mul, bareiss_determinant, count_trees,
+                                    determinant, enumerate_trees, kappa_edge, kappa_vertex,
                                     knuth_check, minor, out_laplacian, rhs_product,
-                                    validate_tree, verify_identity,
+                                    rooted_tree_counts, validate_tree, verify_identity,
                                     weighted_tree_sum)
 from linetrees.digraph import DiGraph, debruijn, kautz, line_graph
-from linetrees.errors import EnumerationBound, InvalidTreeError
+from linetrees.errors import MAX_ORDER_DIGITS, EnumerationBound, InvalidTreeError, count_text
+from oracles import count_trees_rooted, dense, dense_laplacian, dense_minor, sparse
 
 TWO_CYCLE = DiGraph(2, [(0, 1), (1, 0)])
 SELF_LOOP = DiGraph(1, [(0, 0)])
@@ -72,6 +75,19 @@ def test_candidate_count_matches_double_loop(g, data):
                            match=f"^{expected} candidate assignments exceed bound {expected - 1}$"):
             enumerate_trees(g, root, bound=expected - 1)
         enumerate_trees(g, root, bound=expected)
+
+
+def test_bound_message_past_the_digit_cap():
+    # 9100 vertices with three out-edges each: about 10^4345 candidates, past
+    # the digits str() will print, so the message gives the logarithm
+    rng = random.Random(0)
+    n = 9100
+    g = DiGraph(n, [(v, rng.randrange(n)) for v in range(n) for _ in range(3)])
+    with pytest.raises(EnumerationBound) as info:
+        enumerate_trees(g, bound=10)
+    assert str(info.value) == "about 10^4345.3 candidate assignments exceed bound 10"
+    assert count_text(10 ** MAX_ORDER_DIGITS - 1) == "9" * MAX_ORDER_DIGITS
+    assert count_text(10 ** MAX_ORDER_DIGITS) == f"about 10^{MAX_ORDER_DIGITS}.0"
 
 
 def test_validate_tree_rejects_cycles():
@@ -160,23 +176,22 @@ def test_validate_tree_linear_on_long_path():
 
 def test_count_rooted_kautz21():
     g = kautz(2, 1)
-    assert [count_trees_rooted(g, r) for r in range(3)] == [3, 3, 3]
+    assert rooted_tree_counts(g) == [count_trees_rooted(g, r) for r in range(3)] == [3, 3, 3]
     assert count_trees(g) == 9  # (m+1)^m
 
 
 def test_count_rooted_self_loop():
-    assert count_trees_rooted(SELF_LOOP, 0) == 1  # empty determinant
+    assert rooted_tree_counts(SELF_LOOP) == [count_trees_rooted(SELF_LOOP, 0)] == [1]  # empty
 
 
 def test_count_db22_by_roots():
     g = debruijn(2, 2)
-    assert sum(count_trees_rooted(g, r) for r in range(g.n)) == 8  # m^(m^n - 1)
+    assert sum(rooted_tree_counts(g)) == 8  # m^(m^n - 1)
 
 
 def test_count_zero_when_unreachable():
     g = DiGraph(3, [(0, 1), (1, 0), (0, 2)])  # nothing leaves vertex 2
-    assert count_trees_rooted(g, 0) == 0
-    assert count_trees_rooted(g, 2) == 1
+    assert rooted_tree_counts(g) == [0, 0, 1]
 
 
 @given(digraphs_with_indeg())
@@ -186,14 +201,113 @@ def test_determinant_matches_enumeration(g):
         validate_tree(g, t)
     assert len(set(trees)) == len(trees)
     by_root = Counter(t.root for t in trees)
-    for r in range(g.n):
-        assert count_trees_rooted(g, r) == by_root.get(r, 0)
+    expected = [by_root.get(r, 0) for r in range(g.n)]
+    assert rooted_tree_counts(g) == [count_trees_rooted(g, r) for r in range(g.n)] == expected
 
 
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
                 min_size=4, max_size=4))
 def test_bareiss_against_sympy(rows):
     assert bareiss_determinant(rows) == sympy.Matrix(rows).det()
+
+
+@st.composite
+def square_matrices(draw, max_k=DENSE_HANDOFF + 4):
+    """Square integer matrices past the handoff size, mostly zeros, with
+    negative entries and now and then a zero row or column or a repeated row."""
+    k = draw(st.integers(DENSE_HANDOFF + 1, max_k) | st.integers(0, max_k))
+    entry = st.integers(-9, 9) | st.just(0)
+    rows = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    if k:
+        kind = draw(st.sampled_from(["none", "zero row", "zero column", "repeated row"]))
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if kind == "zero row":
+            rows[i] = [0] * k
+        elif kind == "zero column":
+            for row in rows:
+                row[j] = 0
+        elif kind == "repeated row":
+            rows[i] = [3 * x for x in rows[j]]
+    return rows
+
+
+@given(square_matrices())
+def test_sparse_determinant_against_bareiss_and_sympy(rows):
+    assert determinant(sparse(rows)) == bareiss_determinant(rows) == sympy.Matrix(rows).det()
+
+
+def test_sparse_determinant_column_names_and_shape():
+    # the columns are the keys in increasing order, whatever their names
+    assert determinant([{5: 2, 9: 1}, {5: 1, 9: 3}]) == 5
+    assert determinant([{9: 2, 5: 1}, {9: 1, 5: 3}]) == -5
+    assert determinant([{0: 1}, {0: 2}]) == 0          # a zero column
+    assert determinant([]) == 1
+    with pytest.raises(ValueError):
+        determinant([{0: 1, 1: 1, 2: 1}, {0: 1}])
+    assert [_parity(p) for p in ([], [0, 1, 2], [1, 0, 2], [1, 2, 0], [3, 2, 1, 0])] == \
+        [1, 1, -1, 1, 1]
+
+
+def test_laplacian_rows_and_minor_match_the_dense_build():
+    g = DiGraph(4, [(0, 1), (0, 1), (1, 1), (1, 2), (2, 0), (3, 3), (3, 0)])
+    weights = [2, 3, 5, 7, 11, 13, 17]
+    lap = out_laplacian(g, weights)
+    assert dense(lap, 4) == dense_laplacian(g, weights)
+    assert lap[3] == {3: 17, 0: -17}    # the loop at 3 cancels
+    for r in range(4):
+        assert [[row.get(c, 0) for c in range(4) if c != r] for row in minor(lap, r)] == \
+            dense_minor(dense_laplacian(g, weights), r)
+
+
+@st.composite
+def weighted_multigraphs_past_handoff(draw):
+    """Multigraphs with more vertices than DENSE_HANDOFF, so the sparse phase
+    runs.  Every vertex v > 0 has an edge to a lower vertex, so trees
+    toward 0 exist, unless one such edge is cut (a second sink); a few more
+    edges add self-loops, parallel edges and cycles, and sources come up as
+    they fall.  Weights are 1-9, with one of them set to 0 now and then."""
+    n = draw(st.integers(DENSE_HANDOFF + 1, DENSE_HANDOFF + 4))
+    vertex = st.integers(0, n - 1)
+    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    if draw(st.booleans()) and draw(st.booleans()):
+        del edges[draw(st.integers(0, n - 2))]
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(edges), max_size=len(edges)))
+    if draw(st.booleans()) and draw(st.booleans()):
+        weights[draw(st.integers(0, len(edges) - 1))] = 0
+    return DiGraph(n, edges), weights
+
+
+@given(weighted_multigraphs_past_handoff())
+def test_sparse_determinant_against_enumeration(case):
+    g, weights = case
+    by_root = [0] * g.n
+    for t in enumerate_trees(g):
+        by_root[t.root] += prod(weights[e] for e in t.out_edge if e is not None)
+    lap = out_laplacian(g, weights)
+    assert [abs(determinant(minor(lap, r))) for r in range(g.n)] == by_root
+    assert weighted_tree_sum(g, weights) == sum(by_root)
+
+
+def three_out_eulerian(n, seed):
+    """Three random permutations on n vertices: indegree = outdegree = 3."""
+    rng = random.Random(seed)
+    edges = []
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges += [(v, perm[v]) for v in range(n)]
+    return DiGraph(n, edges)
+
+
+@pytest.mark.parametrize("n,seed", [(60, 1), (60, 2), (120, 3)])
+def test_sparse_determinant_against_bareiss_on_three_out_graphs(n, seed):
+    g = three_out_eulerian(n, seed)
+    lap = dense_laplacian(g)
+    for row in lap:
+        row[0] += 1
+    assert count_trees(g) == bareiss_determinant(lap) > 0
+    assert abs(determinant(minor(out_laplacian(g), 7))) == count_trees_rooted(g, 7)
 
 
 def test_kappa_polys_two_cycle():
@@ -343,13 +457,12 @@ def weighted_multigraphs(draw, max_n=5, max_m=9):
 
 @given(weighted_multigraphs())
 def test_weighted_tree_sum_is_the_sum_of_rooted_minors(case):
-    # one determinant of L + 1 e_0^T against the n per-root determinants
+    # one determinant of L + 1 e_0^T against the n dense per-root determinants
     g, weights = case
-    lap = out_laplacian(g, weights)
-    assert weighted_tree_sum(g, weights) == sum(abs(bareiss_determinant(minor(lap, r)))
+    assert weighted_tree_sum(g, weights) == sum(count_trees_rooted(g, r, weights)
                                                 for r in range(g.n))
     assert count_trees(g) == len(enumerate_trees(g)) == sum(
-        count_trees_rooted(g, r) for r in range(g.n))
+        count_trees_rooted(g, r) for r in range(g.n)) == sum(rooted_tree_counts(g))
 
 
 @pytest.mark.parametrize("g,line_count,base,prod", [

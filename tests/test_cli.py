@@ -249,31 +249,38 @@ def test_experiment_scripts_run():
         assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("argv,code,first,last,err", [
-    (["linegraph"], 0, "0 1", "10000 10000", ""),
-    (["trees", "enumerate", "--bound", "10"], 1, None, None,
+@pytest.mark.parametrize("argv,n,code,lines,err", [
+    (["linegraph"], 10 ** 4, 0, (10 ** 4 + 3, "0 1", "10000 10000"), ""),
+    (["trees", "enumerate", "--bound", "10"], 10 ** 4, 1, None,
      "error: 19999 candidate assignments exceed bound 10\n"),
-    (["trees", "identity-check", "--bound", "10"], 1, None, None,
+    (["trees", "identity-check", "--bound", "10"], 10 ** 4, 1, None,
      "error: 40000 candidate assignments exceed bound 10\n"),
-], ids=["linegraph", "trees-enumerate", "trees-identity-check"])
+    (["trees", "count"], 300, 0, (301, "spanning trees: 300", "  root 299: 1"), ""),
+    (["trees", "identity-check", "--method", "evaluate"], 300, 0,
+     (1, "identity holds: True (lhs terms: None, rhs terms: None)",
+      "identity holds: True (lhs terms: None, rhs terms: None)"), ""),
+], ids=["linegraph", "trees-enumerate", "trees-identity-check", "trees-count-cycle300",
+        "trees-identity-evaluate-cycle300"])
 def test_large_edge_list_within_time_bound(tmp_path, capsys, monkeypatch,
-                                           argv, code, first, last, err):
+                                           argv, n, code, lines, err):
     # a 10^4-line edge list: a cycle on 10^4 vertices plus a loop at 0; no
-    # subcommand may be quadratic in it before its enumeration bound refuses
-    n = 10 ** 4
+    # subcommand may be quadratic in it before its enumeration bound refuses.
+    # On a 300-cycle the determinant commands answer: `trees count` takes
+    # one sparse minor per root, the evaluated identity 8 determinants.
     path = tmp_path / "big.txt"
-    path.write_text("".join(f"{v} {(v + 1) % n}\n" for v in range(n)) + "0 0\n")
+    path.write_text("".join(f"{v} {(v + 1) % n}\n" for v in range(n))
+                    + ("0 0\n" if n == 10 ** 4 else ""))
     start = time.perf_counter()
     got_code, out, got_err = run_cli(capsys, monkeypatch, [*argv, "--input", str(path)])
     elapsed = time.perf_counter() - start
     assert (got_code, got_err) == (code, err)
-    lines = out.splitlines()
-    if first is None:
-        assert lines == []
+    got = out.splitlines()
+    if lines is None:
+        assert got == []
     else:
-        # the line graph: edges into vertex 0 (n - 1 -> 0 and the loop) have
-        # two successors, the other n - 1 edges one
-        assert (len(lines), lines[0], lines[-1]) == (n + 3, first, last)
+        # for the 10^4 line graph: edges into vertex 0 (n - 1 -> 0 and the
+        # loop) have two successors, the other n - 1 edges one
+        assert (len(got), got[0], got[-1]) == lines
     assert elapsed < 1.0
 
 

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from itertools import combinations
 from math import gcd, prod
 
@@ -7,7 +8,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, strategies as st
 
-from linetrees.arborescence import count_trees, count_trees_rooted, minor, out_laplacian
+from linetrees.arborescence import count_trees, minor, out_laplacian
 from linetrees.crit_group import (AbelianGroup, DivisibilityReport, _chain, _dense_diagonal,
                                   _divisor_pivots, check_divbym,
                                   critical_group, db_formula, group_from_cyclic_orders,
@@ -17,6 +18,7 @@ from linetrees.crit_group import (AbelianGroup, DivisibilityReport, _chain, _den
                                   tree_count_db, tree_count_kautz)
 from linetrees.digraph import DiGraph, debruijn, kautz
 from linetrees.errors import GraphError
+from oracles import count_trees_rooted, dense, dense_laplacian, dense_minor, sparse
 
 FIGURE_LAPLACIAN = [
     [-2, 0, 1, 1, 0, 0],
@@ -31,24 +33,24 @@ FIGURE_LAPLACIAN = [
 def test_laplacian_kautz22_matches_reference_matrix():
     # vertex order 01, 02, 10, 12, 20, 21 (lexicographic); the figure
     # shows A - D, the negation of the D - A builder
-    assert [[-x for x in row] for row in out_laplacian(kautz(2, 2))] == FIGURE_LAPLACIAN
+    assert [[-x for x in row] for row in dense(out_laplacian(kautz(2, 2)), 6)] == FIGURE_LAPLACIAN
 
 
 def test_laplacian_self_loop_and_two_cycle():
-    assert out_laplacian(DiGraph(1, [(0, 0)])) == [[0]]
-    assert out_laplacian(DiGraph(2, [(0, 1), (1, 0)])) == [[1, -1], [-1, 1]]
+    assert out_laplacian(DiGraph(1, [(0, 0)])) == [{}]
+    assert out_laplacian(DiGraph(2, [(0, 1), (1, 0)])) == [{0: 1, 1: -1}, {1: 1, 0: -1}]
 
 
 def test_snf_identity():
-    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).diagonal == [1, 1, 1]
+    assert smith_normal_form([{0: 1}, {1: 1}, {2: 1}]).diagonal == [1, 1, 1]
 
 
 def test_snf_hand_reducible():
-    assert smith_normal_form([[2, 0, 0], [0, 0, 0], [0, 0, 3]]).diagonal == [1, 6, 0]
+    assert smith_normal_form([{0: 2}, {}, {2: 3}]).diagonal == [1, 6, 0]
 
 
 def test_snf_kautz22_full_laplacian():
-    assert smith_normal_form(FIGURE_LAPLACIAN).diagonal == [1, 1, 1, 2, 6, 0]
+    assert smith_normal_form(sparse(FIGURE_LAPLACIAN)).diagonal == [1, 1, 1, 2, 6, 0]
 
 
 def _determinantal_divisor(rows, k):
@@ -85,8 +87,8 @@ def _dense_snf(rows):
 
 @given(sparse_matrices())
 def test_snf_transforms_and_sympy_agreement(rows):
-    result = smith_normal_form(rows)
     n, m = len(rows), len(rows[0])
+    result = smith_normal_form(sparse(rows), m)
     assert len(result.diagonal) == min(n, m)
     # d1 * ... * dk is the k-th determinantal divisor: the certificate that
     # the diagonal is the Smith form, independent of the elimination
@@ -110,16 +112,15 @@ def test_snf_transforms_and_sympy_agreement(rows):
     ([[2, 4], [4, 6]], ([2, 2], [], []), [2, 2]),
 ])
 def test_divisor_pivots_split(rows, split, diagonal):
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    assert _divisor_pivots(sparse, len(rows[0])) == split
-    assert smith_normal_form(rows).diagonal == diagonal
+    assert _divisor_pivots(sparse(rows)) == split
+    assert smith_normal_form(sparse(rows), len(rows[0])).diagonal == diagonal
 
 
 @pytest.mark.parametrize("make,m,n", [(debruijn, 2, 4), (debruijn, 3, 2), (kautz, 2, 3),
                                       (kautz, 3, 2)])
 def test_snf_full_laplacians_match_dense_loop(make, m, n):
-    lap = out_laplacian(make(m, n))
-    assert smith_normal_form(lap).diagonal == _dense_snf(lap)
+    g = make(m, n)
+    assert smith_normal_form(out_laplacian(g)).diagonal == _dense_snf(dense_laplacian(g))
 
 
 @pytest.mark.parametrize("make,m,n,most", [(debruijn, 2, 8, 0), (debruijn, 3, 5, 5),
@@ -128,8 +129,7 @@ def test_snf_full_laplacians_match_dense_loop(make, m, n):
 def test_divisor_pivots_leave_family_laplacians_a_small_dense_block(make, m, n, most):
     # the sparse phase does nearly all the work on the reduced Laplacians
     reduced = minor(out_laplacian(make(m, n)), 0)
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in reduced]
-    pivots, rest_rows, rest_cols = _divisor_pivots(sparse, len(reduced))
+    pivots, rest_rows, rest_cols = _divisor_pivots(reduced)
     assert len(rest_rows) == len(rest_cols) <= most
     assert len(pivots) + len(rest_rows) == len(reduced)
 
@@ -140,6 +140,30 @@ def test_critical_group_db_2_10_within_bound():
     group = critical_group(g)
     assert time.perf_counter() - started < 5.0
     assert group == db_formula(2, 10).normalize()
+
+
+@pytest.mark.parametrize("call", [critical_group, count_trees])
+def test_no_dense_matrix_on_the_library_path(call):
+    # one list of 1024 lists of 1024 entries takes 8 MB of pointers alone
+    g = debruijn(2, 10)
+    tracemalloc.start()
+    try:
+        call(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_snf_of_rows_with_named_columns():
+    # a minor's rows skip the deleted key; columns are named, not numbered
+    lap = dense_laplacian(kautz(2, 2))
+    for r in range(6):
+        rows = minor(sparse(lap), r)
+        assert smith_normal_form(rows).diagonal == _dense_snf(dense_minor(lap, r))
+    assert smith_normal_form([{7: 2}, {}], 3).diagonal == [2, 0]
+    with pytest.raises(ValueError):
+        smith_normal_form([{0: 1, 1: 1}, {2: 1}], 2)
 
 
 def test_sandpile_kautz21_every_sink():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import linetrees
 from linetrees.arborescence import SpanningTree, enumerate_trees, validate_tree
 from linetrees.digraph import DiGraph, debruijn, kautz, line_graph
-from linetrees.errors import InvalidTreeArrayError, InvalidTreeError
+from linetrees.errors import EnumerationBound, InvalidTreeArrayError, InvalidTreeError
 from linetrees.line_bijection import (LineContext, OMEGA, TreeArray, _check_term_counts,
                                       array_tree, enumerate_tree_arrays, shuffled_order,
                                       tree_array_count, validate_tree_array)
@@ -44,6 +44,14 @@ def test_enumerate_tree_arrays_counts():
     assert len(list(enumerate_tree_arrays(TWO_CYCLE))) == 2
     assert len(list(enumerate_tree_arrays(debruijn(2, 1)))) == 8
     assert len(list(enumerate_tree_arrays(kautz(2, 1)))) == 72
+
+
+def test_array_bound_message_past_the_digit_cap():
+    # one vertex with 1700 loops has 1700^1699 tree arrays, about 10^5488:
+    # too many digits for str(), so the message gives the logarithm
+    with pytest.raises(EnumerationBound,
+                       match=r"^about 10\^5488\.5 tree arrays exceed bound 10$"):
+        next(enumerate_tree_arrays(DiGraph(1, [(0, 0)] * 1700), bound=10))
 
 
 def test_sigma_two_cycle_hand_trace():
