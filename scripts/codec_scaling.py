@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the de Bruijn codec round trip against the degree.
 
-For each degree in DEGREES, a child process decodes one random code to
-build the level contexts, then times decode and encode of a fresh random
-code and checks the round trip.  Each child gets TIMEOUT_S seconds; the
+For each degree in DEGREES, a child process decodes one random code as a
+warm-up, then times decode and encode of a fresh random code and checks
+the round trip; peak RSS covers both.  Each child gets TIMEOUT_S seconds; the
 harness and --src are in scaling.py.
 
 Usage:
@@ -12,7 +12,7 @@ Usage:
 
 import scaling
 
-DEGREES = (10, 12, 14, 16, 18)
+DEGREES = (10, 12, 14, 16, 18, 20)
 TIMEOUT_S = 300.0
 SEED = 1
 CHILD = """

@@ -153,13 +153,20 @@ def _search_trees(g: DiGraph, roots: Sequence[int], weights: Sequence[int],
     out = g._out
     for r in roots:
         vertices = [v for v in range(n) if v != r]
-        k = len(vertices)
+        last = len(vertices) - 1
         choice: list[int | None] = [None] * n
-
-        def extend(i: int, key: int) -> None:
+        if last < 0:
+            leaf(r, choice, 0)
+            continue
+        # depth-first over the vertices in order, with an explicit stack
+        # (no recursion limit): level i holds the iterator over the
+        # out-edges of vertices[i] and the key of the choices above it
+        stack = [(iter(out[vertices[0]]), 0)]
+        while stack:
+            i = len(stack) - 1
             v = vertices[i]
-            last = i + 1 == k  # call leaf from here: one Python call per tree, not two
-            for e in out[v]:
+            edges, key = stack[i]
+            for e in edges:
                 # follow chosen edges from the new edge's target; reaching v
                 # again closes a cycle, anything unassigned (or the root) is fine
                 w = target[e]
@@ -167,16 +174,14 @@ def _search_trees(g: DiGraph, roots: Sequence[int], weights: Sequence[int],
                     w = target[choice[w]]
                 if w != v:
                     choice[v] = e
-                    if last:
+                    if i == last:  # call leaf from here: one step per tree, not two
                         leaf(r, choice, key + weights[e])
                     else:
-                        extend(i + 1, key + weights[e])
-                    choice[v] = None
-
-        if k:
-            extend(0, 0)
-        else:
-            leaf(r, choice, 0)
+                        stack.append((iter(out[vertices[i + 1]]), key + weights[e]))
+                        break
+            else:
+                choice[v] = None
+                stack.pop()
 
 
 def enumerate_trees(g: DiGraph, root: int | None = None,

@@ -35,20 +35,21 @@ assemble each A_k from its bits and T_k, apply the forward map to get
 T_{k+1}, and finally assemble A_{n-1} (non-root lists [non-tree edge, tree
 edge], root list [chosen edge, OMEGA]) whose image is the Hamiltonian path.
 
-No line graph is built: L(DB_k(2)) is DB_{k+1}(2) index for index, so the
-path enters the inverse map as succ[a] = b for its steps a -> b, and T_{k+1}
-as succ[v] = the target of v's tree edge in DB_{k+1}(2).
+No graph is built and nothing is kept between calls.  The bodies of sigma
+and pi read only a vertex count, the edge heads and the edge ranks, and
+edge e of DB_k(2) ends at e mod 2^k, so level k runs on the heads
+list(range(2^k)) * 2 with edges ranked by index.  L(DB_k(2)) is DB_{k+1}(2)
+index for index: the path enters the inverse map as succ[a] = b for its
+steps a -> b, T_{k+1} as succ[v] = the head of v's tree edge, and the line
+edge (e, f) that sigma gives back is the edge 2e + (f & 1) of DB_{k+1}(2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .arborescence import SpanningTree
-from .digraph import DiGraph
 from .errors import InvalidSequenceError
-from .line_bijection import LineContext, OMEGA, Succ, TreeArray, array_tree
+from .line_bijection import OMEGA, Succ, TreeArray, _pi, _sigma
 
 
 @dataclass(frozen=True)
@@ -103,17 +104,11 @@ def path_to_seq(path: HamPath) -> str:
     return bits
 
 
-@lru_cache(maxsize=None)
-def _context(k: int) -> LineContext:
-    # DB_k(2) without labels, which the codec never reads: edge e is the
-    # (k+1)-bit string e, from its first k bits to its last k bits, the
-    # same numbering as debruijn(2, k)
-    return LineContext(DiGraph(1 << k, [(e >> 1, e & ((1 << k) - 1)) for e in range(2 << k)]))
-
-
-def _zero_edge(v: int) -> int:
-    # out-edges of vertex v in DB_k(2) are the (k+1)-bit strings v0 and v1
-    return 2 * v
+def _heads(k: int) -> list[int]:
+    # edge e of DB_k(2) is the (k+1)-bit string e, from its first k bits to
+    # its last k bits as in debruijn(2, k): the out-edges of v are 2v
+    # (appending 0) and 2v + 1, and e ends at e mod 2^k
+    return list(range(1 << k)) * 2
 
 
 def _path_tree(path: HamPath) -> tuple[int, Succ]:
@@ -144,19 +139,22 @@ def encode(bits: str, degree: int | None = None) -> str:
     out = ["?"] * 2 ** (degree - 1)
 
     # The path tree comes from a validated sequence and each array from a
-    # valid tree, so the levels run the unchecked bodies of pi.
-    ctx = _context(degree - 1)
-    array = ctx._pi(*_path_tree(path), range(ctx.g.m))
+    # valid tree, so the levels run the unchecked body of pi.
+    k = degree - 1
+    array = _pi(1 << k, _heads(k), *_path_tree(path), range(2 << k))
     # Top level: only the root's first entry is a free bit.
-    out[2 ** (degree - 1) - 1] = "0" if array.lists[array.root][0] == _zero_edge(array.root) else "1"
+    out[2 ** k - 1] = str(array.lists[array.root][0] & 1)
 
     for k in range(degree - 2, 0, -1):
-        tree, target = array_tree(ctx.g, array), ctx.target
-        ctx = _context(k)
-        succ = tuple([None if e is None else target[e] for e in tree.out_edge])
-        array = ctx._pi(tree.root, succ, range(ctx.g.m))
-        for i, entries in enumerate(array.lists):
-            out[2 ** k - 1 + i] = "0" if entries[0] == _zero_edge(i) else "1"
+        # T_{k+1} is the last entries of A_{k+1}; vertex v of DB_{k+1}(2) is
+        # edge v of DB_k(2), and the head of its tree edge e, e mod 2^(k+1),
+        # is v's successor in L(DB_k(2))
+        mask = (2 << k) - 1
+        succ = [None if v == array.root else entries[-1] & mask
+                for v, entries in enumerate(array.lists)]
+        array = _pi(1 << k, _heads(k), array.root, succ, range(2 << k))
+        for v, entries in enumerate(array.lists):
+            out[2 ** k - 1 + v] = str(entries[0] & 1)
 
     out[0] = "0" if array.root == 0 else "1"
     return "".join(out)
@@ -172,34 +170,25 @@ def decode(code: str, degree: int) -> str:
     root = 0 if code[0] == "0" else 1
     # In DB_1(2) the non-root vertex's tree edge is forced: it must point
     # at the root, and edge 2v+w runs from v to w.
-    other = 1 - root
-    out: list[int | None] = [None, None]
-    out[other] = 2 * other + root
-    tree = SpanningTree(root, tuple(out))
+    tree: list[int | None] = [None, 2] if root == 0 else [1, None]
 
     # Every array below is a valid tree array for any code of the right
     # length (out-edges of each vertex, last entries a spanning tree), so
     # the levels run the unchecked body of sigma; path_to_seq still checks
-    # the final sequence.  Line edges of L(DB_k(2)) are edges of DB_{k+1}(2).
+    # the final sequence.  The line edge (e, f) of L(DB_k(2)) is the edge
+    # 2e + (f & 1) of DB_{k+1}(2).
     for k in range(1, degree - 1):
-        lists = []
-        for v in range(2 ** k):
-            first = _zero_edge(v) + (code[2 ** k - 1 + v] == "1")
-            second = OMEGA if v == tree.root else tree.out_edge[v]
-            lists.append((first, second))
-        ctx = _context(k)
-        tree = ctx.line_tree(*ctx._sigma(TreeArray(tree.root, tuple(lists)), range(ctx.g.m)))
+        lists = tuple((2 * v + (code[2 ** k - 1 + v] == "1"), OMEGA if v == root else tree[v])
+                      for v in range(2 ** k))
+        root, succ = _sigma(1 << k, _heads(k), TreeArray(root, lists), range(2 << k))
+        tree = [None if f is None else 2 * e + (f & 1) for e, f in enumerate(succ)]
 
-    lists = []
-    for v in range(2 ** (degree - 1)):
-        if v == tree.root:
-            first = _zero_edge(v) + (code[-1] == "1")
-            lists.append((first, OMEGA))
-        else:
-            # two distinct entries, the second being the tree edge
-            lists.append((tree.out_edge[v] ^ 1, tree.out_edge[v]))
-    ctx = _context(degree - 1)
-    _, succ = ctx._sigma(TreeArray(tree.root, tuple(lists)), range(ctx.g.m))
+    k = degree - 1
+    # the root's first entry is free; every other list holds two distinct
+    # entries, the second being the tree edge
+    lists = tuple((2 * v + (code[-1] == "1"), OMEGA) if v == root else (tree[v] ^ 1, tree[v])
+                  for v in range(2 ** k))
+    _, succ = _sigma(1 << k, _heads(k), TreeArray(root, lists), range(2 << k))
     return path_to_seq(_tree_path(succ, degree))
 
 

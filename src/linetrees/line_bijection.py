@@ -29,14 +29,17 @@ pi, given a spanning tree T' of LG and empty lists:
   3. if f is the root, append OMEGA to l_{t(f)} and return the lists.
 
 Vertex e of LG is edge e of G, and a line edge is a path (f, g) in G.  The
-maps' private bodies hold a tree of LG as a successor list, succ[f] = g,
-None at the root; line-edge ids, numbered by :class:`LineContext`, appear
-only at the public boundary, so the codec never builds LG.
+maps' bodies, ``_sigma(n, target, a, rank)`` and ``_pi(n, target, root,
+succ, rank)``, are functions of what they read: the vertex count n, the
+edge heads target[e] and the edge ranks.  They hold a tree of LG as a
+successor list, succ[f] = g, None at the root; line-edge ids, numbered by
+:class:`LineContext`, appear only at the public boundary, so the codec
+builds neither LG nor G.
 
 The public maps (``LineContext.sigma``/``pi``) validate their input once,
-in time linear in the size of the graph, and then run a private body that
-trusts it; internal callers (the de Bruijn codec, verify-all's round trips)
-call the bodies directly.  ``pi`` checks its tree through the numbering, in
+in time linear in the size of the graph, and then run a body that trusts
+it; internal callers (the de Bruijn codec, verify-all's round trips) call
+the bodies directly.  ``pi`` checks its tree through the numbering, in
 the pass that builds the successor list, so it builds no line graph either:
 line edge j out of e is valid iff off[e] <= j < off[e + 1], and its head is
 the (j - off[e])-th out-edge of t(e); the acyclicity walk is the one
@@ -189,56 +192,10 @@ class LineContext:
         return tuple([None if j is None else out(t)[j - o]
                       for j, t, o in zip(tree.out_edge, target, off)])
 
-    # -- forward map ----------------------------------------------------
-
     def sigma(self, a: TreeArray, order: Sequence[int] | None = None) -> SpanningTree:
         """Map a tree array of g to a spanning tree of the line graph."""
         validate_tree_array(self.g, a)
-        return self.line_tree(*self._sigma(a, _edge_ranks(self.g, order)))
-
-    def _sigma(self, a: TreeArray, rank: Sequence[int]) -> tuple[int, Succ]:
-        # sigma's body, for arrays already known to be valid; gives the root
-        # and successors of the image.  Its guards hold for every valid array
-        # and are checked anyway, as the safety net of callers that skip it.
-        m, target, lists = self.g.m, self.target, a.lists
-        count = [0] * m                # remaining copies of e in l_{s(e)}
-        for entries in lists:
-            for entry in entries:
-                if entry is not OMEGA:
-                    count[entry] += 1
-        initial_count = list(count)
-        heads = [0] * self.g.n         # next unpopped position per list
-        succ: list[int | None] = [None] * m
-        ready = [(rank[e], e) for e in range(m) if count[e] == 0]
-        heapq.heapify(ready)
-        added = 0
-        while True:
-            # Step 1: smallest edge with no remaining list copies and no
-            # out-edge chosen yet.  Non-emptiness is the well-definedness
-            # guarantee for valid arrays.
-            if not ready:
-                raise InvalidTreeArrayError("candidate set empty: tree-array invariant violated")
-            _, f = heapq.heappop(ready)
-            # Step 2: pop the head of l_{t(f)}.
-            v = target[f]
-            if heads[v] >= len(lists[v]):
-                raise InvalidTreeArrayError("popped an exhausted list")
-            entry = lists[v][heads[v]]
-            heads[v] += 1
-            if entry is OMEGA:
-                if added != m - 1:
-                    raise InvalidTreeArrayError(
-                        f"output has {added} line edges, expected {m - 1}")
-                _check_term_counts(succ, initial_count)
-                return f, tuple(succ)
-            # Step 3: record the line edge (f, entry).
-            succ[f] = entry
-            added += 1
-            count[entry] -= 1
-            if count[entry] == 0:
-                heapq.heappush(ready, (rank[entry], entry))
-
-    # -- inverse map ----------------------------------------------------
+        return self.line_tree(*_sigma(self.g.n, self.target, a, _edge_ranks(self.g, order)))
 
     def pi(self, tree: SpanningTree, order: Sequence[int] | None = None) -> TreeArray:
         """Map a spanning tree of the line graph back to a tree array of g.
@@ -257,29 +214,74 @@ class LineContext:
                 raise InvalidTreeError(f"vertex {e} needs exactly one out-edge with source {e}")
             succ[e] = out[target[e]][j - o]
         _check_reaches_root(root, succ)
-        return self._pi(root, succ, _edge_ranks(self.g, order))
+        return _pi(self.g.n, target, root, succ, _edge_ranks(self.g, order))
 
-    def _pi(self, root: int, succ: Sequence[int | None], rank: Sequence[int]) -> TreeArray:
-        # pi's body, for trees already known to be valid.  Its output is a
-        # valid tree array by the bijection, so it is not re-validated;
-        # pi(sigma(A)) == A in the tests and verify-all covers that.
-        m, target = self.g.m, self.target
-        indeg = _indegrees(succ)
-        lists: list[list[ArrayEntry]] = [[] for _ in range(self.g.n)]
-        leaves = [(rank[e], e) for e in range(m) if indeg[e] == 0 and e != root]
-        heapq.heapify(leaves)
-        for _ in range(m - 1):
-            if not leaves:
-                raise InvalidTreeError("no removable leaf: not a spanning tree of the line graph")
-            _, e = heapq.heappop(leaves)
-            f = succ[e]
-            lists[target[e]].append(f)
-            indeg[f] -= 1
-            if indeg[f] == 0 and f != root:
-                heapq.heappush(leaves, (rank[f], f))
-        # Only the root is left; close its target's list with OMEGA.
-        lists[target[root]].append(OMEGA)
-        return TreeArray(target[root], tuple(tuple(entries) for entries in lists))
+
+def _sigma(n: int, target: Sequence[int], a: TreeArray, rank: Sequence[int]) -> tuple[int, Succ]:
+    # sigma's body, on n vertices and the edge heads target, for arrays
+    # known to be valid: the root and successors of the image.  Its guards
+    # hold for every valid array and are checked anyway, as a safety net.
+    m, lists = len(target), a.lists
+    count = [0] * m                # remaining copies of e in l_{s(e)}
+    for entries in lists:
+        for entry in entries:
+            if entry is not OMEGA:
+                count[entry] += 1
+    initial_count = list(count)
+    heads = [0] * n                # next unpopped position per list
+    succ: list[int | None] = [None] * m
+    ready = [(rank[e], e) for e in range(m) if count[e] == 0]
+    heapq.heapify(ready)
+    added = 0
+    while True:
+        # Step 1: smallest edge with no remaining list copies and no
+        # out-edge chosen yet.  Non-emptiness is the well-definedness
+        # guarantee for valid arrays.
+        if not ready:
+            raise InvalidTreeArrayError("candidate set empty: tree-array invariant violated")
+        _, f = heapq.heappop(ready)
+        # Step 2: pop the head of l_{t(f)}.
+        v = target[f]
+        if heads[v] >= len(lists[v]):
+            raise InvalidTreeArrayError("popped an exhausted list")
+        entry = lists[v][heads[v]]
+        heads[v] += 1
+        if entry is OMEGA:
+            if added != m - 1:
+                raise InvalidTreeArrayError(
+                    f"output has {added} line edges, expected {m - 1}")
+            _check_term_counts(succ, initial_count)
+            return f, tuple(succ)
+        # Step 3: record the line edge (f, entry).
+        succ[f] = entry
+        added += 1
+        count[entry] -= 1
+        if count[entry] == 0:
+            heapq.heappush(ready, (rank[entry], entry))
+
+
+def _pi(n: int, target: Sequence[int], root: int, succ: Sequence[int | None],
+        rank: Sequence[int]) -> TreeArray:
+    # pi's body, on n vertices and the edge heads target, for trees known
+    # to be valid.  Its output is a valid tree array by the bijection, so it
+    # is not re-validated; pi(sigma(A)) == A in the tests and verify-all.
+    m = len(target)
+    indeg = _indegrees(succ)
+    lists: list[list[ArrayEntry]] = [[] for _ in range(n)]
+    leaves = [(rank[e], e) for e in range(m) if indeg[e] == 0 and e != root]
+    heapq.heapify(leaves)
+    for _ in range(m - 1):
+        if not leaves:
+            raise InvalidTreeError("no removable leaf: not a spanning tree of the line graph")
+        _, e = heapq.heappop(leaves)
+        f = succ[e]
+        lists[target[e]].append(f)
+        indeg[f] -= 1
+        if indeg[f] == 0 and f != root:
+            heapq.heappush(leaves, (rank[f], f))
+    # Only the root is left; close its target's list with OMEGA.
+    lists[target[root]].append(OMEGA)
+    return TreeArray(target[root], tuple(tuple(entries) for entries in lists))
 
 
 def _indegrees(succ: Succ) -> list[int]:

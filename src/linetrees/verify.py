@@ -20,7 +20,7 @@ from .crit_group import (check_divbym, critical_group, db_formula, group_order_d
                          group_order_kautz, kautz_formula, mult_by_k,
                          tree_count_db, tree_count_kautz)
 from .digraph import class_cycle, debruijn, kautz, label_isomorphic, line_graph
-from .line_bijection import (LineContext, _edge_ranks, enumerate_tree_arrays,
+from .line_bijection import (LineContext, _edge_ranks, _pi, _sigma, enumerate_tree_arrays,
                              shuffled_order, tree_array_count)
 
 DB_PARAMS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)]
@@ -73,6 +73,7 @@ def criterion_3_bijection() -> CriterionResult:
     checked = 0
     for g in graphs:
         ctx = LineContext(g)
+        n, target = g.n, ctx.target
         arrays = list(enumerate_tree_arrays(g))
         # The bodies take and give line trees as (root, successors), and the
         # enumerations build valid input, so the bodies skip validation.
@@ -80,12 +81,13 @@ def criterion_3_bijection() -> CriterionResult:
                       for t in enumerate_trees(ctx.line, bound=10 ** 8)}
         for order in [None] + [shuffled_order(g, seed) for seed in ORDER_SEEDS]:
             rank = _edge_ranks(g, order)
-            images = [ctx._sigma(a, rank) for a in arrays]
-            if any(ctx._pi(*t, rank) != a for a, t in zip(arrays, images)):
+            images = [_sigma(n, target, a, rank) for a in arrays]
+            if any(_pi(n, target, *t, rank) != a for a, t in zip(arrays, images)):
                 failure = "pi(sigma(A)) != A"
             elif set(images) != line_trees:
                 failure = "sigma image is not all line-graph trees"
-            elif any(ctx._sigma(ctx._pi(*t, rank), rank) != t for t in line_trees):
+            elif any(_sigma(n, target, _pi(n, target, *t, rank), rank) != t
+                     for t in line_trees):
                 failure = "sigma(pi(T)) != T"
             else:
                 continue

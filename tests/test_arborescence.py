@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from collections import Counter
 from math import prod
@@ -47,6 +48,19 @@ def test_enumerate_db21():
 def test_enumerate_respects_bound():
     with pytest.raises(EnumerationBound):
         enumerate_trees(debruijn(2, 2), bound=3)
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # the search keeps one stack level per vertex, not one Python frame, so
+    # a cycle longer than the recursion limit is searched in full
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    g = DiGraph(n, [(v, (v + 1) % n) for v in range(n)])  # edge v runs v -> v + 1
+    assert enumerate_trees(g) == [SpanningTree(r, tuple(None if v == r else v for v in range(n)))
+                                  for r in range(n)]
+    # the tree rooted at r reaches every vertex but r + 1
+    assert kappa_vertex(g) == {tuple(v for v in range(n) if v != (r + 1) % n): 1
+                               for r in range(n)}
 
 
 @st.composite

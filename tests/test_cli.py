@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import sys
 import time
 
@@ -282,6 +283,24 @@ def test_large_edge_list_within_time_bound(tmp_path, capsys, monkeypatch,
         # loop) have two successors, the other n - 1 edges one
         assert (len(got), got[0], got[-1]) == lines
     assert elapsed < 1.0
+
+
+def test_codec_degree16_within_time_bound(capsys, monkeypatch):
+    # a degree-16 round trip through the CLI: 2^15 code bits in, a 2^16-bit
+    # sequence out, and back; the library takes about 0.3 s each way
+    def timed(action, stdin):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, monkeypatch, ["codec", action, "--degree", "16"],
+                                   stdin=stdin + "\n")
+        elapsed = time.perf_counter() - start
+        assert (status, err, out.count("\n")) == (0, "", 1)
+        assert elapsed < 1.0
+        return out.strip()
+
+    code = "".join(random.Random(16).choice("01") for _ in range(2 ** 15))
+    bits = timed("decode", code)
+    assert len(bits) == 2 ** 16
+    assert timed("encode", bits) == code
 
 
 def test_usage_error_exit_code():

@@ -1,15 +1,17 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from linetrees import digraph
+from linetrees import db_codec, digraph
 from linetrees.arborescence import validate_tree
-from linetrees.db_codec import (HamPath, _context, _path_tree, decode, encode,
+from linetrees.db_codec import (HamPath, _heads, _path_tree, decode, encode,
                                 enumerate_db_sequences, path_to_seq, seq_to_path, validate)
 from linetrees.digraph import debruijn
 from linetrees.errors import InvalidSequenceError
-from linetrees.line_bijection import LineContext, validate_tree_array
+from linetrees.line_bijection import LineContext, array_tree, validate_tree_array
 
 
 def test_validate_degree2():
@@ -148,32 +150,40 @@ def test_large_degree_roundtrip_spot():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_internal_levels_match_public_maps(seed, monkeypatch):
-    # The codec levels call the unchecked bodies of sigma and pi.  Record
-    # every call at degree 9 and check each input and output with the
-    # public validators, and each output against the public map.
+    # The codec levels call the unchecked bodies of sigma and pi on bare
+    # edge heads.  Record every call at degree 9 and check it against
+    # LineContext(debruijn(2, k)): its heads and ranks, each input and
+    # output with the public validators, each output against the public
+    # map, and each tree handed between levels against the array it came
+    # from or goes to.
     degree = 9
     rng = random.Random(seed)
     code = "".join(rng.choice("01") for _ in range(2 ** (degree - 1)))
     calls = []
-    body_sigma, body_pi = LineContext._sigma, LineContext._pi
+    body_sigma, body_pi = db_codec._sigma, db_codec._pi
 
-    def record_sigma(ctx, a, rank):
-        root, succ = body_sigma(ctx, a, rank)
-        calls.append(("sigma", ctx, a, root, succ))
+    def record_sigma(n, target, a, rank):
+        root, succ = body_sigma(n, target, a, rank)
+        calls.append(("sigma", n, target, rank, a, root, succ))
         return root, succ
 
-    def record_pi(ctx, root, succ, rank):
-        a = body_pi(ctx, root, succ, rank)
-        calls.append(("pi", ctx, a, root, succ))
+    def record_pi(n, target, root, succ, rank):
+        a = body_pi(n, target, root, succ, rank)
+        calls.append(("pi", n, target, rank, a, root, succ))
         return a
 
-    monkeypatch.setattr(LineContext, "_sigma", record_sigma)
-    monkeypatch.setattr(LineContext, "_pi", record_pi)
+    monkeypatch.setattr(db_codec, "_sigma", record_sigma)
+    monkeypatch.setattr(db_codec, "_pi", record_pi)
     bits = decode(code, degree)
     assert encode(bits, degree) == code
     monkeypatch.undo()
     assert [c[0] for c in calls] == ["sigma"] * (degree - 1) + ["pi"] * (degree - 1)
-    for kind, ctx, a, root, succ in calls:
+    contexts = {k: LineContext(debruijn(2, k)) for k in range(1, degree)}
+    levels = [c[1].bit_length() - 1 for c in calls]
+    assert levels == [*range(1, degree), *range(degree - 1, 0, -1)]
+    for (kind, n, target, rank, a, root, succ), k in zip(calls, levels):
+        ctx = contexts[k]
+        assert n == ctx.g.n and list(target) == ctx.target and list(rank) == list(range(ctx.g.m))
         validate_tree_array(ctx.g, a)
         tree = ctx.line_tree(root, succ)
         validate_tree(ctx.line, tree)
@@ -182,29 +192,49 @@ def test_internal_levels_match_public_maps(seed, monkeypatch):
             assert ctx.sigma(a) == tree
         else:
             assert ctx.pi(tree) == a
+    # L(DB_k(2)) is DB_{k+1}(2): the line tree of each level is the tree of
+    # last entries of the array one level up, as decode and encode hand it on
+    by_level = {(c[0], k): c for c, k in zip(calls, levels)}
+    for kind in ("sigma", "pi"):
+        for k in range(1, degree - 1):
+            lower, upper = by_level[kind, k], by_level[kind, k + 1]
+            assert (contexts[k].line_tree(lower[5], lower[6])
+                    == array_tree(contexts[k + 1].g, upper[4]))
 
 
 def test_codec_builds_no_line_graph(monkeypatch):
-    # DB_{k+1}(2) = L(DB_k(2)) index for index, so the levels need no line
-    # graph; fresh contexts make sure none is built on the way
-    def refuse(g):
-        raise AssertionError("line_graph called")
+    # the levels run on edge heads alone, so no line graph, no graph and no
+    # LineContext is built on the way
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built")
 
     monkeypatch.setattr(digraph, "line_graph", refuse)
     monkeypatch.setattr("linetrees.line_bijection.line_graph", refuse)
-    _context.cache_clear()
+    monkeypatch.setattr(digraph.DiGraph, "__init__", refuse)
+    monkeypatch.setattr(LineContext, "__init__", refuse)
+    code = "".join(random.Random(9).choice("01") for _ in range(2 ** 8))
+    assert encode(decode(code, 9), 9) == code
+
+
+def test_codec_keeps_nothing_between_calls():
+    # once a call returns, the memory its levels took is free again
+    code = "".join(random.Random(12).choice("01") for _ in range(2 ** 11))
+    gc.collect()
+    tracemalloc.start()
     try:
-        code = "".join(random.Random(9).choice("01") for _ in range(2 ** 8))
-        assert encode(decode(code, 9), 9) == code
+        before = tracemalloc.get_traced_memory()[0]
+        assert encode(decode(code, 12), 12) == code
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
     finally:
-        _context.cache_clear()
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
 
 
-def test_context_graphs_match_debruijn_edges():
-    # the codec's unlabelled level graphs number their edges as debruijn(2, k)
+def test_level_heads_match_debruijn_targets():
+    # the codec's level k runs on the heads of debruijn(2, k), edge for edge
     for k in range(1, 13):
-        g = _context(k).g
-        assert g.n == 2 ** k and g.edges == debruijn(2, k).edges
+        assert _heads(k) == [t for _, t in debruijn(2, k).edges]
 
 
 def test_windows_match_direct_reading():

@@ -10,8 +10,8 @@ import linetrees
 from linetrees.arborescence import SpanningTree, enumerate_trees, validate_tree
 from linetrees.digraph import DiGraph, debruijn, kautz, line_graph
 from linetrees.errors import EnumerationBound, InvalidTreeArrayError, InvalidTreeError
-from linetrees.line_bijection import (LineContext, OMEGA, TreeArray, _check_term_counts,
-                                      array_tree, enumerate_tree_arrays, shuffled_order,
+from linetrees.line_bijection import (LineContext, OMEGA, TreeArray, _check_term_counts, _pi,
+                                      _sigma, array_tree, enumerate_tree_arrays, shuffled_order,
                                       tree_array_count, validate_tree_array)
 
 TWO_CYCLE = DiGraph(2, [(0, 1), (1, 0)])
@@ -192,7 +192,7 @@ def test_pi_rejects_what_validate_tree_rejects(case):
     expected = _outcome(lambda: validate_tree(ctx.line, t))
     got = _outcome(lambda: ctx.pi(t))
     if expected is None:
-        assert got == ctx._pi(t.root, ctx.successors(t), range(ctx.g.m))
+        assert got == _pi(ctx.g.n, ctx.target, t.root, ctx.successors(t), range(ctx.g.m))
     else:
         assert got == expected
 
@@ -303,12 +303,11 @@ UNCHECKED_SIGMA_CASES = [
 @pytest.mark.parametrize("array,message", UNCHECKED_SIGMA_CASES)
 def test_sigma_body_guards_raise_typed_errors(array, message):
     with pytest.raises(InvalidTreeArrayError, match=message):
-        LineContext(TWO_CYCLE)._sigma(array, range(2))
+        _sigma(2, [1, 0], array, range(2))
 
 
 def test_term_count_check_raises_typed_error():
-    ctx = LineContext(TWO_CYCLE)
-    root, succ = ctx._sigma(TreeArray(0, ((OMEGA,), (1,))), range(2))
+    root, succ = _sigma(2, [1, 0], TreeArray(0, ((OMEGA,), (1,))), range(2))
     _check_term_counts(succ, [0, 1])  # one copy of edge 1, in vertex 1's list
     with pytest.raises(InvalidTreeArrayError, match="indegrees disagree"):
         _check_term_counts(succ, [0, 0])
@@ -321,7 +320,7 @@ def test_pi_body_guard_raises_typed_error():
     with pytest.raises(InvalidTreeError):
         validate_tree(ctx.line, ctx.line_tree(1, (1, 0)))
     with pytest.raises(InvalidTreeError, match="no removable leaf"):
-        ctx._pi(1, (1, 0), range(2))
+        _pi(2, ctx.target, 1, (1, 0), range(2))
 
 
 def test_sigma_body_guards_survive_optimize_flag():
@@ -329,13 +328,11 @@ def test_sigma_body_guards_survive_optimize_flag():
     src = Path(linetrees.__file__).resolve().parent.parent
     script = (
         "import sys\n"
-        "from linetrees.digraph import DiGraph\n"
         "from linetrees.errors import InvalidTreeArrayError\n"
-        "from linetrees.line_bijection import LineContext, TreeArray\n"
+        "from linetrees.line_bijection import TreeArray, _sigma\n"
         "assert False, 'asserts are not stripped'\n"
-        "ctx = LineContext(DiGraph(2, [(0, 1), (1, 0)]))\n"
         "try:\n"
-        "    ctx._sigma(TreeArray(0, ((0,), (1,))), range(2))\n"
+        "    _sigma(2, [1, 0], TreeArray(0, ((0,), (1,))), range(2))\n"
         "except InvalidTreeArrayError as exc:\n"
         "    print(type(exc).__name__, exc)\n"
         "else:\n"
