@@ -36,12 +36,13 @@ T_{k+1}, and finally assemble A_{n-1} (non-root lists [non-tree edge, tree
 edge], root list [chosen edge, OMEGA]) whose image is the Hamiltonian path.
 
 No graph is built and nothing is kept between calls.  The bodies of sigma
-and pi read only a vertex count, the edge heads and the edge ranks, and
+and pi read only a vertex count, the edge heads and the edge order, and
 edge e of DB_k(2) ends at e mod 2^k, so level k runs on the heads
-list(range(2^k)) * 2 with edges ranked by index.  L(DB_k(2)) is DB_{k+1}(2)
-index for index: the path enters the inverse map as succ[a] = b for its
-steps a -> b, T_{k+1} as succ[v] = the head of v's tree edge, and the line
-edge (e, f) that sigma gives back is the edge 2e + (f & 1) of DB_{k+1}(2).
+list(range(2^k)) * 2 in index order, range(2^(k+1)).  L(DB_k(2)) is
+DB_{k+1}(2) index for index: the path enters the inverse map as
+succ[a] = b for its steps a -> b, T_{k+1} as succ[v] = the head of v's
+tree edge, and the line edge (e, f) that sigma gives back is the edge
+2e + (f & 1) of DB_{k+1}(2).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _windows(bits: str, degree: int) -> list[int]:
     if len(bits) != 2 ** degree:
         raise InvalidSequenceError(
             f"sequence of degree {degree} must have length {2 ** degree}, got {len(bits)}")
-    if any(c not in "01" for c in bits):
+    if bits.strip("01"):
         raise InvalidSequenceError("sequence must consist of 0s and 1s")
     mask = (1 << degree) - 1
     # seeded with the first degree-1 bits, each further bit completes a window
@@ -164,7 +165,7 @@ def decode(code: str, degree: int) -> str:
     """Inverse of encode: bit string of length 2^(n-1) -> de Bruijn sequence."""
     if degree < 2:
         raise InvalidSequenceError("decoding requires degree >= 2")
-    if len(code) != 2 ** (degree - 1) or any(c not in "01" for c in code):
+    if len(code) != 2 ** (degree - 1) or code.strip("01"):
         raise InvalidSequenceError(
             f"code for degree {degree} must be a bit string of length {2 ** (degree - 1)}")
     root = 0 if code[0] == "0" else 1

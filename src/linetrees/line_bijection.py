@@ -29,12 +29,21 @@ pi, given a spanning tree T' of LG and empty lists:
   3. if f is the root, append OMEGA to l_{t(f)} and return the lists.
 
 Vertex e of LG is edge e of G, and a line edge is a path (f, g) in G.  The
-maps' bodies, ``_sigma(n, target, a, rank)`` and ``_pi(n, target, root,
-succ, rank)``, are functions of what they read: the vertex count n, the
-edge heads target[e] and the edge ranks.  They hold a tree of LG as a
-successor list, succ[f] = g, None at the root; line-edge ids, numbered by
-:class:`LineContext`, appear only at the public boundary, so the codec
-builds neither LG nor G.
+maps' bodies, ``_sigma(n, target, a, order)`` and ``_pi(n, target, root,
+succ, order)``, are functions of what they read: the vertex count n, the
+edge heads target[e] and the edge order itself, smallest first.  They hold
+a tree of LG as a successor list, succ[f] = g, None at the root; line-edge
+ids, numbered by :class:`LineContext`, appear only at the public boundary,
+so the codec builds neither LG nor G.
+
+Both bodies take the smallest ready element in linear time, with no heap,
+as in the linear decoding of a Pruefer code.  A ready element (a candidate
+in sigma, a leaf in pi) stays ready until it is taken, and each step makes
+at most one new element ready: in sigma the popped entry whose count
+reaches 0, in pi succ[f] once its indegree reaches 0.  So one scan over
+the order takes each ready element it reaches, and after each step takes
+the newly ready element at once if the scan has already passed it, since
+every other ready element lies ahead of the scan; otherwise it scans on.
 
 The public maps (``LineContext.sigma``/``pi``) validate their input once,
 in time linear in the size of the graph, and then run a body that trusts
@@ -56,12 +65,11 @@ generating-function identity.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .arborescence import (SpanningTree, _check_reaches_root, _check_shape, count_trees,
                            degree_product, enumerate_trees, validate_tree, DEFAULT_BOUND)
@@ -138,19 +146,21 @@ def array_tree(g: DiGraph, a: TreeArray) -> SpanningTree:
     return SpanningTree(a.root, tuple(out))
 
 
-def _edge_ranks(g: DiGraph, order: Sequence[int] | None) -> Sequence[int]:
+def _edge_order(g: DiGraph, order: Sequence[int] | None) -> Sequence[int]:
+    """The order itself once checked to be a permutation of the edge ids;
+    edge-index order for None."""
     m = g.m
     if order is None:
         return range(m)
     if len(order) != m:
         raise ValueError("edge order must be a permutation of all edge ids")
     # m distinct ids in range(m) are a permutation of it
-    ranks: list[int | None] = [None] * m
-    for rank, e in enumerate(order):
-        if not (isinstance(e, int) and 0 <= e < m) or ranks[e] is not None:
+    seen = bytearray(m)
+    for e in order:
+        if not (isinstance(e, int) and 0 <= e < m) or seen[e]:
             raise ValueError("edge order must be a permutation of all edge ids")
-        ranks[e] = rank
-    return ranks
+        seen[e] = 1
+    return order
 
 
 def shuffled_order(g: DiGraph, seed: int) -> list[int]:
@@ -195,7 +205,7 @@ class LineContext:
     def sigma(self, a: TreeArray, order: Sequence[int] | None = None) -> SpanningTree:
         """Map a tree array of g to a spanning tree of the line graph."""
         validate_tree_array(self.g, a)
-        return self.line_tree(*_sigma(self.g.n, self.target, a, _edge_ranks(self.g, order)))
+        return self.line_tree(*_sigma(self.g.n, self.target, a, _edge_order(self.g, order)))
 
     def pi(self, tree: SpanningTree, order: Sequence[int] | None = None) -> TreeArray:
         """Map a spanning tree of the line graph back to a tree array of g.
@@ -214,10 +224,11 @@ class LineContext:
                 raise InvalidTreeError(f"vertex {e} needs exactly one out-edge with source {e}")
             succ[e] = out[target[e]][j - o]
         _check_reaches_root(root, succ)
-        return _pi(self.g.n, target, root, succ, _edge_ranks(self.g, order))
+        return _pi(self.g.n, target, root, succ, _edge_order(self.g, order))
 
 
-def _sigma(n: int, target: Sequence[int], a: TreeArray, rank: Sequence[int]) -> tuple[int, Succ]:
+def _sigma(n: int, target: Sequence[int], a: TreeArray,
+           order: Iterable[int]) -> tuple[int, Succ]:
     # sigma's body, on n vertices and the edge heads target, for arrays
     # known to be valid: the root and successors of the image.  Its guards
     # hold for every valid array and are checked anyway, as a safety net.
@@ -230,55 +241,64 @@ def _sigma(n: int, target: Sequence[int], a: TreeArray, rank: Sequence[int]) -> 
     initial_count = list(count)
     heads = [0] * n                # next unpopped position per list
     succ: list[int | None] = [None] * m
-    ready = [(rank[e], e) for e in range(m) if count[e] == 0]
-    heapq.heapify(ready)
+    passed = bytearray(m)          # the scan has reached e
     added = 0
-    while True:
-        # Step 1: smallest edge with no remaining list copies and no
-        # out-edge chosen yet.  Non-emptiness is the well-definedness
-        # guarantee for valid arrays.
-        if not ready:
-            raise InvalidTreeArrayError("candidate set empty: tree-array invariant violated")
-        _, f = heapq.heappop(ready)
-        # Step 2: pop the head of l_{t(f)}.
-        v = target[f]
-        if heads[v] >= len(lists[v]):
-            raise InvalidTreeArrayError("popped an exhausted list")
-        entry = lists[v][heads[v]]
-        heads[v] += 1
-        if entry is OMEGA:
-            if added != m - 1:
-                raise InvalidTreeArrayError(
-                    f"output has {added} line edges, expected {m - 1}")
-            _check_term_counts(succ, initial_count)
-            return f, tuple(succ)
-        # Step 3: record the line edge (f, entry).
-        succ[f] = entry
-        added += 1
-        count[entry] -= 1
-        if count[entry] == 0:
-            heapq.heappush(ready, (rank[entry], entry))
+    # Step 1: the smallest edge with no remaining list copies and no
+    # out-edge chosen yet, by the scan described in the module docstring.
+    for f in order:
+        passed[f] = 1
+        if count[f]:
+            continue
+        while True:
+            # Step 2: pop the head of l_{t(f)}.
+            v = target[f]
+            if heads[v] >= len(lists[v]):
+                raise InvalidTreeArrayError("popped an exhausted list")
+            entry = lists[v][heads[v]]
+            heads[v] += 1
+            if entry is OMEGA:
+                if added != m - 1:
+                    raise InvalidTreeArrayError(
+                        f"output has {added} line edges, expected {m - 1}")
+                _check_term_counts(succ, initial_count)
+                return f, tuple(succ)
+            # Step 3: record the line edge (f, entry).
+            succ[f] = entry
+            added += 1
+            count[entry] -= 1
+            if count[entry] or not passed[entry]:
+                break
+            f = entry
+    # Non-emptiness of the candidate set is the well-definedness guarantee
+    # for valid arrays: they reach OMEGA before the scan ends.
+    raise InvalidTreeArrayError("candidate set empty: tree-array invariant violated")
 
 
 def _pi(n: int, target: Sequence[int], root: int, succ: Sequence[int | None],
-        rank: Sequence[int]) -> TreeArray:
+        order: Iterable[int]) -> TreeArray:
     # pi's body, on n vertices and the edge heads target, for trees known
     # to be valid.  Its output is a valid tree array by the bijection, so it
     # is not re-validated; pi(sigma(A)) == A in the tests and verify-all.
+    # The smallest leaf is found by the same scan as in _sigma.
     m = len(target)
     indeg = _indegrees(succ)
     lists: list[list[ArrayEntry]] = [[] for _ in range(n)]
-    leaves = [(rank[e], e) for e in range(m) if indeg[e] == 0 and e != root]
-    heapq.heapify(leaves)
-    for _ in range(m - 1):
-        if not leaves:
-            raise InvalidTreeError("no removable leaf: not a spanning tree of the line graph")
-        _, e = heapq.heappop(leaves)
-        f = succ[e]
-        lists[target[e]].append(f)
-        indeg[f] -= 1
-        if indeg[f] == 0 and f != root:
-            heapq.heappush(leaves, (rank[f], f))
+    passed = bytearray(m)
+    peeled = 0
+    for e in order:
+        passed[e] = 1
+        if indeg[e] or e == root:
+            continue
+        while True:
+            f = succ[e]
+            lists[target[e]].append(f)
+            peeled += 1
+            indeg[f] -= 1
+            if indeg[f] or f == root or not passed[f]:
+                break
+            e = f
+    if peeled != m - 1:
+        raise InvalidTreeError("no removable leaf: not a spanning tree of the line graph")
     # Only the root is left; close its target's list with OMEGA.
     lists[target[root]].append(OMEGA)
     return TreeArray(target[root], tuple(tuple(entries) for entries in lists))

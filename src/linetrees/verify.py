@@ -20,8 +20,8 @@ from .crit_group import (check_divbym, critical_group, db_formula, group_order_d
                          group_order_kautz, kautz_formula, mult_by_k,
                          tree_count_db, tree_count_kautz)
 from .digraph import class_cycle, debruijn, kautz, label_isomorphic, line_graph
-from .line_bijection import (LineContext, _edge_ranks, _pi, _sigma, enumerate_tree_arrays,
-                             shuffled_order, tree_array_count)
+from .line_bijection import (LineContext, _pi, _sigma, enumerate_tree_arrays, shuffled_order,
+                             tree_array_count)
 
 DB_PARAMS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)]
 KAUTZ_PARAMS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
@@ -79,14 +79,13 @@ def criterion_3_bijection() -> CriterionResult:
         # enumerations build valid input, so the bodies skip validation.
         line_trees = {(t.root, ctx.successors(t))
                       for t in enumerate_trees(ctx.line, bound=10 ** 8)}
-        for order in [None] + [shuffled_order(g, seed) for seed in ORDER_SEEDS]:
-            rank = _edge_ranks(g, order)
-            images = [_sigma(n, target, a, rank) for a in arrays]
-            if any(_pi(n, target, *t, rank) != a for a, t in zip(arrays, images)):
+        for order in [range(g.m)] + [shuffled_order(g, seed) for seed in ORDER_SEEDS]:
+            images = [_sigma(n, target, a, order) for a in arrays]
+            if any(_pi(n, target, *t, order) != a for a, t in zip(arrays, images)):
                 failure = "pi(sigma(A)) != A"
             elif set(images) != line_trees:
                 failure = "sigma image is not all line-graph trees"
-            elif any(_sigma(n, target, _pi(n, target, *t, rank), rank) != t
+            elif any(_sigma(n, target, _pi(n, target, *t, order), order) != t
                      for t in line_trees):
                 failure = "sigma(pi(T)) != T"
             else:

@@ -1,12 +1,21 @@
-"""Dense, slow oracles for the sparse matrix code.
+"""Slow oracles for the library's fast paths.
 
 The library holds matrices as sparse rows, one {col: value} dict per row.
 These helpers build the same matrices as dense lists and count rooted
 trees by one dense Bareiss minor per root, the route the library took
 before its sparse determinant.
+
+``heap_sigma`` and ``heap_pi`` run the tree-array maps as they read: each
+step pops the smallest ready element from a heap keyed by edge rank, in
+O(m log m).  The library's bodies find the same elements in one linear
+scan of the edge order.
 """
 
+import heapq
+
 from linetrees.arborescence import bareiss_determinant
+from linetrees.errors import InvalidTreeArrayError, InvalidTreeError
+from linetrees.line_bijection import OMEGA, TreeArray, _check_term_counts, _indegrees
 
 
 def dense(rows, cols):
@@ -36,3 +45,65 @@ def dense_minor(matrix, r):
 def count_trees_rooted(g, root, weights=None):
     """Weighted trees rooted at `root`: one dense Bareiss minor."""
     return abs(bareiss_determinant(dense_minor(dense_laplacian(g, weights), root)))
+
+
+def _ranks(order):
+    rank = [0] * len(order)
+    for r, e in enumerate(order):
+        rank[e] = r
+    return rank
+
+
+def heap_sigma(n, target, a, order):
+    """sigma's body with a heap of (rank, edge) candidates."""
+    m, lists, rank = len(target), a.lists, _ranks(order)
+    count = [0] * m
+    for entries in lists:
+        for entry in entries:
+            if entry is not OMEGA:
+                count[entry] += 1
+    initial_count = list(count)
+    heads = [0] * n
+    succ = [None] * m
+    ready = [(rank[e], e) for e in range(m) if count[e] == 0]
+    heapq.heapify(ready)
+    added = 0
+    while True:
+        if not ready:
+            raise InvalidTreeArrayError("candidate set empty: tree-array invariant violated")
+        _, f = heapq.heappop(ready)
+        v = target[f]
+        if heads[v] >= len(lists[v]):
+            raise InvalidTreeArrayError("popped an exhausted list")
+        entry = lists[v][heads[v]]
+        heads[v] += 1
+        if entry is OMEGA:
+            if added != m - 1:
+                raise InvalidTreeArrayError(f"output has {added} line edges, expected {m - 1}")
+            _check_term_counts(succ, initial_count)
+            return f, tuple(succ)
+        succ[f] = entry
+        added += 1
+        count[entry] -= 1
+        if count[entry] == 0:
+            heapq.heappush(ready, (rank[entry], entry))
+
+
+def heap_pi(n, target, root, succ, order):
+    """pi's body with a heap of (rank, edge) leaves."""
+    m, rank = len(target), _ranks(order)
+    indeg = _indegrees(succ)
+    lists = [[] for _ in range(n)]
+    leaves = [(rank[e], e) for e in range(m) if indeg[e] == 0 and e != root]
+    heapq.heapify(leaves)
+    for _ in range(m - 1):
+        if not leaves:
+            raise InvalidTreeError("no removable leaf: not a spanning tree of the line graph")
+        _, e = heapq.heappop(leaves)
+        f = succ[e]
+        lists[target[e]].append(f)
+        indeg[f] -= 1
+        if indeg[f] == 0 and f != root:
+            heapq.heappush(leaves, (rank[f], f))
+    lists[target[root]].append(OMEGA)
+    return TreeArray(target[root], tuple(tuple(entries) for entries in lists))

@@ -12,6 +12,7 @@ from linetrees.db_codec import (HamPath, _heads, _path_tree, decode, encode,
 from linetrees.digraph import debruijn
 from linetrees.errors import InvalidSequenceError
 from linetrees.line_bijection import LineContext, array_tree, validate_tree_array
+from oracles import heap_pi, heap_sigma
 
 
 def test_validate_degree2():
@@ -152,7 +153,7 @@ def test_large_degree_roundtrip_spot():
 def test_internal_levels_match_public_maps(seed, monkeypatch):
     # The codec levels call the unchecked bodies of sigma and pi on bare
     # edge heads.  Record every call at degree 9 and check it against
-    # LineContext(debruijn(2, k)): its heads and ranks, each input and
+    # LineContext(debruijn(2, k)): its heads and edge order, each input and
     # output with the public validators, each output against the public
     # map, and each tree handed between levels against the array it came
     # from or goes to.
@@ -162,14 +163,14 @@ def test_internal_levels_match_public_maps(seed, monkeypatch):
     calls = []
     body_sigma, body_pi = db_codec._sigma, db_codec._pi
 
-    def record_sigma(n, target, a, rank):
-        root, succ = body_sigma(n, target, a, rank)
-        calls.append(("sigma", n, target, rank, a, root, succ))
+    def record_sigma(n, target, a, order):
+        root, succ = body_sigma(n, target, a, order)
+        calls.append(("sigma", n, target, order, a, root, succ))
         return root, succ
 
-    def record_pi(n, target, root, succ, rank):
-        a = body_pi(n, target, root, succ, rank)
-        calls.append(("pi", n, target, rank, a, root, succ))
+    def record_pi(n, target, root, succ, order):
+        a = body_pi(n, target, root, succ, order)
+        calls.append(("pi", n, target, order, a, root, succ))
         return a
 
     monkeypatch.setattr(db_codec, "_sigma", record_sigma)
@@ -181,9 +182,9 @@ def test_internal_levels_match_public_maps(seed, monkeypatch):
     contexts = {k: LineContext(debruijn(2, k)) for k in range(1, degree)}
     levels = [c[1].bit_length() - 1 for c in calls]
     assert levels == [*range(1, degree), *range(degree - 1, 0, -1)]
-    for (kind, n, target, rank, a, root, succ), k in zip(calls, levels):
+    for (kind, n, target, order, a, root, succ), k in zip(calls, levels):
         ctx = contexts[k]
-        assert n == ctx.g.n and list(target) == ctx.target and list(rank) == list(range(ctx.g.m))
+        assert n == ctx.g.n and list(target) == ctx.target and list(order) == list(range(ctx.g.m))
         validate_tree_array(ctx.g, a)
         tree = ctx.line_tree(root, succ)
         validate_tree(ctx.line, tree)
@@ -200,6 +201,34 @@ def test_internal_levels_match_public_maps(seed, monkeypatch):
             lower, upper = by_level[kind, k], by_level[kind, k + 1]
             assert (contexts[k].line_tree(lower[5], lower[6])
                     == array_tree(contexts[k + 1].g, upper[4]))
+
+
+@pytest.mark.parametrize("degree", range(8, 13))
+def test_codec_matches_heap_bodies(degree, monkeypatch):
+    # the codec on the linear scans against the codec on the heap bodies
+    rng = random.Random(degree)
+    codes = ["".join(rng.choice("01") for _ in range(2 ** (degree - 1))) for _ in range(3)]
+    fast = [decode(code, degree) for code in codes]
+    assert [encode(bits, degree) for bits in fast] == codes
+    monkeypatch.setattr(db_codec, "_sigma", heap_sigma)
+    monkeypatch.setattr(db_codec, "_pi", heap_pi)
+    assert [decode(code, degree) for code in codes] == fast
+    assert [encode(bits, degree) for bits in fast] == codes
+
+
+@pytest.mark.parametrize("bad", ["0120", " 011", "0_11", "0\uff1101"])
+def test_non_binary_characters_refused_before_parsing(bad, monkeypatch):
+    # int(..., 2) accepts spaces, underscores and other Unicode digits such
+    # as the fullwidth one, so each is refused before any window is read
+    def refuse(*args):
+        raise AssertionError("int() reached")
+
+    monkeypatch.setattr(db_codec, "int", refuse, raising=False)
+    for check in (validate, seq_to_path, encode):
+        with pytest.raises(InvalidSequenceError, match="must consist of 0s and 1s"):
+            check(bad, 2)
+    with pytest.raises(InvalidSequenceError, match="must be a bit string of length 4"):
+        decode(bad, 3)
 
 
 def test_codec_builds_no_line_graph(monkeypatch):

@@ -13,6 +13,7 @@ from linetrees.errors import EnumerationBound, InvalidTreeArrayError, InvalidTre
 from linetrees.line_bijection import (LineContext, OMEGA, TreeArray, _check_term_counts, _pi,
                                       _sigma, array_tree, enumerate_tree_arrays, shuffled_order,
                                       tree_array_count, validate_tree_array)
+from oracles import heap_pi, heap_sigma
 
 TWO_CYCLE = DiGraph(2, [(0, 1), (1, 0)])
 SELF_LOOP = DiGraph(1, [(0, 0)])
@@ -116,6 +117,24 @@ def test_roundtrip_random_graphs_and_orders(g, seed):
     assert images == line_trees
     for t in line_trees:
         assert ctx.sigma(ctx.pi(t, order), order) == t
+
+
+@settings(max_examples=40)
+@given(digraphs_positive_indeg(max_n=4, max_m=8), st.integers(0, 2 ** 16))
+def test_scan_bodies_match_heap_oracle(g, seed):
+    # the linear scans against the heap bodies, on every array and every
+    # line tree, in index order (what order=None means) and 3 shuffled orders
+    if tree_array_count(g) > 300:
+        return
+    ctx = LineContext(g)
+    n, target = g.n, ctx.target
+    arrays = list(enumerate_tree_arrays(g))
+    line_trees = [(t.root, ctx.successors(t)) for t in enumerate_trees(ctx.line, bound=10 ** 7)]
+    for order in [range(g.m)] + [shuffled_order(g, seed + i) for i in range(3)]:
+        for a in arrays:
+            assert _sigma(n, target, a, order) == heap_sigma(n, target, a, order)
+        for root, succ in line_trees:
+            assert _pi(n, target, root, succ, order) == heap_pi(n, target, root, succ, order)
 
 
 def test_sigma_and_successors_build_no_line_graph(monkeypatch):
@@ -323,13 +342,29 @@ def test_pi_body_guard_raises_typed_error():
         _pi(2, ctx.target, 1, (1, 0), range(2))
 
 
+@pytest.mark.parametrize("order", [range(4), [3, 2, 1, 0], [2, 0, 3, 1]])
+def test_pi_body_guard_after_peeling_some_leaves(order):
+    # in L(DB_1(2)) the leaf 0 (the loop at 0) feeds the 2-cycle 1 -> 2 -> 1
+    # (0 -> 1, 1 -> 0), and the root 3 (the loop at 1) is off that cycle:
+    # the scan peels 0, then finds no leaf while two edges are left
+    ctx = LineContext(debruijn(2, 1))
+    succ = (1, 2, 1, None)
+    with pytest.raises(InvalidTreeError):
+        validate_tree(ctx.line, ctx.line_tree(3, succ))
+    for body in (_pi, heap_pi):
+        with pytest.raises(InvalidTreeError, match="no removable leaf"):
+            body(2, ctx.target, 3, succ, order)
+
+
 def test_sigma_body_guards_survive_optimize_flag():
-    # python -O strips assert statements; the guards must still raise
+    # python -O strips assert statements; the guards of sigma and pi (the
+    # stalled peel of test_pi_body_guard_after_peeling_some_leaves) must
+    # still raise
     src = Path(linetrees.__file__).resolve().parent.parent
     script = (
         "import sys\n"
-        "from linetrees.errors import InvalidTreeArrayError\n"
-        "from linetrees.line_bijection import TreeArray, _sigma\n"
+        "from linetrees.errors import InvalidTreeArrayError, InvalidTreeError\n"
+        "from linetrees.line_bijection import TreeArray, _pi, _sigma\n"
         "assert False, 'asserts are not stripped'\n"
         "try:\n"
         "    _sigma(2, [1, 0], TreeArray(0, ((0,), (1,))), range(2))\n"
@@ -337,11 +372,19 @@ def test_sigma_body_guards_survive_optimize_flag():
         "    print(type(exc).__name__, exc)\n"
         "else:\n"
         "    sys.exit('no error raised')\n"
+        "try:\n"
+        "    _pi(2, [0, 1, 0, 1], 3, (1, 2, 1, None), range(4))\n"
+        "except InvalidTreeError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "else:\n"
+        "    sys.exit('no error raised')\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("InvalidTreeArrayError candidate set empty")
+    sigma_line, pi_line = proc.stdout.splitlines()
+    assert sigma_line.startswith("InvalidTreeArrayError candidate set empty")
+    assert pi_line.startswith("InvalidTreeError no removable leaf")
 
 
 @settings(max_examples=50)
