@@ -2,9 +2,12 @@
 """Time critical groups and tree counts of family graphs against their size.
 
 For each case in CASES, a child process builds the graph, times one
-`critical_group` or `count_trees` call, and checks the answer against the
-closed forms (`db_formula`/`kautz_formula`, `tree_count_db`).  Each child
-gets TIMEOUT_S seconds; the harness and --src are in scaling.py.
+`critical_group` or `count_trees` call, and then checks the answer against
+the closed forms (`db_formula`/`kautz_formula`, `tree_count_db`).  The
+"eulerian" rows take the union of three seeded random permutations of n
+vertices, a graph with no closed form, so their child checks the group's
+order against the determinant of the reduced Laplacian instead.  Each
+child gets TIMEOUT_S seconds; the harness and --src are in scaling.py.
 
 Usage:
     python scripts/matrix_scaling.py [--src DIR ...]
@@ -13,25 +16,37 @@ Usage:
 import scaling
 
 TIMEOUT_S = 120.0
-# (what, family, m, n)
+# (what, family, m, n); for "eulerian", m is the seed and n the vertex count
 CASES = ([("critical_group", "db", 2, n) for n in range(8, 14)]
          + [("critical_group", "kautz", 3, 5)]
+         + [("critical_group", "eulerian", 1, n) for n in (150, 200, 300)]
          + [("count_trees", "db", 2, n) for n in range(5, 12)])
 CHILD = """
-import json, resource, sys, time
-from linetrees.arborescence import count_trees
+import json, random, resource, sys, time
+from linetrees.arborescence import count_trees, determinant, minor, out_laplacian
 from linetrees.crit_group import critical_group, db_formula, kautz_formula, tree_count_db
-from linetrees.digraph import debruijn, kautz
+from linetrees.digraph import DiGraph, debruijn, kautz
 what, family, m, n = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
-g = (debruijn if family == "db" else kautz)(m, n)
-start = time.perf_counter()
-if what == "critical_group":
-    ok = critical_group(g) == (db_formula if family == "db" else kautz_formula)(m, n).normalize()
+if family == "eulerian":
+    rng, edges = random.Random(m), []
+    for _ in range(3):
+        p = list(range(n))
+        rng.shuffle(p)
+        edges += enumerate(p)
+    g = DiGraph(n, edges)
 else:
-    ok = count_trees(g) == tree_count_db(m, n)
+    g = (debruijn if family == "db" else kautz)(m, n)
+start = time.perf_counter()
+result = critical_group(g) if what == "critical_group" else count_trees(g)
 elapsed = time.perf_counter() - start
+if family == "eulerian":
+    ok = result.order == abs(determinant(minor(out_laplacian(g), 0)))
+elif what == "critical_group":
+    ok = result == (db_formula if family == "db" else kautz_formula)(m, n).normalize()
+else:
+    ok = result == tree_count_db(m, n)
 if not ok:
-    sys.exit("answer differs from the closed form")
+    sys.exit("answer differs from the closed form or the determinant")
 print(json.dumps({"s": elapsed,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
@@ -39,6 +54,8 @@ print(json.dumps({"s": elapsed,
 
 def label(case: tuple) -> list[str]:
     what, family, m, n = case
+    if family == "eulerian":
+        return [what, f"eulerian(seed {m})", str(n)]
     size = m ** n if family == "db" else (m + 1) * m ** (n - 1)
     return [what, f"{family}({m},{n})", str(size)]
 

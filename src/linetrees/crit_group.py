@@ -14,18 +14,18 @@ balanced (indeg = outdeg) strongly connected graph the choice of sink does
 not matter and the common group is the critical group.
 
 Smith normal form is computed over the integers with exact arithmetic, in
-three phases.  A sparse phase reduces the rows in that form and pivots
-on entries p that divide every entry of their row and column (least |p|
-first, then least Markowitz cost (r-1)(c-1)): row operations clear p's
-column and Z_|p| splits off with no column operations.  The block left
-when no such pivot remains goes to dense smallest-pivot elimination, and
-a divisibility-chain fix-up runs over the whole diagonal.  The reduced
-Laplacians of the families are sparse and reduce almost wholly in the
-first phase: db(2, n) leaves nothing, db(3,5), db(4,4), kautz(2,8) and
-kautz(3,5) at most a 5 x 5 block.  The invariant factors determine the
-cokernel as a direct sum of cyclic groups, reported in invariant-factor
-form d1 | d2 | ... (unit factors dropped, zero factors counted as free
-rank).
+one sparse loop over the rows in that form.  It pivots on entries p that
+divide every entry of their row and column (least |p| first, then least
+Markowitz cost (r-1)(c-1)): row operations clear p's column and Z_|p|
+splits off with no column operations.  When no such pivot is left, the
+least entry takes the same row operations and, once alone in its column,
+reduces its own row modulo p, so a smaller entry or a divisor pivot turns
+up.  A divisibility-chain fix-up runs over the diagonal at the end.  The
+reduced Laplacians of the families are sparse and need few fallback
+steps: none for db(2, n), ten for kautz(2,8).  The
+invariant factors determine the cokernel as a direct sum of cyclic
+groups, reported in invariant-factor form d1 | d2 | ... (unit factors
+dropped, zero factors counted as free rank).
 
 Closed forms implemented for the two families (m >= 2):
 
@@ -64,28 +64,26 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None
 
     Row i is rows[i] as {col: value}, over `cols` columns (default: as
     many as rows); distinct keys name distinct columns, and a column with
-    no entry is a zero column.  The input is not changed.  A sparse
-    divisor-pivot phase splits off one cyclic factor per pivot, the dense
-    loop reduces whatever block it leaves, and the divisibility-chain
-    fix-up runs over the whole diagonal.
+    no entry is a zero column.  The input is not changed.  One sparse loop
+    splits off a cyclic factor per divisor pivot, falling back to the
+    least entry when none is left; the diagonal is those factors, then a
+    zero for each of the min(rows, cols) places the rank leaves, and the
+    divisibility-chain fix-up runs over the whole of it.
     """
     cols = len(rows) if cols is None else cols
     sparse = [{c: v for c, v in row.items() if v} for row in rows]
     keyed = len(set().union(*sparse))
     if keyed > cols:
         raise ValueError(f"{keyed} distinct columns in a matrix of {cols} columns")
-    pivots, rest_rows, rest_cols = _divisor_pivots(sparse)
-    rest = [[sparse[i].get(j, 0) for j in rest_cols] for i in rest_rows]
-    # each zero column the keys never name adds a 0 while rows are left
-    zeros = min(len(rest_rows), cols - len(pivots)) - min(len(rest_rows), len(rest_cols))
+    pivots = _divisor_pivots(sparse)
     # the chain is unique, so sorting first changes only how long the
     # fix-up takes, and sorted powers of one prime already form a chain
-    diagonal = sorted(pivots + _dense_diagonal(rest) + [0] * zeros, key=lambda d: (d == 0, d))
-    return SmithResult(_chain(diagonal))
+    return SmithResult(_chain(sorted(pivots) + [0] * (min(len(rows), cols) - len(pivots))))
 
 
-def _divisor_pivots(sparse: list[dict[int, int]]) -> tuple[list[int], list[int], list[int]]:
-    """Eliminate with divisor pivots on rows stored as {col: value} dicts.
+def _divisor_pivots(sparse: list[dict[int, int]]) -> list[int]:
+    """Eliminate rows stored as {col: value} dicts, splitting off one
+    divisor pivot at a time.
 
     An entry p that divides every entry of its row and of its column (so
     |p| is the gcd of both) splits off Z_|p|: integer row operations clear
@@ -96,9 +94,15 @@ def _divisor_pivots(sparse: list[dict[int, int]]) -> tuple[list[int], list[int],
     changed row or column is offered again under its new key, so a popped
     key that no longer matches its entry is stale and is dropped.
 
-    Reduces the rows of `sparse` in place and returns the |p| in pivot
-    order, then the rows and the columns (of those the keys name) left for
-    the dense loop.
+    When the heap runs dry with entries left, the live entry p of least
+    |p| takes the same row operations, which leave remainders smaller than
+    |p| in its column; once p is alone there, reducing its row modulo p is
+    a column operation that touches no other row.  Either a smaller entry
+    appears or p becomes a divisor pivot, so the loop ends with every
+    entry gone.
+
+    Reduces the rows of `sparse` in place, emptying each pivot row, and
+    returns the |p| in pivot order.
     """
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(sparse):
@@ -106,8 +110,6 @@ def _divisor_pivots(sparse: list[dict[int, int]]) -> tuple[list[int], list[int],
             col_rows.setdefault(j, set()).add(i)
     row_gcd = [gcd(*row.values()) for row in sparse]
     col_gcd = {j: gcd(*[sparse[i][j] for i in rs]) for j, rs in col_rows.items()}
-    live_rows = [True] * len(sparse)
-    live_cols = set(col_rows)
     heap: list[tuple[int, int, int, int]] = []
 
     def offer(i: int, j: int) -> None:
@@ -119,20 +121,28 @@ def _divisor_pivots(sparse: list[dict[int, int]]) -> tuple[list[int], list[int],
         for j in row:
             offer(i, j)
     pivots: list[int] = []
-    while heap:
-        v, cost, i, j = heappop(heap)
-        prow = sparse[i]
-        if (not live_rows[i] or j not in prow or abs(prow[j]) != v
-                or row_gcd[i] != v or col_gcd[j] != v
-                or (len(prow) - 1) * (len(col_rows[j]) - 1) != cost):
-            continue
-        pivots.append(v)
-        live_rows[i] = False
-        live_cols.discard(j)
-        for c in prow:
-            col_rows[c].discard(i)
+    while True:
+        if heap:
+            v, cost, i, j = heappop(heap)
+            prow = sparse[i]
+            if (j not in prow or abs(prow[j]) != v or row_gcd[i] != v or col_gcd[j] != v
+                    or (len(prow) - 1) * (len(col_rows[j]) - 1) != cost):
+                continue
+            split = True
+            pivots.append(v)
+            sparse[i] = {}
+            for c in prow:
+                col_rows[c].discard(i)
+        else:
+            least = min(((abs(v), i, j) for i, row in enumerate(sparse) for j, v in row.items()),
+                        default=None)
+            if least is None:
+                return pivots
+            _, i, j = least
+            prow = sparse[i]
+            split = False
         p = prow[j]
-        changed_rows = list(col_rows[j])
+        changed_rows = [r for r in col_rows[j] if r != i]
         for r in changed_rows:
             row = sparse[r]
             q = row[j] // p
@@ -146,7 +156,17 @@ def _divisor_pivots(sparse: list[dict[int, int]]) -> tuple[list[int], list[int],
                     del row[c]
                     col_rows[c].discard(r)
             row_gcd[r] = gcd(*row.values())
-        changed_cols = [c for c in prow if c != j]
+        changed_cols = [c for c in prow if c != j or not split]
+        if not split and len(col_rows[j]) == 1:  # p alone in its column
+            for c in changed_cols:
+                x = prow[c] % p
+                if x:
+                    prow[c] = x
+                elif c != j:  # p % p is 0, and p stays
+                    del prow[c]
+                    col_rows[c].discard(i)
+            row_gcd[i] = gcd(*prow.values())
+            changed_rows.append(i)
         for c in changed_cols:
             col_gcd[c] = gcd(*[sparse[r][c] for r in col_rows[c]])
         for r in changed_rows:
@@ -155,74 +175,6 @@ def _divisor_pivots(sparse: list[dict[int, int]]) -> tuple[list[int], list[int],
         for c in changed_cols:
             for r in col_rows[c]:
                 offer(r, c)
-    return pivots, [i for i, live in enumerate(live_rows) if live], sorted(live_cols)
-
-
-def _dense_diagonal(d: list[list[int]]) -> list[int]:
-    """|diagonal| after dense smallest-pivot elimination, reducing `d` in
-    place; the divisibility chain is not yet enforced.
-
-    Smallest-nonzero-entry pivoting with immediate remainder swaps keeps
-    intermediate entries tame at the matrix sizes used here.
-    """
-    rows = len(d)
-    cols = len(d[0]) if rows else 0
-
-    def row_op(i, j, q):  # row_j -= q * row_i
-        dj, di = d[j], d[i]
-        for c in range(cols):
-            dj[c] -= q * di[c]
-
-    def col_op(i, j, q):  # col_j -= q * col_i
-        for row in d:
-            row[j] -= q * row[i]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-
-    def col_swap(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-
-    for t in range(min(rows, cols)):
-        # locate the smallest nonzero entry of the trailing submatrix
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
-        while True:
-            # clear column t below the pivot
-            restart = False
-            for i in range(t + 1, rows):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    row_op(t, i, q)
-                    if d[i][t]:
-                        row_swap(t, i)  # remainder is a smaller pivot
-                        restart = True
-                        break
-            if restart:
-                continue
-            # clear row t to the right of the pivot
-            for j in range(t + 1, cols):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_op(t, j, q)
-                    if d[t][j]:
-                        col_swap(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            break
-    # each pivot row ends as (0, ..., 0, pivot, 0, ...) and later steps
-    # leave it alone, so only the pivot's sign is left to fix
-    return [abs(d[i][i]) for i in range(min(rows, cols))]
 
 
 def _chain(diag: list[int]) -> list[int]:
@@ -425,11 +377,7 @@ def sandpile_group(g: DiGraph, sink: int) -> AbelianGroup:
         raise GraphError("sink out of range")
     if not is_strongly_connected(g):
         raise GraphError("sandpile group requires a strongly connected graph")
-    snf = smith_normal_form(minor(out_laplacian(g), sink))
-    group = group_from_diagonal(snf.diagonal)
-    if group.free_rank:
-        raise GraphError("reduced Laplacian is singular")  # unreachable when strongly connected
-    return group
+    return _sandpile(g, sink)
 
 
 def critical_group(g: DiGraph) -> AbelianGroup:
@@ -438,7 +386,16 @@ def critical_group(g: DiGraph) -> AbelianGroup:
         raise GraphError("critical group requires indeg = outdeg everywhere")
     if not is_strongly_connected(g):
         raise GraphError("critical group requires strong connectivity")
-    return sandpile_group(g, 0)
+    return _sandpile(g, 0)  # a DiGraph has at least one vertex
+
+
+def _sandpile(g: DiGraph, sink: int) -> AbelianGroup:
+    """sandpile_group's body, on a strongly connected g and a sink in range."""
+    snf = smith_normal_form(minor(out_laplacian(g), sink))
+    group = group_from_diagonal(snf.diagonal)
+    if group.free_rank:
+        raise GraphError("reduced Laplacian is singular")  # unreachable when strongly connected
+    return group
 
 
 def mult_by_k(group: AbelianGroup, k: int) -> AbelianGroup:

@@ -3,7 +3,10 @@
 The library holds matrices as sparse rows, one {col: value} dict per row.
 These helpers build the same matrices as dense lists and count rooted
 trees by one dense Bareiss minor per root, the route the library took
-before its sparse determinant.
+before its sparse determinant.  ``dense_diagonal`` is the dense
+smallest-pivot Smith loop that once reduced whatever block the sparse
+divisor pivots left; the library now runs the whole form as one sparse
+loop.
 
 ``heap_sigma`` and ``heap_pi`` run the tree-array maps as they read: each
 step pops the smallest ready element from a heap keyed by edge rank, in
@@ -45,6 +48,73 @@ def dense_minor(matrix, r):
 def count_trees_rooted(g, root, weights=None):
     """Weighted trees rooted at `root`: one dense Bareiss minor."""
     return abs(bareiss_determinant(dense_minor(dense_laplacian(g, weights), root)))
+
+
+def dense_diagonal(d: list[list[int]]) -> list[int]:
+    """|diagonal| after dense smallest-pivot elimination, reducing `d` in
+    place; the divisibility chain is not yet enforced.
+
+    Smallest-nonzero-entry pivoting with immediate remainder swaps keeps
+    intermediate entries tame at the matrix sizes used here.
+    """
+    rows = len(d)
+    cols = len(d[0]) if rows else 0
+
+    def row_op(i, j, q):  # row_j -= q * row_i
+        dj, di = d[j], d[i]
+        for c in range(cols):
+            dj[c] -= q * di[c]
+
+    def col_op(i, j, q):  # col_j -= q * col_i
+        for row in d:
+            row[j] -= q * row[i]
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+
+    def col_swap(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+
+    for t in range(min(rows, cols)):
+        # locate the smallest nonzero entry of the trailing submatrix
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        row_swap(t, best[0])
+        col_swap(t, best[1])
+        while True:
+            # clear column t below the pivot
+            restart = False
+            for i in range(t + 1, rows):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    row_op(t, i, q)
+                    if d[i][t]:
+                        row_swap(t, i)  # remainder is a smaller pivot
+                        restart = True
+                        break
+            if restart:
+                continue
+            # clear row t to the right of the pivot
+            for j in range(t + 1, cols):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    col_op(t, j, q)
+                    if d[t][j]:
+                        col_swap(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            break
+    # each pivot row ends as (0, ..., 0, pivot, 0, ...) and later steps
+    # leave it alone, so only the pivot's sign is left to fix
+    return [abs(d[i][i]) for i in range(min(rows, cols))]
 
 
 def _ranks(order):
