@@ -97,7 +97,8 @@ def _check_reaches_root(root: int, succ: Sequence[int | None]) -> None:
     vertex is walked once: state 0 unvisited, 1 on the current chain, 2
     known to reach the root.  The first chain that fails starts at the same
     vertex, and repeats first at the same vertex, as a fresh walk from every
-    start would.  Shared by validate_tree and LineContext.pi.
+    start would.  Shared by validate_tree, validate_tree_array and
+    LineContext.pi, which walks only once its peel has stalled.
     """
     state = bytearray(len(succ))
     state[root] = 2

@@ -45,22 +45,26 @@ the order takes each ready element it reaches, and after each step takes
 the newly ready element at once if the scan has already passed it, since
 every other ready element lies ahead of the scan; otherwise it scans on.
 
-The public maps (``LineContext.sigma``/``pi``) validate their input once,
-in time linear in the size of the graph, and then run a body that trusts
-it; internal callers (the de Bruijn codec, verify-all's round trips) call
-the bodies directly.  ``pi`` checks its tree through the numbering, in
-the pass that builds the successor list, so it builds no line graph either:
-line edge j out of e is valid iff off[e] <= j < off[e + 1], and its head is
-the (j - off[e])-th out-edge of t(e); the acyclicity walk is the one
-``validate_tree`` runs, and the errors are those of
-``validate_tree(ctx.line, tree)``.  ``validate_tree_array`` is the one
-check of a tree array; ``enumerate_tree_arrays`` builds arrays valid by
-construction.
+The public maps (``LineContext.sigma``/``pi``) read their input once, in
+linear time, and then run a body that trusts it; internal callers (the de
+Bruijn codec, verify-all's round trips) call the bodies directly.
+``validate_tree_array``, the one check of a tree array, collects the head
+of each non-root list's last entry in its pass over the entries, then walks
+those chains to the root once.  ``pi`` checks its tree through the
+numbering while building the successor list, so it builds no line graph:
+line edge j out of e is valid iff off[e] <= j < off[e + 1], with head the
+(j - off[e])-th out-edge of t(e).  A successor list peels down to its root
+iff it has no cycle, so the body's peel is the acyclicity check; only if it
+stalls, or the order is refused, does ``pi`` walk the chains to name the
+cycle, so its errors are those of ``validate_tree(ctx.line, tree)``, in
+order.  A context checks an edge order once and keeps it in one slot until
+some position holds another object.  ``enumerate_tree_arrays`` builds
+arrays valid by construction.
 The invariants that make the loop in sigma well-defined (the candidate set
 and the popped list are never empty) are checked and raise typed errors,
-and every sigma run checks that indeg of e in the output tree equals the
-initial count of e in l_{s(e)} - the per-monomial statement behind the
-generating-function identity.
+and every sigma run checks that each list copy was popped, i.e. that indeg
+of e in the output tree equals the initial count of e in l_{s(e)} - the
+per-monomial statement behind the generating-function identity.
 """
 
 from __future__ import annotations
@@ -69,10 +73,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
+from operator import add, is_
 from typing import Iterable, Iterator, Sequence
 
 from .arborescence import (SpanningTree, _check_reaches_root, _check_shape, count_trees,
-                           degree_product, enumerate_trees, validate_tree, DEFAULT_BOUND)
+                           degree_product, enumerate_trees, DEFAULT_BOUND)
 from .digraph import DiGraph, line_graph
 from .errors import EnumerationBound, InvalidTreeArrayError, InvalidTreeError, count_text
 
@@ -107,9 +112,11 @@ class TreeArray:
 def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
     """Raise InvalidTreeArrayError unless a is a tree array of g; O(n + m)."""
     n, m, indeg, edges = g.n, g.m, g.indeg, g.edges
-    if len(a.lists) != n or not (0 <= a.root < n):
+    root = a.root
+    if len(a.lists) != n or not (0 <= root < n):
         raise InvalidTreeArrayError("array shape does not match the graph")
     omegas = 0
+    succ: list[int | None] = [None] * n  # head of each non-root list's last entry
     for v, entries in enumerate(a.lists):
         if len(entries) != indeg[v]:
             raise InvalidTreeArrayError(
@@ -117,7 +124,7 @@ def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
         for pos, entry in enumerate(entries):
             if entry is OMEGA:
                 omegas += 1
-                if v != a.root or pos != len(entries) - 1:
+                if v != root or pos != len(entries) - 1:
                     raise InvalidTreeArrayError("OMEGA must be the last entry of the root's list")
             elif isinstance(entry, int) and 0 <= entry < m:
                 if edges[entry][0] != v:
@@ -125,25 +132,19 @@ def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
                         f"entry {entry} in list of vertex {v} has source {edges[entry][0]}")
             else:
                 raise InvalidTreeArrayError(f"entry {entry!r} is not an edge id")
+        if entries and v != root:
+            succ[v] = edges[entries[-1]][1]
     if omegas != 1:
         raise InvalidTreeArrayError(f"expected exactly one OMEGA, found {omegas}")
-    for v, entries in enumerate(a.lists):
-        if not entries:  # not the root's: it holds the one OMEGA
-            raise InvalidTreeArrayError(
-                f"list of vertex {v} is empty: tree arrays need every indegree to be positive")
+    if 0 in indeg:  # not the root's list: it holds the one OMEGA
+        raise InvalidTreeArrayError(f"list of vertex {indeg.index(0)} is empty: "
+                                    "tree arrays need every indegree to be positive")
+    # every last entry is now an out-edge of its vertex, so the one check
+    # left of the tree they form is that each chain of heads reaches the root
     try:
-        validate_tree(g, array_tree(g, a))
+        _check_reaches_root(root, succ)
     except InvalidTreeError as exc:
         raise InvalidTreeArrayError(f"last entries do not form a spanning tree: {exc}") from None
-
-
-def array_tree(g: DiGraph, a: TreeArray) -> SpanningTree:
-    """The spanning tree formed by the last entries of the non-root lists."""
-    out: list[int | None] = [None] * g.n
-    for v, entries in enumerate(a.lists):
-        if v != a.root:
-            out[v] = entries[-1]
-    return SpanningTree(a.root, tuple(out))
 
 
 def _edge_order(g: DiGraph, order: Sequence[int] | None) -> Sequence[int]:
@@ -182,6 +183,7 @@ class LineContext:
         for v in range(g.n):
             for i, f in enumerate(g.out_edges(v)):
                 self.pos[f] = i
+        self._order = tuple(range(g.m))  # the last edge order checked
 
     @cached_property
     def line(self) -> DiGraph:
@@ -202,16 +204,29 @@ class LineContext:
         return tuple([None if j is None else out(t)[j - o]
                       for j, t, o in zip(tree.out_edge, target, off)])
 
+    def _checked_order(self, order: Sequence[int] | None) -> Sequence[int]:
+        # _edge_order, skipped while every position holds the same object
+        # as in the last order checked; an in-place change, or 1.0 for 1,
+        # runs it again
+        if order is None:
+            return range(self.g.m)
+        last = self._order
+        if len(order) != len(last) or not all(map(is_, order, last)):
+            self._order = last = tuple(_edge_order(self.g, order))
+        return last
+
     def sigma(self, a: TreeArray, order: Sequence[int] | None = None) -> SpanningTree:
         """Map a tree array of g to a spanning tree of the line graph."""
         validate_tree_array(self.g, a)
-        return self.line_tree(*_sigma(self.g.n, self.target, a, _edge_order(self.g, order)))
+        return self.line_tree(*_sigma(self.g.n, self.target, a, self._checked_order(order)))
 
     def pi(self, tree: SpanningTree, order: Sequence[int] | None = None) -> TreeArray:
         """Map a spanning tree of the line graph back to a tree array of g.
 
         The tree is checked as ``validate_tree(self.line, tree)`` would, with
-        the same errors in the same order, through the numbering alone."""
+        the same errors in the same order, through the numbering alone: the
+        body's peel is the acyclicity check, and the walk that names the
+        cycle runs only once the peel stalls or the order is refused."""
         root, out_edge, m = tree.root, tree.out_edge, self.g.m
         _check_shape(root, out_edge, m)
         out, target, off = self.g._out, self.target, self.off
@@ -223,8 +238,11 @@ class LineContext:
             if not isinstance(j, int) or not (o <= j < off[e + 1]):
                 raise InvalidTreeError(f"vertex {e} needs exactly one out-edge with source {e}")
             succ[e] = out[target[e]][j - o]
-        _check_reaches_root(root, succ)
-        return _pi(self.g.n, target, root, succ, _edge_order(self.g, order))
+        try:
+            return _pi(self.g.n, target, root, succ, self._checked_order(order))
+        except (TypeError, ValueError):  # a refused order, or a stalled peel
+            _check_reaches_root(root, succ)
+            raise
 
 
 def _sigma(n: int, target: Sequence[int], a: TreeArray,
@@ -238,7 +256,6 @@ def _sigma(n: int, target: Sequence[int], a: TreeArray,
         for entry in entries:
             if entry is not OMEGA:
                 count[entry] += 1
-    initial_count = list(count)
     heads = [0] * n                # next unpopped position per list
     succ: list[int | None] = [None] * m
     passed = bytearray(m)          # the scan has reached e
@@ -260,7 +277,10 @@ def _sigma(n: int, target: Sequence[int], a: TreeArray,
                 if added != m - 1:
                     raise InvalidTreeArrayError(
                         f"output has {added} line edges, expected {m - 1}")
-                _check_term_counts(succ, initial_count)
+                if any(count):
+                    # indeg of e in the tree != its copies in l_{s(e)}: the
+                    # two sides would give different monomials
+                    raise InvalidTreeArrayError("output tree indegrees disagree with list counts")
                 return f, tuple(succ)
             # Step 3: record the line edge (f, entry).
             succ[f] = entry
@@ -301,7 +321,7 @@ def _pi(n: int, target: Sequence[int], root: int, succ: Sequence[int | None],
         raise InvalidTreeError("no removable leaf: not a spanning tree of the line graph")
     # Only the root is left; close its target's list with OMEGA.
     lists[target[root]].append(OMEGA)
-    return TreeArray(target[root], tuple(tuple(entries) for entries in lists))
+    return TreeArray(target[root], tuple(map(tuple, lists)))
 
 
 def _indegrees(succ: Succ) -> list[int]:
@@ -310,13 +330,6 @@ def _indegrees(succ: Succ) -> list[int]:
         if f is not None:
             indeg[f] += 1
     return indeg
-
-
-def _check_term_counts(succ: Succ, initial_count: list[int]) -> None:
-    # indeg of e in the output tree == initial copies of e in l_{s(e)}:
-    # both sides contribute the same monomial to the identity.
-    if _indegrees(succ) != initial_count:
-        raise InvalidTreeArrayError("output tree indegrees disagree with list counts")
 
 
 def tree_array_count(g: DiGraph) -> int:
@@ -346,7 +359,6 @@ def enumerate_tree_arrays(g: DiGraph, bound: int = DEFAULT_BOUND) -> Iterator[Tr
         # each list ends in the tree's out-edge, OMEGA at the root; a valid
         # tree and lists of out-edges always give a valid array, so nothing
         # is checked here
-        last = [OMEGA if v == tree.root else f for v, f in enumerate(tree.out_edge)]
+        last = [(OMEGA,) if v == tree.root else (f,) for v, f in enumerate(tree.out_edge)]
         for proto in product(*protos):
-            yield TreeArray(tree.root, tuple((*entries, end)
-                                             for entries, end in zip(proto, last)))
+            yield TreeArray(tree.root, tuple(map(add, proto, last)))

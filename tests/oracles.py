@@ -12,13 +12,21 @@ loop.
 step pops the smallest ready element from a heap keyed by edge rank, in
 O(m log m).  The library's bodies find the same elements in one linear
 scan of the edge order.
+
+``two_pass_sigma`` and ``two_pass_pi`` are the public maps with their
+input checked in two passes, as the library once did: sigma validates the
+array entry by entry, then builds the tree of last entries
+(``array_tree``) and validates it with ``validate_tree``; pi validates its
+tree with ``validate_tree`` on the line graph before the order is checked.
+The library reads each input once, and must give the same outputs and the
+same errors.
 """
 
 import heapq
 
-from linetrees.arborescence import bareiss_determinant
+from linetrees.arborescence import SpanningTree, bareiss_determinant, validate_tree
 from linetrees.errors import InvalidTreeArrayError, InvalidTreeError
-from linetrees.line_bijection import OMEGA, TreeArray, _check_term_counts, _indegrees
+from linetrees.line_bijection import OMEGA, TreeArray, _edge_order, _indegrees
 
 
 def dense(rows, cols):
@@ -124,6 +132,12 @@ def _ranks(order):
     return rank
 
 
+def _check_term_counts(succ, initial_count):
+    # indeg of e in the output tree == initial copies of e in l_{s(e)}
+    if _indegrees(succ) != initial_count:
+        raise InvalidTreeArrayError("output tree indegrees disagree with list counts")
+
+
 def heap_sigma(n, target, a, order):
     """sigma's body with a heap of (rank, edge) candidates."""
     m, lists, rank = len(target), a.lists, _ranks(order)
@@ -177,3 +191,61 @@ def heap_pi(n, target, root, succ, order):
             heapq.heappush(leaves, (rank[f], f))
     lists[target[root]].append(OMEGA)
     return TreeArray(target[root], tuple(tuple(entries) for entries in lists))
+
+
+def array_tree(g, a):
+    """The spanning tree formed by the last entries of the non-root lists."""
+    out = [None] * g.n
+    for v, entries in enumerate(a.lists):
+        if v != a.root:
+            out[v] = entries[-1]
+    return SpanningTree(a.root, tuple(out))
+
+
+def two_pass_validate_tree_array(g, a):
+    """The tree-array check in two passes: the entries, then the tree of
+    last entries through ``validate_tree``."""
+    n, m, indeg, edges = g.n, g.m, g.indeg, g.edges
+    if len(a.lists) != n or not (0 <= a.root < n):
+        raise InvalidTreeArrayError("array shape does not match the graph")
+    omegas = 0
+    for v, entries in enumerate(a.lists):
+        if len(entries) != indeg[v]:
+            raise InvalidTreeArrayError(
+                f"list of vertex {v} has length {len(entries)}, expected indeg {indeg[v]}")
+        for pos, entry in enumerate(entries):
+            if entry is OMEGA:
+                omegas += 1
+                if v != a.root or pos != len(entries) - 1:
+                    raise InvalidTreeArrayError("OMEGA must be the last entry of the root's list")
+            elif isinstance(entry, int) and 0 <= entry < m:
+                if edges[entry][0] != v:
+                    raise InvalidTreeArrayError(
+                        f"entry {entry} in list of vertex {v} has source {edges[entry][0]}")
+            else:
+                raise InvalidTreeArrayError(f"entry {entry!r} is not an edge id")
+    if omegas != 1:
+        raise InvalidTreeArrayError(f"expected exactly one OMEGA, found {omegas}")
+    for v, entries in enumerate(a.lists):
+        if not entries:
+            raise InvalidTreeArrayError(
+                f"list of vertex {v} is empty: tree arrays need every indegree to be positive")
+    try:
+        validate_tree(g, array_tree(g, a))
+    except InvalidTreeError as exc:
+        raise InvalidTreeArrayError(f"last entries do not form a spanning tree: {exc}") from None
+
+
+def two_pass_sigma(ctx, a, order=None):
+    """Public sigma with the two-pass check, on the heap body."""
+    g = ctx.g
+    two_pass_validate_tree_array(g, a)
+    return ctx.line_tree(*heap_sigma(g.n, ctx.target, a, _edge_order(g, order)))
+
+
+def two_pass_pi(ctx, tree, order=None):
+    """Public pi with the tree checked by ``validate_tree`` on the line
+    graph first, on the heap body."""
+    g = ctx.g
+    validate_tree(ctx.line, tree)
+    return heap_pi(g.n, ctx.target, tree.root, ctx.successors(tree), _edge_order(g, order))

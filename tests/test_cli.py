@@ -250,34 +250,57 @@ def test_experiment_scripts_run():
         assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("argv,n,code,lines,err", [
-    (["linegraph"], 10 ** 4, 0, (10 ** 4 + 3, "0 1", "10000 10000"), ""),
-    (["trees", "enumerate", "--bound", "10"], 10 ** 4, 1, None,
+def _cycle_array(n):
+    # the 10^4-line graph's tree array rooted at 0: edge v runs v -> v + 1,
+    # edge n is the loop at 0, and vertex 0 (indegree 2) lists the loop first
+    lists = {str(v): [str(v)] for v in range(1, n)}
+    lists["0"] = [str(n), "OMEGA"]
+    return json.dumps({"root": "0", "lists": lists})
+
+
+def _cyclic_line_tree(n):
+    # rooted at the loop, with every edge of the n-cycle followed by the next:
+    # the line tree's edges close that cycle, so nothing can be peeled
+    return json.dumps({"root": str(n), "edges": [[str(e), str((e + 1) % n)] for e in range(n)]})
+
+
+@pytest.mark.parametrize("argv,n,stdin,code,lines,err", [
+    (["linegraph"], 10 ** 4, None, 0, (10 ** 4 + 3, "0 1", "10000 10000"), ""),
+    (["trees", "enumerate", "--bound", "10"], 10 ** 4, None, 1, None,
      "error: 19999 candidate assignments exceed bound 10\n"),
-    (["trees", "identity-check", "--bound", "10"], 10 ** 4, 1, None,
+    (["trees", "identity-check", "--bound", "10"], 10 ** 4, None, 1, None,
      "error: 40000 candidate assignments exceed bound 10\n"),
-    (["trees", "count"], 300, 0, (301, "spanning trees: 300", "  root 299: 1"), ""),
-    (["trees", "identity-check", "--method", "evaluate"], 300, 0,
+    (["trees", "count"], 300, None, 0, (301, "spanning trees: 300", "  root 299: 1"), ""),
+    (["trees", "identity-check", "--method", "evaluate"], 300, None, 0,
      (1, "identity holds: True (lhs terms: None, rhs terms: None)",
       "identity holds: True (lhs terms: None, rhs terms: None)"), ""),
+    (["bijection", "roundtrip"], 10 ** 4, _cycle_array, 0, "roundtrip_ok", ""),
+    (["bijection", "pi"], 10 ** 4, _cyclic_line_tree, 1, None,
+     "error: cycle through vertex 0\n"),
 ], ids=["linegraph", "trees-enumerate", "trees-identity-check", "trees-count-cycle300",
-        "trees-identity-evaluate-cycle300"])
+        "trees-identity-evaluate-cycle300", "bijection-roundtrip", "bijection-pi-cycle"])
 def test_large_edge_list_within_time_bound(tmp_path, capsys, monkeypatch,
-                                           argv, n, code, lines, err):
+                                           argv, n, stdin, code, lines, err):
     # a 10^4-line edge list: a cycle on 10^4 vertices plus a loop at 0; no
-    # subcommand may be quadratic in it before its enumeration bound refuses.
+    # subcommand may be quadratic in it before its enumeration bound refuses,
+    # and the bijection maps answer or name the cycle.
     # On a 300-cycle the determinant commands answer: `trees count` takes
     # one sparse minor per root, the evaluated identity 8 determinants.
     path = tmp_path / "big.txt"
     path.write_text("".join(f"{v} {(v + 1) % n}\n" for v in range(n))
                     + ("0 0\n" if n == 10 ** 4 else ""))
+    text = stdin(n) if stdin else ""
     start = time.perf_counter()
-    got_code, out, got_err = run_cli(capsys, monkeypatch, [*argv, "--input", str(path)])
+    got_code, out, got_err = run_cli(capsys, monkeypatch, [*argv, "--input", str(path)],
+                                     stdin=text)
     elapsed = time.perf_counter() - start
     assert (got_code, got_err) == (code, err)
     got = out.splitlines()
     if lines is None:
         assert got == []
+    elif lines == "roundtrip_ok":
+        # one JSON line: the line tree, and pi(sigma(A)) == A
+        assert len(got) == 1 and json.loads(got[0])["roundtrip_ok"] is True
     else:
         # for the 10^4 line graph: edges into vertex 0 (n - 1 -> 0 and the
         # loop) have two successors, the other n - 1 edges one

@@ -11,8 +11,8 @@ from linetrees.db_codec import (HamPath, _heads, _path_tree, decode, encode,
                                 enumerate_db_sequences, path_to_seq, seq_to_path, validate)
 from linetrees.digraph import debruijn
 from linetrees.errors import InvalidSequenceError
-from linetrees.line_bijection import LineContext, array_tree, validate_tree_array
-from oracles import heap_pi, heap_sigma
+from linetrees.line_bijection import LineContext, validate_tree_array
+from oracles import array_tree, heap_pi, heap_sigma
 
 
 def test_validate_degree2():

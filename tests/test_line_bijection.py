@@ -10,10 +10,11 @@ import linetrees
 from linetrees.arborescence import SpanningTree, enumerate_trees, validate_tree
 from linetrees.digraph import DiGraph, debruijn, kautz, line_graph
 from linetrees.errors import EnumerationBound, InvalidTreeArrayError, InvalidTreeError
-from linetrees.line_bijection import (LineContext, OMEGA, TreeArray, _check_term_counts, _pi,
-                                      _sigma, array_tree, enumerate_tree_arrays, shuffled_order,
-                                      tree_array_count, validate_tree_array)
-from oracles import heap_pi, heap_sigma
+import linetrees.line_bijection as lb
+from linetrees.line_bijection import (LineContext, OMEGA, TreeArray, _pi, _sigma,
+                                      enumerate_tree_arrays, shuffled_order, tree_array_count,
+                                      validate_tree_array)
+from oracles import array_tree, heap_pi, heap_sigma, two_pass_pi, two_pass_sigma
 
 TWO_CYCLE = DiGraph(2, [(0, 1), (1, 0)])
 SELF_LOOP = DiGraph(1, [(0, 0)])
@@ -238,6 +239,191 @@ def test_pi_error_kinds_match_validate_tree():
         assert _outcome(lambda: ctx.pi(bad)) == expected
 
 
+@st.composite
+def boundary_cases(draw):
+    """A graph of corpus size (n <= 4, m <= 8), a tree array, a line tree
+    and edge orders, each valid or broken by one or two mutations."""
+    if draw(st.integers(0, 3)):
+        g = draw(digraphs_positive_indeg(max_n=4, max_m=8))
+    else:  # some vertices may have indegree 0
+        n = draw(st.integers(1, 4))
+        g = DiGraph(n, draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                     min_size=1, max_size=8)))
+    n, m, out = g.n, g.m, g.out_edges
+    ctx = LineContext(g)
+    edge = st.integers(0, m - 1)
+    # a valid array when g has one: random surplus entries, then the
+    # tree's out-edge, OMEGA at the root
+    trees = enumerate_trees(g, bound=10 ** 6)
+    tree = draw(st.sampled_from(trees)) if trees else None
+    root = tree.root if tree else draw(st.integers(0, n - 1))
+    lists = []
+    for v in range(n):
+        pick = st.sampled_from(out(v)) if out(v) else edge
+        entries = [draw(pick) for _ in range(g.indeg[v] - 1)]
+        if g.indeg[v]:
+            entries.append(OMEGA if v == root else tree.out_edge[v] if tree else draw(pick))
+        lists.append(entries)
+    for _ in range(draw(st.integers(0, 2))):
+        v = draw(st.integers(0, n - 1))
+        if not lists[v]:
+            lists[v].append(draw(st.sampled_from([OMEGA, *range(m)])))
+            continue
+        i = draw(st.integers(0, len(lists[v]) - 1))
+        kind = draw(st.sampled_from(["source", "range", "type", "omega", "drop", "extra",
+                                     "last", "last", "last", "root"]))
+        if kind == "source":    # an edge out of another vertex
+            others = [e for e in range(m) if g.source(e) != v]
+            if others:
+                lists[v][i] = draw(st.sampled_from(others))
+        elif kind == "range":
+            lists[v][i] = draw(st.sampled_from([-1, m, m + 3]))
+        elif kind == "type":
+            lists[v][i] = draw(st.sampled_from([1.0, True, None, "0"]))
+        elif kind == "omega":   # misplaced, missing or extra OMEGA
+            lists[v][i] = OMEGA if lists[v][i] is not OMEGA else draw(edge)
+        elif kind == "drop":
+            del lists[v][i]
+        elif kind == "extra":
+            lists[v].insert(i, draw(st.sampled_from([OMEGA, *out(v)] if out(v) else [OMEGA])))
+        elif kind == "last" and out(v):  # may close a cycle of last entries
+            lists[v][-1] = draw(st.sampled_from(out(v)))
+        elif kind == "root":
+            root = draw(st.sampled_from([*range(n), -1, n]))
+    array = TreeArray(root, tuple(map(tuple, lists)))
+    # a line tree: the image of a valid array, broken by a mutation
+    line_tree = None
+    if tree is not None and all(d == 1 or d and out(v) for v, d in enumerate(g.indeg)):
+        valid = TreeArray(tree.root, tuple((*(out(v)[0] for _ in range(g.indeg[v] - 1)),
+                                            OMEGA if v == tree.root else tree.out_edge[v])
+                                           for v in range(n)))
+        line_tree = ctx.sigma(valid)
+        e = draw(st.integers(0, m - 1))
+        kind = draw(st.sampled_from(["none", "cycle", "cycle", "type", "range", "root"]))
+        out_edge = list(line_tree.out_edge)
+        t_root = line_tree.root
+        succ = ctx.successors(line_tree)
+        # line edges out of e whose head reaches e: each closes a cycle
+        closing = [j for j in range(ctx.off[e], ctx.off[e + 1])
+                   if e in _chain(succ, out(g.target(e))[j - ctx.off[e]])]
+        if kind == "cycle" and e != t_root and closing:
+            out_edge[e] = draw(st.sampled_from(closing))
+        elif kind == "type" and e != t_root:
+            out_edge[e] = draw(st.sampled_from([None, 1.5, True, "x"]))
+        elif kind == "range" and e != t_root:
+            out_edge[e] = draw(st.sampled_from([-1, ctx.off[-1]]))
+        elif kind == "root":
+            t_root = draw(st.sampled_from([*range(m), -1, m]))
+        line_tree = SpanningTree(t_root, tuple(out_edge))
+    # orders: index order, a shuffle, and a broken one
+    shuffled = draw(st.permutations(range(m)))
+    broken = list(shuffled)
+    kind = draw(st.sampled_from(["short", "dup", "float", "true", "none", "long", "unsized"]))
+    if kind == "unsized":   # no len(): a TypeError, after any cycle
+        broken = m
+    elif kind == "short":
+        broken.pop()
+    elif kind == "dup":
+        broken[0] = broken[-1]      # for m = 1, the order stays valid
+    elif kind in ("float", "true", "none"):
+        i = draw(st.integers(0, m - 1))
+        broken[i] = {"float": float(broken[i]), "true": True, "none": None}[kind]
+    else:
+        broken.append(0)
+    return ctx, array, line_tree, [None, shuffled, broken, shuffled]
+
+
+def _chain(succ, f):
+    # f, succ[f], ... up to the root
+    while f is not None:
+        yield f
+        f = succ[f]
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary_cases())
+def test_one_pass_boundary_matches_two_pass_oracle(case):
+    # public sigma and pi read each input once; the two-pass boundary they
+    # replaced must give equal outputs, or the same error type and message.
+    # One context serves every order, so its checked-order slot is reused.
+    ctx, array, line_tree, orders = case
+    for order in orders:
+        assert (_outcome(lambda: ctx.sigma(array, order))
+                == _outcome(lambda: two_pass_sigma(ctx, array, order)))
+        if line_tree is not None:
+            assert (_outcome(lambda: ctx.pi(line_tree, order))
+                    == _outcome(lambda: two_pass_pi(ctx, line_tree, order)))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(lb, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(lb, name, counted)
+    return calls
+
+
+def test_sigma_walks_last_entries_once_per_call(monkeypatch):
+    g = kautz(2, 1)
+    ctx = LineContext(g)
+    arrays = list(enumerate_tree_arrays(g))
+    walks = _counting(monkeypatch, "_check_reaches_root")
+    for a in arrays:
+        ctx.sigma(a)
+    assert len(walks) == len(arrays)
+    # edges of DB_1(2): 0 = 0->0, 1 = 0->1, 2 = 1->0, 3 = 1->1; vertex 1's
+    # last entry is its loop, so the walk finds the cycle
+    db = LineContext(debruijn(2, 1))
+    with pytest.raises(InvalidTreeArrayError, match="cycle through vertex 1"):
+        db.sigma(TreeArray(0, ((0, OMEGA), (2, 3))))
+    assert len(walks) == len(arrays) + 1
+
+
+def test_pi_walks_only_a_stalled_peel(monkeypatch):
+    g = kautz(2, 1)
+    ctx = LineContext(g)
+    trees = [ctx.sigma(a) for a in enumerate_tree_arrays(g)]
+    cyclic = _cycle_tree(ctx, ctx.line)
+    walks = _counting(monkeypatch, "_check_reaches_root")
+    for t in trees:
+        ctx.pi(t)
+    assert walks == []
+    with pytest.raises(InvalidTreeError, match="cycle through vertex"):
+        ctx.pi(cyclic)
+    assert len(walks) == 1
+    # a refused order on a cyclic tree: the cycle is named first, as the
+    # two-pass boundary did
+    with pytest.raises(InvalidTreeError, match="cycle through vertex"):
+        ctx.pi(cyclic, order=[0])
+    assert len(walks) == 2
+
+
+def test_edge_order_checked_once_while_unchanged(monkeypatch):
+    g = kautz(2, 1)
+    ctx = LineContext(g)
+    arrays = list(enumerate_tree_arrays(g))
+    order = shuffled_order(g, 3)
+    checks = _counting(monkeypatch, "_edge_order")
+    images = [ctx.sigma(a, order) for a in arrays]
+    assert [ctx.pi(t, order) for t in images] == arrays
+    assert len(checks) == 1
+    order[0], order[1] = order[1], order[0]   # in place: checked again
+    assert ctx.pi(ctx.sigma(arrays[0], order), order) == arrays[0]
+    assert len(checks) == 2
+    first = order[0]
+    order[0] = float(first)                   # equal, but not an int
+    with pytest.raises(ValueError, match="edge order must be a permutation"):
+        ctx.sigma(arrays[0], order)
+    assert len(checks) == 3
+    order[0] = first
+    ctx.sigma(arrays[0], order)               # the slot kept the last good order
+    assert len(checks) == 3
+
+
 def test_validate_rejects_wrong_lengths():
     with pytest.raises(InvalidTreeArrayError):
         validate_tree_array(TWO_CYCLE, TreeArray(0, ((OMEGA, 0), (1,))))
@@ -325,11 +511,24 @@ def test_sigma_body_guards_raise_typed_errors(array, message):
         _sigma(2, [1, 0], array, range(2))
 
 
+class _Unseen(tuple):
+    """A list whose iteration skips its last entry, which indexing reaches."""
+
+    def __iter__(self):
+        return iter(self[:-1])
+
+
 def test_term_count_check_raises_typed_error():
-    root, succ = _sigma(2, [1, 0], TreeArray(0, ((OMEGA,), (1,))), range(2))
-    _check_term_counts(succ, [0, 1])  # one copy of edge 1, in vertex 1's list
-    with pytest.raises(InvalidTreeArrayError, match="indegrees disagree"):
-        _check_term_counts(succ, [0, 0])
+    # sigma's last guard: every list copy of e was popped, i.e. indeg of e
+    # in the output tree equals its initial count.  Once the line-edge count
+    # holds, every edge was taken with no copy left, so no array of plain
+    # tuples reaches the guard; here vertex 1's list holds a surplus copy
+    # of edge 0 that the count never saw, and popping it leaves count -1.
+    assert _sigma(2, [1, 0], TreeArray(0, ((OMEGA,), (1,))), range(2)) == (1, (1, None))
+    doctored = TreeArray(0, ((OMEGA,), _Unseen((0,))))
+    with pytest.raises(InvalidTreeArrayError,
+                       match="^output tree indegrees disagree with list counts$"):
+        _sigma(2, [1, 0], doctored, range(2))
 
 
 def test_pi_body_guard_raises_typed_error():
