@@ -6,8 +6,10 @@ For each case in CASES, a child process builds the graph, times one
 the closed forms (`db_formula`/`kautz_formula`, `tree_count_db`).  The
 "eulerian" rows take the union of three seeded random permutations of n
 vertices, a graph with no closed form, so their child checks the group's
-order against the determinant of the reduced Laplacian instead.  Each
-child gets TIMEOUT_S seconds; the harness and --src are in scaling.py.
+order against the determinant D of the reduced Laplacian instead, and the
+tree count against n * D, since every root of an Eulerian graph has the
+same count.  Each child gets TIMEOUT_S seconds; the harness and --src are
+in scaling.py.
 
 Usage:
     python scripts/matrix_scaling.py [--src DIR ...]
@@ -20,7 +22,8 @@ TIMEOUT_S = 120.0
 CASES = ([("critical_group", "db", 2, n) for n in range(8, 14)]
          + [("critical_group", "kautz", 3, 5)]
          + [("critical_group", "eulerian", 1, n) for n in (150, 200, 300)]
-         + [("count_trees", "db", 2, n) for n in range(5, 12)])
+         + [("count_trees", "db", 2, n) for n in range(5, 14)]
+         + [("count_trees", "eulerian", 1, n) for n in (300, 500)])
 CHILD = """
 import json, random, resource, sys, time
 from linetrees.arborescence import count_trees, determinant, minor, out_laplacian
@@ -40,7 +43,8 @@ start = time.perf_counter()
 result = critical_group(g) if what == "critical_group" else count_trees(g)
 elapsed = time.perf_counter() - start
 if family == "eulerian":
-    ok = result.order == abs(determinant(minor(out_laplacian(g), 0)))
+    reduced = abs(determinant(minor(out_laplacian(g), 0)))
+    ok = result.order == reduced if what == "critical_group" else result == n * reduced
 elif what == "critical_group":
     ok = result == (db_formula if family == "db" else kautz_formula)(m, n).normalize()
 else:

@@ -84,7 +84,7 @@ def validate_tree(g: DiGraph, t: SpanningTree) -> None:
 
 def _check_shape(root: int, out_edge: Sequence, n: int) -> None:
     # validate_tree's first two checks, shared with LineContext.pi
-    if len(out_edge) != n or not (0 <= root < n):
+    if len(out_edge) != n or not isinstance(root, int) or not (0 <= root < n):
         raise InvalidTreeError("tree shape does not match the graph")
     if out_edge[root] is not None:
         raise InvalidTreeError("root must not have an out-edge")
@@ -207,9 +207,6 @@ def enumerate_trees(g: DiGraph, root: int | None = None,
 # matrices of a few vertices that knuth_check and the identity corpus feed
 # in, the heap costs more than dense elimination does.
 DENSE_HANDOFF = 10
-# determinant offers the entries of a column again after a pivot only while
-# the column has at most this many; see there.
-SHORT_COLUMN = 16
 
 
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -254,13 +251,12 @@ def determinant(rows: Sequence[Mapping[int, int]]) -> int:
     entry a in column j becomes (p/g) row - (a/g) row_i, g = gcd(p, a), and
     is then divided by its content (the gcd of its entries); the pivots,
     the multipliers p/g and the contents are carried into the determinant.
-    Entries are popped from a heap of (cost, |p|, i, j) and checked against
-    the matrix: a stale one is dropped, and one whose cost has changed goes
-    back in at its current cost.  After each pivot the entries of the
-    changed rows are offered again, and so are those of the changed columns
-    with at most SHORT_COLUMN entries; a long column (column 0 of
-    L + 1 e_0^T) is left to the lazy check, since offering it again costs
-    O(n) per pivot.  Once at most DENSE_HANDOFF rows are left, or the
+    Entries sit in a heap of (cost, |p|, i, j) under one lazy rule: each
+    entry is pushed when it appears, at the start or as fill-in (then under
+    the key (0, 0), so that its first pop keys it), and a popped entry is
+    checked against the matrix.  One that has left its row, or whose row
+    was pivoted, is dropped; one whose (cost, |p|) has changed goes back in
+    at its current key.  Once at most DENSE_HANDOFF rows are left, or the
     cheapest pivot would touch over half of the block left, that block goes
     to bareiss_determinant.
     """
@@ -280,33 +276,29 @@ def determinant(rows: Sequence[Mapping[int, int]]) -> int:
     heap = [((len(row) - 1) * (len(col_rows[j]) - 1), abs(v), i, j)
             for i, row in enumerate(rows) for j, v in row.items()]
     heapify(heap)
-    live = [True] * k
-    left = k
     pivot_rows: list[int] = []
     pivot_cols: list[int] = []
     factors: list[int] = []    # pivots and contents
     scales: list[int] = []     # the multipliers p/g
-    while heap and left > DENSE_HANDOFF:
+    while heap and len(col_rows) > DENSE_HANDOFF:     # a column per row left
         cost, v, i, j = heappop(heap)
+        rs = col_rows.get(j, ())
+        if i not in rs:     # the entry left its row, or its row or column was pivoted
+            continue
         prow = rows[i]
-        if not live[i] or j not in prow or abs(prow[j]) != v:
+        now, x = (len(prow) - 1) * (len(rs) - 1), abs(prow[j])
+        if now != cost or x != v:
+            heappush(heap, (now, x, i, j))
             continue
-        now = (len(prow) - 1) * (len(col_rows[j]) - 1)
-        if now != cost:
-            heappush(heap, (now, v, i, j))
-            continue
-        if 2 * cost > (left - 1) * (left - 1):
+        if 2 * cost > (len(col_rows) - 1) ** 2:
             break
-        live[i] = False
-        left -= 1
         pivot_rows.append(i)
         pivot_cols.append(j)
         p = prow[j]
         factors.append(p)
         for c in prow:
             col_rows[c].discard(i)
-        changed_rows = col_rows.pop(j)
-        for r in changed_rows:
+        for r in col_rows.pop(j):
             row = rows[r]
             a = row.pop(j)
             if len(prow) > 1:   # else row_i = p e_j, and row - (a/p) row_i only drops a
@@ -323,6 +315,7 @@ def determinant(rows: Sequence[Mapping[int, int]]) -> int:
                     if y:
                         if c not in row:
                             col_rows[c].add(r)
+                            heappush(heap, (0, 0, r, c))
                         row[c] = y
                     else:
                         del row[c]
@@ -334,19 +327,9 @@ def determinant(rows: Sequence[Mapping[int, int]]) -> int:
                 factors.append(content)
                 for c in row:
                     row[c] //= content
-        for r in changed_rows:
-            row = rows[r]
-            for c, x in row.items():
-                heappush(heap, ((len(row) - 1) * (len(col_rows[c]) - 1), abs(x), r, c))
-        for c in prow:
-            rs = col_rows.get(c, ())
-            if c != j and len(rs) <= SHORT_COLUMN:
-                for r in rs:
-                    row = rows[r]
-                    heappush(heap, ((len(row) - 1) * (len(rs) - 1), abs(row[c]), r, c))
     # the pivots, in order, then the block, in index order: a block
     # triangular matrix whose determinant is the pivots' product times the block's
-    rest_rows = [i for i in range(k) if live[i]]
+    rest_rows = sorted(set(range(k)).difference(pivot_rows))
     rest_cols = sorted(col_rows)
     rank = {c: x for x, c in enumerate(cols)}
     sign = _parity(pivot_rows + rest_rows) * _parity([rank[c] for c in pivot_cols + rest_cols])

@@ -100,7 +100,7 @@ def path_to_seq(path: HamPath) -> str:
         raise InvalidSequenceError("path must visit every vertex exactly once")
     top = 2 ** (path.degree - 1)
     bits = "".join("1" if v >= top else "0" for v in path.vertices)
-    if not validate(bits, path.degree):
+    if _windows(bits, path.degree) != list(path.vertices):
         raise InvalidSequenceError("vertex sequence is not a Hamiltonian path")
     return bits
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import GraphError, UnsupportedFamilyError
+from .errors import MAX_FAMILY_EDGES, GraphError, UnsupportedFamilyError
 
 SYMBOLS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -118,6 +118,16 @@ def _strings(m: int, length: int, kautz: bool) -> list[str]:
     return out
 
 
+def _check_family_size(m: int, n: int, kautz: bool) -> None:
+    # m^(n+1) edges for de Bruijn, (m+1) m^n for Kautz: from m = 2 on past
+    # the cap once n reaches its log2, so no larger power is taken.  At m = 1
+    # the labels, n + 1 symbols, grow instead, and their build is quadratic.
+    bits = MAX_FAMILY_EDGES.bit_length() - 1
+    if n >= bits or ((m + 1) * m ** n if kautz else m ** (n + 1)) > MAX_FAMILY_EDGES:
+        raise GraphError(f"family graph exceeds the cap of {MAX_FAMILY_EDGES} edges "
+                         f"or {bits} symbols per label")
+
+
 def _shift_graph(vertices: list[str], edge_strings: list[str]) -> DiGraph:
     index = {lbl: i for i, lbl in enumerate(vertices)}
     edges = [(index[w[:-1]], index[w[1:]]) for w in edge_strings]
@@ -128,6 +138,7 @@ def debruijn(m: int, n: int) -> DiGraph:
     """de Bruijn graph DB_n(m): m^n string vertices, m^(n+1) string edges."""
     if m < 1 or n < 1:
         raise GraphError("de Bruijn graph requires m >= 1 and n >= 1")
+    _check_family_size(m, n, kautz=False)
     return _shift_graph(_strings(m, n, kautz=False), _strings(m, n + 1, kautz=False))
 
 
@@ -135,6 +146,7 @@ def kautz(m: int, n: int) -> DiGraph:
     """Kautz graph Kautz_n(m): (m+1)m^(n-1) vertices, no self-loops."""
     if m < 1 or n < 1:
         raise GraphError("Kautz graph requires m >= 1 and n >= 1")
+    _check_family_size(m, n, kautz=True)
     return _shift_graph(_strings(m, n, kautz=True), _strings(m, n + 1, kautz=True))
 
 

@@ -7,6 +7,9 @@ from math import log10
 # decimal digits raises ValueError.  The closed forms refuse group orders
 # past it, and messages give counts past it by their logarithm.
 MAX_ORDER_DIGITS = 4300
+# The family generators refuse a graph past this many edges from m and n,
+# before any label is built; db(2,19) is the largest binary one under it.
+MAX_FAMILY_EDGES = 2 ** 20
 
 
 class GraphError(ValueError):

@@ -113,7 +113,7 @@ def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
     """Raise InvalidTreeArrayError unless a is a tree array of g; O(n + m)."""
     n, m, indeg, edges = g.n, g.m, g.indeg, g.edges
     root = a.root
-    if len(a.lists) != n or not (0 <= root < n):
+    if len(a.lists) != n or not isinstance(root, int) or not (0 <= root < n):
         raise InvalidTreeArrayError("array shape does not match the graph")
     omegas = 0
     succ: list[int | None] = [None] * n  # head of each non-root list's last entry

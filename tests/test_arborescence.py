@@ -303,6 +303,34 @@ def test_sparse_determinant_against_enumeration(case):
     assert weighted_tree_sum(g, weights) == sum(by_root)
 
 
+@st.composite
+def weighted_multigraphs_deep_in_the_sparse_phase(draw):
+    """20-40 vertices, so the sparse phase runs ten pivots or more before the
+    handoff: each vertex v > 0 has an edge to a lower vertex, and n to 3n
+    more edges add self-loops, parallel edges and cycles.  Weights 0-9 give
+    rows with a common factor, pivots that do not divide their column, and
+    fill-in that cancels to 0 and comes back."""
+    n = draw(st.integers(20, 40))
+    vertex = st.integers(0, n - 1)
+    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=3 * n))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=n // 4))   # parallel edges
+    weights = draw(st.lists(st.integers(0, 9), min_size=len(edges), max_size=len(edges)))
+    return DiGraph(n, edges), weights, draw(vertex)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_multigraphs_deep_in_the_sparse_phase())
+def test_sparse_determinant_against_bareiss_deep_in_the_sparse_phase(case):
+    g, weights, r = case
+    lap = dense_laplacian(g, weights)
+    assert determinant(minor(out_laplacian(g, weights), r)) == \
+        bareiss_determinant(dense_minor(lap, r))
+    for row in lap:
+        row[0] += 1
+    assert weighted_tree_sum(g, weights) == bareiss_determinant(lap)
+
+
 def three_out_eulerian(n, seed):
     """Three random permutations on n vertices: indegree = outdegree = 3."""
     rng = random.Random(seed)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from linetrees.cli import main
 from linetrees.crit_group import (MAX_ORDER_DIGITS, group_order_db, group_order_kautz,
                                   kautz_formula)
-from linetrees.errors import GraphError
+from linetrees.errors import MAX_FAMILY_EDGES, GraphError
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -115,6 +115,19 @@ def test_group_order_cap_admits_the_largest_printable_orders():
     for make in (group_order_kautz, kautz_formula):
         with pytest.raises(GraphError, match="exceeds the cap"):
             make(3, 9)
+
+
+@pytest.mark.parametrize("family", ["db", "kautz"])
+@pytest.mark.parametrize("n", [24, 1000000])
+def test_gen_past_the_family_cap_is_one_error_line(capsys, monkeypatch, family, n):
+    # db(2,24) has 2^25 edges: refused from m and n, before any label is built
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["gen", "--family", family, "-m", "2", "-n", str(n)])
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and out == ""
+    assert err == (f"error: family graph exceeds the cap of {MAX_FAMILY_EDGES} edges "
+                   "or 20 symbols per label\n")
 
 
 def test_gen_and_linegraph_json(capsys, monkeypatch):

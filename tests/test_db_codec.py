@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import tracemalloc
 
@@ -51,6 +52,24 @@ def test_path_to_seq_rejects_non_path():
         path_to_seq(HamPath(2, (0, 1, 2, 2)))
     with pytest.raises(InvalidSequenceError):
         path_to_seq(HamPath(2, (0, 3, 1, 2)))  # 0 -> 3 is not an edge
+    with pytest.raises(InvalidSequenceError):
+        # its top bits read "0011", whose path is (0, 1, 3, 2)
+        path_to_seq(HamPath(2, (1, 0, 3, 2)))
+
+
+def test_path_to_seq_accepts_exactly_the_paths_of_sequences():
+    # exhaustive over degree 3: a vertex order is accepted iff it is the
+    # path of the sequence returned
+    paths = {seq_to_path(bits, 3).vertices for bits in enumerate_db_sequences(3)}
+    accepted = set()
+    for perm in itertools.permutations(range(8)):
+        try:
+            bits = path_to_seq(HamPath(3, perm))
+        except InvalidSequenceError:
+            continue
+        assert seq_to_path(bits, 3).vertices == perm
+        accepted.add(perm)
+    assert accepted == paths and len(paths) == 16
 
 
 def test_enumerate_counts():

@@ -3,8 +3,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from linetrees.digraph import (DiGraph, class_cycle, debruijn, detect_family,
-                               eulerian_circuit, format_edge_list, is_eulerian,
+from linetrees.digraph import (DiGraph, _check_family_size, class_cycle, debruijn,
+                               detect_family, eulerian_circuit, format_edge_list, is_eulerian,
                                is_strongly_connected, kautz, label_isomorphic,
                                line_graph, parse_edge_list, to_dot, to_json_dict)
 from linetrees.errors import GraphError, UnsupportedFamilyError
@@ -101,6 +101,21 @@ def test_generators_reject_zero_parameters():
             make(0, 2)
         with pytest.raises(GraphError):
             make(2, 0)
+
+
+def test_family_cap_from_m_and_n_alone():
+    # the largest graphs on two symbols under the cap, and past it
+    _check_family_size(2, 19, kautz=False)      # 2^20 edges
+    _check_family_size(2, 18, kautz=True)       # 3 * 2^18 edges
+    for make, m, n in [(debruijn, 2, 20), (kautz, 2, 19), (debruijn, 3, 12),
+                       (debruijn, 10 ** 9, 1), (kautz, 2, 10 ** 18)]:
+        with pytest.raises(GraphError, match="exceeds the cap of 1048576 edges"):
+            make(m, n)
+    # one symbol: one or two edges, but labels of n + 1 symbols
+    for make in (debruijn, kautz):
+        assert make(1, 19).m == (1 if make is debruijn else 2)
+        with pytest.raises(GraphError, match="or 20 symbols per label"):
+            make(1, 20)
 
 
 # the codec's top level at degree 12 is the line graph of debruijn(2, 11)

@@ -463,6 +463,30 @@ def test_validate_rejects_indegree_zero_vertex():
         validate_tree_array(g, TreeArray(0, ((0, OMEGA), ())))
 
 
+@pytest.mark.parametrize("root", [0.0, 1.0, 0.5, "0", None])
+def test_non_int_roots_refused_with_typed_errors(root):
+    # edges of DB_1(2): 0 = 0->0, 1 = 0->1, 2 = 1->0, 3 = 1->1
+    g = debruijn(2, 1)
+    with pytest.raises(InvalidTreeArrayError, match="array shape does not match the graph"):
+        validate_tree_array(g, TreeArray(root, ((0, OMEGA), (3, 2))))
+    with pytest.raises(InvalidTreeError, match="tree shape does not match the graph"):
+        validate_tree(g, SpanningTree(root, (None, 2)))
+    ctx = LineContext(g)
+    tree = ctx.sigma(TreeArray(0, ((0, OMEGA), (3, 2))))
+    with pytest.raises(InvalidTreeError, match="tree shape does not match the graph"):
+        ctx.pi(SpanningTree(root, tree.out_edge))
+
+
+def test_bool_roots_still_accepted():
+    g = debruijn(2, 1)
+    validate_tree_array(g, TreeArray(False, ((0, OMEGA), (3, 2))))
+    validate_tree(g, SpanningTree(True, (1, None)))
+    ctx = LineContext(g)
+    tree = ctx.sigma(TreeArray(1, ((0, 1), (2, OMEGA))))
+    assert tree.root == 1
+    assert ctx.pi(SpanningTree(True, tree.out_edge)) == ctx.pi(tree)
+
+
 def test_sigma_rejects_invalid_array():
     with pytest.raises(InvalidTreeArrayError):
         LineContext(TWO_CYCLE).sigma(TreeArray(0, ((0,), (1,))))
