@@ -21,7 +21,7 @@ TIMEOUT_S = 120.0
 # (what, family, m, n); for "eulerian", m is the seed and n the vertex count
 CASES = ([("critical_group", "db", 2, n) for n in range(8, 14)]
          + [("critical_group", "kautz", 3, 5)]
-         + [("critical_group", "eulerian", 1, n) for n in (150, 200, 300)]
+         + [("critical_group", "eulerian", 1, n) for n in (150, 200, 300, 500)]
          + [("count_trees", "db", 2, n) for n in range(5, 14)]
          + [("count_trees", "eulerian", 1, n) for n in (300, 500)])
 CHILD = """

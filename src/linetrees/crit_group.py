@@ -14,18 +14,18 @@ balanced (indeg = outdeg) strongly connected graph the choice of sink does
 not matter and the common group is the critical group.
 
 Smith normal form is computed over the integers with exact arithmetic, in
-one sparse loop over the rows in that form.  It pivots on entries p that
-divide every entry of their row and column (least |p| first, then least
-Markowitz cost (r-1)(c-1)): row operations clear p's column and Z_|p|
-splits off with no column operations.  When no such pivot is left, the
-least entry takes the same row operations and, once alone in its column,
-reduces its own row modulo p, so a smaller entry or a divisor pivot turns
-up.  A divisibility-chain fix-up runs over the diagonal at the end.  The
-reduced Laplacians of the families are sparse and need few fallback
-steps: none for db(2, n), ten for kautz(2,8).  The
-invariant factors determine the cokernel as a direct sum of cyclic
-groups, reported in invariant-factor form d1 | d2 | ... (unit factors
-dropped, zero factors counted as free rank).
+one sparse loop over the rows in that form.  It takes the live entries p
+from one lazy heap, least |p| first, then least Markowitz cost (r-1)(c-1),
+and tests each one popped against its row and column.  If p divides both,
+row operations clear p's column and Z_|p| splits off with no column
+operations.  If not, p takes the same row operations and, once alone in
+its column, reduces its own row modulo p, so a smaller entry or a divisor
+pivot turns up.  A divisibility-chain fix-up runs over the diagonal at the
+end.  The reduced Laplacians of the families are sparse and need few
+non-split steps: one or two for db(2, n) up to n = 12, nine for
+kautz(2,8).  The invariant factors determine the cokernel as a direct sum
+of cyclic groups, reported in invariant-factor form d1 | d2 | ... (unit
+factors dropped, zero factors counted as free rank).
 
 Closed forms implemented for the two families (m >= 2):
 
@@ -45,7 +45,7 @@ exponent is the one implemented and tested here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd, inf, log10
 from typing import Mapping, Sequence
 
@@ -65,9 +65,9 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None
     Row i is rows[i] as {col: value}, over `cols` columns (default: as
     many as rows); distinct keys name distinct columns, and a column with
     no entry is a zero column.  The input is not changed.  One sparse loop
-    splits off a cyclic factor per divisor pivot, falling back to the
-    least entry when none is left; the diagonal is those factors, then a
-    zero for each of the min(rows, cols) places the rank leaves, and the
+    splits off a cyclic factor per divisor pivot, reducing the least entry
+    when it is not one; the diagonal is those factors, then a zero for
+    each of the min(rows, cols) places the rank leaves, and the
     divisibility-chain fix-up runs over the whole of it.
     """
     cols = len(rows) if cols is None else cols
@@ -89,17 +89,20 @@ def _divisor_pivots(sparse: list[dict[int, int]]) -> list[int]:
     |p| is the gcd of both) splits off Z_|p|: integer row operations clear
     p's column, after which p's row holds only multiples of p, and the
     column operations that would clear it touch no other row; so the row
-    and column are simply dropped.  Pivots are popped from a heap keyed by
-    (|p|, Markowitz cost (r-1)(c-1)).  After each step every entry of a
-    changed row or column is offered again under its new key, so a popped
-    key that no longer matches its entry is stale and is dropped.
+    and column are simply dropped.
 
-    When the heap runs dry with entries left, the live entry p of least
-    |p| takes the same row operations, which leave remainders smaller than
-    |p| in its column; once p is alone there, reducing its row modulo p is
-    a column operation that touches no other row.  Either a smaller entry
-    appears or p becomes a divisor pivot, so the loop ends with every
-    entry gone.
+    Entries sit in one heap of (|p|, Markowitz cost (r-1)(c-1), i, j),
+    pushed at the start and again on each new value (then at cost 0, which
+    the first pop corrects).  A popped entry that is gone or whose |p| has
+    changed is dropped, and one whose cost has changed goes back in.  What
+    is left is a live entry p of least |p|, and only now is it tested
+    against its row and column.  If it fails, it takes the same row
+    operations, which leave remainders smaller than |p| in its column;
+    once p is alone there, reducing its row modulo p is a column operation
+    that touches no other row.  Either a smaller entry appears or p
+    becomes a divisor pivot, so p goes back in, and the loop ends with
+    every entry gone.  A heap of over four items per live entry is rebuilt
+    from the matrix, so stale items do not pile up under a dense remainder.
 
     Reduces the rows of `sparse` in place, emptying each pivot row, and
     returns the |p| in pivot order.
@@ -108,42 +111,36 @@ def _divisor_pivots(sparse: list[dict[int, int]]) -> list[int]:
     for i, row in enumerate(sparse):
         for j in row:
             col_rows.setdefault(j, set()).add(i)
-    row_gcd = [gcd(*row.values()) for row in sparse]
-    col_gcd = {j: gcd(*[sparse[i][j] for i in rs]) for j, rs in col_rows.items()}
-    heap: list[tuple[int, int, int, int]] = []
 
-    def offer(i: int, j: int) -> None:
-        v = abs(sparse[i][j])
-        if v == row_gcd[i] and v == col_gcd[j]:
-            heappush(heap, (v, (len(sparse[i]) - 1) * (len(col_rows[j]) - 1), i, j))
+    def keyed() -> list[tuple[int, int, int, int]]:
+        heap = [(abs(v), (len(row) - 1) * (len(col_rows[j]) - 1), i, j)
+                for i, row in enumerate(sparse) for j, v in row.items()]
+        heapify(heap)
+        return heap
 
-    for i, row in enumerate(sparse):
-        for j in row:
-            offer(i, j)
+    heap = keyed()
+    live = len(heap)
     pivots: list[int] = []
-    while True:
-        if heap:
-            v, cost, i, j = heappop(heap)
-            prow = sparse[i]
-            if (j not in prow or abs(prow[j]) != v or row_gcd[i] != v or col_gcd[j] != v
-                    or (len(prow) - 1) * (len(col_rows[j]) - 1) != cost):
-                continue
-            split = True
+    while heap:
+        v, cost, i, j = heappop(heap)
+        prow = sparse[i]
+        if abs(prow.get(j, 0)) != v:    # gone, or rewritten and pushed again
+            continue
+        rs = col_rows[j]
+        now = (len(prow) - 1) * (len(rs) - 1)
+        if now != cost:
+            heappush(heap, (v, now, i, j))
+            continue
+        p = prow[j]
+        split = v == 1 or (all(x % p == 0 for x in prow.values())
+                           and all(sparse[r][j] % p == 0 for r in rs))
+        if split:
             pivots.append(v)
             sparse[i] = {}
+            live -= len(prow)
             for c in prow:
                 col_rows[c].discard(i)
-        else:
-            least = min(((abs(v), i, j) for i, row in enumerate(sparse) for j, v in row.items()),
-                        default=None)
-            if least is None:
-                return pivots
-            _, i, j = least
-            prow = sparse[i]
-            split = False
-        p = prow[j]
-        changed_rows = [r for r in col_rows[j] if r != i]
-        for r in changed_rows:
+        for r in [r for r in rs if r != i]:
             row = sparse[r]
             q = row[j] // p
             for c, a in prow.items():
@@ -151,30 +148,30 @@ def _divisor_pivots(sparse: list[dict[int, int]]) -> list[int]:
                 if x:
                     if c not in row:
                         col_rows[c].add(r)
+                        live += 1
                     row[c] = x
+                    heappush(heap, (abs(x), 0, r, c))
                 else:
                     del row[c]
                     col_rows[c].discard(r)
-            row_gcd[r] = gcd(*row.values())
-        changed_cols = [c for c in prow if c != j or not split]
-        if not split and len(col_rows[j]) == 1:  # p alone in its column
-            for c in changed_cols:
-                x = prow[c] % p
-                if x:
-                    prow[c] = x
-                elif c != j:  # p % p is 0, and p stays
-                    del prow[c]
-                    col_rows[c].discard(i)
-            row_gcd[i] = gcd(*prow.values())
-            changed_rows.append(i)
-        for c in changed_cols:
-            col_gcd[c] = gcd(*[sparse[r][c] for r in col_rows[c]])
-        for r in changed_rows:
-            for c in sparse[r]:
-                offer(r, c)
-        for c in changed_cols:
-            for r in col_rows[c]:
-                offer(r, c)
+                    live -= 1
+        if not split:
+            if len(rs) == 1:    # p alone in its column
+                for c in [c for c in prow if c != j]:
+                    x = prow[c] % p
+                    if x:
+                        prow[c] = x
+                        heappush(heap, (abs(x), 0, i, c))
+                    else:
+                        del prow[c]
+                        col_rows[c].discard(i)
+                        live -= 1
+            heappush(heap, (v, 0, i, j))
+        if len(heap) > 4 * live:
+            heap = keyed()
+    if any(sparse):    # an entry left out of the heap would drop a factor
+        raise RuntimeError("Smith form loop ended with entries left")
+    return pivots
 
 
 def _chain(diag: list[int]) -> list[int]:

@@ -96,10 +96,13 @@ def seq_to_path(bits: str, degree: int) -> HamPath:
 def path_to_seq(path: HamPath) -> str:
     """Inverse of seq_to_path: read one bit per window."""
     size = 2 ** path.degree
-    if len(path.vertices) != size or len(set(path.vertices)) != size:
-        raise InvalidSequenceError("path must visit every vertex exactly once")
-    top = 2 ** (path.degree - 1)
-    bits = "".join("1" if v >= top else "0" for v in path.vertices)
+    try:
+        if len(path.vertices) != size or len(set(path.vertices)) != size:
+            raise InvalidSequenceError("path must visit every vertex exactly once")
+        top = 2 ** (path.degree - 1)
+        bits = "".join("1" if v >= top else "0" for v in path.vertices)
+    except TypeError:   # a vertex that is unhashable or not a number
+        raise InvalidSequenceError("path vertices must be integers") from None
     if _windows(bits, path.degree) != list(path.vertices):
         raise InvalidSequenceError("vertex sequence is not a Hamiltonian path")
     return bits

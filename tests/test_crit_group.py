@@ -1,4 +1,5 @@
 import builtins
+import heapq
 import random
 import time
 import tracemalloc
@@ -129,26 +130,71 @@ def test_snf_full_laplacians_match_dense_loop(make, m, n):
     assert smith_normal_form(out_laplacian(g)).diagonal == _dense_snf(dense_laplacian(g))
 
 
-@pytest.mark.parametrize("make,m,n,searches", [(debruijn, 2, 8, 1), (debruijn, 3, 5, 2),
-                                               (debruijn, 4, 4, 4), (kautz, 2, 8, 11),
-                                               (kautz, 3, 5, 4)])
-def test_family_laplacians_need_few_least_entry_searches(make, m, n, searches, monkeypatch):
-    # divisor pivots do nearly all the work on the reduced Laplacians; the
-    # least-entry fallback is the loop's one call of min on a single
-    # iterable, and its last search finds the matrix empty.  A step that
-    # fails to offer a changed row or column again leaves a divisor pivot
-    # for the fallback to find, and shows here as more searches.
-    calls = []
+@pytest.mark.parametrize("make,m,n,non_split,pops", [(debruijn, 2, 8, 2, 2123),
+                                                     (debruijn, 3, 5, 4, 1867),
+                                                     (debruijn, 4, 4, 2, 2681),
+                                                     (kautz, 2, 8, 9, 3175),
+                                                     (kautz, 3, 5, 4, 2493)])
+def test_family_laplacians_split_at_nearly_every_pop(make, m, n, non_split, pops, monkeypatch):
+    # divisor pivots do nearly all the work on the reduced Laplacians.  A
+    # least live entry that is not a unit is tested by one call of all()
+    # over its row and, if that holds, one over its column, so each False
+    # is one non-split step.  Every pop is counted, stale items included,
+    # so a write that is not pushed, or pushed twice, changes the count.
+    tests, popped = [], []
 
-    def counting_min(*args, **kwargs):
-        if len(args) == 1:
-            calls.append(1)
-        return builtins.min(*args, **kwargs)
+    def counting_all(items):
+        tests.append(builtins.all(items))
+        return tests[-1]
 
-    monkeypatch.setattr(crit_group, "min", counting_min, raising=False)
+    def counting_heappop(heap):
+        popped.append(1)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(crit_group, "all", counting_all, raising=False)
+    monkeypatch.setattr(crit_group, "heappop", counting_heappop)
     reduced = minor(out_laplacian(make(m, n)), 0)
     assert len(_divisor_pivots(reduced)) == len(reduced)
-    assert len(calls) == searches
+    assert tests.count(False) == non_split
+    assert len(popped) == pops
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [1, 2]], [[3, 0, 0], [0, 1, 1], [0, 1, 2]]])
+def test_lost_push_raises_instead_of_dropping_a_factor(rows, monkeypatch):
+    # the unit pivot rewrites the other row's last entry to 1 and pushes
+    # it; with that one push suppressed no item names the entry, the heap
+    # runs dry with it left, and the loop must not return a short diagonal
+    pushes = []
+
+    def losing_heappush(heap, item):
+        pushes.append(item)
+        if len(pushes) > 1:
+            heapq.heappush(heap, item)
+
+    monkeypatch.setattr(crit_group, "heappush", losing_heappush)
+    with pytest.raises(RuntimeError, match="entries left"):
+        _divisor_pivots(sparse(rows))
+    assert pushes[0][0] == 1
+
+
+@st.composite
+def deep_sparse_matrices(draw):
+    """15-40 rows of one to three entries in -9..9, some with a column more
+    or fewer than rows and some with a row repeated."""
+    n = draw(st.integers(15, 40))
+    m = n + draw(st.sampled_from([0, 0, -3, -1, 2, 4]))
+    rows = [[0] * m for _ in range(n)]
+    for row in rows:
+        for j in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3)):
+            row[j] = draw(st.integers(-9, 9))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = list(rows[draw(st.integers(0, n - 1))])
+    return rows
+
+
+@given(deep_sparse_matrices())
+def test_snf_of_larger_sparse_matrices_matches_dense_loop(rows):
+    assert smith_normal_form(sparse(rows), len(rows[0])).diagonal == _dense_snf(rows)
 
 
 @st.composite
@@ -176,6 +222,23 @@ def _permutation_graph(n, seed):
         rng.shuffle(p)
         edges += enumerate(p)
     return DiGraph(n, edges)
+
+
+@pytest.mark.parametrize("n,seed", [(40, 1), (50, 2), (60, 3)])
+def test_snf_of_permutation_graph_minors_compacts_the_heap(n, seed, monkeypatch):
+    # fill-in on these minors rewrites many entries per step, so stale
+    # items pass four per live entry and the heap is rebuilt
+    builds = []
+
+    def counting_heapify(heap):
+        builds.append(len(heap))
+        heapq.heapify(heap)
+
+    monkeypatch.setattr(crit_group, "heapify", counting_heapify)
+    g = _permutation_graph(n, seed)
+    diagonal = smith_normal_form(minor(out_laplacian(g), 0)).diagonal
+    assert diagonal == _dense_snf(dense_minor(dense_laplacian(g), 0))
+    assert len(builds) >= 2     # the first build, then at least one rebuild
 
 
 def test_critical_group_of_a_150_vertex_permutation_graph_within_bound():

@@ -57,6 +57,15 @@ def test_path_to_seq_rejects_non_path():
         path_to_seq(HamPath(2, (1, 0, 3, 2)))
 
 
+@pytest.mark.parametrize("vertices", [("a", "b", "c", "d"), (0, 1, 2, "3"), ([0], 1, 2, 3),
+                                      (0, 1, None, 3)])
+def test_path_to_seq_refuses_vertices_that_are_not_numbers(vertices):
+    # set() hashes each vertex and the top-bit read compares it with an
+    # int; a TypeError from either is refused as a bad path
+    with pytest.raises(InvalidSequenceError, match="must be integers"):
+        path_to_seq(HamPath(2, vertices))
+
+
 def test_path_to_seq_accepts_exactly_the_paths_of_sequences():
     # exhaustive over degree 3: a vertex order is accepted iff it is the
     # path of the sequence returned
