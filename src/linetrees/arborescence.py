@@ -10,7 +10,8 @@ roots, :func:`weighted_tree_sum`, takes one determinant rather than one per
 root: the rows of L = D - A sum to 0, so by the matrix determinant lemma
 det(L + 1 e_0^T) is the sum of the rooted counts.  The brute-force route
 is one search, shared by :func:`enumerate_trees` and the generating
-functions.  The determinant route is one Laplacian, :func:`out_laplacian`,
+functions (kappa_vertex merges trees instead on graphs with many of
+them).  The determinant route is one Laplacian, :func:`out_laplacian`,
 held as sparse rows (one {col: value} dict per row), and one sparse exact
 elimination, :func:`determinant`, which hands the small dense block it may
 leave to :func:`bareiss_determinant`.
@@ -35,14 +36,17 @@ and :func:`knuth_check` checks the numeric specialization
 
     kappa(LG) = kappa(G) * prod_v outdeg(v)^(indeg(v)-1).
 
-Both generating functions run the one search.  A tree is its edge set, so
-every coefficient of kappa_edge is 1 and its leaf keeps each tree's sorted
-edges.  kappa_vertex merges many trees into each monomial, so the search
-carries a tree's monomial as one packed int: the sum over its edges of
+kappa_edge runs the one search.  A tree is its edge set, so every
+coefficient of kappa_edge is 1 and its leaf keeps each tree's sorted
+edges.  kappa_vertex merges many trees into each monomial, so it counts a
+tree's monomial as one packed int: the sum over its edges of
 1 << (w * t(e)), with w the bit length of n - 1.  A tree has n - 1 edges,
 so each w-bit field counts one vertex variable and never carries into the
-next.  The leaf counts keys, and each distinct key is unpacked to its
-sorted tuple once at the end.
+next.  On graphs with few candidate assignments per possible monomial it
+runs the search, which carries the key down and counts it at each leaf.
+Past that it hands over to one pass per root that counts partial trees
+sharing a frontier state together (:func:`_frontier_counts`).  Each
+distinct key is unpacked to its sorted tuple once at the end.
 """
 
 from __future__ import annotations
@@ -50,11 +54,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from math import gcd, prod
+from math import comb, gcd, prod
 from typing import Callable, Mapping, Sequence
 import random
 
-from .digraph import DiGraph, line_graph
+from .digraph import DiGraph, _reach, line_graph
 from .errors import EnumerationBound, InvalidTreeError, count_text
 
 DEFAULT_BOUND = 10 ** 6
@@ -133,6 +137,15 @@ def _candidate_count(outdeg: Sequence[int], roots: Sequence[int]) -> int:
     return total
 
 
+def _bounded_candidates(outdeg: Sequence[int], roots: Sequence[int], bound: int) -> int:
+    """_candidate_count, raising EnumerationBound if it exceeds the bound."""
+    candidates = _candidate_count(outdeg, roots)
+    if candidates > bound:
+        raise EnumerationBound(f"{count_text(candidates)} candidate assignments "
+                               f"exceed bound {count_text(bound)}")
+    return candidates
+
+
 def _search_trees(g: DiGraph, roots: Sequence[int], weights: Sequence[int],
                   leaf: Callable[[int, list, int], None], bound: int) -> None:
     """The one brute-force arborescence search.
@@ -146,10 +159,7 @@ def _search_trees(g: DiGraph, roots: Sequence[int], weights: Sequence[int],
     non-root out-degrees, summed over the roots), not the number of trees.
     """
     n = g.n
-    candidates = _candidate_count(g.outdeg, roots)
-    if candidates > bound:
-        raise EnumerationBound(f"{count_text(candidates)} candidate assignments "
-                               f"exceed bound {count_text(bound)}")
+    _bounded_candidates(g.outdeg, roots, bound)
     target = [t for _, t in g.edges]
     out = g._out
     for r in roots:
@@ -440,19 +450,45 @@ def kappa_edge(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:
 
 
 def kappa_vertex(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:
-    # Packed keys (see the module docstring): a field of `width` bits holds
-    # a multiplicity up to n - 1, the number of edges in a tree.
-    width = (g.n - 1).bit_length()
-    counts: dict[int, int] = {}
-    get = counts.get
+    """kappa_vertex(G) as packed keys (see the module docstring), unpacked
+    once at the end; a field of `width` bits holds a multiplicity up to
+    n - 1, the number of edges in a tree.
 
-    def leaf(root: int, choice: list, key: int) -> None:
-        counts[key] = get(key, 0) + 1
+    The monomials come in the order of their first trees: by root, then by
+    the lexicographic out-edge choice vector, as enumerate_trees lists
+    them.  The bound caps the candidate assignments, as there, and is
+    checked before any work.  There are C(2n - 2, n - 1) possible
+    monomials (degree n - 1 in n variables).  With more than 16 candidates
+    per possible monomial, trees share monomials often enough that
+    _frontier_counts pays: it counts partial trees that share a frontier
+    state and a key together.  Below that the search visits each tree, as
+    merging costs more than it saves on small graphs.  Either way the
+    entries held at once never exceed the candidates: each counted key,
+    and each (state, key) entry of a merged layer, stands for at least one
+    assignment of out-edges to the vertices so far, no two entries share
+    one, and the assignments of a prefix are at most those of all vertices,
+    as a root with trees leaves no other vertex without an out-edge.
+    """
+    n = g.n
+    width = (n - 1).bit_length()
+    weights = [1 << (width * t) for _, t in g.edges]
+    if _bounded_candidates(g.outdeg, range(n), bound) > 16 * comb(2 * n - 2, n - 1):
+        counts = _frontier_counts(g, weights)
+    else:
+        counts = {}
+        get = counts.get
 
-    _search_trees(g, range(g.n), [1 << (width * t) for _, t in g.edges], leaf, bound)
-    # Unpack each distinct key once, lowest field first, into the sorted
-    # tuple of its variables; dicts keep first-seen order, so the result is
-    # ordered by each monomial's first tree, as if the tuples were counted.
+        def leaf(root: int, choice: list, key: int) -> None:
+            counts[key] = get(key, 0) + 1
+
+        _search_trees(g, range(n), weights, leaf, bound)
+    return _unpack(counts, width)
+
+
+def _unpack(counts: dict[int, int], width: int) -> Poly:
+    """The polynomial of packed keys, each unpacked once, lowest field first,
+    into the sorted tuple of its variables; dicts keep insertion order, so
+    the result keeps the order of `counts`."""
     mask = (1 << width) - 1
     poly: Poly = {}
     for key, count in counts.items():
@@ -464,6 +500,103 @@ def kappa_vertex(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:
             x += 1
         poly[tuple(mon)] = count
     return poly
+
+
+def _tree_roots(g: DiGraph) -> list[int]:
+    """The vertices that every vertex reaches, in increasing order: the
+    roots with at least one tree.  O(n + m).
+
+    Traversing the reversed graph from each vertex not yet reached, in
+    index order, marks from a start c the unmarked vertices that reach c.
+    The marked set is closed under "reaches", so anything the last start c
+    reaches was marked from c and reaches c: c lies in a sink component.
+    If every vertex reaches c, the roots are the vertices c reaches;
+    otherwise no vertex is reached by all.
+    """
+    n = g.n
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for s, t in g.edges:
+        succ[s].append(t)
+        pred[t].append(s)
+    seen = bytearray(n)
+    for v in range(n):
+        if not seen[v]:
+            c = v
+            _reach(pred, v, seen)
+    if 0 in _reach(pred, c, bytearray(n)):
+        return []
+    reached = _reach(succ, c, bytearray(n))
+    return [r for r in range(n) if reached[r]]
+
+
+def _frontier_counts(g: DiGraph, weights: Sequence[int]) -> dict[int, int]:
+    """{key: number of trees} over all roots, key the sum of weights[e] over
+    a tree's edges, in the order of each key's first tree, as the search
+    would count them; by merging partial trees that share a frontier state
+    (Sekine, Imai and Tani 1995), instead of visiting every tree.
+
+    For each root r with trees, the vertices get their out-edges in index
+    order (r gets none).  After vertex v, a partial tree's state gives, for
+    each vertex u <= v that an out-edge of a later vertex still reads, the
+    end of u's chain: a vertex > v not yet assigned, or -1 for the root.  An
+    edge of v whose target's chain ends at v closes a cycle; any other edge
+    is safe, and the chains that ended at v now end where the edge leads.
+    So two partial trees in one state extend alike, and one layer maps
+    (state code << shift) + key to the number of partial trees there, with
+    shift past any key, and each (state, edge) moves an entry by one
+    constant delta.  The layer is walked in its insertion order and v's
+    edges in out-edge order.  By induction that walk meets the partial
+    trees' choice vectors in lexicographic order, so each entry is inserted
+    first by its least partial tree and the entries stay in that order; the
+    last layer, with one empty state, is in first-tree order.
+    """
+    n = g.n
+    target = [t for _, t in g.edges]
+    shift = (n * max(weights, default=0)).bit_length()
+    counts: dict[int, int] = {}
+    get = counts.get
+    for r in _tree_roots(g):
+        last = [-1] * n     # the last vertex whose out-edge reads each vertex
+        for s, t in g.edges:
+            if s != r and s > last[t]:
+                last[t] = s
+        frontier: list[int] = []
+        states: list[tuple[int, ...]] = [()]
+        layer = {0: 1}
+        for v in range(n):
+            # v's choices as (weight, the target's index in the state or
+            # None, the target); then the state entries that stay, v's last
+            where = {u: i for i, u in enumerate(frontier)}
+            reads = ([(0, None, -1)] if v == r else
+                     [(weights[e], where.get(target[e]), target[e]) for e in g._out[v]])
+            frontier.append(v)
+            kept = [i for i, u in enumerate(frontier) if last[u] > v]
+            codes: dict[tuple[int, ...], int] = {}
+            moves = []
+            for code, state in enumerate(states):
+                deltas = []
+                for w, i, end in reads:
+                    if i is not None:
+                        end = state[i]
+                    if end == v:
+                        continue    # the edge closes a cycle through v
+                    ends = [end if x == v else x for x in state]
+                    ends.append(end)
+                    ends = tuple([ends[j] for j in kept])
+                    deltas.append(w + ((codes.setdefault(ends, len(codes)) - code) << shift))
+                moves.append(deltas)
+            nxt: dict[int, int] = {}
+            nget = nxt.get
+            for key, count in layer.items():
+                for d in moves[key >> shift]:
+                    d += key
+                    nxt[d] = nget(d, 0) + count
+            layer, states = nxt, list(codes)
+            frontier = [frontier[i] for i in kept]
+        for key, count in layer.items():
+            counts[key] = get(key, 0) + count
+    return counts
 
 
 def rhs_product(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:

@@ -155,19 +155,17 @@ def is_eulerian(g: DiGraph) -> bool:
     return all(g.indeg[v] == g.outdeg[v] for v in range(g.n))
 
 
-def _reachable(n: int, adj: Sequence[Sequence[int]], start: int) -> int:
-    seen = bytearray(n)
+def _reach(adj: Sequence[Sequence[int]], start: int, seen: bytearray) -> bytearray:
+    """Mark in `seen` the vertices that `start` reaches through unmarked
+    ones (all it reaches, on a fresh array), and return `seen`."""
     seen[start] = 1
     stack = [start]
-    count = 1
     while stack:
-        v = stack.pop()
-        for w in adj[v]:
+        for w in adj[stack.pop()]:
             if not seen[w]:
                 seen[w] = 1
-                count += 1
                 stack.append(w)
-    return count
+    return seen
 
 
 def is_strongly_connected(g: DiGraph) -> bool:
@@ -176,7 +174,7 @@ def is_strongly_connected(g: DiGraph) -> bool:
     for s, t in g.edges:
         fwd[s].append(t)
         bwd[t].append(s)
-    return _reachable(g.n, fwd, 0) == g.n and _reachable(g.n, bwd, 0) == g.n
+    return 0 not in _reach(fwd, 0, bytearray(g.n)) and 0 not in _reach(bwd, 0, bytearray(g.n))
 
 
 def detect_family(g: DiGraph) -> tuple[str, int, int]:

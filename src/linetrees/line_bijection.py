@@ -278,8 +278,9 @@ def _sigma(n: int, target: Sequence[int], a: TreeArray,
                     raise InvalidTreeArrayError(
                         f"output has {added} line edges, expected {m - 1}")
                 if any(count):
-                    # indeg of e in the tree != its copies in l_{s(e)}: the
-                    # two sides would give different monomials
+                    # all m edges were taken, each at count 0, and counts
+                    # only fall, so none is above 0; one falls below 0 only
+                    # if a list's iteration hid an entry that indexing popped
                     raise InvalidTreeArrayError("output tree indegrees disagree with list counts")
                 return f, tuple(succ)
             # Step 3: record the line edge (f, entry).

@@ -2,16 +2,17 @@ import random
 import sys
 import time
 from collections import Counter
-from math import prod
+from math import comb, factorial, prod
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from linetrees.arborescence import (DENSE_HANDOFF, SpanningTree, _candidate_count, _parity,
-                                    _poly_mul, bareiss_determinant, count_trees,
-                                    determinant, enumerate_trees, kappa_edge, kappa_vertex,
-                                    knuth_check, minor, out_laplacian, rhs_product,
+import linetrees.arborescence as arb
+from linetrees.arborescence import (DEFAULT_BOUND, DENSE_HANDOFF, SpanningTree, _candidate_count,
+                                    _frontier_counts, _parity, _poly_mul, _tree_roots, _unpack,
+                                    bareiss_determinant, count_trees, determinant,
+                                    enumerate_trees, kappa_edge, kappa_vertex, knuth_check, minor, out_laplacian, rhs_product,
                                     rooted_tree_counts, validate_tree, verify_identity,
                                     weighted_tree_sum)
 from linetrees.digraph import DiGraph, debruijn, kautz, line_graph
@@ -412,6 +413,88 @@ def test_kappa_vertex_fields_hold_indegree_n_minus_1(leaves, hub_first):
     targets = [t for _, t in g.edges]
     assert list(poly.items()) == list(_counted_monomials(g, targets).items())
     assert list(kappa_edge(g).items()) == list(_counted_monomials(g, range(g.m)).items())
+
+
+def _merged_poly(g):
+    # the merged pass alone, with kappa_vertex's packed weights and unpacking
+    width = (g.n - 1).bit_length()
+    return _unpack(_frontier_counts(g, [1 << (width * t) for _, t in g.edges]), width)
+
+
+# graphs by their sink components (strong components with no edge out):
+# one, all its vertices roots, fed by others or the whole graph; one
+# vertex with no out-edge, the only root; two, so no tree at all.  With
+# self-loops and parallel edges.
+TERMINAL_CLASSES = [
+    DiGraph(4, [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2)]),
+    DiGraph(4, [(0, 1), (1, 2), (2, 1), (3, 3), (3, 0), (3, 0)]),
+    DiGraph(4, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (3, 0)]),
+    DiGraph(3, [(0, 2), (1, 2), (1, 2), (2, 2)]),
+    DiGraph(3, [(0, 2), (1, 0), (1, 1)]),
+    DiGraph(3, [(0, 0), (1, 1), (2, 0), (2, 1)]),
+    DiGraph(3, [(0, 1), (1, 0)]),
+    DiGraph(2, []),
+    SELF_LOOP,
+]
+
+
+@settings(max_examples=300)
+@given(multigraphs(max_m=9), st.data())
+def test_merged_pass_matches_counted_monomials(g, data):
+    # the merged pass on any multigraph and on the line graph of a small
+    # one, below the handoff too: equal item for item, in the same order
+    if g.m and g.m <= 6 and data.draw(st.booleans()):
+        g = line_graph(g)
+    targets = [t for _, t in g.edges]
+    assert list(_merged_poly(g).items()) == list(_counted_monomials(g, targets).items())
+    assert _tree_roots(g) == [r for r in range(g.n) if count_trees_rooted(g, r)]
+
+
+@pytest.mark.parametrize("g", TERMINAL_CLASSES)
+def test_merged_pass_on_terminal_classes(g):
+    targets = [t for _, t in g.edges]
+    assert list(_merged_poly(g).items()) == list(_counted_monomials(g, targets).items())
+    assert _tree_roots(g) == [r for r in range(g.n) if count_trees_rooted(g, r)]
+
+
+def bouquet_line_graph(k):
+    # L(one vertex with k loops) is the complete digraph with loops on k vertices
+    return line_graph(DiGraph(1, [(0, 0)] * k))
+
+
+@pytest.mark.parametrize("g,bound,path", [
+    (bouquet_line_graph(8), 10 ** 8, "merged"),
+    (bouquet_line_graph(5), DEFAULT_BOUND, "merged"),     # 5^5 > 16 C(8, 4) candidates
+    (bouquet_line_graph(4), DEFAULT_BOUND, "search"),     # 4^4 <= 16 C(6, 3)
+    (DiGraph(1500, [(v, (v + 1) % 1500) for v in range(1500)]), DEFAULT_BOUND, "search"),
+    (TWO_CYCLE, DEFAULT_BOUND, "search"),
+])
+def test_kappa_vertex_takes_the_merged_pass_past_the_handoff(g, bound, path, monkeypatch):
+    # each body is replaced by a stub that records its call and does nothing
+    calls = []
+    monkeypatch.setattr(arb, "_frontier_counts", lambda g, weights: calls.append("merged") or {})
+    monkeypatch.setattr(arb, "_search_trees", lambda *args: calls.append("search"))
+    assert arb.kappa_vertex(g, bound) == {}
+    assert calls == [path]
+
+
+def test_kappa_vertex_of_the_bouquet_line_graph_is_a_power_of_the_sum():
+    # summed over roots, the trees of the complete digraph on k vertices
+    # give (x_0 + ... + x_{k-1})^(k-1) (Cayley): each monomial's coefficient
+    # is a multinomial coefficient; 8^7 trees, C(14, 7) monomials
+    poly = kappa_vertex(bouquet_line_graph(8), bound=10 ** 8)
+    assert len(poly) == comb(14, 7) and sum(poly.values()) == 8 ** 7
+    for mon, count in poly.items():
+        assert count == factorial(7) // prod(factorial(mon.count(x)) for x in set(mon))
+
+
+def test_kappa_vertex_bound_is_checked_before_either_path(monkeypatch):
+    # 8^8 candidates: refused with the search's message, before any work
+    monkeypatch.setattr(arb, "_frontier_counts", None)
+    monkeypatch.setattr(arb, "_search_trees", None)
+    with pytest.raises(EnumerationBound,
+                       match="^16777216 candidate assignments exceed bound 1000000$"):
+        arb.kappa_vertex(bouquet_line_graph(8))
 
 
 def test_rhs_product_trivial_cases():
