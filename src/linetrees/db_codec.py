@@ -22,35 +22,37 @@ appending 0) or its "one edge".  The encoding is:
                         for 1 <= k <= n-2;
   bit 2^(n-1)           first entry of the root list of A_{n-1}.
 
-That is 1 + (2 + 4 + ... + 2^(n-2)) + 1 = 2^(n-1) bits.  At the top level
-only the root's bit is free: in a tree array whose image is a Hamiltonian
-path every non-root list must contain two distinct edges, so the first
-entry is forced to be the non-tree out-edge.  The root of A_{n-1} is the
-vertex where the Eulerian walk of DB_{n-1}(2) described by the sequence
-starts and ends, and its free bit records which of its two out-edges the
-walk leaves by, which is exactly the remaining degree of freedom.
-
-Decoding reverses the levels with the forward map: rebuild T_1 from bit 1,
-assemble each A_k from its bits and T_k, apply the forward map to get
-T_{k+1}, and finally assemble A_{n-1} (non-root lists [non-tree edge, tree
-edge], root list [chosen edge, OMEGA]) whose image is the Hamiltonian path.
+That is 1 + (2 + 4 + ... + 2^(n-2)) + 1 = 2^(n-1) bits.  The top level
+runs neither map.  The path is a tree of DB_n(2) with one leaf at each
+step, so pi peels it in walk order: a vertex's list in A_{n-1} is its exits
+in walk order.  The root, where the Eulerian walk of DB_{n-1}(2) described
+by the sequence starts and ends, has one exit, its free bit; every other
+list holds both out-edges, the tree edge last.  So encoding reads that bit
+and T_{n-1} in one pass over the steps.  Every edge but the root's unchosen
+one has one copy in A_{n-1}, so sigma has one candidate at each step, and
+its image is the walk (the BEST construction of van Aardenne-Ehrenfest and
+de Bruijn) that starts on that edge, leaves each vertex by its non-tree
+edge first and its tree edge second, and leaves the root by the chosen
+edge.  Decoding rebuilds T_1 from bit 1, applies sigma to each A_k,
+assembled from its bits and T_k, to get T_{k+1}, follows that walk, and
+has path_to_seq check the result.
 
 No graph is built and nothing is kept between calls.  The bodies of sigma
 and pi read only a vertex count, the edge heads and the edge order, and
 edge e of DB_k(2) ends at e mod 2^k, so level k runs on the heads
 list(range(2^k)) * 2 in index order, range(2^(k+1)).  L(DB_k(2)) is
-DB_{k+1}(2) index for index: the path enters the inverse map as
-succ[a] = b for its steps a -> b, T_{k+1} as succ[v] = the head of v's
-tree edge, and the line edge (e, f) that sigma gives back is the edge
-2e + (f & 1) of DB_{k+1}(2).
+DB_{k+1}(2) index for index: T_{k+1} enters the inverse map as
+succ[v] = the head of v's tree edge, and the line edge (e, f) that sigma
+gives back is the edge 2e + (f & 1) of DB_{k+1}(2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import InvalidSequenceError
-from .line_bijection import OMEGA, Succ, TreeArray, _pi, _sigma
+from .line_bijection import OMEGA, TreeArray, _pi, _sigma
 
 
 @dataclass(frozen=True)
@@ -66,13 +68,28 @@ def validate(bits: str, degree: int) -> bool:
     return len(set(windows)) == len(windows)
 
 
+def _degree(degree: int, least: int = 1, text: str = "degree must be at least 1") -> int:
+    # the one check of a degree from outside: an integer no less than least
+    try:
+        degree = index(degree)
+    except TypeError:
+        raise InvalidSequenceError(f"degree must be an integer, got {degree!r}") from None
+    if degree < least:
+        raise InvalidSequenceError(text)
+    return degree
+
+
+def _length(k: int) -> int | str:
+    # 2^k, or past any possible length the text "2^k", which no length equals
+    return 1 << k if k < 64 else f"2^{k}"
+
+
 def _windows(bits: str, degree: int) -> list[int]:
     """The cyclic windows of bits as integers, one rolling pass; checks shape."""
-    if degree < 1:
-        raise InvalidSequenceError("degree must be at least 1")
-    if len(bits) != 2 ** degree:
+    degree = _degree(degree)
+    if len(bits) != _length(degree):
         raise InvalidSequenceError(
-            f"sequence of degree {degree} must have length {2 ** degree}, got {len(bits)}")
+            f"sequence of degree {degree} must have length {_length(degree)}, got {len(bits)}")
     if bits.strip("01"):
         raise InvalidSequenceError("sequence must consist of 0s and 1s")
     mask = (1 << degree) - 1
@@ -95,15 +112,15 @@ def seq_to_path(bits: str, degree: int) -> HamPath:
 
 def path_to_seq(path: HamPath) -> str:
     """Inverse of seq_to_path: read one bit per window."""
-    size = 2 ** path.degree
+    degree, vertices = _degree(path.degree), path.vertices
     try:
-        if len(path.vertices) != size or len(set(path.vertices)) != size:
+        if len(vertices) != _length(degree) or len(set(vertices)) != len(vertices):
             raise InvalidSequenceError("path must visit every vertex exactly once")
-        top = 2 ** (path.degree - 1)
-        bits = "".join("1" if v >= top else "0" for v in path.vertices)
+        top = 1 << (degree - 1)
+        bits = "".join("1" if v >= top else "0" for v in vertices)
     except TypeError:   # a vertex that is unhashable or not a number
         raise InvalidSequenceError("path vertices must be integers") from None
-    if _windows(bits, path.degree) != list(path.vertices):
+    if _windows(bits, degree) != list(vertices):
         raise InvalidSequenceError("vertex sequence is not a Hamiltonian path")
     return bits
 
@@ -115,85 +132,69 @@ def _heads(k: int) -> list[int]:
     return list(range(1 << k)) * 2
 
 
-def _path_tree(path: HamPath) -> tuple[int, Succ]:
-    """The path as a tree of DB_n(2) = L(DB_{n-1}(2)): root and successors."""
-    succ: list[int | None] = [None] * len(path.vertices)
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        succ[a] = b
-    return path.vertices[-1], tuple(succ)
-
-
-def _tree_path(succ: Succ, degree: int) -> HamPath:
-    starts = set(range(len(succ))).difference(succ)
-    if len(starts) != 1:
-        raise InvalidSequenceError("tree is not a path")
-    vertices = [starts.pop()]
-    while (v := succ[vertices[-1]]) is not None:
-        vertices.append(v)
-    return HamPath(degree, tuple(vertices))
-
-
 def encode(bits: str, degree: int | None = None) -> str:
     """Map a de Bruijn sequence of degree n to a bit string of length 2^(n-1)."""
     if degree is None:
         degree = (len(bits) - 1).bit_length()
-    path = seq_to_path(bits, degree)
+    walk = seq_to_path(bits, degree).vertices
     if degree < 2:
         raise InvalidSequenceError("encoding requires degree >= 2")
     out = ["?"] * 2 ** (degree - 1)
-
-    # The path tree comes from a validated sequence and each array from a
-    # valid tree, so the levels run the unchecked body of pi.
-    k = degree - 1
-    array = _pi(1 << k, _heads(k), *_path_tree(path), range(2 << k))
-    # Top level: only the root's first entry is a free bit.
-    out[2 ** k - 1] = str(array.lists[array.root][0] & 1)
-
+    # Top level: a step a -> b leaves vertex a & mask of DB_{n-1}(2) by
+    # edge b, with head b & mask; the root's one exit holds the free bit.
+    mask = len(out) - 1
+    root, succ = walk[-1] & mask, [None] * len(out)
+    for a, b in zip(walk, walk[1:]):
+        succ[a & mask] = b & mask
+    out[-1] = str(succ[root] & 1)
+    succ[root] = None
+    del walk  # 2^n ints that the levels below have no use for
+    # Each array comes from a valid tree, so the levels run the body of pi.
     for k in range(degree - 2, 0, -1):
-        # T_{k+1} is the last entries of A_{k+1}; vertex v of DB_{k+1}(2) is
-        # edge v of DB_k(2), and the head of its tree edge e, e mod 2^(k+1),
-        # is v's successor in L(DB_k(2))
-        mask = (2 << k) - 1
-        succ = [None if v == array.root else entries[-1] & mask
-                for v, entries in enumerate(array.lists)]
-        array = _pi(1 << k, _heads(k), array.root, succ, range(2 << k))
+        array = _pi(1 << k, _heads(k), root, succ, range(2 << k))
         for v, entries in enumerate(array.lists):
             out[2 ** k - 1 + v] = str(entries[0] & 1)
-
-    out[0] = "0" if array.root == 0 else "1"
+        # T_k, the last entries of A_k: v's successor in L(DB_{k-1}(2)) is
+        # the head of its tree edge e, e mod 2^k
+        root, mask = array.root, mask >> 1
+        succ = [None if v == root else entries[-1] & mask
+                for v, entries in enumerate(array.lists)]
+    out[0] = "0" if root == 0 else "1"
     return "".join(out)
 
 
 def decode(code: str, degree: int) -> str:
     """Inverse of encode: bit string of length 2^(n-1) -> de Bruijn sequence."""
-    if degree < 2:
-        raise InvalidSequenceError("decoding requires degree >= 2")
-    if len(code) != 2 ** (degree - 1) or code.strip("01"):
+    degree = _degree(degree, 2, "decoding requires degree >= 2")
+    if len(code) != _length(degree - 1) or code.strip("01"):
         raise InvalidSequenceError(
-            f"code for degree {degree} must be a bit string of length {2 ** (degree - 1)}")
+            f"code for degree {degree} must be a bit string of length {_length(degree - 1)}")
     root = 0 if code[0] == "0" else 1
     # In DB_1(2) the non-root vertex's tree edge is forced: it must point
     # at the root, and edge 2v+w runs from v to w.
     tree: list[int | None] = [None, 2] if root == 0 else [1, None]
-
     # Every array below is a valid tree array for any code of the right
     # length (out-edges of each vertex, last entries a spanning tree), so
-    # the levels run the unchecked body of sigma; path_to_seq still checks
-    # the final sequence.  The line edge (e, f) of L(DB_k(2)) is the edge
-    # 2e + (f & 1) of DB_{k+1}(2).
+    # the levels run the unchecked body of sigma.  The line edge (e, f) of
+    # L(DB_k(2)) is the edge 2e + (f & 1) of DB_{k+1}(2).
     for k in range(1, degree - 1):
         lists = tuple((2 * v + (code[2 ** k - 1 + v] == "1"), OMEGA if v == root else tree[v])
                       for v in range(2 ** k))
         root, succ = _sigma(1 << k, _heads(k), TreeArray(root, lists), range(2 << k))
         tree = [None if f is None else 2 * e + (f & 1) for e, f in enumerate(succ)]
-
-    k = degree - 1
-    # the root's first entry is free; every other list holds two distinct
-    # entries, the second being the tree edge
-    lists = tuple((2 * v + (code[-1] == "1"), OMEGA) if v == root else (tree[v] ^ 1, tree[v])
-                  for v in range(2 ** k))
-    _, succ = _sigma(1 << k, _heads(k), TreeArray(root, lists), range(2 << k))
-    return path_to_seq(_tree_path(succ, degree))
+        del lists, succ  # before the next, larger level is built
+    # Top level: leave each vertex by tree[v] ^ 1 first, tree[v] after; the
+    # root's tree edge is set to the start, its unchosen edge.  The walk is
+    # cut at 2^n edges; from a broken tree, path_to_seq refuses the result.
+    mask, start = len(code) - 1, 2 * root + (code[-1] == "0")
+    tree[root], first = start, bytearray(b"\1") * len(code)
+    walk = [e := start]
+    for _ in range(2 * mask + 1):
+        v = e & mask
+        e = tree[v] ^ first[v]
+        first[v] = 0
+        walk.append(e)
+    return path_to_seq(HamPath(degree, tuple(walk)))
 
 
 def enumerate_db_sequences(degree: int) -> list[str]:
@@ -202,8 +203,7 @@ def enumerate_db_sequences(degree: int) -> list[str]:
     Exhaustive filter over all 2^(2^degree) candidates, so capped at
     degree 4 (65536 candidates).
     """
-    if degree < 1:
-        raise InvalidSequenceError("degree must be at least 1")
+    degree = _degree(degree)
     if degree > 4:
         raise InvalidSequenceError("enumeration is capped at degree 4")
     size = 2 ** degree

@@ -20,13 +20,20 @@ array entry by entry, then builds the tree of last entries
 tree with ``validate_tree`` on the line graph before the order is checked.
 The library reads each input once, and must give the same outputs and the
 same errors.
+
+``body_encode`` and ``body_decode`` are the de Bruijn codec with every
+level on the maps' bodies, as the library once ran it: the top level peels
+the path as a tree of the line graph (``path_tree``) with pi's body, and
+reads the path back from sigma's image (``tree_path``).  The library runs
+its top level as one walk over the path.
 """
 
 import heapq
 
 from linetrees.arborescence import SpanningTree, bareiss_determinant, validate_tree
-from linetrees.errors import InvalidTreeArrayError, InvalidTreeError
-from linetrees.line_bijection import OMEGA, TreeArray, _edge_order, _indegrees
+from linetrees.db_codec import HamPath, _heads, path_to_seq, seq_to_path
+from linetrees.errors import InvalidSequenceError, InvalidTreeArrayError, InvalidTreeError
+from linetrees.line_bijection import OMEGA, TreeArray, _edge_order, _indegrees, _pi, _sigma
 
 
 def dense(rows, cols):
@@ -249,3 +256,69 @@ def two_pass_pi(ctx, tree, order=None):
     g = ctx.g
     validate_tree(ctx.line, tree)
     return heap_pi(g.n, ctx.target, tree.root, ctx.successors(tree), _edge_order(g, order))
+
+
+def path_tree(path):
+    """The path as a tree of DB_n(2) = L(DB_{n-1}(2)): root and successors."""
+    succ = [None] * len(path.vertices)
+    for a, b in zip(path.vertices, path.vertices[1:]):
+        succ[a] = b
+    return path.vertices[-1], tuple(succ)
+
+
+def tree_path(succ, degree):
+    """The path a successor list describes, from its one vertex of indegree 0."""
+    starts = set(range(len(succ))).difference(succ)
+    if len(starts) != 1:
+        raise InvalidSequenceError("tree is not a path")
+    vertices = [starts.pop()]
+    while (v := succ[vertices[-1]]) is not None:
+        vertices.append(v)
+    return HamPath(degree, tuple(vertices))
+
+
+def body_encode(bits, degree):
+    """encode with pi's body at every level, the top one included."""
+    path = seq_to_path(bits, degree)
+    if degree < 2:
+        raise InvalidSequenceError("encoding requires degree >= 2")
+    out = ["?"] * 2 ** (degree - 1)
+    k = degree - 1
+    array = _pi(1 << k, _heads(k), *path_tree(path), range(2 << k))
+    # top level: only the root's first entry is a free bit
+    out[2 ** k - 1] = str(array.lists[array.root][0] & 1)
+    for k in range(degree - 2, 0, -1):
+        mask = (2 << k) - 1
+        succ = [None if v == array.root else entries[-1] & mask
+                for v, entries in enumerate(array.lists)]
+        array = _pi(1 << k, _heads(k), array.root, succ, range(2 << k))
+        for v, entries in enumerate(array.lists):
+            out[2 ** k - 1 + v] = str(entries[0] & 1)
+    out[0] = "0" if array.root == 0 else "1"
+    return "".join(out)
+
+
+def body_decode(code, degree):
+    """decode with sigma's body at every level, the top one included."""
+    if degree < 2:
+        raise InvalidSequenceError("decoding requires degree >= 2")
+    if len(code) != 2 ** (degree - 1) or code.strip("01"):
+        raise InvalidSequenceError(
+            f"code for degree {degree} must be a bit string of length {2 ** (degree - 1)}")
+    root = 0 if code[0] == "0" else 1
+    tree = [None, 2] if root == 0 else [1, None]
+    for k in range(1, degree - 1):
+        lists = tuple((2 * v + (code[2 ** k - 1 + v] == "1"), OMEGA if v == root else tree[v])
+                      for v in range(2 ** k))
+        root, succ = _sigma(1 << k, _heads(k), TreeArray(root, lists), range(2 << k))
+        tree = [None if f is None else 2 * e + (f & 1) for e, f in enumerate(succ)]
+    k = degree - 1
+    _, succ = _sigma(1 << k, _heads(k), top_array(code, root, tree), range(2 << k))
+    return path_to_seq(tree_path(succ, degree))
+
+
+def top_array(code, root, tree):
+    """A_{n-1} from the code's last bit and T_{n-1}: the root's list is
+    [chosen edge, OMEGA], every other list [non-tree edge, tree edge]."""
+    return TreeArray(root, tuple((2 * v + (code[-1] == "1"), OMEGA) if v == root
+                                 else (tree[v] ^ 1, tree[v]) for v in range(len(tree))))

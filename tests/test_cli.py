@@ -47,6 +47,20 @@ def test_codec_encode_error_lines(capsys, monkeypatch, degree, bits, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("action,message", [
+    ("encode", "sequence of degree 100000000 must have length 2^100000000, got 2"),
+    ("decode", "code for degree 100000000 must be a bit string of length 2^99999999"),
+])
+def test_codec_huge_degree_is_one_error_line(capsys, monkeypatch, action, message):
+    # the length is checked without building 2^degree, which at this
+    # degree takes most of a second and has too many digits to print
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["codec", action, "--degree", "100000000"], stdin="01\n")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_codec_decode_roundtrip(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch,
                            ["codec", "decode", "--degree", "3"], stdin="0011\n")

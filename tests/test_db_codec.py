@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given, strategies as st
 
 from linetrees import db_codec, digraph
 from linetrees.arborescence import validate_tree
-from linetrees.db_codec import (HamPath, _heads, _path_tree, decode, encode,
-                                enumerate_db_sequences, path_to_seq, seq_to_path, validate)
+from linetrees.db_codec import (HamPath, _heads, decode, encode, enumerate_db_sequences,
+                                path_to_seq, seq_to_path, validate)
 from linetrees.digraph import debruijn
 from linetrees.errors import InvalidSequenceError
 from linetrees.line_bijection import LineContext, validate_tree_array
-from oracles import array_tree, heap_pi, heap_sigma
+from oracles import (array_tree, body_decode, body_encode, heap_pi, heap_sigma, path_tree,
+                     top_array)
 
 
 def test_validate_degree2():
@@ -156,11 +158,13 @@ def test_bit_budget_identity():
 
 def test_top_level_arrays_have_distinct_entries():
     # for a Hamiltonian path, every non-root list of the top-level array
-    # must hold two distinct edges, the second being the tree edge
+    # must hold two distinct edges, the second being the tree edge; the
+    # codec's top-level walks rest on this, so it is checked on the array
+    # that pi gives for the path as a line tree
     ctx = LineContext(debruijn(2, 2))
     for bits in enumerate_db_sequences(3):
         path = seq_to_path(bits, 3)
-        array = ctx.pi(ctx.line_tree(*_path_tree(path)))
+        array = ctx.pi(ctx.line_tree(*path_tree(path)))
         tree_edges = {v: entries[-1] for v, entries in enumerate(array.lists)
                       if v != array.root}
         for v, entries in enumerate(array.lists):
@@ -179,12 +183,13 @@ def test_large_degree_roundtrip_spot():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_internal_levels_match_public_maps(seed, monkeypatch):
-    # The codec levels call the unchecked bodies of sigma and pi on bare
-    # edge heads.  Record every call at degree 9 and check it against
-    # LineContext(debruijn(2, k)): its heads and edge order, each input and
-    # output with the public validators, each output against the public
-    # map, and each tree handed between levels against the array it came
-    # from or goes to.
+    # The codec levels below the top call the unchecked bodies of sigma and
+    # pi on bare edge heads.  Record every call at degree 9 and check it
+    # against LineContext(debruijn(2, k)): its heads and edge order, each
+    # input and output with the public validators, each output against the
+    # public map, and each tree handed between levels against the array it
+    # came from or goes to.  The top level calls neither body; its walks
+    # are checked against the public maps of DB_8(2) at the end.
     degree = 9
     rng = random.Random(seed)
     code = "".join(rng.choice("01") for _ in range(2 ** (degree - 1)))
@@ -206,10 +211,10 @@ def test_internal_levels_match_public_maps(seed, monkeypatch):
     bits = decode(code, degree)
     assert encode(bits, degree) == code
     monkeypatch.undo()
-    assert [c[0] for c in calls] == ["sigma"] * (degree - 1) + ["pi"] * (degree - 1)
+    assert [c[0] for c in calls] == ["sigma"] * (degree - 2) + ["pi"] * (degree - 2)
     contexts = {k: LineContext(debruijn(2, k)) for k in range(1, degree)}
     levels = [c[1].bit_length() - 1 for c in calls]
-    assert levels == [*range(1, degree), *range(degree - 1, 0, -1)]
+    assert levels == [*range(1, degree - 1), *range(degree - 2, 0, -1)]
     for (kind, n, target, order, a, root, succ), k in zip(calls, levels):
         ctx = contexts[k]
         assert n == ctx.g.n and list(target) == ctx.target and list(order) == list(range(ctx.g.m))
@@ -225,10 +230,24 @@ def test_internal_levels_match_public_maps(seed, monkeypatch):
     # last entries of the array one level up, as decode and encode hand it on
     by_level = {(c[0], k): c for c, k in zip(calls, levels)}
     for kind in ("sigma", "pi"):
-        for k in range(1, degree - 1):
+        for k in range(1, degree - 2):
             lower, upper = by_level[kind, k], by_level[kind, k + 1]
             assert (contexts[k].line_tree(lower[5], lower[6])
                     == array_tree(contexts[k + 1].g, upper[4]))
+    # The top level against the public maps: encode's root bit is the first
+    # entry of the root's list in ctx.pi of the path's line tree, and the
+    # last-exit tree it hands to pi is that array's tree of last entries;
+    # decode's path is ctx.sigma of the top array assembled from the code's
+    # last bit and the tree sigma handed up.
+    top, below = contexts[degree - 1], contexts[degree - 2]
+    line_path = top.line_tree(*path_tree(seq_to_path(bits, degree)))
+    array = top.pi(line_path)
+    assert code[-1] == str(array.lists[array.root][0] & 1)
+    first_pi = by_level["pi", degree - 2]
+    assert below.line_tree(first_pi[5], first_pi[6]) == array_tree(top.g, array)
+    last_sigma = by_level["sigma", degree - 2]
+    tree = below.line_tree(last_sigma[5], last_sigma[6])
+    assert top.sigma(top_array(code, tree.root, tree.out_edge)) == line_path
 
 
 @pytest.mark.parametrize("degree", range(8, 13))
@@ -242,6 +261,92 @@ def test_codec_matches_heap_bodies(degree, monkeypatch):
     monkeypatch.setattr(db_codec, "_pi", heap_pi)
     assert [decode(code, degree) for code in codes] == fast
     assert [encode(bits, degree) for bits in fast] == codes
+
+
+@pytest.mark.parametrize("degree", range(2, 14))
+def test_codec_matches_all_bodies_oracle(degree):
+    # the top level's one walk each way against the codec that runs the
+    # bodies at every level: every code at degrees 2-4, seeded codes above
+    if degree <= 4:
+        codes = [format(x, f"0{2 ** (degree - 1)}b") for x in range(2 ** 2 ** (degree - 1))]
+    else:
+        rng = random.Random(degree)
+        codes = ["".join(rng.choice("01") for _ in range(2 ** (degree - 1))) for _ in range(12)]
+    for code in codes:
+        bits = decode(code, degree)
+        assert bits == body_decode(code, degree)
+        assert encode(bits, degree) == body_encode(bits, degree) == code
+
+
+@pytest.mark.parametrize("degree", [3, 6, 9])
+def test_decode_walk_is_bounded_on_a_broken_tree(degree, monkeypatch):
+    # The level below the top hands up a successor list with a cycle off
+    # the root: a loop at 0...0 or 1...1, or the 2-cycle 0101... <->
+    # 1010...  The walk built on it closes before it has taken every edge,
+    # then goes round again; it is cut after 2^degree edges, and
+    # path_to_seq refuses it.
+    size = 2 ** (degree - 1)  # the vertices of DB_{degree-1}(2)
+    alternating = int(("01" * degree)[:degree - 1], 2)
+    cycles = [{0: 0}, {size - 1: size - 1},
+              {alternating: alternating ^ (size - 1), alternating ^ (size - 1): alternating}]
+    code = "".join(random.Random(degree).choice("01") for _ in range(size))
+    # the root of T_{degree-1}, where the walk ends
+    root = seq_to_path(decode(code, degree), degree).vertices[-1] % size
+    cycles = [cycle for cycle in cycles if root not in cycle]
+    assert len(cycles) >= 2
+    body_sigma, body_path_to_seq = db_codec._sigma, db_codec.path_to_seq
+    handed = []
+
+    def record_path_to_seq(path):
+        handed.append(len(path.vertices))
+        return body_path_to_seq(path)
+
+    monkeypatch.setattr(db_codec, "path_to_seq", record_path_to_seq)
+    for cycle in cycles:
+        def sigma_with_cycle(n, target, a, order):
+            root, succ = body_sigma(n, target, a, order)
+            if 2 * n == size:
+                succ = tuple(cycle.get(v, f) for v, f in enumerate(succ))
+            return root, succ
+
+        monkeypatch.setattr(db_codec, "_sigma", sigma_with_cycle)
+        with pytest.raises(InvalidSequenceError, match="visit every vertex exactly once"):
+            decode(code, degree)
+    assert handed == [2 ** degree] * len(cycles)
+
+
+@pytest.mark.parametrize("check, args", [
+    (encode, ("00010111", 3.0)),
+    (validate, ("0011", 2.0)),
+    (seq_to_path, ("0011", 2.0)),
+    (decode, ("0110", "3")),
+    (path_to_seq, (HamPath(2.0, (0, 1, 3, 2)),)),
+    (enumerate_db_sequences, (2.0,)),
+], ids=["encode", "validate", "seq_to_path", "decode", "path_to_seq", "enumerate"])
+def test_degree_that_is_not_an_int_is_refused(check, args):
+    with pytest.raises(InvalidSequenceError, match="degree must be an integer"):
+        check(*args)
+
+
+def test_huge_degree_is_refused_without_its_power():
+    # 2^(10^8) takes most of a second to build and cannot be printed, so
+    # the length is decided without it and the message writes it as a
+    # power; below 2^64 the length is written out as before
+    huge = 10 ** 8
+    sequence = f"sequence of degree {huge} must have length 2^{huge}, got 2"
+    cases = [(decode, ("01", huge), f"code for degree {huge} must be a bit string "
+                                    f"of length 2^{huge - 1}"),
+             (validate, ("01", huge), sequence), (seq_to_path, ("01", huge), sequence),
+             (encode, ("01", huge), sequence),
+             (path_to_seq, (HamPath(huge, (0, 1)),), "path must visit every vertex exactly once"),
+             (decode, ("01", 64), f"code for degree 64 must be a bit string of length {2 ** 63}"),
+             (decode, ("01", 65), "code for degree 65 must be a bit string of length 2^64")]
+    start = time.perf_counter()
+    for check, args, message in cases:
+        with pytest.raises(InvalidSequenceError) as info:
+            check(*args)
+        assert str(info.value) == message
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("bad", ["0120", " 011", "0_11", "0\uff1101"])
