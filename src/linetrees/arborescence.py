@@ -36,17 +36,18 @@ and :func:`knuth_check` checks the numeric specialization
 
     kappa(LG) = kappa(G) * prod_v outdeg(v)^(indeg(v)-1).
 
-kappa_edge runs the one search.  A tree is its edge set, so every
-coefficient of kappa_edge is 1 and its leaf keeps each tree's sorted
-edges.  kappa_vertex merges many trees into each monomial, so it counts a
-tree's monomial as one packed int: the sum over its edges of
-1 << (w * t(e)), with w the bit length of n - 1.  A tree has n - 1 edges,
-so each w-bit field counts one vertex variable and never carries into the
-next.  On graphs with few candidate assignments per possible monomial it
-runs the search, which carries the key down and counts it at each leaf.
-Past that it hands over to one pass per root that counts partial trees
-sharing a frontier state together (:func:`_frontier_counts`).  Each
-distinct key is unpacked to its sorted tuple once at the end.
+Both run the one search with one leaf, which counts the sorted tuple of
+the tree's edge variables: the edge ids (one slice) for kappa_edge, the
+edge heads for kappa_vertex.  A tree is its edge set, so every
+coefficient of kappa_edge is 1.  kappa_vertex merges many trees into each
+monomial, and on graphs with many candidate assignments per possible
+monomial it hands over to one pass per root that counts partial trees
+sharing a frontier state together (:func:`_frontier_counts`).  That pass
+merges entries by an int key, so it packs a tree's monomial into one: the
+sum over its edges of 1 << (w * t(e)), with w the bit length of n - 1.  A
+tree has n - 1 edges, so each w-bit field counts one vertex variable and
+never carries into the next.  Each distinct key is unpacked to its sorted
+tuple once at the end.
 """
 
 from __future__ import annotations
@@ -146,17 +147,16 @@ def _bounded_candidates(outdeg: Sequence[int], roots: Sequence[int], bound: int)
     return candidates
 
 
-def _search_trees(g: DiGraph, roots: Sequence[int], weights: Sequence[int],
-                  leaf: Callable[[int, list, int], None], bound: int) -> None:
+def _search_trees(g: DiGraph, roots: Sequence[int],
+                  leaf: Callable[[int, list], None], bound: int) -> None:
     """The one brute-force arborescence search.
 
-    For each root in turn, calls leaf(root, choice, key) once per oriented
+    For each root in turn, calls leaf(root, choice) once per oriented
     spanning tree, in lexicographic order of the out-edge choice vector:
-    choice[v] is v's tree edge (None at the root) and key is the sum of
-    weights[e] over the tree edges e, carried down the search as one int.
-    The choice list is reused, so leaf copies what it keeps.  The bound caps
-    the number of candidate out-edge assignments (the product of the
-    non-root out-degrees, summed over the roots), not the number of trees.
+    choice[v] is v's tree edge (None at the root).  The choice list is
+    reused, so leaf copies what it keeps.  The bound caps the number of
+    candidate out-edge assignments (the product of the non-root
+    out-degrees, summed over the roots), not the number of trees.
     """
     n = g.n
     _bounded_candidates(g.outdeg, roots, bound)
@@ -167,17 +167,16 @@ def _search_trees(g: DiGraph, roots: Sequence[int], weights: Sequence[int],
         last = len(vertices) - 1
         choice: list[int | None] = [None] * n
         if last < 0:
-            leaf(r, choice, 0)
+            leaf(r, choice)
             continue
         # depth-first over the vertices in order, with an explicit stack
         # (no recursion limit): level i holds the iterator over the
-        # out-edges of vertices[i] and the key of the choices above it
-        stack = [(iter(out[vertices[0]]), 0)]
+        # out-edges of vertices[i]
+        stack = [iter(out[vertices[0]])]
         while stack:
             i = len(stack) - 1
             v = vertices[i]
-            edges, key = stack[i]
-            for e in edges:
+            for e in stack[i]:
                 # follow chosen edges from the new edge's target; reaching v
                 # again closes a cycle, anything unassigned (or the root) is fine
                 w = target[e]
@@ -186,9 +185,9 @@ def _search_trees(g: DiGraph, roots: Sequence[int], weights: Sequence[int],
                 if w != v:
                     choice[v] = e
                     if i == last:  # call leaf from here: one step per tree, not two
-                        leaf(r, choice, key + weights[e])
+                        leaf(r, choice)
                     else:
-                        stack.append((iter(out[vertices[i + 1]]), key + weights[e]))
+                        stack.append(iter(out[vertices[i + 1]]))
                         break
             else:
                 choice[v] = None
@@ -204,9 +203,8 @@ def enumerate_trees(g: DiGraph, root: int | None = None,
     (the product of out-degrees), not the number of trees.
     """
     trees: list[SpanningTree] = []
-    _search_trees(g, range(g.n) if root is None else [root], [0] * g.m,
-                  lambda r, choice, key: trees.append(SpanningTree(r, tuple(choice))),
-                  bound)
+    _search_trees(g, range(g.n) if root is None else [root],
+                  lambda r, choice: trees.append(SpanningTree(r, tuple(choice))), bound)
     return trees
 
 
@@ -438,21 +436,11 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
 
 
 def kappa_edge(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:
-    # A tree is its edge set, so no two trees share a monomial: every
-    # coefficient is 1, and each leaf keeps its sorted edges as they are.
-    mons: list[tuple[int, ...]] = []
-
-    def leaf(root: int, choice: list, key: int) -> None:
-        mons.append(tuple(sorted(choice[:root] + choice[root + 1:])))
-
-    _search_trees(g, range(g.n), [0] * g.m, leaf, bound)
-    return dict.fromkeys(mons, 1)
+    return _monomials_by_search(g, None, bound)
 
 
 def kappa_vertex(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:
-    """kappa_vertex(G) as packed keys (see the module docstring), unpacked
-    once at the end; a field of `width` bits holds a multiplicity up to
-    n - 1, the number of edges in a tree.
+    """kappa_vertex(G): each monomial is the sorted heads of a tree's edges.
 
     The monomials come in the order of their first trees: by root, then by
     the lexicographic out-edge choice vector, as enumerate_trees lists
@@ -461,28 +449,40 @@ def kappa_vertex(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:
     monomials (degree n - 1 in n variables).  With more than 16 candidates
     per possible monomial, trees share monomials often enough that
     _frontier_counts pays: it counts partial trees that share a frontier
-    state and a key together.  Below that the search visits each tree, as
-    merging costs more than it saves on small graphs.  Either way the
-    entries held at once never exceed the candidates: each counted key,
-    and each (state, key) entry of a merged layer, stands for at least one
+    state and a packed key (see the module docstring) together.  Below
+    that the search counts each tree's monomial at its leaf, as merging
+    costs more than it saves on small graphs.  Either way the entries held
+    at once never exceed the candidates: each counted monomial, and each
+    (state, key) entry of a merged layer, stands for at least one
     assignment of out-edges to the vertices so far, no two entries share
-    one, and the assignments of a prefix are at most those of all vertices,
-    as a root with trees leaves no other vertex without an out-edge.
+    one, and the assignments of a prefix are at most those of all
+    vertices, as a root with trees leaves no other vertex without an
+    out-edge.
     """
     n = g.n
-    width = (n - 1).bit_length()
-    weights = [1 << (width * t) for _, t in g.edges]
     if _bounded_candidates(g.outdeg, range(n), bound) > 16 * comb(2 * n - 2, n - 1):
-        counts = _frontier_counts(g, weights)
-    else:
-        counts = {}
-        get = counts.get
+        width = (n - 1).bit_length()
+        return _unpack(_frontier_counts(g, [1 << (width * t) for _, t in g.edges]), width)
+    return _monomials_by_search(g, [t for _, t in g.edges], bound)
 
-        def leaf(root: int, choice: list, key: int) -> None:
-            counts[key] = get(key, 0) + 1
 
-        _search_trees(g, range(n), weights, leaf, bound)
-    return _unpack(counts, width)
+def _monomials_by_search(g: DiGraph, variables: Sequence[int] | None, bound: int) -> Poly:
+    """{sorted tuple of variables[e] over a tree's edges e: number of trees}
+    over all roots, in the order of each monomial's first tree.  None takes
+    the edge ids by one slice, each tree's own monomial: mapping and
+    counting them made kappa_edge ~1.5x slower."""
+    counts: Poly = {}
+    get = counts.get
+
+    def leaf(root: int, choice: list) -> None:
+        if variables is None:   # a tree is its edge set: coefficient 1
+            counts[tuple(sorted(choice[:root] + choice[root + 1:]))] = 1
+        else:
+            mon = tuple(sorted([variables[e] for e in choice if e is not None]))
+            counts[mon] = get(mon, 0) + 1
+
+    _search_trees(g, range(g.n), leaf, bound)
+    return counts
 
 
 def _unpack(counts: dict[int, int], width: int) -> Poly:

@@ -132,10 +132,8 @@ def _heads(k: int) -> list[int]:
     return list(range(1 << k)) * 2
 
 
-def encode(bits: str, degree: int | None = None) -> str:
+def encode(bits: str, degree: int) -> str:
     """Map a de Bruijn sequence of degree n to a bit string of length 2^(n-1)."""
-    if degree is None:
-        degree = (len(bits) - 1).bit_length()
     walk = seq_to_path(bits, degree).vertices
     if degree < 2:
         raise InvalidSequenceError("encoding requires degree >= 2")

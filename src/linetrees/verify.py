@@ -44,23 +44,23 @@ class CriterionResult:
 
 
 def _result(number: int, label: str, started: float, passed: bool, detail: str) -> CriterionResult:
-    return CriterionResult(number, label, passed, detail, time.time() - started)
+    return CriterionResult(number, label, passed, detail, time.perf_counter() - started)
 
 
 def criterion_1_identity() -> CriterionResult:
-    started = time.time()
+    started = time.perf_counter()
     graphs = identity_corpus()
     # the densest corpus entries need a larger candidate budget than the
     # library default; the comparison itself stays exact
     failures = sum(not verify_identity(g, bound=10 ** 8).holds for g in graphs)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     passed = failures == 0 and elapsed < 60.0
     return _result(1, "generating-function identity, exact monomial multisets",
                    started, passed, f"{len(graphs)} graphs, {failures} failures")
 
 
 def criterion_2_knuth() -> CriterionResult:
-    started = time.time()
+    started = time.perf_counter()
     graphs = identity_corpus()
     failures = sum(not knuth_check(g).holds for g in graphs)
     return _result(2, "tree-count product formula by determinants",
@@ -68,7 +68,7 @@ def criterion_2_knuth() -> CriterionResult:
 
 
 def criterion_3_bijection() -> CriterionResult:
-    started = time.time()
+    started = time.perf_counter()
     graphs = [g for g in identity_corpus() if tree_array_count(g) <= BIJECTION_ARRAY_CAP]
     checked = 0
     for g in graphs:
@@ -98,7 +98,7 @@ def criterion_3_bijection() -> CriterionResult:
 
 
 def criterion_4_codec() -> CriterionResult:
-    started = time.time()
+    started = time.perf_counter()
     for degree in (2, 3, 4):
         width = 2 ** (degree - 1)
         sequences = db_codec.enumerate_db_sequences(degree)
@@ -113,13 +113,13 @@ def criterion_4_codec() -> CriterionResult:
             if db_codec.decode(code, degree) != bits:
                 return _result(4, "sequence codec", started, False,
                                f"decode(encode({bits})) mismatch at degree {degree}")
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     return _result(4, "de Bruijn codec bijective for degrees 2-4", started,
                    elapsed < 60.0, "4 + 16 + 256 sequences, exhaustive")
 
 
 def criterion_5_groups() -> CriterionResult:
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     for m, n in DB_PARAMS:
         if critical_group(debruijn(m, n)) != db_formula(m, n).normalize():
@@ -127,7 +127,7 @@ def criterion_5_groups() -> CriterionResult:
     for m, n in KAUTZ_PARAMS:
         if critical_group(kautz(m, n)) != kautz_formula(m, n).normalize():
             failures.append(f"kautz({m},{n})")
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     passed = not failures and elapsed < 120.0
     return _result(5, "critical groups match the closed-form decompositions",
                    started, passed,
@@ -136,7 +136,7 @@ def criterion_5_groups() -> CriterionResult:
 
 
 def criterion_6_orders() -> CriterionResult:
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     for m, n in DB_PARAMS:
         group = critical_group(debruijn(m, n))
@@ -161,7 +161,7 @@ def criterion_6_orders() -> CriterionResult:
 
 
 def criterion_7_divisibility() -> CriterionResult:
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     for make, params in ((debruijn, DB_PARAMS), (kautz, KAUTZ_PARAMS)):
         for m, n in params:
@@ -175,7 +175,7 @@ def criterion_7_divisibility() -> CriterionResult:
 
 
 def criterion_8_homomorphism() -> CriterionResult:
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     for make, params in ((debruijn, DB_PARAMS), (kautz, KAUTZ_PARAMS)):
         for m, n in params:
@@ -192,7 +192,7 @@ def criterion_8_homomorphism() -> CriterionResult:
 
 
 def criterion_9_class_cycles() -> CriterionResult:
-    started = time.time()
+    started = time.perf_counter()
     count = 0
     for make in (debruijn, kautz):
         for m in (2, 3):

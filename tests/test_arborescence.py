@@ -401,7 +401,7 @@ def test_kappa_vertex_fields_hold_indegree_n_minus_1(leaves, hub_first):
     # An in-star whose hub has a loop, plus an edge from each leaf to the
     # next: the trees are rooted at the hub, and the one where every leaf
     # points at the hub gives it indegree n - 1 = leaves, a power of two
-    # that overflows a key field one bit too narrow.
+    # that overflows a key field of the merged pass one bit too narrow.
     n = leaves + 1
     hub = 0 if hub_first else leaves
     others = [v for v in range(n) if v != hub]
@@ -411,7 +411,9 @@ def test_kappa_vertex_fields_hold_indegree_n_minus_1(leaves, hub_first):
     assert poly[(hub,) * leaves] == 1
     assert sum(poly.values()) == 2 ** (leaves - 1)
     targets = [t for _, t in g.edges]
-    assert list(poly.items()) == list(_counted_monomials(g, targets).items())
+    counted = list(_counted_monomials(g, targets).items())
+    assert list(poly.items()) == counted
+    assert list(_merged_poly(g).items()) == counted
     assert list(kappa_edge(g).items()) == list(_counted_monomials(g, range(g.m)).items())
 
 

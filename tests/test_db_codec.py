@@ -103,10 +103,6 @@ def test_encode_degree3_bijective():
     assert sorted(codes) == [format(x, "04b") for x in range(16)]
 
 
-def test_encode_infers_degree():
-    assert encode("00010111") == encode("00010111", 3)
-
-
 def test_encode_rejects_invalid():
     with pytest.raises(InvalidSequenceError):
         encode("01010101", 3)
