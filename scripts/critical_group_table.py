@@ -19,11 +19,11 @@ from linetrees.digraph import debruijn, kautz
 
 
 def row(family, make, formula, order_formula, m, n):
-    started = time.time()
+    started = time.perf_counter()
     g = make(m, n)
     group = critical_group(g)
     ok = group == formula(m, n).normalize() and group.order == order_formula(m, n)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     print(f"{family}({m},{n})  |V|={g.n:4d}  K = {group}  "
           f"[{'ok' if ok else 'MISMATCH'}] ({elapsed:.2f}s)")
     return ok

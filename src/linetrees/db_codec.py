@@ -34,8 +34,8 @@ its image is the walk (the BEST construction of van Aardenne-Ehrenfest and
 de Bruijn) that starts on that edge, leaves each vertex by its non-tree
 edge first and its tree edge second, and leaves the root by the chosen
 edge.  Decoding rebuilds T_1 from bit 1, applies sigma to each A_k,
-assembled from its bits and T_k, to get T_{k+1}, follows that walk, and
-has path_to_seq check the result.
+assembled from its bits and T_k, to get T_{k+1}, and follows that walk,
+writing the top bit of each edge it takes and refusing an edge repeat.
 
 No graph is built and nothing is kept between calls.  The bodies of sigma
 and pi read only a vertex count, the edge heads and the edge order, and
@@ -49,7 +49,8 @@ gives back is the edge 2e + (f & 1) of DB_{k+1}(2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from itertools import count
+from operator import add, index, itemgetter, sub
 
 from .errors import InvalidSequenceError
 from .line_bijection import OMEGA, TreeArray, _pi, _sigma
@@ -137,28 +138,28 @@ def encode(bits: str, degree: int) -> str:
     walk = seq_to_path(bits, degree).vertices
     if degree < 2:
         raise InvalidSequenceError("encoding requires degree >= 2")
-    out = ["?"] * 2 ** (degree - 1)
+    out = bytearray(2 ** (degree - 1))
     # Top level: a step a -> b leaves vertex a & mask of DB_{n-1}(2) by
     # edge b, with head b & mask; the root's one exit holds the free bit.
     mask = len(out) - 1
     root, succ = walk[-1] & mask, [None] * len(out)
     for a, b in zip(walk, walk[1:]):
         succ[a & mask] = b & mask
-    out[-1] = str(succ[root] & 1)
+    out[-1] = 48 | (succ[root] & 1)
     succ[root] = None
     del walk  # 2^n ints that the levels below have no use for
     # Each array comes from a valid tree, so the levels run the body of pi.
     for k in range(degree - 2, 0, -1):
         array = _pi(1 << k, _heads(k), root, succ, range(2 << k))
-        for v, entries in enumerate(array.lists):
-            out[2 ** k - 1 + v] = str(entries[0] & 1)
+        # v's first entry, 2v + its bit, less 2v - 48 is the byte of the bit
+        out[2 ** k - 1:2 ** (k + 1) - 1] = map(sub, map(itemgetter(0), array.lists), count(-48, 2))
         # T_k, the last entries of A_k: v's successor in L(DB_{k-1}(2)) is
         # the head of its tree edge e, e mod 2^k
         root, mask = array.root, mask >> 1
         succ = [None if v == root else entries[-1] & mask
                 for v, entries in enumerate(array.lists)]
-    out[0] = "0" if root == 0 else "1"
-    return "".join(out)
+    out[0] = 48 if root == 0 else 49
+    return out.decode()
 
 
 def decode(code: str, degree: int) -> str:
@@ -170,29 +171,31 @@ def decode(code: str, degree: int) -> str:
     root = 0 if code[0] == "0" else 1
     # In DB_1(2) the non-root vertex's tree edge is forced: it must point
     # at the root, and edge 2v+w runs from v to w.
-    tree: list[int | None] = [None, 2] if root == 0 else [1, None]
+    tree = [OMEGA, 2] if root == 0 else [1, OMEGA]
     # Every array below is a valid tree array for any code of the right
     # length (out-edges of each vertex, last entries a spanning tree), so
-    # the levels run the unchecked body of sigma.  The line edge (e, f) of
-    # L(DB_k(2)) is the edge 2e + (f & 1) of DB_{k+1}(2).
+    # the levels run sigma's unchecked body on the lists (byte of v's bit +
+    # 2v - 48, tree[v]).  The line edge (e, f) of L(DB_k(2)) is 2e + (f & 1).
     for k in range(1, degree - 1):
-        lists = tuple((2 * v + (code[2 ** k - 1 + v] == "1"), OMEGA if v == root else tree[v])
-                      for v in range(2 ** k))
+        lists = tuple(zip(map(add, count(-48, 2), code[2 ** k - 1:2 ** (k + 1) - 1].encode()),
+                          tree))
         root, succ = _sigma(1 << k, _heads(k), TreeArray(root, lists), range(2 << k))
-        tree = [None if f is None else 2 * e + (f & 1) for e, f in enumerate(succ)]
+        tree = [OMEGA if f is None else 2 * e + (f & 1) for e, f in enumerate(succ)]
         del lists, succ  # before the next, larger level is built
     # Top level: leave each vertex by tree[v] ^ 1 first, tree[v] after; the
-    # root's tree edge is set to the start, its unchosen edge.  The walk is
-    # cut at 2^n edges; from a broken tree, path_to_seq refuses the result.
+    # root's tree edge is set to the start, its unchosen edge.  Each step takes
+    # an out-edge, so 2^n distinct edges are an Eulerian circuit: the sequence.
     mask, start = len(code) - 1, 2 * root + (code[-1] == "0")
     tree[root], first = start, bytearray(b"\1") * len(code)
-    walk = [e := start]
-    for _ in range(2 * mask + 1):
+    bits, seen, e = bytearray(2 * len(code)), bytearray(2 * len(code)), start
+    for i in range(len(bits)):
+        if seen[e]:
+            raise InvalidSequenceError("path must visit every vertex exactly once")
+        seen[e], bits[i] = 1, 48 | (e >> (degree - 1))
         v = e & mask
         e = tree[v] ^ first[v]
         first[v] = 0
-        walk.append(e)
-    return path_to_seq(HamPath(degree, tuple(walk)))
+    return bits.decode()
 
 
 def enumerate_db_sequences(degree: int) -> list[str]:

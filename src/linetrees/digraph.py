@@ -18,6 +18,7 @@ exactly the vertex labels of the level-(n+1) graph.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence
 
 from .errors import MAX_FAMILY_EDGES, GraphError, UnsupportedFamilyError
@@ -34,9 +35,12 @@ class DiGraph:
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
                  vertex_labels: Sequence[str] | None = None,
                  edge_labels: Sequence[str] | None = None):
+        try:
+            n, edges = index(n), tuple([(index(s), index(t)) for s, t in edges])
+        except TypeError:
+            raise GraphError("vertex count and edge endpoints must be integers") from None
         if n <= 0:
             raise GraphError("graph must have at least one vertex")
-        edges = tuple([(int(s), int(t)) for s, t in edges])
         out: list[list[int]] = [[] for _ in range(n)]
         indeg = [0] * n
         for i, (s, t) in enumerate(edges):
@@ -134,20 +138,27 @@ def _shift_graph(vertices: list[str], edge_strings: list[str]) -> DiGraph:
     return DiGraph(len(vertices), edges, vertex_labels=vertices, edge_labels=edge_strings)
 
 
+def _family(m: int, n: int, kautz: bool) -> DiGraph:
+    # the one check of a family's m and n from outside: integers, both >= 1
+    name = "Kautz" if kautz else "de Bruijn"
+    try:
+        m, n = index(m), index(n)
+    except TypeError:
+        raise GraphError(f"{name} graph requires integers m and n") from None
+    if m < 1 or n < 1:
+        raise GraphError(f"{name} graph requires m >= 1 and n >= 1")
+    _check_family_size(m, n, kautz)
+    return _shift_graph(_strings(m, n, kautz), _strings(m, n + 1, kautz))
+
+
 def debruijn(m: int, n: int) -> DiGraph:
     """de Bruijn graph DB_n(m): m^n string vertices, m^(n+1) string edges."""
-    if m < 1 or n < 1:
-        raise GraphError("de Bruijn graph requires m >= 1 and n >= 1")
-    _check_family_size(m, n, kautz=False)
-    return _shift_graph(_strings(m, n, kautz=False), _strings(m, n + 1, kautz=False))
+    return _family(m, n, kautz=False)
 
 
 def kautz(m: int, n: int) -> DiGraph:
     """Kautz graph Kautz_n(m): (m+1)m^(n-1) vertices, no self-loops."""
-    if m < 1 or n < 1:
-        raise GraphError("Kautz graph requires m >= 1 and n >= 1")
-    _check_family_size(m, n, kautz=True)
-    return _shift_graph(_strings(m, n, kautz=True), _strings(m, n + 1, kautz=True))
+    return _family(m, n, kautz=True)
 
 
 def is_eulerian(g: DiGraph) -> bool:

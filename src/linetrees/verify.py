@@ -113,6 +113,9 @@ def criterion_4_codec() -> CriterionResult:
             if db_codec.decode(code, degree) != bits:
                 return _result(4, "sequence codec", started, False,
                                f"decode(encode({bits})) mismatch at degree {degree}")
+            if db_codec.path_to_seq(db_codec.seq_to_path(bits, degree)) != bits:
+                return _result(4, "sequence codec", started, False,
+                               f"path_to_seq(seq_to_path({bits})) mismatch at degree {degree}")
     elapsed = time.perf_counter() - started
     return _result(4, "de Bruijn codec bijective for degrees 2-4", started,
                    elapsed < 60.0, "4 + 16 + 256 sequences, exhaustive")

@@ -25,7 +25,10 @@ same errors.
 level on the maps' bodies, as the library once ran it: the top level peels
 the path as a tree of the line graph (``path_tree``) with pi's body, and
 reads the path back from sigma's image (``tree_path``).  The library runs
-its top level as one walk over the path.
+its top level as one walk over the path.  ``walk_top`` is decode's top
+level as it once ran: it keeps the walk's 2^n edges and hands them to
+``path_to_seq``, which checks every window.  The library writes the
+sequence as it walks and checks only that no edge repeats.
 """
 
 import heapq
@@ -322,3 +325,18 @@ def top_array(code, root, tree):
     [chosen edge, OMEGA], every other list [non-tree edge, tree edge]."""
     return TreeArray(root, tuple((2 * v + (code[-1] == "1"), OMEGA) if v == root
                                  else (tree[v] ^ 1, tree[v]) for v in range(len(tree))))
+
+
+def walk_top(code, root, tree, degree):
+    """decode's top level from T_{n-1}: the walk of 2^n edges that leaves
+    each vertex by tree[v] ^ 1 first and tree[v] after, the root by the
+    code's last bit, read back by path_to_seq."""
+    mask, start = len(code) - 1, 2 * root + (code[-1] == "0")
+    tree, first = [start if v == root else e for v, e in enumerate(tree)], [1] * len(code)
+    walk = [e := start]
+    for _ in range(2 * mask + 1):
+        v = e & mask
+        e = tree[v] ^ first[v]
+        first[v] = 0
+        walk.append(e)
+    return path_to_seq(HamPath(degree, tuple(walk)))

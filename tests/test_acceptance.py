@@ -35,6 +35,14 @@ def test_criterion_4_codec_exhaustive_degrees_2_to_4():
     assert result.seconds < 60.0
 
 
+def test_criterion_4_checks_the_path_bijection(monkeypatch):
+    # decode runs no path_to_seq, so the criterion checks it on its own
+    monkeypatch.setattr(verify.db_codec, "path_to_seq", lambda path: "")
+    result = verify.criterion_4_codec()
+    assert not result.passed
+    assert result.detail == "path_to_seq(seq_to_path(0011)) mismatch at degree 2"
+
+
 def test_criterion_5_critical_groups_match_formulas():
     result = _run(verify.criterion_5_groups)
     assert result.seconds < 120.0

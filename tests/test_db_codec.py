@@ -15,7 +15,7 @@ from linetrees.digraph import debruijn
 from linetrees.errors import InvalidSequenceError
 from linetrees.line_bijection import LineContext, validate_tree_array
 from oracles import (array_tree, body_decode, body_encode, heap_pi, heap_sigma, path_tree,
-                     top_array)
+                     top_array, walk_top)
 
 
 def test_validate_degree2():
@@ -279,8 +279,8 @@ def test_decode_walk_is_bounded_on_a_broken_tree(degree, monkeypatch):
     # The level below the top hands up a successor list with a cycle off
     # the root: a loop at 0...0 or 1...1, or the 2-cycle 0101... <->
     # 1010...  The walk built on it closes before it has taken every edge,
-    # then goes round again; it is cut after 2^degree edges, and
-    # path_to_seq refuses it.
+    # then goes round again; it stops at the first repeated edge, within
+    # 2^degree steps.
     size = 2 ** (degree - 1)  # the vertices of DB_{degree-1}(2)
     alternating = int(("01" * degree)[:degree - 1], 2)
     cycles = [{0: 0}, {size - 1: size - 1},
@@ -290,14 +290,20 @@ def test_decode_walk_is_bounded_on_a_broken_tree(degree, monkeypatch):
     root = seq_to_path(decode(code, degree), degree).vertices[-1] % size
     cycles = [cycle for cycle in cycles if root not in cycle]
     assert len(cycles) >= 2
-    body_sigma, body_path_to_seq = db_codec._sigma, db_codec.path_to_seq
-    handed = []
+    body_sigma, made = db_codec._sigma, []
 
-    def record_path_to_seq(path):
-        handed.append(len(path.vertices))
-        return body_path_to_seq(path)
+    class CountedWrites(bytearray):
+        # the walk writes one entry of each 2^degree-long array per step
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.writes = 0
+            made.append(self)
 
-    monkeypatch.setattr(db_codec, "path_to_seq", record_path_to_seq)
+        def __setitem__(self, i, value):
+            self.writes += 1
+            super().__setitem__(i, value)
+
+    monkeypatch.setattr(db_codec, "bytearray", CountedWrites, raising=False)
     for cycle in cycles:
         def sigma_with_cycle(n, target, a, order):
             root, succ = body_sigma(n, target, a, order)
@@ -306,9 +312,55 @@ def test_decode_walk_is_bounded_on_a_broken_tree(degree, monkeypatch):
             return root, succ
 
         monkeypatch.setattr(db_codec, "_sigma", sigma_with_cycle)
+        made.clear()
         with pytest.raises(InvalidSequenceError, match="visit every vertex exactly once"):
             decode(code, degree)
-    assert handed == [2 ** degree] * len(cycles)
+        steps = [array.writes for array in made if len(array) == 2 ** degree]
+        assert len(steps) == 2 and steps[0] == steps[1]
+        assert 0 < steps[0] < 2 ** degree
+
+
+@pytest.mark.parametrize("degree", range(2, 6))
+def test_decode_top_level_matches_the_walk_oracle(degree, monkeypatch):
+    # Hand decode's top level the trees of last exits that sigma's last
+    # level can: a root, the out-edge 2v or 2v + 1 of each other vertex v
+    # (bit v of exits), and a start bit; every one at degrees 2-4, a seeded
+    # sample at 5.  decode returns what path_to_seq returns on the walk
+    # oracle, and refuses exactly what it refuses.
+    size = 2 ** (degree - 1)  # the vertices of DB_{degree-1}(2)
+    if degree == 2:  # no sigma level: the tree is forced by the root
+        tables = [(0, 0b00), (1, 0b01)]
+    else:
+        every = range(size << size)
+        if degree == 5:
+            every = random.Random(degree).sample(every, 4096)
+        tables = [(i % size, i // size) for i in every if not (i // size) >> (i % size) & 1]
+    body_sigma, handed = db_codec._sigma, [None]
+
+    def sigma_last(n, target, a, order):
+        return handed[0] if 2 * n == size else body_sigma(n, target, a, order)
+
+    monkeypatch.setattr(db_codec, "_sigma", sigma_last)
+    accepted = 0
+    for root, exits in tables:
+        # the line edge (e, f) of L(DB_{degree-2}(2)), f leaving e's head
+        handed[0] = root, tuple(None if e == root else 2 * (e & (size // 2 - 1)) + (exits >> e & 1)
+                                for e in range(size))
+        tree = [2 * e + (exits >> e & 1) for e in range(size)]
+        for last in "01":
+            code = str(root & 1) + "0" * (size - 2) + last
+            try:
+                expected = walk_top(code, root, tree, degree)
+            except InvalidSequenceError as error:
+                assert "exactly once" in str(error)
+                with pytest.raises(InvalidSequenceError, match="visit every vertex exactly once"):
+                    decode(code, degree)
+            else:
+                assert decode(code, degree) == expected
+                accepted += 1
+    # a sequence is the walk of one table: its first edge and the last exit
+    # of every other vertex
+    assert accepted == 2 ** size if degree < 5 else accepted > 0
 
 
 @pytest.mark.parametrize("check, args", [

@@ -42,6 +42,31 @@ def test_build_rejects_bad_input():
         DiGraph(2, [(0, 5)])
 
 
+@pytest.mark.parametrize("n, edges", [
+    (2, [(0.5, 1), (1, 0)]),      # int() would build the edge (0, 1)
+    (2, [(0, "1"), (1, 0)]),      # int() would parse the string
+    (2.7, [(0, 1), (1, 0)]),
+    ("2", [(0, 1), (1, 0)]),
+], ids=["float-endpoint", "string-endpoint", "float-n", "string-n"])
+def test_build_refuses_endpoints_and_counts_that_are_not_integers(n, edges):
+    with pytest.raises(GraphError, match="^vertex count and edge endpoints must be integers$"):
+        DiGraph(n, edges)
+
+
+def test_build_takes_integer_like_endpoints_as_ints():
+    # bools and other __index__ types are integers, and are stored as int
+    g = DiGraph(True, [(False, 0)])
+    assert g.n == 1 and g.edges == ((0, 0),) and type(g.edges[0][0]) is int
+
+
+@pytest.mark.parametrize("make, m, n", [(debruijn, 2.5, 3), (debruijn, 2, "3"),
+                                        (kautz, 2, 2.0), (kautz, None, 2)])
+def test_generators_refuse_parameters_that_are_not_integers(make, m, n):
+    name = "de Bruijn" if make is debruijn else "Kautz"
+    with pytest.raises(GraphError, match=f"^{name} graph requires integers m and n$"):
+        make(m, n)
+
+
 def test_line_graph_two_cycle():
     g = DiGraph(2, [(0, 1), (1, 0)])
     lg = line_graph(g)
