@@ -13,19 +13,19 @@ deleted); its order is the number of spanning trees rooted at r.  On a
 balanced (indeg = outdeg) strongly connected graph the choice of sink does
 not matter and the common group is the critical group.
 
-Smith normal form is computed over the integers with exact arithmetic, in
-one sparse loop over the rows in that form.  It takes the live entries p
-from one lazy heap, least |p| first, then least Markowitz cost (r-1)(c-1),
-and tests each one popped against its row and column.  If p divides both,
-row operations clear p's column and Z_|p| splits off with no column
-operations.  If not, p takes the same row operations and, once alone in
-its column, reduces its own row modulo p, so a smaller entry or a divisor
-pivot turns up.  A divisibility-chain fix-up runs over the diagonal at the
-end.  The reduced Laplacians of the families are sparse and need few
-non-split steps: one or two for db(2, n) up to n = 12, nine for
-kautz(2,8).  The invariant factors determine the cokernel as a direct sum
-of cyclic groups, reported in invariant-factor form d1 | d2 | ... (unit
-factors dropped, zero factors counted as free rank).
+Smith normal form is computed over the integers with exact arithmetic, on
+the rows in that form.  A unit phase splits off entries +-1, least
+Markowitz cost (r-1)(c-1) first, each by row operations with no test; then
+it does the same with +-g, g the gcd of what is left, since SNF(g M) =
+g SNF(M).  On the families' reduced Laplacians, m-divisible past the
+units, g grows by m a round.  Once a round splits under a quarter of its
+rows, a general loop pops the live entry p of least |p| from a lazy heap.
+If p divides its row and column, row operations clear its column and Z_|p|
+splits off; if not, p takes the same row operations and, once alone in its
+column, reduces its row modulo p, so a smaller entry or a divisor pivot
+turns up.  A divisibility-chain fix-up runs over the diagonal at the end.
+The invariant factors give the cokernel in invariant-factor form
+d1 | d2 | ... (unit factors dropped, zero factors counted as free rank).
 
 Closed forms implemented for the two families (m >= 2):
 
@@ -46,7 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, inf, log10
+from operator import index
 from typing import Mapping, Sequence
 
 from .arborescence import minor, out_laplacian
@@ -64,21 +66,72 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None
 
     Row i is rows[i] as {col: value}, over `cols` columns (default: as
     many as rows); distinct keys name distinct columns, and a column with
-    no entry is a zero column.  The input is not changed.  One sparse loop
-    splits off a cyclic factor per divisor pivot, reducing the least entry
-    when it is not one; the diagonal is those factors, then a zero for
-    each of the min(rows, cols) places the rank leaves, and the
-    divisibility-chain fix-up runs over the whole of it.
+    no entry is a zero column.  The input is not changed; an entry that is
+    not an integer raises ValueError.  The unit phase and the general loop
+    split off a cyclic factor per pivot; the diagonal is those, then a zero
+    for each of the min(rows, cols) places the rank leaves, chain-fixed.
     """
     cols = len(rows) if cols is None else cols
-    sparse = [{c: v for c, v in row.items() if v} for row in rows]
+    try:
+        sparse = [{c: x for c, v in row.items() if (x := index(v))} for row in rows]
+    except TypeError:
+        raise ValueError("Smith form entries must be integers") from None
     keyed = len(set().union(*sparse))
     if keyed > cols:
         raise ValueError(f"{keyed} distinct columns in a matrix of {cols} columns")
-    pivots = _divisor_pivots(sparse)
+    pivots = _unit_pivots(sparse)
     # the chain is unique, so sorting first changes only how long the
     # fix-up takes, and sorted powers of one prime already form a chain
     return SmithResult(_chain(sorted(pivots) + [0] * (min(len(rows), cols) - len(pivots))))
+
+
+def _unit_pivots(sparse: list[dict[int, int]]) -> list[int]:
+    """The unit phase, then _divisor_pivots on what is left, reducing
+    `sparse` in place as it does.  A round's units are the entries +-g, g
+    the gcd of all, so none is divided; its heap holds only those, as
+    ((r-1)(c-1), i, j) under _divisor_pivots' lazy rule."""
+    col_rows: dict[int, set[int]] = {}
+    for i, row in enumerate(sparse):
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    pivots = []
+    while any(sparse):
+        g = gcd(*chain.from_iterable(map(dict.values, sparse)))
+        start, split = len(sparse) - sparse.count({}), 0
+        heap = [((len(row) - 1) * (len(col_rows[j]) - 1), i, j)
+                for i, row in enumerate(sparse) for j, v in row.items() if v in (g, -g)]
+        heapify(heap)
+        while heap:
+            cost, i, j = heappop(heap)
+            prow = sparse[i]
+            if (p := prow.get(j)) not in (g, -g):    # gone, or no longer +-g
+                continue
+            now = (len(prow) - 1) * (len(col_rows[j]) - 1)
+            if now != cost:
+                heappush(heap, (now, i, j))
+                continue
+            split += 1
+            sparse[i] = {}
+            del prow[j]
+            for c in prow:
+                col_rows[c].discard(i)
+            for r in col_rows.pop(j) - {i}:
+                row = sparse[r]
+                q = row.pop(j) // p
+                for c, a in prow.items():
+                    x = row.get(c, 0) - q * a
+                    if x:
+                        row[c] = x
+                        col_rows[c].add(r)
+                        if x in (g, -g):
+                            heappush(heap, (0, r, c))
+                    else:
+                        del row[c]
+                        col_rows[c].discard(r)
+        pivots += [g] * split
+        if 4 * split < start:
+            break
+    return pivots + _divisor_pivots(sparse)
 
 
 def _divisor_pivots(sparse: list[dict[int, int]]) -> list[int]:

@@ -49,8 +49,8 @@ gives back is the edge 2e + (f & 1) of DB_{k+1}(2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-from operator import add, index, itemgetter, sub
+from itertools import count, repeat
+from operator import add, and_, index, itemgetter, sub
 
 from .errors import InvalidSequenceError
 from .line_bijection import OMEGA, TreeArray, _pi, _sigma
@@ -156,8 +156,10 @@ def encode(bits: str, degree: int) -> str:
         # T_k, the last entries of A_k: v's successor in L(DB_{k-1}(2)) is
         # the head of its tree edge e, e mod 2^k
         root, mask = array.root, mask >> 1
-        succ = [None if v == root else entries[-1] & mask
-                for v, entries in enumerate(array.lists)]
+        succ = list(map(itemgetter(-1), array.lists))
+        succ[root] = 0     # OMEGA, which has no head
+        succ = list(map(and_, succ, repeat(mask)))
+        succ[root] = None
     out[0] = 48 if root == 0 else 49
     return out.decode()
 

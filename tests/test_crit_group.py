@@ -197,6 +197,80 @@ def test_snf_of_larger_sparse_matrices_matches_dense_loop(rows):
     assert smith_normal_form(sparse(rows), len(rows[0])).diagonal == _dense_snf(rows)
 
 
+FAMILY_LAPLACIANS = [dense_laplacian(make(m, n)) for make, m, n in
+                     [(debruijn, 2, 4), (debruijn, 3, 2), (kautz, 2, 3), (kautz, 3, 2)]]
+
+
+@given(deep_sparse_matrices() | st.sampled_from(FAMILY_LAPLACIANS), st.integers(2, 12))
+def test_snf_of_a_multiple_is_the_multiple_of_the_snf(rows, k):
+    # the unit phase takes the content k as its first unit
+    scaled = [[k * x for x in row] for row in rows]
+    diagonal = smith_normal_form(sparse(rows), len(rows[0])).diagonal
+    assert smith_normal_form(sparse(scaled), len(rows[0])).diagonal == [k * d for d in diagonal]
+    assert [k * d for d in diagonal] == _dense_snf(scaled)
+
+
+@pytest.mark.parametrize("rows", [[{0: 2.5}], [{0: 2.0, 1: 1}, {0: 1, 1: 3}], [{0: "2"}],
+                                  [{0: None}]])
+def test_snf_refuses_entries_that_are_not_integers(rows):
+    # a float would come back as a factor, [2.5] or [1, 5.0], not an error
+    with pytest.raises(ValueError, match="must be integers"):
+        smith_normal_form(rows)
+
+
+@pytest.mark.parametrize("make,m,n,rounds,handed,rounds_at_0,handed_at_0", [
+    (debruijn, 2, 8, 5, 12, 1, 235),
+    (debruijn, 3, 5, 4, 9, 1, 202),
+    (debruijn, 4, 4, 4, 4, 1, 156),
+    (kautz, 2, 8, 6, 8, 4, 70),
+    (kautz, 3, 5, 3, 25, 1, 278)])
+def test_unit_phase_leaves_the_family_minors_a_small_remainder(
+        make, m, n, rounds, handed, rounds_at_0, handed_at_0, monkeypatch):
+    # each unit round splits off about half the rows, and the content of
+    # what is left grows by m (or stays, at the end), so a few rounds leave
+    # the general loop only a few entries on a relabelled graph with a
+    # random sink, as perfbench's matrix workload has; the graph as built
+    # with sink 0 stops growing its content sooner and hands over more
+    contents, entries = [], []
+
+    def counting_gcd(*values):
+        contents.append(gcd(*values))
+        return contents[-1]
+
+    def divisor_pivots(sparse):
+        entries.append(sum(map(len, sparse)))
+        return _divisor_pivots(sparse)
+
+    monkeypatch.setattr(crit_group, "gcd", counting_gcd)
+    monkeypatch.setattr(crit_group, "_divisor_pivots", divisor_pivots)
+    g = make(m, n)
+    rng = random.Random(0)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    relabelled = DiGraph(g.n, [(perm[s], perm[t]) for s, t in g.edges])
+    for graph, sink, want in [(relabelled, rng.randrange(g.n), (rounds, handed)),
+                              (g, 0, (rounds_at_0, handed_at_0))]:
+        contents.clear()
+        entries.clear()
+        reduced = minor(out_laplacian(graph), sink)
+        pivots = crit_group._unit_pivots(reduced)
+        assert len(pivots) == len(reduced) and not any(reduced)
+        # one gcd a round: 1 (the Laplacian's), then each the last or m times it
+        assert contents[0] == 1 and all(b in (a, m * a) for a, b in zip(contents, contents[1:]))
+        assert (len(set(contents)) - 1, entries) == (want[0], [want[1]])
+
+
+def test_snf_of_a_long_divisor_chain_within_bound():
+    # rounds with units 1, 2, 4, ... would split one row each, 4000 passes
+    # over the whole matrix; the first round splits under a quarter of the
+    # rows, so the rest goes to the general loop at once
+    k = 4000
+    started = time.perf_counter()
+    diagonal = smith_normal_form([{i: 1 << i} for i in range(k)]).diagonal
+    assert time.perf_counter() - started < 1.0
+    assert diagonal == [1 << i for i in range(k)]
+
+
 @st.composite
 def eulerian_multigraphs(draw):
     """Unions of 2-4 random permutations on 3-12 vertices, self-loops allowed."""
@@ -227,14 +301,21 @@ def _permutation_graph(n, seed):
 @pytest.mark.parametrize("n,seed", [(40, 1), (50, 2), (60, 3)])
 def test_snf_of_permutation_graph_minors_compacts_the_heap(n, seed, monkeypatch):
     # fill-in on these minors rewrites many entries per step, so stale
-    # items pass four per live entry and the heap is rebuilt
-    builds = []
+    # items pass four per live entry and the heap is rebuilt; only the
+    # builds inside _divisor_pivots count, not the unit phase's own heap
+    builds, inside = [], []
 
     def counting_heapify(heap):
-        builds.append(len(heap))
+        if inside:
+            builds.append(len(heap))
         heapq.heapify(heap)
 
+    def divisor_pivots(sparse):
+        inside.append(1)
+        return _divisor_pivots(sparse)
+
     monkeypatch.setattr(crit_group, "heapify", counting_heapify)
+    monkeypatch.setattr(crit_group, "_divisor_pivots", divisor_pivots)
     g = _permutation_graph(n, seed)
     diagonal = smith_normal_form(minor(out_laplacian(g), 0)).diagonal
     assert diagonal == _dense_snf(dense_minor(dense_laplacian(g), 0))
