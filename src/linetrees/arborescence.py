@@ -269,7 +269,10 @@ def determinant(rows: Sequence[Mapping[int, int]]) -> int:
     to bareiss_determinant.
     """
     k = len(rows)
-    cols = sorted(set().union(*rows))
+    try:
+        cols = sorted(set().union(*rows))
+    except TypeError:
+        raise ValueError("determinant rows must map keys that sort to entries") from None
     if len(cols) > k:
         raise ValueError(f"{len(cols)} columns in a matrix of {k} rows")
     if len(cols) < k:

@@ -4,28 +4,27 @@ the de Bruijn and Kautz families.
 The Laplacian is the package's one builder, arborescence.out_laplacian:
 L(G) = D(G) - A(G) with D = diag(outdeg) and A the adjacency matrix
 (counting multiplicities, self-loops included), so a self-loop cancels on
-the diagonal.  It is held as sparse rows, one {col: value} dict per row,
-and the Smith normal form starts from those rows; no dense n x n matrix
-is built.  The paper's figure shows A - D, the negation; a cokernel and
-a Smith normal form do not depend on the sign.  The sandpile group with
-sink r is the cokernel of the reduced Laplacian (row and column of r
-deleted); its order is the number of spanning trees rooted at r.  On a
-balanced (indeg = outdeg) strongly connected graph the choice of sink does
-not matter and the common group is the critical group.
+the diagonal.  It is held as sparse rows, one {col: value} dict per row;
+no dense n x n matrix is built.  The paper's figure shows A - D, the
+negation; a cokernel and a Smith normal form do not depend on the sign.
+The sandpile group with sink r is the cokernel of the reduced Laplacian
+(row and column of r deleted); its order is the number of spanning trees
+rooted at r.  On a balanced (indeg = outdeg) strongly connected graph the
+choice of sink does not matter and the common group is the critical group.
 
-Smith normal form is computed over the integers with exact arithmetic, on
-the rows in that form.  A unit phase splits off entries +-1, least
-Markowitz cost (r-1)(c-1) first, each by row operations with no test; then
-it does the same with +-g, g the gcd of what is left, since SNF(g M) =
-g SNF(M).  On the families' reduced Laplacians, m-divisible past the
-units, g grows by m a round.  Once a round splits under a quarter of its
-rows, a general loop pops the live entry p of least |p| from a lazy heap.
-If p divides its row and column, row operations clear its column and Z_|p|
-splits off; if not, p takes the same row operations and, once alone in its
-column, reduces its row modulo p, so a smaller entry or a divisor pivot
-turns up.  A divisibility-chain fix-up runs over the diagonal at the end.
-The invariant factors give the cokernel in invariant-factor form
-d1 | d2 | ... (unit factors dropped, zero factors counted as free rank).
+Smith normal form works on those rows in exact arithmetic.  A unit phase
+splits off entries +-1, least Markowitz cost (r-1)(c-1) first, by row
+operations with no test, then entries +-g, g the gcd of what is left,
+since SNF(g M) = g SNF(M); its heap packs (cost, row, column) in one int
+that sorts as the tuple would.  On the families' reduced Laplacians,
+m-divisible past the units, g grows by m a round.  Once a round splits
+under a quarter of its rows, a general loop pops the live entry p of least
+|p| from a lazy heap.  If p divides its row and column, row operations
+clear its column and Z_|p| splits off; if not, p takes the same row
+operations and, once alone in its column, reduces its row modulo p, so a
+smaller entry or a divisor pivot turns up.  A chain fix-up of the diagonal
+gives the invariant factors d1 | d2 | ... of the cokernel (units dropped,
+zeros counted as free rank).
 
 Closed forms implemented for the two families (m >= 2):
 
@@ -51,7 +50,7 @@ from math import gcd, inf, log10
 from operator import index
 from typing import Mapping, Sequence
 
-from .arborescence import minor, out_laplacian
+from .arborescence import out_laplacian
 from .digraph import DiGraph, detect_family, is_eulerian, is_strongly_connected
 from .errors import MAX_ORDER_DIGITS, GraphError
 
@@ -65,20 +64,22 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None
     """Exact Smith normal form of an integer matrix held as sparse rows.
 
     Row i is rows[i] as {col: value}, over `cols` columns (default: as
-    many as rows); distinct keys name distinct columns, and a column with
-    no entry is a zero column.  The input is not changed; an entry that is
-    not an integer raises ValueError.  The unit phase and the general loop
+    many as rows); distinct keys, which must sort, name distinct columns,
+    and a column with no entry is a zero column.  The input is not changed;
+    bad arguments raise ValueError.  The unit phase and the general loop
     split off a cyclic factor per pivot; the diagonal is those, then a zero
     for each of the min(rows, cols) places the rank leaves, chain-fixed.
     """
-    cols = len(rows) if cols is None else cols
-    try:
-        sparse = [{c: x for c, v in row.items() if (x := index(v))} for row in rows]
-    except TypeError:
-        raise ValueError("Smith form entries must be integers") from None
-    keyed = len(set().union(*sparse))
-    if keyed > cols:
-        raise ValueError(f"{keyed} distinct columns in a matrix of {cols} columns")
+    try:    # keys become 0..k-1 in key order, the unit heap's packed columns
+        cols = len(rows) if cols is None else index(cols)
+        rank = {c: x for x, c in enumerate(sorted(set().union(*(row.keys() for row in rows))))}
+        sparse = [{rank[c]: x for c, v in row.items() if (x := index(v))} for row in rows]
+    except (TypeError, AttributeError):
+        raise ValueError("Smith form takes rows of {col: value} whose keys sort, and its "
+                         "entries and column count must be integers") from None
+    if cols < 0 or (keyed := len(set().union(*sparse))) > cols:
+        raise ValueError(f"column count {cols} is negative" if cols < 0 else
+                         f"{keyed} distinct columns in a matrix of {cols} columns")
     pivots = _unit_pivots(sparse)
     # the chain is unique, so sorting first changes only how long the
     # fix-up takes, and sorted powers of one prime already form a chain
@@ -88,34 +89,37 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None
 def _unit_pivots(sparse: list[dict[int, int]]) -> list[int]:
     """The unit phase, then _divisor_pivots on what is left, reducing
     `sparse` in place as it does.  A round's units are the entries +-g, g
-    the gcd of all, so none is divided; its heap holds only those, as
-    ((r-1)(c-1), i, j) under _divisor_pivots' lazy rule."""
-    col_rows: dict[int, set[int]] = {}
+    the gcd of all, so none is divided; its heap holds only those, under
+    _divisor_pivots' lazy rule, as (r-1)(c-1) << S | i << W | j, W bits for
+    a column (keys are 0..k-1), S - W for a row: that sorts as ((r-1)(c-1), i, j)."""
+    col_rows: dict[int, set[int]] = {j: set() for j in set().union(*sparse)}
     for i, row in enumerate(sparse):
         for j in row:
-            col_rows.setdefault(j, set()).add(i)
+            col_rows[j].add(i)
+    w, rbits = max(col_rows, default=0).bit_length(), len(sparse).bit_length()
+    s, rmask, cmask = w + rbits, (1 << rbits) - 1, (1 << w) - 1
     pivots = []
     while any(sparse):
         g = gcd(*chain.from_iterable(map(dict.values, sparse)))
-        start, split = len(sparse) - sparse.count({}), 0
-        heap = [((len(row) - 1) * (len(col_rows[j]) - 1), i, j)
-                for i, row in enumerate(sparse) for j, v in row.items() if v in (g, -g)]
+        start, split, units = len(sparse) - sparse.count({}), 0, (g, -g)
+        heap = [(len(row) - 1) * (len(col_rows[j]) - 1) << s | i << w | j
+                for i, row in enumerate(sparse) for j, v in row.items() if v in units]
         heapify(heap)
         while heap:
-            cost, i, j = heappop(heap)
-            prow = sparse[i]
-            if (p := prow.get(j)) not in (g, -g):    # gone, or no longer +-g
+            key = heappop(heap)
+            prow = sparse[i := key >> w & rmask]
+            if (p := prow.get(j := key & cmask)) not in units:    # gone, or no longer +-g
                 continue
             now = (len(prow) - 1) * (len(col_rows[j]) - 1)
-            if now != cost:
-                heappush(heap, (now, i, j))
+            if now != key >> s:
+                heappush(heap, now << s | i << w | j)
                 continue
             split += 1
             sparse[i] = {}
-            del prow[j]
             for c in prow:
                 col_rows[c].discard(i)
-            for r in col_rows.pop(j) - {i}:
+            del prow[j]
+            for r in col_rows.pop(j):
                 row = sparse[r]
                 q = row.pop(j) // p
                 for c, a in prow.items():
@@ -123,8 +127,8 @@ def _unit_pivots(sparse: list[dict[int, int]]) -> list[int]:
                     if x:
                         row[c] = x
                         col_rows[c].add(r)
-                        if x in (g, -g):
-                            heappush(heap, (0, r, c))
+                        if x in units:
+                            heappush(heap, r << w | c)
                     else:
                         del row[c]
                         col_rows[c].discard(r)
@@ -423,6 +427,10 @@ def tree_count_kautz(m: int, n: int) -> int:
 
 def sandpile_group(g: DiGraph, sink: int) -> AbelianGroup:
     """Cokernel of the reduced Laplacian; order = trees rooted at the sink."""
+    try:
+        sink = index(sink)
+    except TypeError:
+        raise GraphError("sink must be an integer") from None
     if not (0 <= sink < g.n):
         raise GraphError("sink out of range")
     if not is_strongly_connected(g):
@@ -441,8 +449,11 @@ def critical_group(g: DiGraph) -> AbelianGroup:
 
 def _sandpile(g: DiGraph, sink: int) -> AbelianGroup:
     """sandpile_group's body, on a strongly connected g and a sink in range."""
-    snf = smith_normal_form(minor(out_laplacian(g), sink))
-    group = group_from_diagonal(snf.diagonal)
+    lap = out_laplacian(g)
+    del lap[sink]
+    for row in lap:
+        row.pop(sink, None)
+    group = group_from_diagonal(smith_normal_form(lap).diagonal)
     if group.free_rank:
         raise GraphError("reduced Laplacian is singular")  # unreachable when strongly connected
     return group

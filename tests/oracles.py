@@ -6,7 +6,9 @@ trees by one dense Bareiss minor per root, the route the library took
 before its sparse determinant.  ``dense_diagonal`` is the dense
 smallest-pivot Smith loop that once reduced whatever block the sparse
 divisor pivots left; the library now runs the whole form as one sparse
-loop.
+loop.  ``tuple_unit_pivots`` is the Smith form's unit phase as it ran with
+a heap of ``(cost, i, j)`` tuples; the library packs each into one int
+that must pop in the same order.
 
 ``heap_sigma`` and ``heap_pi`` run the tree-array maps as they read: each
 step pops the smallest ready element from a heap keyed by edge rank, in
@@ -32,6 +34,8 @@ sequence as it walks and checks only that no edge repeats.
 """
 
 import heapq
+from itertools import chain
+from math import gcd
 
 from linetrees.arborescence import SpanningTree, bareiss_determinant, validate_tree
 from linetrees.db_codec import HamPath, _heads, path_to_seq, seq_to_path
@@ -133,6 +137,54 @@ def dense_diagonal(d: list[list[int]]) -> list[int]:
     # each pivot row ends as (0, ..., 0, pivot, 0, ...) and later steps
     # leave it alone, so only the pivot's sign is left to fix
     return [abs(d[i][i]) for i in range(min(rows, cols))]
+
+
+def tuple_unit_pivots(sparse):
+    """The unit phase with tuple heap keys: the factors it splits off, in
+    order, with what is left in `sparse` (reduced in place) for the
+    divisor pivots.  Keys compare as themselves, so they need only sort."""
+    col_rows = {}
+    for i, row in enumerate(sparse):
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    pivots = []
+    while any(sparse):
+        g = gcd(*chain.from_iterable(map(dict.values, sparse)))
+        start, split = len(sparse) - sparse.count({}), 0
+        heap = [((len(row) - 1) * (len(col_rows[j]) - 1), i, j)
+                for i, row in enumerate(sparse) for j, v in row.items() if v in (g, -g)]
+        heapq.heapify(heap)
+        while heap:
+            cost, i, j = heapq.heappop(heap)
+            prow = sparse[i]
+            if (p := prow.get(j)) not in (g, -g):    # gone, or no longer +-g
+                continue
+            now = (len(prow) - 1) * (len(col_rows[j]) - 1)
+            if now != cost:
+                heapq.heappush(heap, (now, i, j))
+                continue
+            split += 1
+            sparse[i] = {}
+            del prow[j]
+            for c in prow:
+                col_rows[c].discard(i)
+            for r in col_rows.pop(j) - {i}:
+                row = sparse[r]
+                q = row.pop(j) // p
+                for c, a in prow.items():
+                    x = row.get(c, 0) - q * a
+                    if x:
+                        row[c] = x
+                        col_rows[c].add(r)
+                        if x in (g, -g):
+                            heapq.heappush(heap, (0, r, c))
+                    else:
+                        del row[c]
+                        col_rows[c].discard(r)
+        pivots += [g] * split
+        if 4 * split < start:
+            break
+    return pivots
 
 
 def _ranks(order):

@@ -259,6 +259,8 @@ def test_sparse_determinant_column_names_and_shape():
     assert determinant([]) == 1
     with pytest.raises(ValueError):
         determinant([{0: 1, 1: 1, 2: 1}, {0: 1}])
+    with pytest.raises(ValueError, match="sort"):
+        determinant([{"a": 1, 0: 1}, {"b": 1, 0: 2}])
     assert [_parity(p) for p in ([], [0, 1, 2], [1, 0, 2], [1, 2, 0], [3, 2, 1, 0])] == \
         [1, 1, -1, 1, 1]
 

@@ -24,7 +24,7 @@ from linetrees.crit_group import (AbelianGroup, DivisibilityReport, _chain,
 from linetrees.digraph import DiGraph, debruijn, is_strongly_connected, kautz
 from linetrees.errors import GraphError
 from oracles import (count_trees_rooted, dense, dense_diagonal, dense_laplacian, dense_minor,
-                     sparse)
+                     sparse, tuple_unit_pivots)
 
 FIGURE_LAPLACIAN = [
     [-2, 0, 1, 1, 0, 0],
@@ -192,9 +192,75 @@ def deep_sparse_matrices(draw):
     return rows
 
 
-@given(deep_sparse_matrices())
-def test_snf_of_larger_sparse_matrices_matches_dense_loop(rows):
-    assert smith_normal_form(sparse(rows), len(rows[0])).diagonal == _dense_snf(rows)
+# column key maps: every key is relabelled to its place in key order, so
+# neither the order nor the width of the unit heap's packed keys may change
+COLUMN_KEYS = {"ints": lambda c: c, "negative": lambda c: -c,
+               "huge": lambda c: 10 ** 30 if c == 0 else c, "strings": str,
+               "gaps": lambda c: 7 * c + 3}
+
+
+def _keyed(rows, name):
+    return [{COLUMN_KEYS[name](c): v for c, v in row.items()} for row in rows]
+
+
+@given(deep_sparse_matrices(), st.sampled_from(sorted(COLUMN_KEYS)))
+def test_snf_of_larger_sparse_matrices_matches_dense_loop(rows, keys):
+    assert smith_normal_form(_keyed(sparse(rows), keys), len(rows[0])).diagonal == _dense_snf(rows)
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return DiGraph(g.n, [(perm[s], perm[t]) for s, t in g.edges])
+
+
+MATRIX_GRAPHS = [(debruijn, 2, 8), (debruijn, 3, 5), (debruijn, 4, 4), (kautz, 2, 8), (kautz, 3, 5)]
+
+
+@st.composite
+def matrix_minors(draw):
+    """Reduced Laplacians of perfbench's matrix graphs, relabelled, at a random sink."""
+    make, m, n = draw(st.sampled_from(MATRIX_GRAPHS))
+    rng = draw(st.randoms(use_true_random=False))
+    g = _relabelled(make(m, n), rng)
+    return minor(out_laplacian(g), rng.randrange(g.n)), g.n - 1
+
+
+def _by_place(rows, keys):
+    """`rows` with each key replaced by its place among `keys` in increasing order."""
+    place = {c: x for x, c in enumerate(sorted(keys))}
+    return [{place[c]: v for c, v in row.items()} for row in rows]
+
+
+@given(deep_sparse_matrices().map(lambda rows: (sparse(rows), len(rows[0]))) | matrix_minors(),
+       st.sampled_from(sorted(COLUMN_KEYS)))
+def test_packed_unit_phase_matches_the_tuple_keyed_oracle(matrix, keys):
+    # the library's unit phase, reached through smith_normal_form with the
+    # divisor pivots cut off, against the phase with (cost, i, j) tuple keys
+    # on the same keys: the same factors in the same order, and the same
+    # rows left, once each side's keys are read as their places in key order
+    rows, cols = matrix
+    keyed = _keyed(rows, keys)
+    given_rows = [dict(row) for row in keyed]
+    started, pivots, left = [], [], []
+    unit_pivots = crit_group._unit_pivots
+
+    def recording(sparse_rows):
+        started.extend(dict(row) for row in sparse_rows)
+        pivots.extend(unit_pivots(sparse_rows))
+        left.extend(sparse_rows)
+        return pivots
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crit_group, "_unit_pivots", recording)
+        patch.setattr(crit_group, "_divisor_pivots", lambda rest: [])
+        smith_normal_form(keyed, cols)
+    assert keyed == given_rows      # the input is not changed
+    oracle_left = [dict(row) for row in keyed]
+    assert pivots == tuple_unit_pivots(oracle_left)
+    labels, names = set().union(*started), set().union(*keyed)
+    assert _by_place(started, labels) == _by_place(keyed, names)
+    assert _by_place(left, labels) == _by_place(oracle_left, names)
 
 
 FAMILY_LAPLACIANS = [dense_laplacian(make(m, n)) for make, m, n in
@@ -216,6 +282,19 @@ def test_snf_refuses_entries_that_are_not_integers(rows):
     # a float would come back as a factor, [2.5] or [1, 5.0], not an error
     with pytest.raises(ValueError, match="must be integers"):
         smith_normal_form(rows)
+
+
+@pytest.mark.parametrize("rows,cols,message", [
+    ([{0: 1}], 2.5, "integers"), ([{0: 1}], "2", "integers"),
+    ([{0: 1}], -1, "negative"), ([], -1, "negative"),
+    ([[1, 2], [3, 4]], None, "rows"), ([{0: 1}, "ab"], None, "rows"),
+    # keys that do not sort, whether or not the heap would compare them,
+    # and a key that holds only 0
+    ([{"a": 1, 0: 1}, {"a": 1, 0: 2}], 2, "sort"), ([{"a": 2, 0: 4}, {"a": 6, 0: 2}], 2, "sort"),
+    ([{"a": 0, 0: 1}], 1, "sort")])
+def test_snf_refuses_bad_arguments(rows, cols, message):
+    with pytest.raises(ValueError, match=message):
+        smith_normal_form(rows, cols)
 
 
 @pytest.mark.parametrize("make,m,n,rounds,handed,rounds_at_0,handed_at_0", [
@@ -359,6 +438,8 @@ def test_snf_of_rows_with_named_columns():
         rows = minor(sparse(lap), r)
         assert smith_normal_form(rows).diagonal == _dense_snf(dense_minor(lap, r))
     assert smith_normal_form([{7: 2}, {}], 3).diagonal == [2, 0]
+    # a key whose entries are all 0 names no column the count must hold
+    assert smith_normal_form([{0: 1, 1: 0}], 1).diagonal == [1]
     with pytest.raises(ValueError):
         smith_normal_form([{0: 1, 1: 1}, {2: 1}], 2)
 
@@ -379,6 +460,14 @@ def test_sandpile_two_cycle_trivial():
 
 def test_sandpile_db22():
     assert sandpile_group(debruijn(2, 2), 0) == AbelianGroup((2,))
+    assert sandpile_group(debruijn(2, 2), True) == AbelianGroup((2,))    # as index(True) == 1
+
+
+@pytest.mark.parametrize("sink,message", [(1.0, "integer"), ("1", "integer"), (None, "integer"),
+                                          (-1, "range"), (4, "range")])
+def test_sandpile_refuses_a_sink_that_is_not_a_vertex(sink, message):
+    with pytest.raises(GraphError, match=message):
+        sandpile_group(debruijn(2, 2), sink)
 
 
 def test_sandpile_rejects_disconnected():
