@@ -59,7 +59,7 @@ from math import comb, gcd, prod
 from typing import Callable, Mapping, Sequence
 import random
 
-from .digraph import DiGraph, _reach, line_graph
+from .digraph import DiGraph, _reach, _vertex, line_graph
 from .errors import EnumerationBound, InvalidTreeError, count_text
 
 DEFAULT_BOUND = 10 ** 6
@@ -200,10 +200,11 @@ def enumerate_trees(g: DiGraph, root: int | None = None,
 
     Trees are listed by root, then lexicographically by the out-edge choice
     vector.  The bound caps the number of candidate out-edge assignments
-    (the product of out-degrees), not the number of trees.
+    (the product of out-degrees), not the number of trees.  A root that is
+    not an integer or not a vertex of g raises GraphError.
     """
     trees: list[SpanningTree] = []
-    _search_trees(g, range(g.n) if root is None else [root],
+    _search_trees(g, range(g.n) if root is None else [_vertex(g, root, "root")],
                   lambda r, choice: trees.append(SpanningTree(r, tuple(choice))), bound)
     return trees
 

@@ -51,7 +51,7 @@ from operator import index
 from typing import Mapping, Sequence
 
 from .arborescence import out_laplacian
-from .digraph import DiGraph, detect_family, is_eulerian, is_strongly_connected
+from .digraph import DiGraph, _vertex, detect_family, is_eulerian, is_strongly_connected
 from .errors import MAX_ORDER_DIGITS, GraphError
 
 
@@ -427,12 +427,7 @@ def tree_count_kautz(m: int, n: int) -> int:
 
 def sandpile_group(g: DiGraph, sink: int) -> AbelianGroup:
     """Cokernel of the reduced Laplacian; order = trees rooted at the sink."""
-    try:
-        sink = index(sink)
-    except TypeError:
-        raise GraphError("sink must be an integer") from None
-    if not (0 <= sink < g.n):
-        raise GraphError("sink out of range")
+    sink = _vertex(g, sink, "sink")
     if not is_strongly_connected(g):
         raise GraphError("sandpile group requires a strongly connected graph")
     return _sandpile(g, sink)

@@ -166,6 +166,17 @@ def is_eulerian(g: DiGraph) -> bool:
     return all(g.indeg[v] == g.outdeg[v] for v in range(g.n))
 
 
+def _vertex(g: DiGraph, v, what: str) -> int:
+    """v through operator.index, or GraphError naming `what` unless a vertex."""
+    try:
+        v = index(v)
+    except TypeError:
+        raise GraphError(f"{what} must be an integer") from None
+    if not (0 <= v < g.n):
+        raise GraphError(f"{what} out of range")
+    return v
+
+
 def _reach(adj: Sequence[Sequence[int]], start: int, seen: bytearray) -> bytearray:
     """Mark in `seen` the vertices that `start` reaches through unmarked
     ones (all it reaches, on a fresh array), and return `seen`."""

@@ -48,18 +48,24 @@ every other ready element lies ahead of the scan; otherwise it scans on.
 The public maps (``LineContext.sigma``/``pi``) read their input once, in
 linear time, and then run a body that trusts it; internal callers (the de
 Bruijn codec, verify-all's round trips) call the bodies directly.
-``validate_tree_array``, the one check of a tree array, collects the head
-of each non-root list's last entry in its pass over the entries, then walks
-those chains to the root once.  ``pi`` checks its tree through the
-numbering while building the successor list, so it builds no line graph:
-line edge j out of e is valid iff off[e] <= j < off[e + 1], with head the
-(j - off[e])-th out-edge of t(e).  A successor list peels down to its root
-iff it has no cycle, so the body's peel is the acyclicity check; only if it
-stalls, or the order is refused, does ``pi`` walk the chains to name the
-cycle, so its errors are those of ``validate_tree(ctx.line, tree)``, in
-order.  A context checks an edge order once and keeps it in one slot until
-some position holds another object.  ``enumerate_tree_arrays`` builds
-arrays valid by construction.
+``validate_tree_array``, the one check of a tree array, makes a pass over
+the entries, then walks the chains of last entries to the root once.
+``sigma`` makes the pass, counting the entries for its body, which is the
+acyclicity check: a run pops every entry, and were the last entries e_i of
+l_{v_i} a cycle, t(e_i) = v_{i+1}, the last pop from l_{v_{i+1}} would
+follow the taking of e_i, hence the pop of e_i, the last from l_{v_i}, and
+so, around the cycle, itself.  ``pi`` checks its tree through the
+numbering while building the successor list and its indegrees, so it
+builds no line graph: line edge j out of e is valid iff off[e] <= j <
+off[e + 1], with head the (j - off[e])-th out-edge of t(e).  A successor
+list peels down to its root iff it has no cycle, so pi's body is the
+acyclicity check too.  Only once a body fails, or the order is
+refused, does a public map walk the chains to name the error, so the
+errors of ``sigma`` are those of ``validate_tree_array`` and those of
+``pi`` those of ``validate_tree(ctx.line, tree)``, in order.  A context
+checks an edge order once and keeps it in one slot until some position
+holds another object.  ``enumerate_tree_arrays`` builds arrays valid by
+construction.
 The invariants that make the loop in sigma well-defined (the candidate set
 and the popped list are never empty) are checked and raise typed errors,
 and every sigma run checks that each list copy was popped, i.e. that indeg
@@ -111,12 +117,25 @@ class TreeArray:
 
 def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
     """Raise InvalidTreeArrayError unless a is a tree array of g; O(n + m)."""
+    _check_entries(g, a)
+    # every last entry is now an out-edge of its vertex, so the one check
+    # left of the tree they form is that each chain of heads reaches the root
+    edges, root = g.edges, a.root
+    succ = [None if v == root else edges[entries[-1]][1] for v, entries in enumerate(a.lists)]
+    try:
+        _check_reaches_root(root, succ)
+    except InvalidTreeError as exc:
+        raise InvalidTreeArrayError(f"last entries do not form a spanning tree: {exc}") from None
+
+
+def _check_entries(g: DiGraph, a: TreeArray) -> list[int]:
+    # validate_tree_array's checks but the walk; returns each edge's copy count
     n, m, indeg, edges = g.n, g.m, g.indeg, g.edges
     root = a.root
     if len(a.lists) != n or not isinstance(root, int) or not (0 <= root < n):
         raise InvalidTreeArrayError("array shape does not match the graph")
     omegas = 0
-    succ: list[int | None] = [None] * n  # head of each non-root list's last entry
+    count = [0] * m
     for v, entries in enumerate(a.lists):
         if len(entries) != indeg[v]:
             raise InvalidTreeArrayError(
@@ -130,21 +149,15 @@ def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
                 if edges[entry][0] != v:
                     raise InvalidTreeArrayError(
                         f"entry {entry} in list of vertex {v} has source {edges[entry][0]}")
+                count[entry] += 1
             else:
                 raise InvalidTreeArrayError(f"entry {entry!r} is not an edge id")
-        if entries and v != root:
-            succ[v] = edges[entries[-1]][1]
     if omegas != 1:
         raise InvalidTreeArrayError(f"expected exactly one OMEGA, found {omegas}")
     if 0 in indeg:  # not the root's list: it holds the one OMEGA
         raise InvalidTreeArrayError(f"list of vertex {indeg.index(0)} is empty: "
                                     "tree arrays need every indegree to be positive")
-    # every last entry is now an out-edge of its vertex, so the one check
-    # left of the tree they form is that each chain of heads reaches the root
-    try:
-        _check_reaches_root(root, succ)
-    except InvalidTreeError as exc:
-        raise InvalidTreeArrayError(f"last entries do not form a spanning tree: {exc}") from None
+    return count
 
 
 def _edge_order(g: DiGraph, order: Sequence[int] | None) -> Sequence[int]:
@@ -216,9 +229,17 @@ class LineContext:
         return last
 
     def sigma(self, a: TreeArray, order: Sequence[int] | None = None) -> SpanningTree:
-        """Map a tree array of g to a spanning tree of the line graph."""
-        validate_tree_array(self.g, a)
-        return self.line_tree(*_sigma(self.g.n, self.target, a, self._checked_order(order)))
+        """Map a tree array of g to a spanning tree of the line graph, raising
+        ``validate_tree_array``'s errors; its walk runs only if the body fails."""
+        count = _check_entries(self.g, a)
+        try:
+            root, succ = _sigma(self.g.n, self.target, a, self._checked_order(order), count)
+        except (TypeError, ValueError):  # a refused order, or a cycle of last entries
+            validate_tree_array(self.g, a)
+            raise
+        off, pos = self.off, self.pos
+        return SpanningTree(root, tuple([None if f is None else off[e] + pos[f]
+                                         for e, f in enumerate(succ)]))
 
     def pi(self, tree: SpanningTree, order: Sequence[int] | None = None) -> TreeArray:
         """Map a spanning tree of the line graph back to a tree array of g.
@@ -231,31 +252,35 @@ class LineContext:
         _check_shape(root, out_edge, m)
         out, target, off = self.g._out, self.target, self.off
         succ: list[int | None] = [None] * m
+        indeg = [0] * m
         for e, j in enumerate(out_edge):
             if e == root:
                 continue
             o = off[e]
             if not isinstance(j, int) or not (o <= j < off[e + 1]):
                 raise InvalidTreeError(f"vertex {e} needs exactly one out-edge with source {e}")
-            succ[e] = out[target[e]][j - o]
+            succ[e] = f = out[target[e]][j - o]
+            indeg[f] += 1
         try:
-            return _pi(self.g.n, target, root, succ, self._checked_order(order))
+            return _pi(self.g.n, target, root, succ, self._checked_order(order), indeg)
         except (TypeError, ValueError):  # a refused order, or a stalled peel
             _check_reaches_root(root, succ)
             raise
 
 
-def _sigma(n: int, target: Sequence[int], a: TreeArray,
-           order: Iterable[int]) -> tuple[int, Succ]:
+def _sigma(n: int, target: Sequence[int], a: TreeArray, order: Iterable[int],
+           count: list[int] | None = None) -> tuple[int, Succ]:
     # sigma's body, on n vertices and the edge heads target, for arrays
-    # known to be valid: the root and successors of the image.  Its guards
-    # hold for every valid array and are checked anyway, as a safety net.
+    # with valid entries: the root and successors of the image.  It raises
+    # if the last entries cycle (module docstring); its other guards are a
+    # safety net.  count, each edge's copies in its list, is used up if given.
     m, lists = len(target), a.lists
-    count = [0] * m                # remaining copies of e in l_{s(e)}
-    for entries in lists:
-        for entry in entries:
-            if entry is not OMEGA:
-                count[entry] += 1
+    if count is None:              # remaining copies of e in l_{s(e)}
+        count = [0] * m
+        for entries in lists:
+            for entry in entries:
+                if entry is not OMEGA:
+                    count[entry] += 1
     heads = [0] * n                # next unpopped position per list
     succ: list[int | None] = [None] * m
     passed = bytearray(m)          # the scan has reached e
@@ -296,13 +321,18 @@ def _sigma(n: int, target: Sequence[int], a: TreeArray,
 
 
 def _pi(n: int, target: Sequence[int], root: int, succ: Sequence[int | None],
-        order: Iterable[int]) -> TreeArray:
+        order: Iterable[int], indeg: list[int] | None = None) -> TreeArray:
     # pi's body, on n vertices and the edge heads target, for trees known
     # to be valid.  Its output is a valid tree array by the bijection, so it
     # is not re-validated; pi(sigma(A)) == A in the tests and verify-all.
-    # The smallest leaf is found by the same scan as in _sigma.
+    # The smallest leaf is found by the same scan as in _sigma.  indeg, the
+    # indegrees of succ, is used up if given.
     m = len(target)
-    indeg = _indegrees(succ)
+    if indeg is None:
+        indeg = [0] * m
+        for f in succ:
+            if f is not None:
+                indeg[f] += 1
     lists: list[list[ArrayEntry]] = [[] for _ in range(n)]
     passed = bytearray(m)
     peeled = 0
@@ -323,14 +353,6 @@ def _pi(n: int, target: Sequence[int], root: int, succ: Sequence[int | None],
     # Only the root is left; close its target's list with OMEGA.
     lists[target[root]].append(OMEGA)
     return TreeArray(target[root], tuple(map(tuple, lists)))
-
-
-def _indegrees(succ: Succ) -> list[int]:
-    indeg = [0] * len(succ)
-    for f in succ:
-        if f is not None:
-            indeg[f] += 1
-    return indeg
 
 
 def tree_array_count(g: DiGraph) -> int:

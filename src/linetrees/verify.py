@@ -79,15 +79,16 @@ def criterion_3_bijection() -> CriterionResult:
         # enumerations build valid input, so the bodies skip validation.
         line_trees = {(t.root, ctx.successors(t))
                       for t in enumerate_trees(ctx.line, bound=10 ** 8)}
+        # sigma injective and onto, and pi(T) the array that sigma maps to
+        # T for every T, give pi(sigma(A)) == A and sigma(pi(T)) == T
         for order in [range(g.m)] + [shuffled_order(g, seed) for seed in ORDER_SEEDS]:
-            images = [_sigma(n, target, a, order) for a in arrays]
-            if any(_pi(n, target, *t, order) != a for a, t in zip(arrays, images)):
-                failure = "pi(sigma(A)) != A"
-            elif set(images) != line_trees:
-                failure = "sigma image is not all line-graph trees"
-            elif any(_sigma(n, target, _pi(n, target, *t, order), order) != t
-                     for t in line_trees):
-                failure = "sigma(pi(T)) != T"
+            inv = {_sigma(n, target, a, order): a for a in arrays}
+            if len(inv) != len(arrays):
+                failure = "sigma is not injective"
+            elif inv.keys() != line_trees:
+                failure = "sigma is not onto the line-graph trees"
+            elif any(_pi(n, target, *t, order) != inv[t] for t in line_trees):
+                failure = "pi does not invert sigma"
             else:
                 continue
             return _result(3, "tree-array bijection", started, False,

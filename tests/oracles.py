@@ -40,7 +40,7 @@ from math import gcd
 from linetrees.arborescence import SpanningTree, bareiss_determinant, validate_tree
 from linetrees.db_codec import HamPath, _heads, path_to_seq, seq_to_path
 from linetrees.errors import InvalidSequenceError, InvalidTreeArrayError, InvalidTreeError
-from linetrees.line_bijection import OMEGA, TreeArray, _edge_order, _indegrees, _pi, _sigma
+from linetrees.line_bijection import OMEGA, TreeArray, _edge_order, _pi, _sigma
 
 
 def dense(rows, cols):
@@ -192,6 +192,14 @@ def _ranks(order):
     for r, e in enumerate(order):
         rank[e] = r
     return rank
+
+
+def _indegrees(succ):
+    indeg = [0] * len(succ)
+    for f in succ:
+        if f is not None:
+            indeg[f] += 1
+    return indeg
 
 
 def _check_term_counts(succ, initial_count):

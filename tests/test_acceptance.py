@@ -8,6 +8,8 @@ and prints its pass/fail line; run with `pytest tests/test_acceptance.py -v -s`
 import pytest
 
 from linetrees import verify
+from linetrees.digraph import debruijn
+from linetrees.line_bijection import enumerate_tree_arrays
 
 
 def _run(criterion):
@@ -28,6 +30,35 @@ def test_criterion_2_knuth_formula_on_corpus():
 
 def test_criterion_3_bijection_roundtrips_all_orders():
     _run(verify.criterion_3_bijection)
+
+
+def _break_bijection(monkeypatch, claim):
+    # criterion 3 on DB_1(2) alone, with one body broken so that one claim
+    # fails: sigma maps two arrays to one tree, misses a line tree, or pi
+    # gives the wrong array for one tree
+    g = debruijn(2, 1)
+    arrays = list(enumerate_tree_arrays(g))
+    sigma, pi = verify._sigma, verify._pi
+    monkeypatch.setattr(verify, "identity_corpus", lambda: [g])
+    if claim == "sigma is not injective":
+        monkeypatch.setattr(verify, "_sigma", lambda n, target, a, order: sigma(
+            n, target, arrays[0] if a == arrays[1] else a, order))
+    elif claim == "sigma is not onto the line-graph trees":
+        monkeypatch.setattr(verify, "_sigma", lambda n, target, a, order: (
+            (-1, ()) if a == arrays[0] else sigma(n, target, a, order)))
+    else:
+        monkeypatch.setattr(verify, "_pi", lambda *args: (
+            arrays[1] if pi(*args) == arrays[0] else pi(*args)))
+    return verify.criterion_3_bijection()
+
+
+@pytest.mark.parametrize("claim", ["sigma is not injective",
+                                   "sigma is not onto the line-graph trees",
+                                   "pi does not invert sigma"])
+def test_criterion_3_names_each_broken_claim(monkeypatch, claim):
+    result = _break_bijection(monkeypatch, claim)
+    assert not result.passed
+    assert result.detail == f"{claim} on a 2-vertex graph"
 
 
 def test_criterion_4_codec_exhaustive_degrees_2_to_4():

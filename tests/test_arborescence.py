@@ -16,7 +16,8 @@ from linetrees.arborescence import (DEFAULT_BOUND, DENSE_HANDOFF, SpanningTree, 
                                     rooted_tree_counts, validate_tree, verify_identity,
                                     weighted_tree_sum)
 from linetrees.digraph import DiGraph, debruijn, kautz, line_graph
-from linetrees.errors import MAX_ORDER_DIGITS, EnumerationBound, InvalidTreeError, count_text
+from linetrees.errors import (MAX_ORDER_DIGITS, EnumerationBound, GraphError, InvalidTreeError,
+                              count_text)
 from oracles import count_trees_rooted, dense, dense_laplacian, dense_minor, sparse
 
 TWO_CYCLE = DiGraph(2, [(0, 1), (1, 0)])
@@ -49,6 +50,23 @@ def test_enumerate_db21():
 def test_enumerate_respects_bound():
     with pytest.raises(EnumerationBound):
         enumerate_trees(debruijn(2, 2), bound=3)
+
+
+@pytest.mark.parametrize("root,message", [(1.5, "must be an integer"), ("1", "must be an integer"),
+                                          (-1, "out of range"), (4, "out of range"),
+                                          (9, "out of range")])
+def test_enumerate_refuses_a_root_that_is_not_a_vertex(root, message):
+    with pytest.raises(GraphError, match=f"^root {message}$"):
+        enumerate_trees(debruijn(2, 2), root)
+
+
+def test_enumerate_one_root_takes_it_through_index():
+    g = debruijn(2, 2)
+    by_root = enumerate_trees(g)
+    for r in range(g.n):
+        assert enumerate_trees(g, r) == [t for t in by_root if t.root == r]
+    assert enumerate_trees(g, True) == enumerate_trees(g, 1)    # as index(True) == 1
+    assert all(type(t.root) is int for t in enumerate_trees(g, True))
 
 
 def test_search_deeper_than_the_recursion_limit():

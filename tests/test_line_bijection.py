@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import linetrees
 from linetrees.arborescence import SpanningTree, enumerate_trees, validate_tree
+from linetrees.corpus import identity_corpus
 from linetrees.digraph import DiGraph, debruijn, kautz, line_graph
 from linetrees.errors import EnumerationBound, InvalidTreeArrayError, InvalidTreeError
 import linetrees.line_bijection as lb
@@ -367,20 +370,95 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_sigma_walks_last_entries_once_per_call(monkeypatch):
+def test_sigma_walks_only_a_failed_body(monkeypatch):
     g = kautz(2, 1)
     ctx = LineContext(g)
     arrays = list(enumerate_tree_arrays(g))
     walks = _counting(monkeypatch, "_check_reaches_root")
     for a in arrays:
         ctx.sigma(a)
-    assert len(walks) == len(arrays)
+    assert walks == []
     # edges of DB_1(2): 0 = 0->0, 1 = 0->1, 2 = 1->0, 3 = 1->1; vertex 1's
-    # last entry is its loop, so the walk finds the cycle
+    # last entry is its loop, so the body fails and the walk names the cycle
     db = LineContext(debruijn(2, 1))
+    cyclic = TreeArray(0, ((0, OMEGA), (2, 3)))
     with pytest.raises(InvalidTreeArrayError, match="cycle through vertex 1"):
-        db.sigma(TreeArray(0, ((0, OMEGA), (2, 3))))
-    assert len(walks) == len(arrays) + 1
+        db.sigma(cyclic)
+    assert len(walks) == 1
+    # a refused order on a cyclic array: the cycle is named first, as the
+    # two-pass boundary did
+    with pytest.raises(InvalidTreeArrayError, match="cycle through vertex 1"):
+        db.sigma(cyclic, order=[0])
+    assert len(walks) == 2
+
+
+def _entry_valid_arrays(g):
+    # every array that passes all checks but the walk: for each root, each
+    # list holds out-edges of its vertex, the root's closed by OMEGA, so
+    # some of them have last entries that cycle
+    out, indeg = g.out_edges, g.indeg
+    for root in range(g.n):
+        choices = [[(*p, OMEGA) for p in product(out(v), repeat=indeg[v] - 1)] if v == root
+                   else list(product(out(v), repeat=indeg[v])) for v in range(g.n)]
+        for lists in product(*choices):
+            yield TreeArray(root, lists)
+
+
+def _assert_body_fails_iff_cyclic(g, arrays, orders):
+    ctx = LineContext(g)
+    for a in arrays:
+        lb._check_entries(g, a)
+        valid = _outcome(lambda: validate_tree_array(g, a)) is None
+        for order in orders:
+            try:
+                _sigma(g.n, ctx.target, a, order)
+            except InvalidTreeArrayError:
+                assert not valid
+                assert _outcome(lambda: ctx.sigma(a, order)) == _outcome(
+                    lambda: validate_tree_array(g, a))
+            else:
+                assert valid
+
+
+def test_sigma_body_fails_exactly_on_cyclic_last_entries():
+    # the slow oracle for public sigma, which walks only once its body
+    # fails: on every array that passes the entry checks, the body raises
+    # iff the walk would
+    checked = cyclic = 0
+    for g in identity_corpus():
+        if sum(prod(g.outdeg[v] ** (g.indeg[v] - (v == r)) for v in range(g.n))
+               for r in range(g.n)) > 500:
+            continue
+        arrays = list(_entry_valid_arrays(g))
+        _assert_body_fails_iff_cyclic(
+            g, arrays, [range(g.m)] + [shuffled_order(g, seed) for seed in (1, 2, 3)])
+        checked += len(arrays)
+        cyclic += len(arrays) - tree_array_count(g)
+    assert checked > 10_000 and cyclic > 5_000
+
+
+@st.composite
+def entry_valid_cases(draw):
+    # a multigraph with every in- and outdegree positive, an array of
+    # out-edge lists closed by OMEGA at a drawn root, and an edge order
+    n = draw(st.integers(1, 4))
+    extra = draw(st.integers(0, 8 - n))
+    sources = list(range(n)) + [draw(st.integers(0, n - 1)) for _ in range(extra)]
+    targets = draw(st.permutations(list(range(n)) + [draw(st.integers(0, n - 1))
+                                                     for _ in range(extra)]))
+    g = DiGraph(n, list(zip(sources, targets)))
+    root = draw(st.integers(0, n - 1))
+    lists = tuple((*(draw(st.sampled_from(g.out_edges(v)))
+                     for _ in range(g.indeg[v] - (v == root))),
+                   *((OMEGA,) if v == root else ())) for v in range(n))
+    return g, TreeArray(root, lists), draw(st.permutations(range(g.m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_valid_cases())
+def test_sigma_body_fails_exactly_on_cyclic_random_multigraphs(case):
+    g, a, order = case
+    _assert_body_fails_iff_cyclic(g, [a], [order])
 
 
 def test_pi_walks_only_a_stalled_peel(monkeypatch):
