@@ -14,7 +14,7 @@ functions (kappa_vertex merges trees instead on graphs with many of
 them).  The determinant route is one Laplacian, :func:`out_laplacian`,
 held as sparse rows (one {col: value} dict per row), and one sparse exact
 elimination, :func:`determinant`, which hands the small dense block it may
-leave to :func:`bareiss_determinant`.
+leave to :func:`bareiss_determinant`'s elimination.
 
 The generating functions attach one variable per edge or per vertex:
 
@@ -52,14 +52,15 @@ tuple once at the end.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, prod
-from typing import Callable, Mapping, Sequence
+from operator import index
 import random
 
-from .digraph import DiGraph, _reach, _vertex, line_graph
+from .digraph import DiGraph, _reach, _vertex, is_eulerian, line_graph
 from .errors import EnumerationBound, InvalidTreeError, count_text
 
 DEFAULT_BOUND = 10 ** 6
@@ -211,7 +212,7 @@ def enumerate_trees(g: DiGraph, root: int | None = None,
 
 # --- exact determinants ------------------------------------------------------
 
-# A matrix with at most this many rows goes to bareiss_determinant at once,
+# A matrix with at most this many rows goes to dense Bareiss at once,
 # and so does the block the sparse phase leaves at this size: on the
 # matrices of a few vertices that knuth_check and the identity corpus feed
 # in, the heap costs more than dense elimination does.
@@ -219,11 +220,26 @@ DENSE_HANDOFF = 10
 
 
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Gaussian elimination; exact over the integers."""
-    n = len(matrix)
+    """Fraction-free Gaussian elimination, exact, of n sequences of n
+    integers each (not changed); anything else raises ValueError."""
+    try:    # a list row skips the slower ABC check
+        m = [list(map(index, row)) for row in matrix
+             if type(row) is list or isinstance(row, Sequence)]
+        n = len(m)
+        square = n == len(matrix) and all(len(row) == n for row in m)
+    except TypeError:
+        square = False
+    if not square:
+        raise ValueError("Bareiss takes a square matrix: n sequences of n integers")
+    return _bareiss(m)
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """bareiss_determinant's elimination, on a square list of integer
+    lists that it reduces in place."""
+    n = len(m)
     if n == 0:
         return 1
-    m = [list(row) for row in matrix]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -249,10 +265,11 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
 def determinant(rows: Sequence[Mapping[int, int]]) -> int:
     """Exact determinant of a square matrix held as sparse rows.
 
-    Row i is rows[i] as {col: value}; the columns are the distinct keys in
-    increasing order (a key that holds 0 still names one), and there may be
-    no more of them than rows (fewer means a zero column, so the
-    determinant is 0).  The input is not changed.
+    Row i is rows[i] as {col: value}, each value an integer; the columns
+    are the distinct keys in increasing order (a key that holds 0 still
+    names one), and there may be no more of them than rows (fewer means a
+    zero column, so the determinant is 0).  The input is not changed, and
+    rows of any other kind raise ValueError.
 
     Sparse fraction-free elimination with pivots in Markowitz order: the
     nonzero p at (i, j) with the least cost (r - 1)(c - 1), for r entries in
@@ -267,20 +284,22 @@ def determinant(rows: Sequence[Mapping[int, int]]) -> int:
     was pivoted, is dropped; one whose (cost, |p|) has changed goes back in
     at its current key.  Once at most DENSE_HANDOFF rows are left, or the
     cheapest pivot would touch over half of the block left, that block goes
-    to bareiss_determinant.
+    to bareiss_determinant's elimination, unchecked: each entry is checked
+    once, by bareiss_determinant on a matrix of at most DENSE_HANDOFF rows
+    and in the copy below on a larger one.
     """
-    k = len(rows)
     try:
+        k = len(rows)
         cols = sorted(set().union(*rows))
-    except TypeError:
-        raise ValueError("determinant rows must map keys that sort to entries") from None
+        if len(cols) == k <= DENSE_HANDOFF:     # bareiss_determinant checks the entries
+            return bareiss_determinant([[row.get(c, 0) for c in cols] for row in rows])
+        rows = [{c: x for c, v in row.items() if (x := index(v))} for row in rows]  # reduced below
+    except (TypeError, AttributeError):
+        raise ValueError("determinant rows must map keys that sort to integers") from None
     if len(cols) > k:
         raise ValueError(f"{len(cols)} columns in a matrix of {k} rows")
     if len(cols) < k:
         return 0
-    if k <= DENSE_HANDOFF:
-        return bareiss_determinant([[row.get(c, 0) for c in cols] for row in rows])
-    rows = [{c: v for c, v in row.items() if v} for row in rows]    # reduced in place below
     col_rows: dict[int, set[int]] = {c: set() for c in cols}
     for i, row in enumerate(rows):
         for c in row:
@@ -345,7 +364,7 @@ def determinant(rows: Sequence[Mapping[int, int]]) -> int:
     rest_cols = sorted(col_rows)
     rank = {c: x for x, c in enumerate(cols)}
     sign = _parity(pivot_rows + rest_rows) * _parity([rank[c] for c in pivot_cols + rest_cols])
-    block = bareiss_determinant([[rows[i].get(c, 0) for c in rest_cols] for i in rest_rows])
+    block = _bareiss([[rows[i].get(c, 0) for c in rest_cols] for i in rest_rows])
     return sign * prod(factors) * block // prod(scales)
 
 
@@ -393,8 +412,12 @@ def minor(rows: Sequence[Mapping[int, int]], r: int) -> list[dict[int, int]]:
 
 def rooted_tree_counts(g: DiGraph) -> list[int]:
     """The number of spanning trees rooted at each vertex, by the
-    matrix-tree theorem: one sparse minor of the one Laplacian per root."""
+    matrix-tree theorem: one sparse minor of the one Laplacian per root.
+    On a balanced graph (indeg = outdeg everywhere) the columns of L sum
+    to 0 as its rows do, so every cofactor is equal and one minor serves."""
     lap = out_laplacian(g)
+    if is_eulerian(g):
+        return [abs(determinant(minor(lap, 0)))] * g.n
     return [abs(determinant(minor(lap, r))) for r in range(g.n)]
 
 
@@ -409,8 +432,15 @@ def weighted_tree_sum(g: DiGraph, weights: Sequence[int]) -> int:
     The rows of L = D - A sum to 0, so adj(L) = 1 kappa^T with kappa_r the
     weighted count of trees rooted at r, and by the matrix determinant
     lemma det(L + 1 e_0^T) = det(L) + e_0^T adj(L) 1 = sum_r kappa_r: add 1
-    to every entry of column 0 and take one n x n determinant.
+    to every entry of column 0 and take one n x n determinant.  There must
+    be g.m weights, each an integer; anything else raises ValueError.
     """
+    try:
+        weights = list(map(index, weights))
+    except TypeError:
+        weights = None
+    if weights is None or len(weights) != g.m:
+        raise ValueError(f"weights must be {g.m} integers, one per edge")
     lap = out_laplacian(g, weights)
     for row in lap:
         row[0] = row.get(0, 0) + 1

@@ -15,16 +15,16 @@ choice of sink does not matter and the common group is the critical group.
 Smith normal form works on those rows in exact arithmetic.  A unit phase
 splits off entries +-1, least Markowitz cost (r-1)(c-1) first, by row
 operations with no test, then entries +-g, g the gcd of what is left,
-since SNF(g M) = g SNF(M); its heap packs (cost, row, column) in one int
-that sorts as the tuple would.  On the families' reduced Laplacians,
-m-divisible past the units, g grows by m a round.  Once a round splits
-under a quarter of its rows, a general loop pops the live entry p of least
-|p| from a lazy heap.  If p divides its row and column, row operations
-clear its column and Z_|p| splits off; if not, p takes the same row
-operations and, once alone in its column, reduces its row modulo p, so a
-smaller entry or a divisor pivot turns up.  A chain fix-up of the diagonal
-gives the invariant factors d1 | d2 | ... of the cokernel (units dropped,
-zeros counted as free rank).
+since SNF(g M) = g SNF(M); the units wait in a bucket queue, a dict from
+cost to a list of units.  On the families' reduced Laplacians, m-divisible
+past the units, g grows by m a round.  Once a round splits under a quarter
+of its rows, a general loop pops the live entry p of least |p| from a lazy
+heap.  If p divides its row and column, row operations clear its column
+and Z_|p| splits off; if not, p takes the same row operations and, once
+alone in its column, reduces its row modulo p, so a smaller entry or a
+divisor pivot turns up.  A chain fix-up of the diagonal gives the
+invariant factors d1 | d2 | ... of the cokernel (units dropped, zeros
+counted as free rank).
 
 Closed forms implemented for the two families (m >= 2):
 
@@ -70,7 +70,7 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None
     split off a cyclic factor per pivot; the diagonal is those, then a zero
     for each of the min(rows, cols) places the rank leaves, chain-fixed.
     """
-    try:    # keys become 0..k-1 in key order, the unit heap's packed columns
+    try:    # keys become 0..k-1 in key order, the unit phase's packed columns
         cols = len(rows) if cols is None else index(cols)
         rank = {c: x for x, c in enumerate(sorted(set().union(*(row.keys() for row in rows))))}
         sparse = [{rank[c]: x for c, v in row.items() if (x := index(v))} for row in rows]
@@ -89,30 +89,47 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None
 def _unit_pivots(sparse: list[dict[int, int]]) -> list[int]:
     """The unit phase, then _divisor_pivots on what is left, reducing
     `sparse` in place as it does.  A round's units are the entries +-g, g
-    the gcd of all, so none is divided; its heap holds only those, under
-    _divisor_pivots' lazy rule, as (r-1)(c-1) << S | i << W | j, W bits for
-    a column (keys are 0..k-1), S - W for a row: that sorts as ((r-1)(c-1), i, j)."""
+    the gcd of all, so none is divided.  `buckets` maps a Markowitz cost
+    (r-1)(c-1) to its units as i << W | j, W bits for a column (keys are
+    0..k-1), front last, sorted as the round starts: it opens in
+    (cost, i, j) order.  Each step pops the front of the least non-empty
+    bucket: a unit that is gone or no longer +-g is dropped, one whose
+    cost has changed goes to the front of its new bucket, and a new one
+    from fill-in to the front of bucket 0, whose first pop keys it.  It is
+    a dict, not a list indexed by cost, as a +-1 where a dense row meets a
+    dense column can cost more than the matrix has entries."""
     col_rows: dict[int, set[int]] = {j: set() for j in set().union(*sparse)}
     for i, row in enumerate(sparse):
         for j in row:
             col_rows[j].add(i)
-    w, rbits = max(col_rows, default=0).bit_length(), len(sparse).bit_length()
-    s, rmask, cmask = w + rbits, (1 << rbits) - 1, (1 << w) - 1
+    w = max(col_rows, default=0).bit_length()
+    cmask = (1 << w) - 1
     pivots = []
     while any(sparse):
         g = gcd(*chain.from_iterable(map(dict.values, sparse)))
         start, split, units = len(sparse) - sparse.count({}), 0, (g, -g)
-        heap = [(len(row) - 1) * (len(col_rows[j]) - 1) << s | i << w | j
-                for i, row in enumerate(sparse) for j, v in row.items() if v in units]
-        heapify(heap)
-        while heap:
-            key = heappop(heap)
-            prow = sparse[i := key >> w & rmask]
+        buckets: dict[int, list[int]] = {}
+        for i, row in enumerate(sparse):
+            for j, v in row.items():
+                if v in units:
+                    cost = (len(row) - 1) * (len(col_rows[j]) - 1)
+                    buckets.setdefault(cost, []).append(i << w | j)
+        for bucket in buckets.values():
+            bucket.sort(reverse=True)
+        low = min(buckets, default=inf)     # the least cost that has a bucket
+        while buckets:
+            cost, bucket = low, buckets[low]
+            key = bucket.pop()
+            if not bucket:
+                del buckets[cost]
+                low = min(buckets, default=inf)
+            prow = sparse[i := key >> w]
             if (p := prow.get(j := key & cmask)) not in units:    # gone, or no longer +-g
                 continue
             now = (len(prow) - 1) * (len(col_rows[j]) - 1)
-            if now != key >> s:
-                heappush(heap, now << s | i << w | j)
+            if now != cost:
+                buckets.setdefault(now, []).append(key)
+                low = min(low, now)
                 continue
             split += 1
             sparse[i] = {}
@@ -128,7 +145,8 @@ def _unit_pivots(sparse: list[dict[int, int]]) -> list[int]:
                         row[c] = x
                         col_rows[c].add(r)
                         if x in units:
-                            heappush(heap, r << w | c)
+                            buckets.setdefault(0, []).append(r << w | c)
+                            low = 0
                     else:
                         del row[c]
                         col_rows[c].discard(r)
@@ -262,11 +280,16 @@ class AbelianGroup:
     free_rank: int = 0
 
     def __post_init__(self):
+        try:    # stored as a tuple of ints, so that equal groups compare and print alike
+            object.__setattr__(self, "invariant_factors", tuple(map(index, self.invariant_factors)))
+            object.__setattr__(self, "free_rank", index(self.free_rank))
+        except TypeError:
+            raise ValueError("invariant factors and free rank must be integers") from None
+        if any(f < 2 for f in self.invariant_factors) or self.free_rank < 0:
+            raise ValueError("factors must be >= 2 (units are dropped) and the free rank >= 0")
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a chain: {a} | {b} fails")
-        if any(f < 2 for f in self.invariant_factors):
-            raise ValueError("unit factors are dropped, not stored")
 
     @property
     def order(self) -> int:
@@ -304,6 +327,10 @@ def _factorize(n: int) -> dict[int, int]:
 
 def group_from_cyclic_orders(orders: Sequence[int]) -> AbelianGroup:
     """Normalize a direct sum of cyclic groups to invariant-factor form."""
+    try:
+        orders = list(map(index, orders))
+    except TypeError:
+        raise ValueError("cyclic orders must be integers") from None
     by_prime: dict[int, list[int]] = {}
     for n in orders:
         if n < 1:
@@ -327,6 +354,13 @@ def group_from_cyclic_orders(orders: Sequence[int]) -> AbelianGroup:
 class GroupFormula:
     """Direct sum of (Z_modulus)^multiplicity summands, as written."""
     summands: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        try:
+            summands = tuple((index(mod), index(mult)) for mod, mult in self.summands)
+        except (TypeError, ValueError):     # not pairs, or not integers
+            raise ValueError("summands must be (modulus, multiplicity) pairs of integers") from None
+        object.__setattr__(self, "summands", summands)
 
     def normalize(self) -> AbelianGroup:
         orders = []
@@ -353,31 +387,39 @@ class GroupFormula:
 # refused before either is built.
 
 
-def _check_order_size(m: int, n: int, kautz: bool, what: str = "group order") -> None:
-    """Raise GraphError if the family's group order has over MAX_ORDER_DIGITS digits.
+def _family_args(m: int, n: int, kautz: bool, trees: bool = False) -> tuple[int, int]:
+    """m and n through operator.index, or GraphError if either is not an
+    integer, if n < 1 or m < 2 (m < 1 for a tree count, trees=True), or if
+    the family's group order has over MAX_ORDER_DIGITS digits.
 
     The order is m^(m^n - n - 1) for de Bruijn graphs and
     (m+1)^(m-1) m^(m^n + m^(n-1) - m - n) for Kautz graphs; its digit count
     comes from logarithms, so nothing of the order's size is built.  With
-    what="tree count" the bound is on the tree count, the order times |V|.
+    trees=True the bound is on the tree count, the order times |V|.
     """
+    what, least = ("tree count", 1) if trees else ("group order", 2)
+    try:
+        m, n = index(m), index(n)
+    except TypeError:
+        raise GraphError(f"{what} requires integers m and n") from None
+    if m < least or n < 1:
+        raise GraphError(f"{what} requires m >= {least} and n >= 1")
     if n * log10(m) > 300:  # m^n > 10^300: far past the cap, and past a float
         digits = inf
     else:
         x = float(m) ** n
         digits = ((x + x / m - m - n) * log10(m) + (m - 1) * log10(m + 1) if kautz
                   else (x - n - 1) * log10(m))
-        if what == "tree count":  # |V| = (m+1)m^(n-1) or m^n
+        if trees:  # |V| = (m+1)m^(n-1) or m^n
             digits += log10(x / m * (m + 1) if kautz else x)
     if digits > MAX_ORDER_DIGITS:
         raise GraphError(f"{what} exceeds the cap of {MAX_ORDER_DIGITS} decimal digits")
+    return m, n
 
 
 def db_formula(m: int, n: int) -> GroupFormula:
     """Critical group of DB_n(m), as a formula."""
-    if m < 2 or n < 1:
-        raise GraphError("formula requires m >= 2 and n >= 1")
-    _check_order_size(m, n, kautz=False)
+    m, n = _family_args(m, n, kautz=False)
     summands = [(m ** n, m - 2)]
     summands += [(m ** i, m ** (n - 1 - i) * (m - 1) ** 2) for i in range(1, n)]
     return GroupFormula(tuple(summands))
@@ -385,41 +427,31 @@ def db_formula(m: int, n: int) -> GroupFormula:
 
 def kautz_formula(m: int, n: int) -> GroupFormula:
     """Critical group of Kautz_n(m), as a formula."""
-    if m < 2 or n < 1:
-        raise GraphError("formula requires m >= 2 and n >= 1")
-    _check_order_size(m, n, kautz=True)
+    m, n = _family_args(m, n, kautz=True)
     summands = [(m + 1, m - 1), (m ** (n - 1), m * m - 2)]
     summands += [(m ** i, m ** (n - 2 - i) * (m - 1) ** 2 * (m + 1)) for i in range(1, n - 1)]
     return GroupFormula(tuple(summands))
 
 
 def group_order_db(m: int, n: int) -> int:
-    if m < 2 or n < 1:
-        raise GraphError("order formula requires m >= 2 and n >= 1")
-    _check_order_size(m, n, kautz=False)
+    m, n = _family_args(m, n, kautz=False)
     return m ** (m ** n - n - 1)
 
 
 def group_order_kautz(m: int, n: int) -> int:
-    if m < 2 or n < 1:
-        raise GraphError("order formula requires m >= 2 and n >= 1")
-    _check_order_size(m, n, kautz=True)
+    m, n = _family_args(m, n, kautz=True)
     return (m + 1) ** (m - 1) * m ** (m ** n + m ** (n - 1) - m - n)
 
 
 def tree_count_db(m: int, n: int) -> int:
     """kappa(DB_n(m)) = m^(m^n - 1)."""
-    if m < 1 or n < 1:
-        raise GraphError("tree count requires m >= 1 and n >= 1")
-    _check_order_size(m, n, kautz=False, what="tree count")
+    m, n = _family_args(m, n, kautz=False, trees=True)
     return m ** (m ** n - 1)
 
 
 def tree_count_kautz(m: int, n: int) -> int:
     """kappa(Kautz_n(m)) = (m+1)^m m^((m^(n-1)-1)(m+1)); see the module notes."""
-    if m < 1 or n < 1:
-        raise GraphError("tree count requires m >= 1 and n >= 1")
-    _check_order_size(m, n, kautz=True, what="tree count")
+    m, n = _family_args(m, n, kautz=True, trees=True)
     return (m + 1) ** m * m ** ((m ** (n - 1) - 1) * (m + 1))
 
 
@@ -458,6 +490,10 @@ def mult_by_k(group: AbelianGroup, k: int) -> AbelianGroup:
     """The subgroup k*K: each Z_d becomes Z_(d / gcd(d, k))."""
     if group.free_rank:
         raise ValueError("mult_by_k is defined for finite groups")
+    try:
+        k = index(k)
+    except TypeError:
+        raise ValueError("mult_by_k takes an integer k") from None
     # d / gcd(d, k) takes each prime's exponent e in d to max(e - e_p(k), 0),
     # which keeps the exponents in order, so d1 | d2 | ... stays a chain
     orders = (d // gcd(d, k) for d in group.invariant_factors)

@@ -6,9 +6,10 @@ trees by one dense Bareiss minor per root, the route the library took
 before its sparse determinant.  ``dense_diagonal`` is the dense
 smallest-pivot Smith loop that once reduced whatever block the sparse
 divisor pivots left; the library now runs the whole form as one sparse
-loop.  ``tuple_unit_pivots`` is the Smith form's unit phase as it ran with
-a heap of ``(cost, i, j)`` tuples; the library packs each into one int
-that must pop in the same order.
+loop.  ``bucket_unit_pivots`` is the Smith form's unit phase with its
+bucket queue written plainly, a dict of lists of ``(i, j)`` tuples; the
+library keeps one list per cost, of ints packed from (i, j), that must pop
+in the same order.
 
 ``heap_sigma`` and ``heap_pi`` run the tree-array maps as they read: each
 step pops the smallest ready element from a heap keyed by edge rank, in
@@ -139,10 +140,14 @@ def dense_diagonal(d: list[list[int]]) -> list[int]:
     return [abs(d[i][i]) for i in range(min(rows, cols))]
 
 
-def tuple_unit_pivots(sparse):
-    """The unit phase with tuple heap keys: the factors it splits off, in
-    order, with what is left in `sparse` (reduced in place) for the
-    divisor pivots.  Keys compare as themselves, so they need only sort."""
+def bucket_unit_pivots(sparse):
+    """The unit phase with its bucket queue written plainly: the factors it
+    splits off, in order, with what is left in `sparse` (reduced in place)
+    for the divisor pivots.  Each round keeps a dict from Markowitz cost to
+    a list of (i, j), each list sorted as the round starts; the least
+    non-empty list gives up its first item, and a re-keyed unit or one made
+    by fill-in goes back in first.  Keys compare as themselves, so they
+    need only sort."""
     col_rows = {}
     for i, row in enumerate(sparse):
         for j in row:
@@ -151,24 +156,30 @@ def tuple_unit_pivots(sparse):
     while any(sparse):
         g = gcd(*chain.from_iterable(map(dict.values, sparse)))
         start, split = len(sparse) - sparse.count({}), 0
-        heap = [((len(row) - 1) * (len(col_rows[j]) - 1), i, j)
-                for i, row in enumerate(sparse) for j, v in row.items() if v in (g, -g)]
-        heapq.heapify(heap)
-        while heap:
-            cost, i, j = heapq.heappop(heap)
+        buckets = {}
+        for i, row in enumerate(sparse):
+            for j, v in row.items():
+                if v in (g, -g):
+                    buckets.setdefault((len(row) - 1) * (len(col_rows[j]) - 1), []).append((i, j))
+        for bucket in buckets.values():
+            bucket.sort()
+        while any(buckets.values()):
+            cost = min(c for c, bucket in buckets.items() if bucket)
+            i, j = buckets[cost].pop(0)
             prow = sparse[i]
             if (p := prow.get(j)) not in (g, -g):    # gone, or no longer +-g
                 continue
             now = (len(prow) - 1) * (len(col_rows[j]) - 1)
             if now != cost:
-                heapq.heappush(heap, (now, i, j))
+                buckets.setdefault(now, []).insert(0, (i, j))
                 continue
             split += 1
             sparse[i] = {}
-            del prow[j]
             for c in prow:
                 col_rows[c].discard(i)
-            for r in col_rows.pop(j) - {i}:
+            del prow[j]
+            # the rows in the set's own order: it sets the order of fill-in units
+            for r in col_rows.pop(j):
                 row = sparse[r]
                 q = row.pop(j) // p
                 for c, a in prow.items():
@@ -177,7 +188,7 @@ def tuple_unit_pivots(sparse):
                         row[c] = x
                         col_rows[c].add(r)
                         if x in (g, -g):
-                            heapq.heappush(heap, (0, r, c))
+                            buckets.setdefault(0, []).insert(0, (r, c))
                     else:
                         del row[c]
                         col_rows[c].discard(r)

@@ -283,6 +283,28 @@ def test_sparse_determinant_column_names_and_shape():
         [1, 1, -1, 1, 1]
 
 
+@pytest.mark.parametrize("det,rows", [
+    # Bareiss' floor division once gave 3 for this 3.5, and 12 float rows
+    # a raw TypeError from gcd; a list row once raised AttributeError
+    (determinant, [{0: 1.5, 1: 1}, {0: 1, 1: 3}]),
+    (determinant, [{i: 1.0, (i + 1) % 12: 0.5} for i in range(12)]),
+    (determinant, [[1]]), (determinant, [{0: "1"}]), (determinant, [{0: None}]),
+    (determinant, [{0: 1}, 5]), (determinant, 5),
+    (bareiss_determinant, [[1.5]]), (bareiss_determinant, [[2.0, 1], [1, 3]]),
+    (bareiss_determinant, [{0: 1}]), (bareiss_determinant, [[1, 2]]),
+    (bareiss_determinant, [[1], [2, 3]]), (bareiss_determinant, ["ab", "cd"]),
+    (bareiss_determinant, 5)])
+def test_determinants_refuse_entries_that_are_not_integers(det, rows):
+    with pytest.raises(ValueError):
+        det(rows)
+
+
+def test_determinants_take_entries_through_index():
+    assert determinant([{0: True, 1: 1}, {0: 1, 1: 3}]) == 2
+    assert bareiss_determinant(((True, 1), (1, 3))) == 2
+    assert bareiss_determinant([range(1, 3), [1, 3]]) == 1
+
+
 def test_laplacian_rows_and_minor_match_the_dense_build():
     g = DiGraph(4, [(0, 1), (0, 1), (1, 1), (1, 2), (2, 0), (3, 3), (3, 0)])
     weights = [2, 3, 5, 7, 11, 13, 17]
@@ -610,6 +632,43 @@ def test_weighted_tree_sum_is_the_sum_of_rooted_minors(case):
                                                 for r in range(g.n))
     assert count_trees(g) == len(enumerate_trees(g)) == sum(
         count_trees_rooted(g, r) for r in range(g.n)) == sum(rooted_tree_counts(g))
+
+
+@pytest.mark.parametrize("weights", [[1], [1] * 9, [1.0] * 8, [1] * 7 + [0.5], None, ["1"] * 8])
+def test_weighted_tree_sum_refuses_weights_that_are_not_one_integer_per_edge(weights):
+    # 1 weight for 8 edges once raised IndexError, and float weights gave a float
+    with pytest.raises(ValueError, match="8 integers"):
+        weighted_tree_sum(debruijn(2, 2), weights)
+
+
+@st.composite
+def balanced_multigraphs(draw):
+    """Unions of 1-3 random permutations of 1-7 vertices, self-loops
+    allowed, and now and then two of them side by side, so disconnected."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, 7))
+        for p in draw(st.lists(st.permutations(range(k)), min_size=1, max_size=3)):
+            edges += [(n + v, n + t) for v, t in enumerate(p)]
+        n += k
+    return DiGraph(n, edges)
+
+
+@given(balanced_multigraphs())
+def test_rooted_tree_counts_of_a_balanced_graph_take_one_minor(g):
+    # indeg = outdeg, so every cofactor of L is equal; a disconnected union
+    # has no tree at all
+    calls = []
+
+    def counting_determinant(rows):
+        calls.append(len(rows))
+        return determinant(rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arb, "determinant", counting_determinant)
+        counts = rooted_tree_counts(g)
+    assert counts == [count_trees_rooted(g, r) for r in range(g.n)]
+    assert calls == [g.n - 1]
 
 
 @pytest.mark.parametrize("g,line_count,base,prod", [

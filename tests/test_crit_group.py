@@ -9,12 +9,12 @@ from math import gcd, prod
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import linetrees.crit_group as crit_group
 from linetrees.arborescence import (count_trees, determinant, minor, out_laplacian,
                                     rooted_tree_counts)
-from linetrees.crit_group import (AbelianGroup, DivisibilityReport, _chain,
+from linetrees.crit_group import (AbelianGroup, DivisibilityReport, GroupFormula, _chain,
                                   _divisor_pivots, check_divbym,
                                   critical_group, db_formula, group_from_cyclic_orders,
                                   group_from_diagonal, group_order_db,
@@ -23,8 +23,8 @@ from linetrees.crit_group import (AbelianGroup, DivisibilityReport, _chain,
                                   tree_count_db, tree_count_kautz)
 from linetrees.digraph import DiGraph, debruijn, is_strongly_connected, kautz
 from linetrees.errors import GraphError
-from oracles import (count_trees_rooted, dense, dense_diagonal, dense_laplacian, dense_minor,
-                     sparse, tuple_unit_pivots)
+from oracles import (bucket_unit_pivots, count_trees_rooted, dense, dense_diagonal,
+                     dense_laplacian, dense_minor, sparse)
 
 FIGURE_LAPLACIAN = [
     [-2, 0, 1, 1, 0, 0],
@@ -193,7 +193,7 @@ def deep_sparse_matrices(draw):
 
 
 # column key maps: every key is relabelled to its place in key order, so
-# neither the order nor the width of the unit heap's packed keys may change
+# neither the order nor the width of the unit phase's packed keys may change
 COLUMN_KEYS = {"ints": lambda c: c, "negative": lambda c: -c,
                "huge": lambda c: 10 ** 30 if c == 0 else c, "strings": str,
                "gaps": lambda c: 7 * c + 3}
@@ -217,13 +217,16 @@ def _relabelled(g, rng):
 MATRIX_GRAPHS = [(debruijn, 2, 8), (debruijn, 3, 5), (debruijn, 4, 4), (kautz, 2, 8), (kautz, 3, 5)]
 
 
+def _matrix_minor(make, m, n, rng):
+    g = _relabelled(make(m, n), rng)
+    return minor(out_laplacian(g), rng.randrange(g.n)), g.n - 1
+
+
 @st.composite
 def matrix_minors(draw):
     """Reduced Laplacians of perfbench's matrix graphs, relabelled, at a random sink."""
     make, m, n = draw(st.sampled_from(MATRIX_GRAPHS))
-    rng = draw(st.randoms(use_true_random=False))
-    g = _relabelled(make(m, n), rng)
-    return minor(out_laplacian(g), rng.randrange(g.n)), g.n - 1
+    return _matrix_minor(make, m, n, draw(st.randoms(use_true_random=False)))
 
 
 def _by_place(rows, keys):
@@ -232,13 +235,50 @@ def _by_place(rows, keys):
     return [{place[c]: v for c, v in row.items()} for row in rows]
 
 
+def _permutation_graph(n, seed):
+    """Three random permutations of n vertices as one Eulerian multigraph."""
+    rng = random.Random(seed)
+    edges = []
+    for _ in range(3):
+        p = list(range(n))
+        rng.shuffle(p)
+        edges += enumerate(p)
+    return DiGraph(n, edges)
+
+
+def _hub(k):
+    """Vertices u = 0 and v = 1 with w = 2..k+1 between them: u -> w -> v
+    for each w, u -> v once and v -> u k + 1 times.  It is balanced, and at
+    a sink w the unit L[u][v] = -1 sits where row u and column v, of k + 1
+    entries each, meet: its Markowitz cost is k^2."""
+    edges = [(0, 1)] + [(1, 0)] * (k + 1)
+    for w in range(2, k + 2):
+        edges += [(0, w), (w, 1)]
+    return DiGraph(k + 2, edges)
+
+
+def _arrow(k):
+    """A full first row and column on the diagonal (1, 2, ..., 2): its unit
+    at (0, 0) costs k^2."""
+    return [{j: 1 for j in range(k + 1)}] + [{0: 1, i: 2} for i in range(1, k + 1)]
+
+
 @given(deep_sparse_matrices().map(lambda rows: (sparse(rows), len(rows[0]))) | matrix_minors(),
        st.sampled_from(sorted(COLUMN_KEYS)))
-def test_packed_unit_phase_matches_the_tuple_keyed_oracle(matrix, keys):
+# minors on which the remainder changes when fill-in units go to the back
+# of bucket 0, not to its front
+@example(_matrix_minor(debruijn, 4, 4, random.Random(8)), "ints")
+@example(_matrix_minor(kautz, 3, 5, random.Random(10)), "strings")
+# costs past the row count: a unit of cost 36 on 7 rows, and a minor on
+# 29 rows whose 191 pops re-key 85 units, up to cost 80
+@example((_arrow(6), 7), "strings")
+@example((minor(out_laplacian(_permutation_graph(30, 3)), 0), 29), "ints")
+def test_packed_bucket_queue_matches_the_plain_bucket_oracle(matrix, keys):
     # the library's unit phase, reached through smith_normal_form with the
-    # divisor pivots cut off, against the phase with (cost, i, j) tuple keys
-    # on the same keys: the same factors in the same order, and the same
-    # rows left, once each side's keys are read as their places in key order
+    # divisor pivots cut off, against the phase with a dict of lists of
+    # (i, j) tuples on the same keys: the same factors in the same order,
+    # and the same rows left, once each side's keys are read as their
+    # places in key order
     rows, cols = matrix
     keyed = _keyed(rows, keys)
     given_rows = [dict(row) for row in keyed]
@@ -257,7 +297,7 @@ def test_packed_unit_phase_matches_the_tuple_keyed_oracle(matrix, keys):
         smith_normal_form(keyed, cols)
     assert keyed == given_rows      # the input is not changed
     oracle_left = [dict(row) for row in keyed]
-    assert pivots == tuple_unit_pivots(oracle_left)
+    assert pivots == bucket_unit_pivots(oracle_left)
     labels, names = set().union(*started), set().union(*keyed)
     assert _by_place(started, labels) == _by_place(keyed, names)
     assert _by_place(left, labels) == _by_place(oracle_left, names)
@@ -298,11 +338,12 @@ def test_snf_refuses_bad_arguments(rows, cols, message):
 
 
 @pytest.mark.parametrize("make,m,n,rounds,handed,rounds_at_0,handed_at_0", [
-    (debruijn, 2, 8, 5, 12, 1, 235),
-    (debruijn, 3, 5, 4, 9, 1, 202),
-    (debruijn, 4, 4, 4, 4, 1, 156),
-    (kautz, 2, 8, 6, 8, 4, 70),
-    (kautz, 3, 5, 3, 25, 1, 278)])
+    (debruijn, 2, 8, 6, 4, 1, 241),
+    (debruijn, 3, 5, 4, 8, 1, 187),
+    (debruijn, 4, 4, 3, 8, 1, 156),
+    (kautz, 2, 8, 6, 9, 2, 176),
+    (kautz, 3, 5, 4, 7, 2, 91)],
+    ids=["debruijn-2-8", "debruijn-3-5", "debruijn-4-4", "kautz-2-8", "kautz-3-5"])
 def test_unit_phase_leaves_the_family_minors_a_small_remainder(
         make, m, n, rounds, handed, rounds_at_0, handed_at_0, monkeypatch):
     # each unit round splits off about half the rows, and the content of
@@ -366,22 +407,11 @@ def test_critical_group_of_random_eulerian_multigraphs(g):
     assert group.order == rooted_tree_counts(g)[0]
 
 
-def _permutation_graph(n, seed):
-    """Three random permutations of n vertices as one Eulerian multigraph."""
-    rng = random.Random(seed)
-    edges = []
-    for _ in range(3):
-        p = list(range(n))
-        rng.shuffle(p)
-        edges += enumerate(p)
-    return DiGraph(n, edges)
-
-
 @pytest.mark.parametrize("n,seed", [(40, 1), (50, 2), (60, 3)])
 def test_snf_of_permutation_graph_minors_compacts_the_heap(n, seed, monkeypatch):
     # fill-in on these minors rewrites many entries per step, so stale
     # items pass four per live entry and the heap is rebuilt; only the
-    # builds inside _divisor_pivots count, not the unit phase's own heap
+    # builds inside _divisor_pivots count
     builds, inside = [], []
 
     def counting_heapify(heap):
@@ -429,6 +459,21 @@ def test_no_dense_matrix_on_the_library_path(call):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("rows", [minor(out_laplacian(_hub(500)), 2), _arrow(500)],
+                         ids=["hub-graph", "arrow-matrix"])
+def test_unit_phase_memory_follows_the_rows_not_the_costs(rows):
+    # a cost of k^2 = 250,000: one empty list per cost up to it would take
+    # 14 MB, where the matrix itself takes well under 1 MB
+    tracemalloc.start()
+    try:
+        diagonal = smith_normal_form(rows).diagonal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert prod(diagonal) == abs(determinant(rows))
 
 
 def test_snf_of_rows_with_named_columns():
@@ -534,6 +579,45 @@ def test_tree_count_closed_forms():
 def test_tree_counts_refuse_bad_and_huge_inputs(tree_count, m, n, message):
     with pytest.raises(GraphError, match=message):
         tree_count(m, n)
+
+
+@pytest.mark.parametrize("family", [db_formula, kautz_formula, group_order_db, group_order_kautz,
+                                    tree_count_db, tree_count_kautz])
+@pytest.mark.parametrize("m,n", [(2.5, 3), (2.0, 3), (2, 3.0), ("2", 3), (None, 3)])
+def test_family_closed_forms_refuse_m_and_n_that_are_not_integers(family, m, n):
+    # db_formula(2.5, 3) once gave "(Z_15.625)^0.5 + ..." and
+    # tree_count_kautz(2.0, 3) the float 4608.0
+    with pytest.raises(GraphError, match="integers m and n"):
+        family(m, n)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AbelianGroup((2, 4.0)), lambda: AbelianGroup((2,), 1.5), lambda: AbelianGroup(("2",)),
+    lambda: group_from_cyclic_orders([2.5]), lambda: group_from_cyclic_orders([4, None]),
+    lambda: GroupFormula(((2.5, 1),)), lambda: GroupFormula(((2, 1.5),)),
+    lambda: GroupFormula(((2, 1, 1),)), lambda: GroupFormula((2,)),
+    lambda: mult_by_k(AbelianGroup((4,)), 2.5), lambda: mult_by_k(AbelianGroup((4,)), "2")])
+def test_groups_refuse_orders_that_are_not_integers(build):
+    # each once gave a group printed with Z_2.5 or Z_4.0, or a raw TypeError
+    with pytest.raises(ValueError, match="integer"):
+        build()
+
+
+@pytest.mark.parametrize("factors,free", [((0, 4), 0), ((1, 2), 0), ((2,), -1)])
+def test_abelian_group_refuses_factors_below_2_and_a_negative_free_rank(factors, free):
+    # (0, 4) once raised ZeroDivisionError from the chain check, and a free
+    # rank of -1 printed as the trivial group
+    with pytest.raises(ValueError, match=">= 2"):
+        AbelianGroup(factors, free)
+
+
+def test_groups_take_their_orders_through_index():
+    # a list and bools are stored as a tuple of plain ints
+    group = AbelianGroup([2, 4], True)
+    assert group == AbelianGroup((2, 4), 1) and type(group.free_rank) is int
+    assert str(group) == "Z_2 + Z_4 + Z"
+    assert GroupFormula([(4, True)]).summands == ((4, 1),)
+    assert mult_by_k(AbelianGroup((4,)), True) == AbelianGroup((4,))
 
 
 def test_mult_by_k():
