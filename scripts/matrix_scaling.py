@@ -22,7 +22,8 @@ TIMEOUT_S = 120.0
 # the critical_group rows include each graph of perfbench's matrix workload:
 # db(2,8), db(3,5), db(4,4), kautz(2,8) and kautz(3,5).  On the Eulerian
 # graphs a seed's time moves between about 0.6x and 1.5x with the order in
-# which tied pivots go, so n = 300 runs 12 seeds, to be judged by their total
+# which tied pivots go, so n = 300 runs 12 seeds, to be judged by their
+# total, which the table's last row gives
 CASES = ([("critical_group", "db", 2, n) for n in range(8, 14)]
          + [("critical_group", "db", 3, 5), ("critical_group", "db", 4, 4)]
          + [("critical_group", "kautz", 2, 8), ("critical_group", "kautz", 3, 5)]
@@ -72,8 +73,15 @@ def label(case: tuple) -> list[str]:
 
 
 def main():
-    scaling.main(CHILD, CASES, TIMEOUT_S, ["call", "graph", "|V|"], label,
-                 ["s", "peak MB"], lambda r: [f"{r['s']:.3f}", f"{r['peak_rss_mb']:.0f}"])
+    results = scaling.main(CHILD, CASES, TIMEOUT_S, ["call", "graph", "|V|"], label,
+                           ["s", "peak MB"],
+                           lambda r: [f"{r['s']:.3f}", f"{r['peak_rss_mb']:.0f}"])
+    seeds = [runs for (what, family, _, n), runs in results.items()
+             if (what, family, n) == ("critical_group", "eulerian", 300)]
+    row = ["critical_group", f"eulerian({len(seeds)} seeds), total", "300"]
+    for runs in zip(*seeds):    # one source tree's runs
+        row += ["timeout" if None in runs else f"{sum(r['s'] for r in runs):.3f}", "-"]
+    print("| " + " | ".join(row) + " |")
 
 
 if __name__ == "__main__":

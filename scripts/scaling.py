@@ -31,8 +31,9 @@ def measure(src: Path, child: str, case: tuple, timeout_s: float) -> dict | None
 
 def main(child: str, cases: list[tuple], timeout_s: float,
          label_header: list[str], label: Callable[[tuple], list[str]],
-         columns: list[str], cells: Callable[[dict], list[str]]) -> None:
-    """Print a Markdown table: `label(case)`, then `cells(result)` per source tree."""
+         columns: list[str], cells: Callable[[dict], list[str]]) -> dict[tuple, list]:
+    """Print a Markdown table: `label(case)`, then `cells(result)` per source
+    tree.  Return each case's results, one per source tree (None on timeout)."""
     root = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser()
     parser.add_argument("--src", type=Path, action="append",
@@ -47,12 +48,14 @@ def main(child: str, cases: list[tuple], timeout_s: float,
         print(f"[{i}] {src}")
     print("| " + " | ".join(header) + " |")
     print("|" + " --- |" * len(header))
+    results = {}
     for case in cases:
         row = label(case)
-        for src in sources:
-            r = measure(src, child, case, timeout_s)
+        results[case] = [measure(src, child, case, timeout_s) for src in sources]
+        for r in results[case]:
             if r is None:
                 row += [f"timeout (> {timeout_s:g} s)"] + ["-"] * (len(columns) - 1)
             else:
                 row += cells(r)
         print("| " + " | ".join(row) + " |", flush=True)
+    return results

@@ -205,7 +205,7 @@ def enumerate_trees(g: DiGraph, root: int | None = None,
     not an integer or not a vertex of g raises GraphError.
     """
     trees: list[SpanningTree] = []
-    _search_trees(g, range(g.n) if root is None else [_vertex(g, root, "root")],
+    _search_trees(g, range(g.n) if root is None else [_vertex(g.n, root, "root")],
                   lambda r, choice: trees.append(SpanningTree(r, tuple(choice))), bound)
     return trees
 
@@ -389,11 +389,18 @@ def out_laplacian(g: DiGraph, weights: Sequence[int] | None = None) -> list[dict
     Row v is {col: value} over its nonzero entries: entry (v, v) is the
     total weight of v's out-edges and entry (s, t) is minus the weight of
     the edges s -> t, so a self-loop cancels.  Unit weights (the default)
-    count trees.
+    count trees; others must be g.m integers, else ValueError.
     """
+    try:
+        weights = [1] * g.m if weights is None else list(map(index, weights))
+    except TypeError:
+        weights = None
+    if weights is None or len(weights) != g.m:
+        raise ValueError(f"weights must be {g.m} integers, one per edge")
     lap: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for e, (s, t) in enumerate(g.edges):
-        w = 1 if weights is None else weights[e]
+    vs = list(range(g.n))   # one int per vertex, so that dict lookups match keys by identity
+    for (s, t), w in zip(g.edges, weights):
+        s, t = vs[s], vs[t]
         row = lap[s]
         row[s] = row.get(s, 0) + w
         row[t] = row.get(t, 0) - w
@@ -405,8 +412,9 @@ def out_laplacian(g: DiGraph, weights: Sequence[int] | None = None) -> list[dict
 
 
 def minor(rows: Sequence[Mapping[int, int]], r: int) -> list[dict[int, int]]:
-    """The matrix with row r and column r deleted: row r goes, and key r
-    leaves the others (the other keys keep their names)."""
+    """The matrix with row r and column r deleted, the other keys keeping
+    their names; r must be a row index, else GraphError (a ValueError)."""
+    r = _vertex(len(rows), r, "row index")
     return [{c: v for c, v in row.items() if c != r} for i, row in enumerate(rows) if i != r]
 
 
@@ -435,11 +443,7 @@ def weighted_tree_sum(g: DiGraph, weights: Sequence[int]) -> int:
     to every entry of column 0 and take one n x n determinant.  There must
     be g.m weights, each an integer; anything else raises ValueError.
     """
-    try:
-        weights = list(map(index, weights))
-    except TypeError:
-        weights = None
-    if weights is None or len(weights) != g.m:
+    if weights is None:     # out_laplacian reads None as unit weights
         raise ValueError(f"weights must be {g.m} integers, one per edge")
     lap = out_laplacian(g, weights)
     for row in lap:

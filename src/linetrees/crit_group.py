@@ -12,19 +12,17 @@ The sandpile group with sink r is the cokernel of the reduced Laplacian
 rooted at r.  On a balanced (indeg = outdeg) strongly connected graph the
 choice of sink does not matter and the common group is the critical group.
 
-Smith normal form works on those rows in exact arithmetic.  A unit phase
-splits off entries +-1, least Markowitz cost (r-1)(c-1) first, by row
-operations with no test, then entries +-g, g the gcd of what is left,
-since SNF(g M) = g SNF(M); the units wait in a bucket queue, a dict from
-cost to a list of units.  On the families' reduced Laplacians, m-divisible
-past the units, g grows by m a round.  Once a round splits under a quarter
-of its rows, a general loop pops the live entry p of least |p| from a lazy
-heap.  If p divides its row and column, row operations clear its column
-and Z_|p| splits off; if not, p takes the same row operations and, once
-alone in its column, reduces its row modulo p, so a smaller entry or a
-divisor pivot turns up.  A chain fix-up of the diagonal gives the
-invariant factors d1 | d2 | ... of the cokernel (units dropped, zeros
-counted as free rank).
+Smith normal form works on those rows in exact arithmetic.  The public
+smith_normal_form checks its input; the sandpile group hands its reduced
+Laplacian straight to the body, _smith, which reads a column key only by
+key order, so the columns keep their labels, a gap at the sink.  A unit
+phase splits off entries +-g, g the gcd of what is left, as SNF(g M) =
+g SNF(M), least Markowitz cost (r-1)(c-1) first and with no test; on the
+families' reduced Laplacians g grows by m a round.  Once a round splits
+under a quarter of its rows, a general loop splits off divisor pivots of
+least |p| from a lazy heap (_unit_pivots and _divisor_pivots tell how).
+A chain fix-up of the diagonal gives the invariant factors d1 | d2 | ...
+of the cokernel (units dropped, zeros counted as free rank).
 
 Closed forms implemented for the two families (m >= 2):
 
@@ -46,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd, inf, log10
+from math import gcd, inf, log10, prod
 from operator import index
 from typing import Mapping, Sequence
 
@@ -70,7 +68,7 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None
     split off a cyclic factor per pivot; the diagonal is those, then a zero
     for each of the min(rows, cols) places the rank leaves, chain-fixed.
     """
-    try:    # keys become 0..k-1 in key order, the unit phase's packed columns
+    try:    # keys that sort become 0..k-1 in key order, which _smith packs
         cols = len(rows) if cols is None else index(cols)
         rank = {c: x for x, c in enumerate(sorted(set().union(*(row.keys() for row in rows))))}
         sparse = [{rank[c]: x for c, v in row.items() if (x := index(v))} for row in rows]
@@ -80,10 +78,15 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None
     if cols < 0 or (keyed := len(set().union(*sparse))) > cols:
         raise ValueError(f"column count {cols} is negative" if cols < 0 else
                          f"{keyed} distinct columns in a matrix of {cols} columns")
+    return SmithResult(_smith(sparse, min(len(rows), cols)))
+
+
+def _smith(sparse: list[dict[int, int]], places: int) -> list[int]:
+    """The Smith diagonal over `places` = min(rows, cols) places, from trusted
+    rows (nonzero ints under non-negative int keys), which it empties."""
     pivots = _unit_pivots(sparse)
-    # the chain is unique, so sorting first changes only how long the
-    # fix-up takes, and sorted powers of one prime already form a chain
-    return SmithResult(_chain(sorted(pivots) + [0] * (min(len(rows), cols) - len(pivots))))
+    # the chain is unique, and sorted powers of one prime already form one
+    return _chain(sorted(pivots) + [0] * (places - len(pivots)))
 
 
 def _unit_pivots(sparse: list[dict[int, int]]) -> list[int]:
@@ -91,25 +94,27 @@ def _unit_pivots(sparse: list[dict[int, int]]) -> list[int]:
     `sparse` in place as it does.  A round's units are the entries +-g, g
     the gcd of all, so none is divided.  `buckets` maps a Markowitz cost
     (r-1)(c-1) to its units as i << W | j, W bits for a column (keys are
-    0..k-1), front last, sorted as the round starts: it opens in
-    (cost, i, j) order.  Each step pops the front of the least non-empty
-    bucket: a unit that is gone or no longer +-g is dropped, one whose
-    cost has changed goes to the front of its new bucket, and a new one
-    from fill-in to the front of bucket 0, whose first pop keys it.  It is
-    a dict, not a list indexed by cost, as a +-1 where a dense row meets a
-    dense column can cost more than the matrix has entries."""
+    any non-negative integers, read in key order), front last, sorted as
+    the round starts: it opens in (cost, i, j) order.  Each step pops the
+    front of the least non-empty bucket: a unit that is gone or no longer
+    +-g is dropped, one whose cost has changed goes to the front of its new
+    bucket, and a new one from fill-in to the front of bucket 0, whose
+    first pop keys it.  It is a dict, not a list indexed by cost, as a +-1
+    where a dense row meets a dense column can cost more than the matrix
+    has entries.  A round reads only the `live` rows, those not empty."""
     col_rows: dict[int, set[int]] = {j: set() for j in set().union(*sparse)}
     for i, row in enumerate(sparse):
         for j in row:
             col_rows[j].add(i)
     w = max(col_rows, default=0).bit_length()
     cmask = (1 << w) - 1
-    pivots = []
-    while any(sparse):
-        g = gcd(*chain.from_iterable(map(dict.values, sparse)))
-        start, split, units = len(sparse) - sparse.count({}), 0, (g, -g)
+    pivots, live = [], range(len(sparse))
+    while live := [i for i in live if sparse[i]]:     # a row, once empty, stays empty
+        g = gcd(*chain.from_iterable(sparse[i].values() for i in live))
+        split, units = 0, (g, -g)
         buckets: dict[int, list[int]] = {}
-        for i, row in enumerate(sparse):
+        for i in live:
+            row = sparse[i]
             for j, v in row.items():
                 if v in units:
                     cost = (len(row) - 1) * (len(col_rows[j]) - 1)
@@ -151,7 +156,7 @@ def _unit_pivots(sparse: list[dict[int, int]]) -> list[int]:
                         del row[c]
                         col_rows[c].discard(r)
         pivots += [g] * split
-        if 4 * split < start:
+        if 4 * split < len(live):
             break
     return pivots + _divisor_pivots(sparse)
 
@@ -252,8 +257,8 @@ def _divisor_pivots(sparse: list[dict[int, int]]) -> list[int]:
 def _chain(diag: list[int]) -> list[int]:
     """Enforce the divisibility chain d1 | d2 | ... on a diagonal, in place.
 
-    (a, b) -> (gcd, lcm) is a 2x2 unimodular change of basis, and a zero
-    moves past a nonzero.
+    (a, b) -> (gcd, lcm) is a 2x2 unimodular change of basis.  Any zeros
+    come last, where they stay.
     """
     k = len(diag)
     changed = True
@@ -261,10 +266,7 @@ def _chain(diag: list[int]) -> list[int]:
         changed = False
         for i in range(k - 1):
             a, b = diag[i], diag[i + 1]
-            if a == 0 and b != 0:
-                diag[i], diag[i + 1] = b, a
-                changed = True
-            elif a != 0 and b % a != 0:
+            if a != 0 and b % a != 0:
                 g = gcd(a, b)
                 diag[i], diag[i + 1] = g, a // g * b
                 changed = True
@@ -295,10 +297,7 @@ class AbelianGroup:
     def order(self) -> int:
         if self.free_rank:
             raise ValueError("infinite group has no order")
-        result = 1
-        for f in self.invariant_factors:
-            result *= f
-        return result
+        return prod(self.invariant_factors)
 
     def __str__(self) -> str:
         parts = [f"Z_{f}" for f in self.invariant_factors]
@@ -371,10 +370,7 @@ class GroupFormula:
         return group_from_cyclic_orders(orders)
 
     def order(self) -> int:
-        result = 1
-        for modulus, mult in self.summands:
-            result *= modulus ** mult
-        return result
+        return prod(modulus ** mult for modulus, mult in self.summands)
 
     def __str__(self) -> str:
         parts = [f"(Z_{mod})^{mult}" for mod, mult in self.summands if mult > 0 and mod > 1]
@@ -459,7 +455,7 @@ def tree_count_kautz(m: int, n: int) -> int:
 
 def sandpile_group(g: DiGraph, sink: int) -> AbelianGroup:
     """Cokernel of the reduced Laplacian; order = trees rooted at the sink."""
-    sink = _vertex(g, sink, "sink")
+    sink = _vertex(g.n, sink, "sink")
     if not is_strongly_connected(g):
         raise GraphError("sandpile group requires a strongly connected graph")
     return _sandpile(g, sink)
@@ -480,7 +476,7 @@ def _sandpile(g: DiGraph, sink: int) -> AbelianGroup:
     del lap[sink]
     for row in lap:
         row.pop(sink, None)
-    group = group_from_diagonal(smith_normal_form(lap).diagonal)
+    group = group_from_diagonal(_smith(lap, len(lap)))
     if group.free_rank:
         raise GraphError("reduced Laplacian is singular")  # unreachable when strongly connected
     return group

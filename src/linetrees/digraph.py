@@ -166,13 +166,13 @@ def is_eulerian(g: DiGraph) -> bool:
     return all(g.indeg[v] == g.outdeg[v] for v in range(g.n))
 
 
-def _vertex(g: DiGraph, v, what: str) -> int:
-    """v through operator.index, or GraphError naming `what` unless a vertex."""
+def _vertex(n: int, v, what: str) -> int:
+    """v through operator.index, or GraphError naming `what` unless in range(n)."""
     try:
         v = index(v)
     except TypeError:
         raise GraphError(f"{what} must be an integer") from None
-    if not (0 <= v < g.n):
+    if not (0 <= v < n):
         raise GraphError(f"{what} out of range")
     return v
 

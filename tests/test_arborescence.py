@@ -316,6 +316,21 @@ def test_laplacian_rows_and_minor_match_the_dense_build():
             dense_minor(dense_laplacian(g, weights), r)
 
 
+def test_laplacian_keys_are_one_int_per_vertex():
+    # the eliminations' dict lookups match a key by identity before value;
+    # past 256 an edge list's equal ints are distinct objects
+    g = DiGraph(300, [(v, (v + 1) % 300) for v in range(300)] * 2)
+    first = {}
+    assert all(first.setdefault(c, c) is c for row in out_laplacian(g) for c in row)
+
+
+@pytest.mark.parametrize("r", [1.5, 7, -1, "x"])
+def test_minor_refuses_a_row_that_is_not_an_integer_row_index(r):
+    # each of these once returned every row unchanged
+    with pytest.raises(ValueError, match="row index"):
+        minor(out_laplacian(debruijn(2, 2)), r)
+
+
 @st.composite
 def weighted_multigraphs_past_handoff(draw):
     """Multigraphs with more vertices than DENSE_HANDOFF, so the sparse phase
@@ -634,11 +649,16 @@ def test_weighted_tree_sum_is_the_sum_of_rooted_minors(case):
         count_trees_rooted(g, r) for r in range(g.n)) == sum(rooted_tree_counts(g))
 
 
-@pytest.mark.parametrize("weights", [[1], [1] * 9, [1.0] * 8, [1] * 7 + [0.5], None, ["1"] * 8])
+@pytest.mark.parametrize("weights", [[1], [1] * 9, [1.0] * 8, [1] * 7 + [0.5], None, ["1"] * 8,
+                                     [0.5] * 8, 8])
 def test_weighted_tree_sum_refuses_weights_that_are_not_one_integer_per_edge(weights):
-    # 1 weight for 8 edges once raised IndexError, and float weights gave a float
+    # 1 weight for 8 edges once raised IndexError, and float weights gave a
+    # float; out_laplacian makes the check, and None is its unit weighting
     with pytest.raises(ValueError, match="8 integers"):
         weighted_tree_sum(debruijn(2, 2), weights)
+    if weights is not None:
+        with pytest.raises(ValueError, match="8 integers"):
+            out_laplacian(debruijn(2, 2), weights)
 
 
 @st.composite

@@ -312,7 +312,8 @@ def test_large_edge_list_within_time_bound(tmp_path, capsys, monkeypatch,
     # subcommand may be quadratic in it before its enumeration bound refuses,
     # and the bijection maps answer or name the cycle.
     # On a 300-cycle the determinant commands answer: `trees count` takes
-    # one sparse minor per root, the evaluated identity 8 determinants.
+    # one sparse minor, as both graphs are balanced, and the evaluated
+    # identity 8 determinants.
     path = tmp_path / "big.txt"
     path.write_text("".join(f"{v} {(v + 1) % n}\n" for v in range(n))
                     + ("0 0\n" if n == 10 ** 4 else ""))

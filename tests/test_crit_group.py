@@ -497,6 +497,67 @@ def test_sandpile_kautz21_every_sink():
         assert group.order == count_trees_rooted(g, sink)
 
 
+@st.composite
+def strongly_connected_multigraphs(draw):
+    """A cycle through 1-8 vertices in a random order plus up to 12 random
+    edges: strongly connected, with self-loops and parallel edges, and
+    seldom balanced."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    return DiGraph(n, [(order[i - 1], order[i]) for i in range(n)] + extra)
+
+
+@given(strongly_connected_multigraphs())
+@example(DiGraph(1, []))
+def test_sandpile_group_at_every_sink_is_the_dense_smith_form(g):
+    # _sandpile hands the unchecked reduced Laplacian, a gap at the sink,
+    # to the Smith form's body
+    lap = dense_laplacian(g)
+    for sink in range(g.n):
+        assert sandpile_group(g, sink) == group_from_diagonal(_dense_snf(dense_minor(lap, sink)))
+
+
+@pytest.mark.parametrize("g", [_relabelled(debruijn(2, 6), random.Random(1)),
+                               _relabelled(kautz(3, 3), random.Random(2)),
+                               _permutation_graph(40, 3)],
+                         ids=["debruijn-2-6", "kautz-3-3", "permutations-40"])
+def test_sandpile_takes_the_pivots_of_the_public_smith_form(g):
+    # _sandpile keeps the column labels with a gap at the sink, where
+    # smith_normal_form numbers them 0..n-2 in key order; the unit phase
+    # reads keys only by their order, so both routes start it from the same
+    # rows, get the same pivots and hand the same rows on.  A renumbering
+    # that reorders the columns (the last vertex moved into the sink's
+    # slot, say) breaks ties between pivots another way and fails here.
+    unit_pivots, divisor_pivots = crit_group._unit_pivots, crit_group._divisor_pivots
+
+    def route(run):
+        seen = []
+
+        def recording_unit(rows):
+            seen.append([dict(row) for row in rows])
+            seen.append(unit_pivots(rows))
+            return seen[-1]
+
+        def recording_divisor(rows):
+            seen.append([dict(row) for row in rows])
+            return divisor_pivots(rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crit_group, "_unit_pivots", recording_unit)
+            patch.setattr(crit_group, "_divisor_pivots", recording_divisor)
+            result = run()
+        started, left, pivots = seen[0], seen[1], seen[2]
+        keys = set().union(*started)
+        return result, _by_place(started, keys), _by_place(left, keys), pivots
+
+    lap = out_laplacian(g)
+    for sink in range(0, g.n, 7):
+        body = route(lambda: crit_group._sandpile(g, sink))
+        public = route(lambda: group_from_diagonal(smith_normal_form(minor(lap, sink)).diagonal))
+        assert body == public
+
+
 def test_sandpile_two_cycle_trivial():
     g = DiGraph(2, [(0, 1), (1, 0)])
     assert sandpile_group(g, 0) == AbelianGroup(())
