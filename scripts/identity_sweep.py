@@ -47,8 +47,11 @@ def main():
     parser.add_argument("--max-edges", type=int, default=8)
     args = parser.parse_args()
 
-    graphs = random_small_graphs(count=args.count, max_vertices=args.max_vertices,
-                                 max_edges=args.max_edges, seed=args.seed)
+    try:
+        graphs = random_small_graphs(count=args.count, max_vertices=args.max_vertices,
+                                     max_edges=args.max_edges, seed=args.seed)
+    except ValueError as exc:   # a count the bounds cannot reach, or bounds out of order
+        parser.error(str(exc))
     failures = 0
     started = time.perf_counter()
     for i, g in enumerate(graphs):

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Time critical groups and tree counts of family graphs against their size.
 
-For each case in CASES, a child process builds the graph, times one
-`critical_group` or `count_trees` call, and then checks the answer against
-the closed forms (`db_formula`/`kautz_formula`, `tree_count_db`).  The
+For each case in CASES, a child process builds the graph, times REPS
+`critical_group` or `count_trees` calls and reports their median, and then
+checks the answer against the closed forms (`db_formula`/`kautz_formula`,
+`tree_count_db`).  The
 "eulerian" rows take the union of three seeded random permutations of n
 vertices, a graph with no closed form, so their child checks the group's
 order against the determinant D of the reduced Laplacian instead, and the
 tree count against n * D, since every root of an Eulerian graph has the
-same count.  Each child gets TIMEOUT_S seconds; the harness and --src are
-in scaling.py.
+same count; these take seconds, so they are timed once.  Each child gets
+TIMEOUT_S seconds; the harness and --src are in scaling.py.
 
 Usage:
     python scripts/matrix_scaling.py [--src DIR ...]
@@ -18,6 +19,9 @@ Usage:
 import scaling
 
 TIMEOUT_S = 120.0
+# a family row takes 5-170 ms, within the noise of a shared host, so each
+# is a median
+REPS = 5
 # (what, family, m, n); for "eulerian", m is the seed and n the vertex count
 # the critical_group rows include each graph of perfbench's matrix workload:
 # db(2,8), db(3,5), db(4,4), kautz(2,8) and kautz(3,5).  On the Eulerian
@@ -32,8 +36,8 @@ CASES = ([("critical_group", "db", 2, n) for n in range(8, 14)]
          + [("critical_group", "eulerian", 1, 500)]
          + [("count_trees", "db", 2, n) for n in range(5, 14)]
          + [("count_trees", "eulerian", 1, n) for n in (300, 500)])
-CHILD = """
-import json, random, resource, sys, time
+CHILD = f"REPS = {REPS}" + """
+import json, random, resource, statistics, sys, time
 from linetrees.arborescence import count_trees, determinant, minor, out_laplacian
 from linetrees.crit_group import critical_group, db_formula, kautz_formula, tree_count_db
 from linetrees.digraph import DiGraph, debruijn, kautz
@@ -47,9 +51,12 @@ if family == "eulerian":
     g = DiGraph(n, edges)
 else:
     g = (debruijn if family == "db" else kautz)(m, n)
-start = time.perf_counter()
-result = critical_group(g) if what == "critical_group" else count_trees(g)
-elapsed = time.perf_counter() - start
+times = []
+for _ in range(1 if family == "eulerian" else REPS):
+    start = time.perf_counter()
+    result = critical_group(g) if what == "critical_group" else count_trees(g)
+    times.append(time.perf_counter() - start)
+elapsed = statistics.median(times)
 if family == "eulerian":
     reduced = abs(determinant(minor(out_laplacian(g), 0)))
     ok = result.order == reduced if what == "critical_group" else result == n * reduced

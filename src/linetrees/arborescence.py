@@ -53,7 +53,7 @@ tuple once at the end.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, prod
@@ -61,7 +61,7 @@ from operator import index
 import random
 
 from .digraph import DiGraph, _reach, _vertex, is_eulerian, line_graph
-from .errors import EnumerationBound, InvalidTreeError, count_text
+from .errors import EnumerationBound, InvalidTreeError, count_text, integer, integers
 
 DEFAULT_BOUND = 10 ** 6
 
@@ -89,8 +89,12 @@ def validate_tree(g: DiGraph, t: SpanningTree) -> None:
 
 
 def _check_shape(root: int, out_edge: Sequence, n: int) -> None:
-    # validate_tree's first two checks, shared with LineContext.pi
-    if len(out_edge) != n or not isinstance(root, int) or not (0 <= root < n):
+    # validate_tree's first two checks, shared with LineContext.pi/.line_tree
+    try:
+        shape = len(out_edge) == n and isinstance(root, int) and 0 <= root < n
+    except TypeError:   # out_edge has no length
+        shape = False
+    if not shape:
         raise InvalidTreeError("tree shape does not match the graph")
     if out_edge[root] is not None:
         raise InvalidTreeError("root must not have an out-edge")
@@ -140,7 +144,8 @@ def _candidate_count(outdeg: Sequence[int], roots: Sequence[int]) -> int:
 
 
 def _bounded_candidates(outdeg: Sequence[int], roots: Sequence[int], bound: int) -> int:
-    """_candidate_count, raising EnumerationBound if it exceeds the bound."""
+    """_candidate_count, raising EnumerationBound past the bound (ValueError if not an int)."""
+    bound = integer(bound, "bound must be an integer")
     candidates = _candidate_count(outdeg, roots)
     if candidates > bound:
         raise EnumerationBound(f"{count_text(candidates)} candidate assignments "
@@ -391,12 +396,8 @@ def out_laplacian(g: DiGraph, weights: Sequence[int] | None = None) -> list[dict
     the edges s -> t, so a self-loop cancels.  Unit weights (the default)
     count trees; others must be g.m integers, else ValueError.
     """
-    try:
-        weights = [1] * g.m if weights is None else list(map(index, weights))
-    except TypeError:
-        weights = None
-    if weights is None or len(weights) != g.m:
-        raise ValueError(f"weights must be {g.m} integers, one per edge")
+    weights = ([1] * g.m if weights is None else
+               integers(weights, f"weights must be {g.m} integers, one per edge", count=g.m))
     lap: list[dict[int, int]] = [{} for _ in range(g.n)]
     vs = list(range(g.n))   # one int per vertex, so that dict lookups match keys by identity
     for (s, t), w in zip(g.edges, weights):
@@ -453,10 +454,9 @@ def weighted_tree_sum(g: DiGraph, weights: Sequence[int]) -> int:
 
 def degree_product(g: DiGraph) -> int:
     """prod_v outdeg(v)^(indeg(v)-1): tree arrays per spanning tree of g."""
-    prod = 1
-    for v in range(g.n):
-        prod *= g.outdeg[v] ** (g.indeg[v] - 1)
-    return prod
+    if 0 in g.indeg:
+        raise InvalidTreeError("degree product requires every indegree to be positive")
+    return prod(d ** (i - 1) for d, i in zip(g.outdeg, g.indeg))
 
 
 # --- generating functions ----------------------------------------------------
@@ -658,9 +658,7 @@ class IdentityReport:
     method: str
 
     def to_json_dict(self) -> dict:
-        return {"holds": self.holds, "lhs_terms": self.lhs_terms,
-                "rhs_terms": self.rhs_terms, "witness": self.witness,
-                "method": self.method}
+        return asdict(self)
 
 
 def verify_identity(g: DiGraph, method: str = "expand",

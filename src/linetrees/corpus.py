@@ -12,38 +12,44 @@ import random
 from itertools import permutations
 
 from .digraph import DiGraph, debruijn, kautz
+from .errors import integers
 
 CORPUS_SEED = 271828
+# draws in a row that bring no new graph before the sampler gives up; the
+# corpus's longest run is 20
+_REJECTED_DRAWS = 10_000
 
 
 def canonical_form(n: int, edges: list[tuple[int, int]]) -> tuple:
-    """Lexicographically least sorted edge list over all vertex relabellings."""
-    best = None
-    for perm in permutations(range(n)):
-        relabelled = tuple(sorted((perm[s], perm[t]) for s, t in edges))
-        if best is None or relabelled < best:
-            best = relabelled
-    return (n, best)
+    """Lexicographically least sorted edge list over all vertex relabellings;
+    n and the edges as DiGraph takes them, else GraphError (a ValueError)."""
+    g = DiGraph(n, edges)
+    return (g.n, min(tuple(sorted((perm[s], perm[t]) for s, t in g.edges))
+                     for perm in permutations(range(g.n))))
 
 
 def random_small_graphs(count: int = 200, max_vertices: int = 4,
                         max_edges: int = 8, seed: int = CORPUS_SEED) -> list[DiGraph]:
-    """`count` pairwise non-isomorphic digraphs with min indeg >= 1."""
+    """`count` pairwise non-isomorphic digraphs with min indeg >= 1.  ValueError
+    unless the counts are integers with 1 <= max_vertices <= max_edges, or once
+    _REJECTED_DRAWS draws in a row bring no new graph (count out of reach)."""
+    count, max_vertices, max_edges = integers(
+        (count, max_vertices, max_edges), "count, max_vertices and max_edges must be integers")
+    if not 1 <= max_vertices <= max_edges:
+        raise ValueError("random graphs need 1 <= max_vertices <= max_edges")
     rng = random.Random(seed)
     seen: set[tuple] = set()
     graphs: list[DiGraph] = []
     while len(graphs) < count:
-        n = rng.randint(1, max_vertices)
-        m = rng.randint(n, max_edges)  # need at least n edges for indeg >= 1
-        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
-        indeg = [0] * n
-        for _, t in edges:
-            indeg[t] += 1
-        if any(d == 0 for d in indeg):
-            continue
-        key = canonical_form(n, edges)
-        if key in seen:
-            continue
+        for _ in range(_REJECTED_DRAWS):
+            n = rng.randint(1, max_vertices)
+            m = rng.randint(n, max_edges)  # need at least n edges for indeg >= 1
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
+            if len({t for _, t in edges}) == n and (key := canonical_form(n, edges)) not in seen:
+                break
+        else:
+            raise ValueError(f"count {count} is out of reach: {_REJECTED_DRAWS} draws in a row "
+                             f"found no graph past the first {len(graphs)}")
         seen.add(key)
         graphs.append(DiGraph(n, edges))
     return graphs

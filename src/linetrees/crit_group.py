@@ -50,7 +50,7 @@ from typing import Mapping, Sequence
 
 from .arborescence import out_laplacian
 from .digraph import DiGraph, _vertex, detect_family, is_eulerian, is_strongly_connected
-from .errors import MAX_ORDER_DIGITS, GraphError
+from .errors import MAX_ORDER_DIGITS, GraphError, integer, integers
 
 
 @dataclass
@@ -282,11 +282,11 @@ class AbelianGroup:
     free_rank: int = 0
 
     def __post_init__(self):
-        try:    # stored as a tuple of ints, so that equal groups compare and print alike
-            object.__setattr__(self, "invariant_factors", tuple(map(index, self.invariant_factors)))
-            object.__setattr__(self, "free_rank", index(self.free_rank))
-        except TypeError:
-            raise ValueError("invariant factors and free rank must be integers") from None
+        # stored as a tuple of ints, so that equal groups compare and print alike
+        *factors, rank = integers(chain(self.invariant_factors, (self.free_rank,)),
+                                  "invariant factors and free rank must be integers")
+        object.__setattr__(self, "invariant_factors", tuple(factors))
+        object.__setattr__(self, "free_rank", rank)
         if any(f < 2 for f in self.invariant_factors) or self.free_rank < 0:
             raise ValueError("factors must be >= 2 (units are dropped) and the free rank >= 0")
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
@@ -300,15 +300,12 @@ class AbelianGroup:
         return prod(self.invariant_factors)
 
     def __str__(self) -> str:
-        parts = [f"Z_{f}" for f in self.invariant_factors]
-        parts.extend("Z" for _ in range(self.free_rank))
+        parts = [f"Z_{f}" for f in self.invariant_factors] + ["Z"] * self.free_rank
         return " + ".join(parts) if parts else "0"
 
 
 def group_from_diagonal(diagonal: Sequence[int]) -> AbelianGroup:
-    factors = tuple(d for d in diagonal if d not in (0, 1))
-    free = sum(1 for d in diagonal if d == 0)
-    return AbelianGroup(factors, free)
+    return AbelianGroup(tuple(d for d in diagonal if d not in (0, 1)), list(diagonal).count(0))
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -326,10 +323,7 @@ def _factorize(n: int) -> dict[int, int]:
 
 def group_from_cyclic_orders(orders: Sequence[int]) -> AbelianGroup:
     """Normalize a direct sum of cyclic groups to invariant-factor form."""
-    try:
-        orders = list(map(index, orders))
-    except TypeError:
-        raise ValueError("cyclic orders must be integers") from None
+    orders = integers(orders, "cyclic orders must be integers")
     by_prime: dict[int, list[int]] = {}
     for n in orders:
         if n < 1:
@@ -359,15 +353,12 @@ class GroupFormula:
             summands = tuple((index(mod), index(mult)) for mod, mult in self.summands)
         except (TypeError, ValueError):     # not pairs, or not integers
             raise ValueError("summands must be (modulus, multiplicity) pairs of integers") from None
+        if any(mod < 1 or mult < 0 for mod, mult in summands):
+            raise ValueError("moduli must be >= 1 and multiplicities >= 0")
         object.__setattr__(self, "summands", summands)
 
     def normalize(self) -> AbelianGroup:
-        orders = []
-        for modulus, mult in self.summands:
-            if modulus < 1 or mult < 0:
-                raise ValueError("moduli must be >= 1 and multiplicities >= 0")
-            orders.extend([modulus] * mult)
-        return group_from_cyclic_orders(orders)
+        return group_from_cyclic_orders([mod for mod, mult in self.summands for _ in range(mult)])
 
     def order(self) -> int:
         return prod(modulus ** mult for modulus, mult in self.summands)
@@ -394,10 +385,7 @@ def _family_args(m: int, n: int, kautz: bool, trees: bool = False) -> tuple[int,
     trees=True the bound is on the tree count, the order times |V|.
     """
     what, least = ("tree count", 1) if trees else ("group order", 2)
-    try:
-        m, n = index(m), index(n)
-    except TypeError:
-        raise GraphError(f"{what} requires integers m and n") from None
+    m, n = integers((m, n), f"{what} requires integers m and n", GraphError)
     if m < least or n < 1:
         raise GraphError(f"{what} requires m >= {least} and n >= 1")
     if n * log10(m) > 300:  # m^n > 10^300: far past the cap, and past a float
@@ -486,10 +474,7 @@ def mult_by_k(group: AbelianGroup, k: int) -> AbelianGroup:
     """The subgroup k*K: each Z_d becomes Z_(d / gcd(d, k))."""
     if group.free_rank:
         raise ValueError("mult_by_k is defined for finite groups")
-    try:
-        k = index(k)
-    except TypeError:
-        raise ValueError("mult_by_k takes an integer k") from None
+    k = integer(k, "mult_by_k takes an integer k")
     # d / gcd(d, k) takes each prime's exponent e in d to max(e - e_p(k), 0),
     # which keeps the exponents in order, so d1 | d2 | ... stays a chain
     orders = (d // gcd(d, k) for d in group.invariant_factors)

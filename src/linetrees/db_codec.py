@@ -50,9 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, repeat
-from operator import add, and_, index, itemgetter, sub
+from operator import add, and_, itemgetter, sub
 
-from .errors import InvalidSequenceError
+from .errors import InvalidSequenceError, integer
 from .line_bijection import OMEGA, TreeArray, _pi, _sigma
 
 
@@ -71,10 +71,8 @@ def validate(bits: str, degree: int) -> bool:
 
 def _degree(degree: int, least: int = 1, text: str = "degree must be at least 1") -> int:
     # the one check of a degree from outside: an integer no less than least
-    try:
-        degree = index(degree)
-    except TypeError:
-        raise InvalidSequenceError(f"degree must be an integer, got {degree!r}") from None
+    if type(degree) is not int:     # (the repr of a huge int would raise)
+        degree = integer(degree, f"degree must be an integer, got {degree!r}", InvalidSequenceError)
     if degree < least:
         raise InvalidSequenceError(text)
     return degree

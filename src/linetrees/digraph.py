@@ -21,7 +21,7 @@ from __future__ import annotations
 from operator import index
 from typing import Sequence
 
-from .errors import MAX_FAMILY_EDGES, GraphError, UnsupportedFamilyError
+from .errors import MAX_FAMILY_EDGES, GraphError, UnsupportedFamilyError, integer, integers
 
 SYMBOLS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -39,6 +39,8 @@ class DiGraph:
             n, edges = index(n), tuple([(index(s), index(t)) for s, t in edges])
         except TypeError:
             raise GraphError("vertex count and edge endpoints must be integers") from None
+        except ValueError:      # an edge that does not unpack to two values
+            raise GraphError("edges must be (source, target) pairs") from None
         if n <= 0:
             raise GraphError("graph must have at least one vertex")
         out: list[list[int]] = [[] for _ in range(n)]
@@ -141,10 +143,7 @@ def _shift_graph(vertices: list[str], edge_strings: list[str]) -> DiGraph:
 def _family(m: int, n: int, kautz: bool) -> DiGraph:
     # the one check of a family's m and n from outside: integers, both >= 1
     name = "Kautz" if kautz else "de Bruijn"
-    try:
-        m, n = index(m), index(n)
-    except TypeError:
-        raise GraphError(f"{name} graph requires integers m and n") from None
+    m, n = integers((m, n), f"{name} graph requires integers m and n", GraphError)
     if m < 1 or n < 1:
         raise GraphError(f"{name} graph requires m >= 1 and n >= 1")
     _check_family_size(m, n, kautz)
@@ -168,10 +167,7 @@ def is_eulerian(g: DiGraph) -> bool:
 
 def _vertex(n: int, v, what: str) -> int:
     """v through operator.index, or GraphError naming `what` unless in range(n)."""
-    try:
-        v = index(v)
-    except TypeError:
-        raise GraphError(f"{what} must be an integer") from None
+    v = integer(v, f"{what} must be an integer", GraphError)
     if not (0 <= v < n):
         raise GraphError(f"{what} out of range")
     return v
@@ -276,9 +272,7 @@ def class_cycle(g: DiGraph) -> list[int]:
     c = len(ham)
     s = pred.vertex_label(ham[0]) + "".join(pred.vertex_label(u)[-1] for u in ham[1:])
     # The cyclic string has period c; indices past c wrap around.
-    cyc = lambda i: s[i % c]
-    width = length
-    windows = ["".join(cyc(i + j) for j in range(width)) for i in range(c)]
+    windows = ["".join(s[(i + j) % c] for j in range(length)) for i in range(c)]
     index = {lbl: v for v, lbl in enumerate(g.vertex_labels)}
     try:
         cycle = [index[w] for w in windows]
@@ -324,17 +318,9 @@ def parse_edge_list(text: str) -> DiGraph:
     unless every name is its own appearance index, in which case the graph
     is left unlabelled.
     """
-    names: list[str] = []
-    index: dict[str, int] = {}
+    index: dict[str, int] = {}     # name -> number, in order of first appearance
     edges: list[tuple[int, int]] = []
     labels: list[str | None] = []
-
-    def vid(tok: str) -> int:
-        if tok not in index:
-            index[tok] = len(names)
-            names.append(tok)
-        return index[tok]
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -342,10 +328,12 @@ def parse_edge_list(text: str) -> DiGraph:
         parts = line.split()
         if len(parts) not in (2, 3):
             raise GraphError(f"line {lineno}: expected 'SRC DST [LABEL]'")
-        edges.append((vid(parts[0]), vid(parts[1])))
+        edges.append((index.setdefault(parts[0], len(index)),
+                      index.setdefault(parts[1], len(index))))
         labels.append(parts[2] if len(parts) == 3 else None)
-    if not names:
+    if not index:
         raise GraphError("edge list is empty")
+    names = list(index)
     edge_labels = None
     if any(lbl is not None for lbl in labels):
         edge_labels = tuple(lbl if lbl is not None else str(i) for i, lbl in enumerate(labels))

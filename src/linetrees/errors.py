@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the way their messages
-print large counts."""
+"""Exception types shared across the package, the way their messages print
+large counts, and the one check of integer input (README: Input contract)."""
 
 from math import log10
+from operator import index
 
 # CPython's default limit on printing an int: str() of an int with more
 # decimal digits raises ValueError.  The closed forms refuse group orders
@@ -43,3 +44,21 @@ def count_text(n: int) -> str:
     if not isinstance(n, int) or n < 10 ** MAX_ORDER_DIGITS:
         return str(n)
     return f"about 10^{log10(n):.1f}"
+
+
+def integers(values, text: str, error: type[ValueError] = ValueError,
+             count: int | None = None) -> list[int]:
+    """The values through operator.index, as a list; error(text) if one is
+    not an integer, or if they are not `count` of them when count is given."""
+    try:
+        values = list(map(index, values))
+    except TypeError:
+        raise error(text) from None
+    if count is not None and len(values) != count:
+        raise error(text)
+    return values
+
+
+def integer(value, text: str, error: type[ValueError] = ValueError) -> int:
+    """integers' twin for one value."""
+    return integers((value,), text, error)[0]

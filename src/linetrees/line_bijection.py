@@ -85,7 +85,8 @@ from typing import Iterable, Iterator, Sequence
 from .arborescence import (SpanningTree, _check_reaches_root, _check_shape, count_trees,
                            degree_product, enumerate_trees, DEFAULT_BOUND)
 from .digraph import DiGraph, line_graph
-from .errors import EnumerationBound, InvalidTreeArrayError, InvalidTreeError, count_text
+from .errors import (EnumerationBound, InvalidTreeArrayError, InvalidTreeError, count_text,
+                     integer)
 
 
 class _OmegaType:
@@ -132,26 +133,31 @@ def _check_entries(g: DiGraph, a: TreeArray) -> list[int]:
     # validate_tree_array's checks but the walk; returns each edge's copy count
     n, m, indeg, edges = g.n, g.m, g.indeg, g.edges
     root = a.root
-    if len(a.lists) != n or not isinstance(root, int) or not (0 <= root < n):
-        raise InvalidTreeArrayError("array shape does not match the graph")
     omegas = 0
     count = [0] * m
-    for v, entries in enumerate(a.lists):
-        if len(entries) != indeg[v]:
-            raise InvalidTreeArrayError(
-                f"list of vertex {v} has length {len(entries)}, expected indeg {indeg[v]}")
-        for pos, entry in enumerate(entries):
-            if entry is OMEGA:
-                omegas += 1
-                if v != root or pos != len(entries) - 1:
-                    raise InvalidTreeArrayError("OMEGA must be the last entry of the root's list")
-            elif isinstance(entry, int) and 0 <= entry < m:
-                if edges[entry][0] != v:
-                    raise InvalidTreeArrayError(
-                        f"entry {entry} in list of vertex {v} has source {edges[entry][0]}")
-                count[entry] += 1
-            else:
-                raise InvalidTreeArrayError(f"entry {entry!r} is not an edge id")
+    shape = "array shape does not match the graph"
+    try:
+        if len(a.lists) != n or not isinstance(root, int) or not (0 <= root < n):
+            raise InvalidTreeArrayError(shape)
+        for v, entries in enumerate(a.lists):
+            if len(entries) != indeg[v]:
+                raise InvalidTreeArrayError(
+                    f"list of vertex {v} has length {len(entries)}, expected indeg {indeg[v]}")
+            for pos, entry in enumerate(entries):
+                if entry is OMEGA:
+                    omegas += 1
+                    if v != root or pos != len(entries) - 1:
+                        raise InvalidTreeArrayError(
+                            "OMEGA must be the last entry of the root's list")
+                elif isinstance(entry, int) and 0 <= entry < m:
+                    if edges[entry][0] != v:
+                        raise InvalidTreeArrayError(
+                            f"entry {entry} in list of vertex {v} has source {edges[entry][0]}")
+                    count[entry] += 1
+                else:
+                    raise InvalidTreeArrayError(f"entry {entry!r} is not an edge id")
+    except TypeError:   # the lists, or one of them, have no length
+        raise InvalidTreeArrayError(shape) from None
     if omegas != 1:
         raise InvalidTreeArrayError(f"expected exactly one OMEGA, found {omegas}")
     if 0 in indeg:  # not the root's list: it holds the one OMEGA
@@ -185,17 +191,15 @@ def shuffled_order(g: DiGraph, seed: int) -> list[int]:
 
 class LineContext:
     """A graph g and the numbering of its line edges: (e, f) is edge
-    ``off[e] + pos[f]`` of ``line`` (built on first use), with off the prefix
-    sums of outdeg(t(e)) and pos[f] the index of f in ``out_edges(s(f))``."""
+    ``line_id[e][f]`` of ``line`` (built on first use), off[e] plus the index
+    of f in ``out_edges(t(e))``, with off the prefix sums of outdeg(t(e))."""
 
     def __init__(self, g: DiGraph):
         self.g = g
         self.target = [t for _, t in g.edges]
         self.off = list(accumulate((g.outdeg[t] for t in self.target), initial=0))
-        self.pos = [0] * g.m
-        for v in range(g.n):
-            for i, f in enumerate(g.out_edges(v)):
-                self.pos[f] = i
+        self.line_id = [{f: o + i for i, f in enumerate(g._out[t])}
+                        for t, o in zip(self.target, self.off)]
         self._order = tuple(range(g.m))  # the last edge order checked
 
     @cached_property
@@ -203,10 +207,16 @@ class LineContext:
         return line_graph(self.g)
 
     def line_tree(self, root: int, succ: Sequence[int | None]) -> SpanningTree:
-        """The line-graph tree with the line edge (e, succ[e]) out of each e."""
-        off, pos = self.off, self.pos
-        return SpanningTree(root, tuple([None if f is None else off[e] + pos[f]
-                                         for e, f in enumerate(succ)]))
+        """The line-graph tree with the line edge (e, succ[e]) out of each e
+        that has one; InvalidTreeError unless the shape matches and each
+        succ[e] is an out-edge of t(e).  Acyclicity is left to its reader."""
+        _check_shape(root, succ, self.g.m)
+        line_id = self.line_id
+        try:
+            return SpanningTree(root, tuple([None if f is None else line_id[e][f]
+                                             for e, f in enumerate(succ)]))
+        except (KeyError, TypeError):   # not an out-edge of t(e), or unhashable
+            raise InvalidTreeError("each succ[e] must be None or an out-edge of t(e)") from None
 
     def successors(self, tree: SpanningTree) -> Succ:
         """Inverse of :meth:`line_tree` on a valid tree: the head of each edge.
@@ -237,9 +247,7 @@ class LineContext:
         except (TypeError, ValueError):  # a refused order, or a cycle of last entries
             validate_tree_array(self.g, a)
             raise
-        off, pos = self.off, self.pos
-        return SpanningTree(root, tuple([None if f is None else off[e] + pos[f]
-                                         for e, f in enumerate(succ)]))
+        return self.line_tree(root, succ)
 
     def pi(self, tree: SpanningTree, order: Sequence[int] | None = None) -> TreeArray:
         """Map a spanning tree of the line graph back to a tree array of g.
@@ -368,6 +376,7 @@ def enumerate_tree_arrays(g: DiGraph, bound: int = DEFAULT_BOUND) -> Iterator[Tr
     Outer order: spanning trees in enumerate_trees order; inner order:
     proto lists in lexicographic slot order, vertex by vertex.
     """
+    bound = integer(bound, "bound must be an integer")
     expected = tree_array_count(g)
     if expected > bound:
         raise EnumerationBound(f"{count_text(expected)} tree arrays "

@@ -20,11 +20,15 @@ from .crit_group import (check_divbym, critical_group, db_formula, group_order_d
                          group_order_kautz, kautz_formula, mult_by_k,
                          tree_count_db, tree_count_kautz)
 from .digraph import class_cycle, debruijn, kautz, label_isomorphic, line_graph
+from .errors import integers
 from .line_bijection import (LineContext, _pi, _sigma, enumerate_tree_arrays, shuffled_order,
                              tree_array_count)
 
 DB_PARAMS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)]
 KAUTZ_PARAMS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
+
+_FAMILIES = (("db", debruijn, db_formula, group_order_db, tree_count_db, DB_PARAMS),
+            ("kautz", kautz, kautz_formula, group_order_kautz, tree_count_kautz, KAUTZ_PARAMS))
 
 BIJECTION_ARRAY_CAP = 10 ** 4
 ORDER_SEEDS = (1, 2, 3)
@@ -124,13 +128,8 @@ def criterion_4_codec() -> CriterionResult:
 
 def criterion_5_groups() -> CriterionResult:
     started = time.perf_counter()
-    failures = []
-    for m, n in DB_PARAMS:
-        if critical_group(debruijn(m, n)) != db_formula(m, n).normalize():
-            failures.append(f"db({m},{n})")
-    for m, n in KAUTZ_PARAMS:
-        if critical_group(kautz(m, n)) != kautz_formula(m, n).normalize():
-            failures.append(f"kautz({m},{n})")
+    failures = [f"{name}({m},{n})" for name, make, formula, *_, params in _FAMILIES
+                for m, n in params if critical_group(make(m, n)) != formula(m, n).normalize()]
     elapsed = time.perf_counter() - started
     passed = not failures and elapsed < 120.0
     return _result(5, "critical groups match the closed-form decompositions",
@@ -142,18 +141,13 @@ def criterion_5_groups() -> CriterionResult:
 def criterion_6_orders() -> CriterionResult:
     started = time.perf_counter()
     failures = []
-    for m, n in DB_PARAMS:
-        group = critical_group(debruijn(m, n))
-        if group.order != group_order_db(m, n):
-            failures.append(f"db({m},{n}) order")
-        if count_trees(debruijn(m, n)) != tree_count_db(m, n):
-            failures.append(f"db({m},{n}) kappa")
-    for m, n in KAUTZ_PARAMS:
-        group = critical_group(kautz(m, n))
-        if group.order != group_order_kautz(m, n):
-            failures.append(f"kautz({m},{n}) order")
-        if count_trees(kautz(m, n)) != tree_count_kautz(m, n):
-            failures.append(f"kautz({m},{n}) kappa")
+    for name, make, _, order, trees, params in _FAMILIES:
+        for m, n in params:
+            g = make(m, n)
+            if critical_group(g).order != order(m, n):
+                failures.append(f"{name}({m},{n}) order")
+            if count_trees(g) != trees(m, n):
+                failures.append(f"{name}({m},{n}) kappa")
     # the corrected Kautz tree-count exponent, pinned against brute force
     if count_trees(kautz(2, 2)) != 72 or tree_count_kautz(2, 2) != 72:
         failures.append("kappa(kautz(2,2)) != 72")
@@ -216,11 +210,13 @@ CRITERIA: Sequence[Callable[[], CriterionResult]] = (
 
 
 def run(numbers: Sequence[int] | None = None) -> list[CriterionResult]:
-    wanted = set(numbers) if numbers else set(range(1, len(CRITERIA) + 1))
+    """Run and print the given criteria (all by default) in order; ValueError for unknown ones."""
+    known = range(1, len(CRITERIA) + 1)
+    wanted = sorted(set(integers(numbers or known, "criterion numbers must be integers")))
+    if unknown := [x for x in wanted if x not in known]:
+        raise ValueError(f"unknown criterion numbers {unknown}: the criteria are 1 to {known[-1]}")
     results = []
-    for i, criterion in enumerate(CRITERIA, start=1):
-        if i in wanted:
-            result = criterion()
-            results.append(result)
-            print(result.line())
+    for i in wanted:     # each line as soon as its criterion is done
+        results.append(CRITERIA[i - 1]())
+        print(results[-1].line())
     return results

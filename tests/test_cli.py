@@ -264,6 +264,24 @@ def test_verify_all_subset(capsys, monkeypatch):
     assert "2/2 criteria passed" in out
 
 
+def test_verify_all_refuses_unknown_criterion_numbers(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, monkeypatch, ["verify-all", "6", "99", "0"])
+    assert (code, out) == (1, "")   # refused before any criterion runs
+    assert err == "error: unknown criterion numbers [0, 99]: the criteria are 1 to 9\n"
+
+
+def test_identity_sweep_refuses_a_count_its_bounds_cannot_reach():
+    import pathlib
+    import subprocess
+    import sys
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "scripts/identity_sweep.py", "--count", "2",
+                           "--max-vertices", "1", "--max-edges", "1"],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error: count 2 is out of reach" in proc.stderr
+
+
 def test_experiment_scripts_run():
     import pathlib
     import subprocess

@@ -692,10 +692,10 @@ def test_sigma_body_guards_survive_optimize_flag():
 @given(digraphs_positive_indeg(max_n=4, max_m=8))
 def test_line_edge_numbering_matches_line_graph(g):
     # sigma's output ids and the codec's levels rely on this alignment:
-    # off[e] + pos[f] is where line_graph emits the line edge (e, f)
+    # line_id[e][f] is where line_graph emits the line edge (e, f)
     ctx = LineContext(g)
     lg = line_graph(g)
     pairs = [(e, f) for e in range(g.m) for f in range(g.m) if g.target(e) == g.source(f)]
     assert len(pairs) == lg.m
     for e, f in pairs:
-        assert lg.edges[ctx.off[e] + ctx.pos[f]] == (e, f)
+        assert lg.edges[ctx.line_id[e][f]] == (e, f)
