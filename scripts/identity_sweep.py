@@ -50,7 +50,7 @@ def main():
     try:
         graphs = random_small_graphs(count=args.count, max_vertices=args.max_vertices,
                                      max_edges=args.max_edges, seed=args.seed)
-    except ValueError as exc:   # a count the bounds cannot reach, or bounds out of order
+    except ValueError as exc:   # a count out of reach, or bounds out of order or past the cap
         parser.error(str(exc))
     failures = 0
     started = time.perf_counter()

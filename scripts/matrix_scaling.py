@@ -27,7 +27,8 @@ REPS = 5
 # db(2,8), db(3,5), db(4,4), kautz(2,8) and kautz(3,5).  On the Eulerian
 # graphs a seed's time moves between about 0.6x and 1.5x with the order in
 # which tied pivots go, so n = 300 runs 12 seeds, to be judged by their
-# total, which the table's last row gives
+# total, which the table's last row gives; count_trees runs to n = 1000 to
+# show its growth past n = 500
 CASES = ([("critical_group", "db", 2, n) for n in range(8, 14)]
          + [("critical_group", "db", 3, 5), ("critical_group", "db", 4, 4)]
          + [("critical_group", "kautz", 2, 8), ("critical_group", "kautz", 3, 5)]
@@ -35,7 +36,7 @@ CASES = ([("critical_group", "db", 2, n) for n in range(8, 14)]
          + [("critical_group", "eulerian", seed, 300) for seed in range(1, 13)]
          + [("critical_group", "eulerian", 1, 500)]
          + [("count_trees", "db", 2, n) for n in range(5, 14)]
-         + [("count_trees", "eulerian", 1, n) for n in (300, 500)])
+         + [("count_trees", "eulerian", 1, n) for n in (300, 500, 1000)])
 CHILD = f"REPS = {REPS}" + """
 import json, random, resource, statistics, sys, time
 from linetrees.arborescence import count_trees, determinant, minor, out_laplacian

@@ -13,8 +13,9 @@ is one search, shared by :func:`enumerate_trees` and the generating
 functions (kappa_vertex merges trees instead on graphs with many of
 them).  The determinant route is one Laplacian, :func:`out_laplacian`,
 held as sparse rows (one {col: value} dict per row), and one sparse exact
-elimination, :func:`determinant`, which hands the small dense block it may
-leave to :func:`bareiss_determinant`'s elimination.
+elimination, :func:`determinant`: the unit phase that the Smith form runs
+too (:mod:`linetrees.elimination`), a Markowitz loop on the rest, then
+:func:`bareiss_determinant`'s elimination on the small dense block left.
 
 The generating functions attach one variable per edge or per vertex:
 
@@ -56,11 +57,14 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from math import comb, gcd, prod
 from operator import index
 import random
 
+from . import elimination
 from .digraph import DiGraph, _reach, _vertex, is_eulerian, line_graph
+from .elimination import _column_rows
 from .errors import EnumerationBound, InvalidTreeError, count_text, integer, integers
 
 DEFAULT_BOUND = 10 ** 6
@@ -274,47 +278,68 @@ def determinant(rows: Sequence[Mapping[int, int]]) -> int:
     are the distinct keys in increasing order (a key that holds 0 still
     names one), and there may be no more of them than rows (fewer means a
     zero column, so the determinant is 0).  The input is not changed, and
-    rows of any other kind raise ValueError.
-
-    Sparse fraction-free elimination with pivots in Markowitz order: the
-    nonzero p at (i, j) with the least cost (r - 1)(c - 1), for r entries in
-    its row and c in its column, then the least |p|.  Each row with an
-    entry a in column j becomes (p/g) row - (a/g) row_i, g = gcd(p, a), and
-    is then divided by its content (the gcd of its entries); the pivots,
-    the multipliers p/g and the contents are carried into the determinant.
-    Entries sit in a heap of (cost, |p|, i, j) under one lazy rule: each
-    entry is pushed when it appears, at the start or as fill-in (then under
-    the key (0, 0), so that its first pop keys it), and a popped entry is
-    checked against the matrix.  One that has left its row, or whose row
-    was pivoted, is dropped; one whose (cost, |p|) has changed goes back in
-    at its current key.  Once at most DENSE_HANDOFF rows are left, or the
-    cheapest pivot would touch over half of the block left, that block goes
-    to bareiss_determinant's elimination, unchecked: each entry is checked
-    once, by bareiss_determinant on a matrix of at most DENSE_HANDOFF rows
-    and in the copy below on a larger one.
+    rows of any other kind raise ValueError.  Each entry is checked once:
+    by bareiss_determinant on a matrix of at most DENSE_HANDOFF rows, and
+    on a larger one in the copy below, which renumbers the keys 0, 1, ...
+    in key order for the body, _determinant.
     """
     try:
         k = len(rows)
         cols = sorted(set().union(*rows))
         if len(cols) == k <= DENSE_HANDOFF:     # bareiss_determinant checks the entries
             return bareiss_determinant([[row.get(c, 0) for c in cols] for row in rows])
-        rows = [{c: x for c, v in row.items() if (x := index(v))} for row in rows]  # reduced below
+        rank = {c: x for x, c in enumerate(cols)}
+        rows = [{rank[c]: x for c, v in row.items() if (x := index(v))} for row in rows]
     except (TypeError, AttributeError):
         raise ValueError("determinant rows must map keys that sort to integers") from None
     if len(cols) > k:
         raise ValueError(f"{len(cols)} columns in a matrix of {k} rows")
-    if len(cols) < k:
-        return 0
-    col_rows: dict[int, set[int]] = {c: set() for c in cols}
-    for i, row in enumerate(rows):
-        for c in row:
-            col_rows[c].add(i)
+    return _determinant(rows)
+
+
+def _determinant(rows: list[dict[int, int]]) -> int:
+    """determinant's body, on k trusted rows (nonzero ints under at most k
+    non-negative int keys, read only in key order), which it reduces in
+    place.  The tree counts hand it their Laplacian rows unchecked.
+
+    Up to DENSE_HANDOFF rows go to bareiss_determinant.  More go first to
+    the unit phase that the Smith form runs too (elimination._unit_pivots),
+    which leaves each of its pivots alone in its column, a factor of the
+    determinant.  The determinant does not run a first round whose units
+    lie in too few distinct rows or columns to split a quarter of the rows.
+
+    The rest takes sparse fraction-free elimination with pivots in
+    Markowitz order: the nonzero p at (i, j) with the least cost
+    (r - 1)(c - 1), for r entries in its row and c in its column, then the
+    least |p|.  Each row with an entry a in column j becomes
+    (p/g) row - (a/g) row_i, g = gcd(p, a), and is then divided by its
+    content (the gcd of its entries); the pivots, the multipliers p/g and
+    the contents are carried into the determinant.  Entries sit in a heap
+    of (cost, |p|, i, j) under one lazy rule: each entry is pushed when it
+    appears, at the start or as fill-in (then under the key (0, 0), so that
+    its first pop keys it), and a popped entry is checked against the
+    matrix.  One that has left its row, or whose row was pivoted, is
+    dropped; one whose (cost, |p|) has changed goes back in at its current
+    key.  Once at most DENSE_HANDOFF rows are left, or the cheapest pivot
+    would touch over half of the block left, that block goes to
+    bareiss_determinant's elimination, unchecked.
+    """
+    k = len(rows)
+    if k <= DENSE_HANDOFF:
+        cols = sorted(set().union(*rows))
+        return bareiss_determinant([[row.get(c, 0) for c in cols] for row in rows]) \
+            if len(cols) == k else 0
+    col_rows = _column_rows(rows)
+    if len(col_rows) < k:
+        return 0    # a zero column
+    cols = sorted(col_rows)     # every column, for the sign at the end
+    # factors: the pivots, the units' first; the loop adds the row contents
+    pivot_rows, pivot_cols, factors = elimination._unit_pivots(rows, col_rows, skip_short=True)
+    if not all(col_rows.values()) or sum(map(bool, rows)) < len(col_rows):
+        return 0    # a column or a row of the rest that the units emptied
     heap = [((len(row) - 1) * (len(col_rows[j]) - 1), abs(v), i, j)
             for i, row in enumerate(rows) for j, v in row.items()]
     heapify(heap)
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    factors: list[int] = []    # pivots and contents
     scales: list[int] = []     # the multipliers p/g
     while heap and len(col_rows) > DENSE_HANDOFF:     # a column per row left
         cost, v, i, j = heappop(heap)
@@ -396,7 +421,7 @@ def out_laplacian(g: DiGraph, weights: Sequence[int] | None = None) -> list[dict
     the edges s -> t, so a self-loop cancels.  Unit weights (the default)
     count trees; others must be g.m integers, else ValueError.
     """
-    weights = ([1] * g.m if weights is None else
+    weights = (repeat(1) if weights is None else
                integers(weights, f"weights must be {g.m} integers, one per edge", count=g.m))
     lap: list[dict[int, int]] = [{} for _ in range(g.n)]
     vs = list(range(g.n))   # one int per vertex, so that dict lookups match keys by identity
@@ -426,13 +451,13 @@ def rooted_tree_counts(g: DiGraph) -> list[int]:
     to 0 as its rows do, so every cofactor is equal and one minor serves."""
     lap = out_laplacian(g)
     if is_eulerian(g):
-        return [abs(determinant(minor(lap, 0)))] * g.n
-    return [abs(determinant(minor(lap, r))) for r in range(g.n)]
+        return [abs(_determinant(minor(lap, 0)))] * g.n
+    return [abs(_determinant(minor(lap, r))) for r in range(g.n)]
 
 
 def count_trees(g: DiGraph) -> int:
     """kappa(G): spanning trees summed over all roots."""
-    return weighted_tree_sum(g, [1] * g.m)
+    return _tree_sum(out_laplacian(g))
 
 
 def weighted_tree_sum(g: DiGraph, weights: Sequence[int]) -> int:
@@ -446,10 +471,17 @@ def weighted_tree_sum(g: DiGraph, weights: Sequence[int]) -> int:
     """
     if weights is None:     # out_laplacian reads None as unit weights
         raise ValueError(f"weights must be {g.m} integers, one per edge")
-    lap = out_laplacian(g, weights)
+    return _tree_sum(out_laplacian(g, weights))
+
+
+def _tree_sum(lap: list[dict[int, int]]) -> int:
+    """det(L + 1 e_0^T) from the rows of L, which the body reduces in place."""
     for row in lap:
-        row[0] = row.get(0, 0) + 1
-    return determinant(lap)
+        if x := row.get(0, 0) + 1:
+            row[0] = x
+        else:
+            del row[0]
+    return _determinant(lap)
 
 
 def degree_product(g: DiGraph) -> int:

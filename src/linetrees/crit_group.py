@@ -18,9 +18,10 @@ Laplacian straight to the body, _smith, which reads a column key only by
 key order, so the columns keep their labels, a gap at the sink.  A unit
 phase splits off entries +-g, g the gcd of what is left, as SNF(g M) =
 g SNF(M), least Markowitz cost (r-1)(c-1) first and with no test; on the
-families' reduced Laplacians g grows by m a round.  Once a round splits
-under a quarter of its rows, a general loop splits off divisor pivots of
-least |p| from a lazy heap (_unit_pivots and _divisor_pivots tell how).
+families' reduced Laplacians g grows by m a round.  It is the phase that
+arborescence.determinant runs too, elimination._unit_pivots.  Once a round
+splits under a quarter of its rows, a general loop splits off divisor
+pivots of least |p| from a lazy heap (_divisor_pivots tells how).
 A chain fix-up of the diagonal gives the invariant factors d1 | d2 | ...
 of the cokernel (units dropped, zeros counted as free rank).
 
@@ -48,8 +49,10 @@ from math import gcd, inf, log10, prod
 from operator import index
 from typing import Mapping, Sequence
 
+from . import elimination
 from .arborescence import out_laplacian
 from .digraph import DiGraph, _vertex, detect_family, is_eulerian, is_strongly_connected
+from .elimination import _column_rows
 from .errors import MAX_ORDER_DIGITS, GraphError, integer, integers
 
 
@@ -83,82 +86,12 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None
 
 def _smith(sparse: list[dict[int, int]], places: int) -> list[int]:
     """The Smith diagonal over `places` = min(rows, cols) places, from trusted
-    rows (nonzero ints under non-negative int keys), which it empties."""
-    pivots = _unit_pivots(sparse)
+    rows (nonzero ints under non-negative int keys), which it empties: the
+    unit phase, then _divisor_pivots on what is left."""
+    units = elimination._unit_pivots(sparse, _column_rows(sparse))[2]
+    pivots = list(map(abs, units)) + _divisor_pivots(sparse)
     # the chain is unique, and sorted powers of one prime already form one
     return _chain(sorted(pivots) + [0] * (places - len(pivots)))
-
-
-def _unit_pivots(sparse: list[dict[int, int]]) -> list[int]:
-    """The unit phase, then _divisor_pivots on what is left, reducing
-    `sparse` in place as it does.  A round's units are the entries +-g, g
-    the gcd of all, so none is divided.  `buckets` maps a Markowitz cost
-    (r-1)(c-1) to its units as i << W | j, W bits for a column (keys are
-    any non-negative integers, read in key order), front last, sorted as
-    the round starts: it opens in (cost, i, j) order.  Each step pops the
-    front of the least non-empty bucket: a unit that is gone or no longer
-    +-g is dropped, one whose cost has changed goes to the front of its new
-    bucket, and a new one from fill-in to the front of bucket 0, whose
-    first pop keys it.  It is a dict, not a list indexed by cost, as a +-1
-    where a dense row meets a dense column can cost more than the matrix
-    has entries.  A round reads only the `live` rows, those not empty."""
-    col_rows: dict[int, set[int]] = {j: set() for j in set().union(*sparse)}
-    for i, row in enumerate(sparse):
-        for j in row:
-            col_rows[j].add(i)
-    w = max(col_rows, default=0).bit_length()
-    cmask = (1 << w) - 1
-    pivots, live = [], range(len(sparse))
-    while live := [i for i in live if sparse[i]]:     # a row, once empty, stays empty
-        g = gcd(*chain.from_iterable(sparse[i].values() for i in live))
-        split, units = 0, (g, -g)
-        buckets: dict[int, list[int]] = {}
-        for i in live:
-            row = sparse[i]
-            for j, v in row.items():
-                if v in units:
-                    cost = (len(row) - 1) * (len(col_rows[j]) - 1)
-                    buckets.setdefault(cost, []).append(i << w | j)
-        for bucket in buckets.values():
-            bucket.sort(reverse=True)
-        low = min(buckets, default=inf)     # the least cost that has a bucket
-        while buckets:
-            cost, bucket = low, buckets[low]
-            key = bucket.pop()
-            if not bucket:
-                del buckets[cost]
-                low = min(buckets, default=inf)
-            prow = sparse[i := key >> w]
-            if (p := prow.get(j := key & cmask)) not in units:    # gone, or no longer +-g
-                continue
-            now = (len(prow) - 1) * (len(col_rows[j]) - 1)
-            if now != cost:
-                buckets.setdefault(now, []).append(key)
-                low = min(low, now)
-                continue
-            split += 1
-            sparse[i] = {}
-            for c in prow:
-                col_rows[c].discard(i)
-            del prow[j]
-            for r in col_rows.pop(j):
-                row = sparse[r]
-                q = row.pop(j) // p
-                for c, a in prow.items():
-                    x = row.get(c, 0) - q * a
-                    if x:
-                        row[c] = x
-                        col_rows[c].add(r)
-                        if x in units:
-                            buckets.setdefault(0, []).append(r << w | c)
-                            low = 0
-                    else:
-                        del row[c]
-                        col_rows[c].discard(r)
-        pivots += [g] * split
-        if 4 * split < len(live):
-            break
-    return pivots + _divisor_pivots(sparse)
 
 
 def _divisor_pivots(sparse: list[dict[int, int]]) -> list[int]:
@@ -187,10 +120,7 @@ def _divisor_pivots(sparse: list[dict[int, int]]) -> list[int]:
     Reduces the rows of `sparse` in place, emptying each pivot row, and
     returns the |p| in pivot order.
     """
-    col_rows: dict[int, set[int]] = {}
-    for i, row in enumerate(sparse):
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
+    col_rows = _column_rows(sparse)
 
     def keyed() -> list[tuple[int, int, int, int]]:
         heap = [(abs(v), (len(row) - 1) * (len(col_rows[j]) - 1), i, j)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from itertools import count, repeat
 from operator import add, and_, itemgetter, sub
 
-from .errors import InvalidSequenceError, integer
+from .errors import InvalidSequenceError, count_text, integer
 from .line_bijection import OMEGA, TreeArray, _pi, _sigma
 
 
@@ -80,7 +80,7 @@ def _degree(degree: int, least: int = 1, text: str = "degree must be at least 1"
 
 def _length(k: int) -> int | str:
     # 2^k, or past any possible length the text "2^k", which no length equals
-    return 1 << k if k < 64 else f"2^{k}"
+    return 1 << k if k < 64 else f"2^{count_text(k)}"
 
 
 def _windows(bits: str, degree: int) -> list[int]:
@@ -88,7 +88,8 @@ def _windows(bits: str, degree: int) -> list[int]:
     degree = _degree(degree)
     if len(bits) != _length(degree):
         raise InvalidSequenceError(
-            f"sequence of degree {degree} must have length {_length(degree)}, got {len(bits)}")
+            f"sequence of degree {count_text(degree)} must have length {_length(degree)}, "
+            f"got {len(bits)}")
     if bits.strip("01"):
         raise InvalidSequenceError("sequence must consist of 0s and 1s")
     mask = (1 << degree) - 1
@@ -167,7 +168,8 @@ def decode(code: str, degree: int) -> str:
     degree = _degree(degree, 2, "decoding requires degree >= 2")
     if len(code) != _length(degree - 1) or code.strip("01"):
         raise InvalidSequenceError(
-            f"code for degree {degree} must be a bit string of length {_length(degree - 1)}")
+            f"code for degree {count_text(degree)} must be a bit string of length "
+            f"{_length(degree - 1)}")
     root = 0 if code[0] == "0" else 1
     # In DB_1(2) the non-root vertex's tree edge is forced: it must point
     # at the root, and edge 2v+w runs from v to w.

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import linetrees.arborescence as arb
+import linetrees.elimination as elimination
 from linetrees.arborescence import (DEFAULT_BOUND, DENSE_HANDOFF, SpanningTree, _candidate_count,
                                     _frontier_counts, _parity, _poly_mul, _tree_roots, _unpack,
                                     bareiss_determinant, count_trees, determinant,
@@ -389,6 +390,149 @@ def test_sparse_determinant_against_bareiss_deep_in_the_sparse_phase(case):
     assert weighted_tree_sum(g, weights) == bareiss_determinant(lap)
 
 
+def _block_unit_matrix(units, content, lower_left, lower_right):
+    """[[U, 0], [content * lower_left, content * lower_right]], U square."""
+    return ([row + [0] * len(lower_right) for row in units]
+            + [[content * x for x in left] + [content * x for x in right]
+               for left, right in zip(lower_left, lower_right)])
+
+
+def _shuffled(rows, rng):
+    """rows with their rows and their columns in a random order, so the
+    pivots sit off the diagonal and the sign is tested."""
+    k = len(rows)
+    order, cols = rng.sample(range(k), k), rng.sample(range(k), k)
+    return [[rows[i][j] for j in cols] for i in order]
+
+
+@st.composite
+def unit_phase_matrices(draw):
+    """Square matrices past DENSE_HANDOFF built for the unit phase:
+    [[U, 0], [g C, g B]] with rows and columns shuffled.  U is unit lower
+    triangular up to sign, so the first round has its +-1 units; the rows
+    below have content g in {2, 3, 6}, so a later round takes +-g units
+    from g B.  B is +-1 on a diagonal (the phase empties the matrix), unit
+    lower triangular, or small random entries (the heap loop gets the
+    rest); one column of g C is dense.  Now and then a row below has no B
+    part, or a column is twice another one, so the units empty it: either
+    way the determinant is 0."""
+    a = draw(st.integers(3, 8))
+    # at most 3a rows below, so the units of U can split a quarter of the
+    # rows and the determinant's first round is not skipped
+    b = draw(st.integers(max(2, DENSE_HANDOFF + 1 - a), min(14, 3 * a)))
+    g = draw(st.sampled_from([2, 3, 6]))
+    sign = st.sampled_from([1, -1])
+    small = st.integers(-3, 3)
+    units = [[draw(small) if j < i else draw(sign) if j == i else 0 for j in range(a)]
+             for i in range(a)]
+    left = [[draw(small) for _ in range(a)] for _ in range(b)]
+    dense_col = draw(st.integers(0, a - 1))
+    for row in left:
+        row[dense_col] = row[dense_col] or draw(st.sampled_from([1, -1, 2]))
+    kind = draw(st.sampled_from(["diagonal", "triangular", "random"]))
+    if kind == "random":
+        right = [[draw(st.integers(-4, 4)) for _ in range(b)] for _ in range(b)]
+    else:
+        right = [[draw(sign) if j == i else draw(small) if kind == "triangular" and j < i
+                  else 0 for j in range(b)] for i in range(b)]
+    rows = _block_unit_matrix(units, g, left, right)
+    empty = draw(st.sampled_from(["none", "none", "row", "column"]))
+    if empty == "row":
+        rows[a + draw(st.integers(0, b - 1))][a:] = [0] * b
+    elif empty == "column":
+        i, j = draw(st.integers(0, a + b - 1)), draw(st.integers(0, a + b - 1))
+        if i != j:
+            for row in rows:
+                row[j] = 2 * row[i]
+    return _shuffled(rows, random.Random(draw(st.integers(0, 2 ** 32))))
+
+
+@settings(deadline=None)
+@given(unit_phase_matrices())
+def test_determinant_through_the_unit_phase_against_bareiss_and_sympy(rows):
+    assert determinant(sparse(rows)) == bareiss_determinant(rows) == sympy.Matrix(rows).det()
+
+
+def test_unit_phase_empties_a_block_unit_matrix_or_leaves_the_heap_loop_a_block():
+    # the shared phase on the two ends of the strategy above: with g B a
+    # signed permutation it splits every row, the units then the +-g, and
+    # with g B dense and free of +-g it hands every row of B on
+    rng = random.Random(5)
+    a, b, g = 6, 14, 3
+    units = [[1 if i == j else 0 for j in range(a)] for i in range(a)]
+    left = [[rng.randint(-3, 3) for _ in range(a)] for _ in range(b)]
+    perm = rng.sample(range(b), b)
+    signed = [[rng.choice([1, -1]) if j == perm[i] else 0 for j in range(b)] for i in range(b)]
+    dense_right = [[rng.choice([2, 3, -2, 5]) for _ in range(b)] for _ in range(b)]
+    for right, handed in [(signed, 0), (dense_right, b)]:
+        rows = _shuffled(_block_unit_matrix(units, g, left, right), rng)
+        reduced = sparse(rows)
+        pivot_rows, _, pivots = elimination._unit_pivots(reduced, elimination._column_rows(reduced))
+        assert sum(map(bool, reduced)) == handed and len(pivot_rows) == a + b - handed
+        assert sorted(map(abs, pivots)) == [1] * a + [g] * (b - handed)
+        assert determinant(sparse(rows)) == bareiss_determinant(rows) == \
+            sympy.Matrix(rows).det()
+
+
+def test_count_trees_determinant_and_sandpile_group_share_one_unit_phase():
+    # the phase lives in elimination alone; the tree count and the checked
+    # determinant reach it through the determinant's body, which may skip a
+    # short round, and the Smith form's body runs every round; a count on at
+    # most DENSE_HANDOFF vertices goes to bareiss_determinant instead
+    import linetrees.crit_group as crit_group
+    assert not hasattr(crit_group, "_unit_pivots") and not hasattr(arb, "_unit_pivots")
+    calls, dense_calls = [], []
+    unit_pivots, bareiss = elimination._unit_pivots, arb.bareiss_determinant
+
+    def recording(rows, col_rows, skip_short=False):
+        calls.append((len(rows), skip_short))
+        return unit_pivots(rows, col_rows, skip_short)
+
+    def counting_bareiss(matrix):
+        dense_calls.append(len(matrix))
+        return bareiss(matrix)
+
+    rows = [{i: 2, (i + 1) % 20: -1, (i * 7) % 20: 1} for i in range(20)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(elimination, "_unit_pivots", recording)
+        patch.setattr(arb, "bareiss_determinant", counting_bareiss)
+        assert count_trees(debruijn(2, 6)) == 2 ** 63
+        assert determinant(rows) == sympy.Matrix(dense(rows, 20)).det()
+        assert crit_group.sandpile_group(debruijn(2, 4), 3).order == 2 ** 11
+        assert (calls, dense_calls) == ([(64, True), (20, True), (15, False)], [])
+        assert count_trees(debruijn(2, 3)) == 2 ** 7
+    assert (calls, dense_calls) == ([(64, True), (20, True), (15, False)], [8])
+
+
+def _tree_sum_rows(g, weights):
+    """The rows of L + 1 e_0^T that weighted_tree_sum hands the determinant's body."""
+    lap = out_laplacian(g, weights)
+    for row in lap:
+        row[0] = row.get(0, 0) + 1
+    return [{c: v for c, v in row.items() if v} for row in lap]
+
+
+def test_determinant_skips_a_unit_round_too_short_to_split_a_quarter_of_the_rows():
+    # weights 1-9 on a 300-cycle leave a +1 in every row (column 0) but
+    # the units in under a quarter as many columns as rows, so the round
+    # could split under 75 rows: the determinant does not run it, and its
+    # heap loop takes the whole matrix; the Smith form would run it.  Unit
+    # weights put units in every column, and the phase splits every row.
+    n = 300
+    cycle = DiGraph(n, [(v, (v + 1) % n) for v in range(n)])
+    rng = random.Random(1)
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    for skip_short, split in [(True, 0), (False, 38)]:
+        rows = _tree_sum_rows(cycle, weights)
+        pivots = elimination._unit_pivots(rows, elimination._column_rows(rows), skip_short)[2]
+        assert len(pivots) == split
+    rows = _tree_sum_rows(cycle, [1] * n)
+    assert len(elimination._unit_pivots(rows, elimination._column_rows(rows), True)[2]) == n
+    # the trees rooted at r are the path to r: all weights but r's out-edge's
+    assert weighted_tree_sum(cycle, weights) == sum(prod(weights) // w for w in weights)
+    assert count_trees(cycle) == n
+
+
 def three_out_eulerian(n, seed):
     """Three random permutations on n vertices: indegree = outdegree = 3."""
     rng = random.Random(seed)
@@ -679,13 +823,14 @@ def test_rooted_tree_counts_of_a_balanced_graph_take_one_minor(g):
     # indeg = outdeg, so every cofactor of L is equal; a disconnected union
     # has no tree at all
     calls = []
+    body = arb._determinant
 
     def counting_determinant(rows):
         calls.append(len(rows))
-        return determinant(rows)
+        return body(rows)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(arb, "determinant", counting_determinant)
+        patch.setattr(arb, "_determinant", counting_determinant)
         counts = rooted_tree_counts(g)
     assert counts == [count_trees_rooted(g, r) for r in range(g.n)]
     assert calls == [g.n - 1]

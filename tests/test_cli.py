@@ -282,6 +282,19 @@ def test_identity_sweep_refuses_a_count_its_bounds_cannot_reach():
     assert "error: count 2 is out of reach" in proc.stderr
 
 
+def test_identity_sweep_refuses_more_vertices_than_the_canonical_form_takes():
+    # canonical_form tries all n! relabellings, minutes a graph at n = 12
+    import pathlib
+    import subprocess
+    import sys
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "scripts/identity_sweep.py", "--max-vertices", "12",
+                           "--max-edges", "20"],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error: max_vertices is capped at 8" in proc.stderr
+
+
 def test_experiment_scripts_run():
     import pathlib
     import subprocess

@@ -12,6 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import assume, example, given, strategies as st
 
 import linetrees.crit_group as crit_group
+import linetrees.elimination as elimination
 from linetrees.arborescence import (count_trees, determinant, minor, out_laplacian,
                                     rooted_tree_counts)
 from linetrees.crit_group import (AbelianGroup, DivisibilityReport, GroupFormula, _chain,
@@ -283,16 +284,17 @@ def test_packed_bucket_queue_matches_the_plain_bucket_oracle(matrix, keys):
     keyed = _keyed(rows, keys)
     given_rows = [dict(row) for row in keyed]
     started, pivots, left = [], [], []
-    unit_pivots = crit_group._unit_pivots
+    unit_pivots = elimination._unit_pivots
 
-    def recording(sparse_rows):
+    def recording(sparse_rows, col_rows, skip_short=False):
         started.extend(dict(row) for row in sparse_rows)
-        pivots.extend(unit_pivots(sparse_rows))
+        units = unit_pivots(sparse_rows, col_rows, skip_short)
+        pivots.extend(map(abs, units[2]))
         left.extend(sparse_rows)
-        return pivots
+        return units
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(crit_group, "_unit_pivots", recording)
+        patch.setattr(elimination, "_unit_pivots", recording)
         patch.setattr(crit_group, "_divisor_pivots", lambda rest: [])
         smith_normal_form(keyed, cols)
     assert keyed == given_rows      # the input is not changed
@@ -361,7 +363,7 @@ def test_unit_phase_leaves_the_family_minors_a_small_remainder(
         entries.append(sum(map(len, sparse)))
         return _divisor_pivots(sparse)
 
-    monkeypatch.setattr(crit_group, "gcd", counting_gcd)
+    monkeypatch.setattr(elimination, "gcd", counting_gcd)
     monkeypatch.setattr(crit_group, "_divisor_pivots", divisor_pivots)
     g = make(m, n)
     rng = random.Random(0)
@@ -373,7 +375,9 @@ def test_unit_phase_leaves_the_family_minors_a_small_remainder(
         contents.clear()
         entries.clear()
         reduced = minor(out_laplacian(graph), sink)
-        pivots = crit_group._unit_pivots(reduced)
+        # the pivots _smith takes: the unit phase's, then the divisor pivots
+        units = elimination._unit_pivots(reduced, elimination._column_rows(reduced))[2]
+        pivots = units + crit_group._divisor_pivots(reduced)
         assert len(pivots) == len(reduced) and not any(reduced)
         # one gcd a round: 1 (the Laplacian's), then each the last or m times it
         assert contents[0] == 1 and all(b in (a, m * a) for a, b in zip(contents, contents[1:]))
@@ -529,25 +533,27 @@ def test_sandpile_takes_the_pivots_of_the_public_smith_form(g):
     # rows, get the same pivots and hand the same rows on.  A renumbering
     # that reorders the columns (the last vertex moved into the sink's
     # slot, say) breaks ties between pivots another way and fails here.
-    unit_pivots, divisor_pivots = crit_group._unit_pivots, crit_group._divisor_pivots
+    unit_pivots, divisor_pivots = elimination._unit_pivots, crit_group._divisor_pivots
 
     def route(run):
         seen = []
 
-        def recording_unit(rows):
+        def recording_unit(rows, col_rows, skip_short=False):
             seen.append([dict(row) for row in rows])
-            seen.append(unit_pivots(rows))
+            seen.append(unit_pivots(rows, col_rows, skip_short))
             return seen[-1]
 
         def recording_divisor(rows):
             seen.append([dict(row) for row in rows])
-            return divisor_pivots(rows)
+            seen.append(divisor_pivots(rows))
+            return seen[-1]
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(crit_group, "_unit_pivots", recording_unit)
+            patch.setattr(elimination, "_unit_pivots", recording_unit)
             patch.setattr(crit_group, "_divisor_pivots", recording_divisor)
             result = run()
-        started, left, pivots = seen[0], seen[1], seen[2]
+        # both phases' pivots in order: the units' signed values, then the divisors
+        started, left, pivots = seen[0], seen[2], seen[1][2] + seen[3]
         keys = set().union(*started)
         return result, _by_place(started, keys), _by_place(left, keys), pivots
 

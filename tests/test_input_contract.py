@@ -108,6 +108,7 @@ VALID = {
 }
 
 NOT_INTEGERS = ["x", 1.5, None]
+HUGE = 10 ** 5000       # past the digits CPython prints: messages give it by its logarithm
 ORDERS = [[0, 0, 1, 2], [0, 1, 2], [0.0, 1, 2, 3], ["x", 1, 2, 3], [0, 1, 2, 4]]
 BOUND = (NOT_INTEGERS, ValueError, "^bound must be an integer$")
 ANY = ((), None, None)      # every value of the right kind is accepted
@@ -177,11 +178,12 @@ ROWS = [
     ("weighted_tree_sum", "weights", [None, [1, 2, 3], [1.5] * 4, "abcd"],
      ValueError, "^weights must be 4 integers"),
     # corpus
-    ("canonical_form", "n", [0, *NOT_INTEGERS[:2]], GraphError, "vertex"),
+    ("canonical_form", "n", [0, *NOT_INTEGERS[:2], 9], GraphError, "vertex"),
     ("canonical_form", "edges", [[(0, 5)], [(0, -1)], [(0, 1.5)], [(0, 1, 1)], [(0,)]],
      GraphError, "edge"),
     ("random_small_graphs", "count", [*NOT_INTEGERS, 2], ValueError, "count"),
-    ("random_small_graphs", "max_vertices", [*NOT_INTEGERS, 0, 2], ValueError, "max_vertices"),
+    ("random_small_graphs", "max_vertices", [*NOT_INTEGERS, 0, 2, 9], ValueError,
+     "max_vertices"),
     ("random_small_graphs", "max_edges", [*NOT_INTEGERS, 0], ValueError, "max_edges"),
     ("random_small_graphs", "seed", *ANY),
     # crit_group
@@ -210,19 +212,19 @@ ROWS = [
     ("smith_normal_form", "cols", [1.5, "x", -1, 1], ValueError, "column"),
     # db_codec
     ("decode", "code", ["012", "0", "0a"], InvalidSequenceError, "^code"),
-    ("decode", "degree", [*NOT_INTEGERS, 1, 3], InvalidSequenceError, "degree"),
+    ("decode", "degree", [*NOT_INTEGERS, 1, 3, HUGE], InvalidSequenceError, "degree"),
     ("encode", "bits", ["0000", "001", "0012"], InvalidSequenceError, "sequence"),
-    ("encode", "degree", [*NOT_INTEGERS, 1, 3], InvalidSequenceError, "degree"),
+    ("encode", "degree", [*NOT_INTEGERS, 1, 3, HUGE], InvalidSequenceError, "degree"),
     ("enumerate_db_sequences", "degree", [*NOT_INTEGERS, 0, 5], InvalidSequenceError, "degree"),
     ("path_to_seq", "path", [HamPath(2, (0, 1, 2)), HamPath(2, (0, 1, 3, 3)),
                              HamPath("x", (0, 1, 3, 2)), HamPath(1.5, (0, 1, 3, 2)),
                              HamPath(2, ("a", 1, 3, 2)), HamPath(2, None),
-                             HamPath(2, (0, 2, 1, 3))],
+                             HamPath(2, (0, 2, 1, 3)), HamPath(HUGE, (0, 1, 3, 2))],
      InvalidSequenceError, "degree|path"),
     ("seq_to_path", "bits", ["0000", "001", "0012"], InvalidSequenceError, "sequence"),
-    ("seq_to_path", "degree", [*NOT_INTEGERS, 0, 3], InvalidSequenceError, "degree"),
+    ("seq_to_path", "degree", [*NOT_INTEGERS, 0, 3, HUGE], InvalidSequenceError, "degree"),
     ("validate", "bits", ["001", "0012"], InvalidSequenceError, "sequence"),
-    ("validate", "degree", [*NOT_INTEGERS, 0, 3], InvalidSequenceError, "degree"),
+    ("validate", "degree", [*NOT_INTEGERS, 0, 3, HUGE], InvalidSequenceError, "degree"),
     # digraph
     ("DiGraph", "n", [0, -1, *NOT_INTEGERS], GraphError, "vertex"),
     ("DiGraph", "edges", [[(0, 5), (1, 0)], [(0, -1), (1, 0)], [(0, 1.5), (1, 0)],
