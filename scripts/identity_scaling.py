@@ -4,12 +4,15 @@
 For each case in CASES, a child process builds the graph G and its line
 graph LG, and times one call: `kappa_vertex(LG)`, the identity's left side;
 `kappa_edge(LG)` or `enumerate_trees(LG)`, the other two callers of the one
-tree search; or `verify_identity(G)`, which expands both sides.  A "bouquet"
+tree search; or `verify_identity(G)`, which expands both sides.  The
+"evaluate" rows time `verify_identity(G, method="evaluate")` instead, which
+takes weighted determinants of G and LG at four points, and report the
+median of REPS calls, as one takes 0.02-0.2 s.  A "bouquet"
 is one vertex with k self-loops: LG is the complete digraph with loops on
 k vertices, with k^(k-1) trees but only C(2k-2, k-1) monomials.  An
 n-"cycle" is its own line graph, with n trees and n monomials.  The child
 checks the polynomial's coefficient sum, or the number of trees listed,
-against `count_trees(LG)`, and that the identity holds.  Each child gets
+against `count_trees(LG)`, and that the identity holds (by either method).  Each child gets
 TIMEOUT_S seconds; the harness and --src are in scaling.py.
 
 Usage:
@@ -19,6 +22,7 @@ Usage:
 import scaling
 
 TIMEOUT_S = 300.0
+REPS = 5
 # (what, family, size): k loops of a bouquet, or n vertices of a cycle.
 # kappa_edge and enumerate_trees keep one entry per tree, so they skip the
 # 8-loop bouquet's 2,097,152 trees.
@@ -27,8 +31,9 @@ CASES = [(what, family, size)
          for size in sizes
          for what in ("kappa_vertex", "kappa_edge", "enumerate_trees", "verify_identity")
          if (family, size) != ("bouquet", 8) or what in ("kappa_vertex", "verify_identity")]
-CHILD = """
-import json, resource, sys, time
+CASES += [("evaluate", "cycle", size) for size in (300, 1000, 1500)]
+CHILD = f"REPS = {REPS}" + """
+import json, resource, statistics, sys, time
 from linetrees.arborescence import (count_trees, enumerate_trees, kappa_edge, kappa_vertex,
                                     verify_identity)
 from linetrees.digraph import DiGraph, line_graph
@@ -38,14 +43,19 @@ if family == "bouquet":
 else:
     g = DiGraph(size, [(v, (v + 1) % size) for v in range(size)])
 lg = line_graph(g)
-start = time.perf_counter()
-if what == "verify_identity":
-    result = verify_identity(g, bound=10 ** 8)
-else:
-    result = {"kappa_vertex": kappa_vertex, "kappa_edge": kappa_edge,
-              "enumerate_trees": enumerate_trees}[what](lg, bound=10 ** 8)
-elapsed = time.perf_counter() - start
-if what == "verify_identity":
+times = []
+for _ in range(REPS if what == "evaluate" else 1):
+    start = time.perf_counter()
+    if what == "evaluate":
+        result = verify_identity(g, method="evaluate")
+    elif what == "verify_identity":
+        result = verify_identity(g, bound=10 ** 8)
+    else:
+        result = {"kappa_vertex": kappa_vertex, "kappa_edge": kappa_edge,
+                  "enumerate_trees": enumerate_trees}[what](lg, bound=10 ** 8)
+    times.append(time.perf_counter() - start)
+elapsed = statistics.median(times)
+if what in ("evaluate", "verify_identity"):
     ok = result.holds
 else:
     ok = (len(result) if what == "enumerate_trees" else sum(result.values())) == count_trees(lg)
@@ -58,7 +68,8 @@ print(json.dumps({"s": elapsed,
 
 def main():
     scaling.main(CHILD, CASES, TIMEOUT_S, ["call", "graph"],
-                 lambda case: [case[0], f"{case[1]}({case[2]})"],
+                 lambda case: ["verify_identity(evaluate)" if case[0] == "evaluate" else case[0],
+                               f"{case[1]}({case[2]})"],
                  ["s", "peak MB"], lambda r: [f"{r['s']:.3f}", f"{r['peak_rss_mb']:.0f}"])
 
 

@@ -12,10 +12,8 @@ det(L + 1 e_0^T) is the sum of the rooted counts.  The brute-force route
 is one search, shared by :func:`enumerate_trees` and the generating
 functions (kappa_vertex merges trees instead on graphs with many of
 them).  The determinant route is one Laplacian, :func:`out_laplacian`,
-held as sparse rows (one {col: value} dict per row), and one sparse exact
-elimination, :func:`determinant`: the unit phase that the Smith form runs
-too (:mod:`linetrees.elimination`), a Markowitz loop on the rest, then
-:func:`bareiss_determinant`'s elimination on the small dense block left.
+and one sparse exact elimination, :func:`determinant`, whose body and
+row format are :mod:`linetrees.elimination`'s.
 
 The generating functions attach one variable per edge or per vertex:
 
@@ -56,15 +54,13 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import reduce
-from heapq import heapify, heappop, heappush
 from itertools import repeat
-from math import comb, gcd, prod
+from math import comb, prod
 from operator import index
 import random
 
-from . import elimination
 from .digraph import DiGraph, _reach, _vertex, is_eulerian, line_graph
-from .elimination import _column_rows
+from .elimination import _bareiss, _checked_rows, _determinant
 from .errors import EnumerationBound, InvalidTreeError, count_text, integer, integers
 
 DEFAULT_BOUND = 10 ** 6
@@ -221,13 +217,6 @@ def enumerate_trees(g: DiGraph, root: int | None = None,
 
 # --- exact determinants ------------------------------------------------------
 
-# A matrix with at most this many rows goes to dense Bareiss at once,
-# and so does the block the sparse phase leaves at this size: on the
-# matrices of a few vertices that knuth_check and the identity corpus feed
-# in, the heap costs more than dense elimination does.
-DENSE_HANDOFF = 10
-
-
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Fraction-free Gaussian elimination, exact, of n sequences of n
     integers each (not changed); anything else raises ValueError."""
@@ -243,34 +232,6 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return _bareiss(m)
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """bareiss_determinant's elimination, on a square list of integer
-    lists that it reduces in place."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = m[k]
-        p = pivot_row[k]
-        for row in m[k + 1:]:
-            a = row[k]
-            if a or p != prev:      # else the update leaves the row as it is
-                for j in range(k + 1, n):
-                    row[j] = (row[j] * p - a * pivot_row[j]) // prev
-        prev = p
-    return sign * m[n - 1][n - 1]
-
-
 def determinant(rows: Sequence[Mapping[int, int]]) -> int:
     """Exact determinant of a square matrix held as sparse rows.
 
@@ -278,139 +239,13 @@ def determinant(rows: Sequence[Mapping[int, int]]) -> int:
     are the distinct keys in increasing order (a key that holds 0 still
     names one), and there may be no more of them than rows (fewer means a
     zero column, so the determinant is 0).  The input is not changed, and
-    rows of any other kind raise ValueError.  Each entry is checked once:
-    by bareiss_determinant on a matrix of at most DENSE_HANDOFF rows, and
-    on a larger one in the copy below, which renumbers the keys 0, 1, ...
-    in key order for the body, _determinant.
+    rows of any other kind raise ValueError.  Each entry is checked once,
+    in the copy that the body, elimination._determinant, takes.
     """
-    try:
-        k = len(rows)
-        cols = sorted(set().union(*rows))
-        if len(cols) == k <= DENSE_HANDOFF:     # bareiss_determinant checks the entries
-            return bareiss_determinant([[row.get(c, 0) for c in cols] for row in rows])
-        rank = {c: x for x, c in enumerate(cols)}
-        rows = [{rank[c]: x for c, v in row.items() if (x := index(v))} for row in rows]
-    except (TypeError, AttributeError):
-        raise ValueError("determinant rows must map keys that sort to integers") from None
-    if len(cols) > k:
-        raise ValueError(f"{len(cols)} columns in a matrix of {k} rows")
+    rows, cols = _checked_rows(rows, "determinant rows must map keys that sort to integers")
+    if cols > len(rows):
+        raise ValueError(f"{cols} columns in a matrix of {len(rows)} rows")
     return _determinant(rows)
-
-
-def _determinant(rows: list[dict[int, int]]) -> int:
-    """determinant's body, on k trusted rows (nonzero ints under at most k
-    non-negative int keys, read only in key order), which it reduces in
-    place.  The tree counts hand it their Laplacian rows unchecked.
-
-    Up to DENSE_HANDOFF rows go to bareiss_determinant.  More go first to
-    the unit phase that the Smith form runs too (elimination._unit_pivots),
-    which leaves each of its pivots alone in its column, a factor of the
-    determinant.  The determinant does not run a first round whose units
-    lie in too few distinct rows or columns to split a quarter of the rows.
-
-    The rest takes sparse fraction-free elimination with pivots in
-    Markowitz order: the nonzero p at (i, j) with the least cost
-    (r - 1)(c - 1), for r entries in its row and c in its column, then the
-    least |p|.  Each row with an entry a in column j becomes
-    (p/g) row - (a/g) row_i, g = gcd(p, a), and is then divided by its
-    content (the gcd of its entries); the pivots, the multipliers p/g and
-    the contents are carried into the determinant.  Entries sit in a heap
-    of (cost, |p|, i, j) under one lazy rule: each entry is pushed when it
-    appears, at the start or as fill-in (then under the key (0, 0), so that
-    its first pop keys it), and a popped entry is checked against the
-    matrix.  One that has left its row, or whose row was pivoted, is
-    dropped; one whose (cost, |p|) has changed goes back in at its current
-    key.  Once at most DENSE_HANDOFF rows are left, or the cheapest pivot
-    would touch over half of the block left, that block goes to
-    bareiss_determinant's elimination, unchecked.
-    """
-    k = len(rows)
-    if k <= DENSE_HANDOFF:
-        cols = sorted(set().union(*rows))
-        return bareiss_determinant([[row.get(c, 0) for c in cols] for row in rows]) \
-            if len(cols) == k else 0
-    col_rows = _column_rows(rows)
-    if len(col_rows) < k:
-        return 0    # a zero column
-    cols = sorted(col_rows)     # every column, for the sign at the end
-    # factors: the pivots, the units' first; the loop adds the row contents
-    pivot_rows, pivot_cols, factors = elimination._unit_pivots(rows, col_rows, skip_short=True)
-    if not all(col_rows.values()) or sum(map(bool, rows)) < len(col_rows):
-        return 0    # a column or a row of the rest that the units emptied
-    heap = [((len(row) - 1) * (len(col_rows[j]) - 1), abs(v), i, j)
-            for i, row in enumerate(rows) for j, v in row.items()]
-    heapify(heap)
-    scales: list[int] = []     # the multipliers p/g
-    while heap and len(col_rows) > DENSE_HANDOFF:     # a column per row left
-        cost, v, i, j = heappop(heap)
-        rs = col_rows.get(j, ())
-        if i not in rs:     # the entry left its row, or its row or column was pivoted
-            continue
-        prow = rows[i]
-        now, x = (len(prow) - 1) * (len(rs) - 1), abs(prow[j])
-        if now != cost or x != v:
-            heappush(heap, (now, x, i, j))
-            continue
-        if 2 * cost > (len(col_rows) - 1) ** 2:
-            break
-        pivot_rows.append(i)
-        pivot_cols.append(j)
-        p = prow[j]
-        factors.append(p)
-        for c in prow:
-            col_rows[c].discard(i)
-        for r in col_rows.pop(j):
-            row = rows[r]
-            a = row.pop(j)
-            if len(prow) > 1:   # else row_i = p e_j, and row - (a/p) row_i only drops a
-                g = gcd(p, a)
-                q, b = p // g, a // g
-                if q != 1:
-                    scales.append(q)
-                    for c in row:
-                        row[c] *= q
-                for c, x in prow.items():
-                    if c == j:
-                        continue
-                    y = row.get(c, 0) - b * x
-                    if y:
-                        if c not in row:
-                            col_rows[c].add(r)
-                            heappush(heap, (0, 0, r, c))
-                        row[c] = y
-                    else:
-                        del row[c]
-                        col_rows[c].discard(r)
-            content = gcd(*row.values())
-            if content == 0:
-                return 0       # a zero row
-            if content != 1:
-                factors.append(content)
-                for c in row:
-                    row[c] //= content
-    # the pivots, in order, then the block, in index order: a block
-    # triangular matrix whose determinant is the pivots' product times the block's
-    rest_rows = sorted(set(range(k)).difference(pivot_rows))
-    rest_cols = sorted(col_rows)
-    rank = {c: x for x, c in enumerate(cols)}
-    sign = _parity(pivot_rows + rest_rows) * _parity([rank[c] for c in pivot_cols + rest_cols])
-    block = _bareiss([[rows[i].get(c, 0) for c in rest_cols] for i in rest_rows])
-    return sign * prod(factors) * block // prod(scales)
-
-
-def _parity(order: list[int]) -> int:
-    """The sign of `order` as a permutation of 0..len(order)-1."""
-    seen = bytearray(len(order))
-    sign = 1
-    for x in range(len(order)):
-        if seen[x]:
-            continue
-        while not seen[x]:     # walk x's cycle; a cycle of length L is L - 1 swaps
-            seen[x] = 1
-            x = order[x]
-            sign = -sign
-        sign = -sign
-    return sign
 
 
 def out_laplacian(g: DiGraph, weights: Sequence[int] | None = None) -> list[dict[int, int]]:
@@ -676,7 +511,7 @@ def rhs_product(g: DiGraph, bound: int = DEFAULT_BOUND) -> Poly:
     poly = kappa_edge(g, bound=bound)
     for v in range(g.n):
         if g.indeg[v] > 1:
-            linear = {(e,): 1 for e in g.out_edges(v)}
+            linear = {(e,): 1 for e in g._out[v]}
             poly = _poly_mul(poly, reduce(_poly_mul, [linear] * (g.indeg[v] - 1), {(): 1}))
     return poly
 
@@ -723,7 +558,7 @@ def verify_identity(g: DiGraph, method: str = "expand",
             lhs_val = weighted_tree_sum(lg, lg_weights)
             rhs_val = weighted_tree_sum(g, x)
             for v in range(g.n):
-                rhs_val *= sum(x[e] for e in g.out_edges(v)) ** (g.indeg[v] - 1)
+                rhs_val *= sum(x[e] for e in g._out[v]) ** (g.indeg[v] - 1)
             if lhs_val != rhs_val:
                 witness = {"point": x, "lhs": lhs_val, "rhs": rhs_val}
                 return IdentityReport(False, None, None, witness, method)

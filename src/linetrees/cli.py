@@ -123,7 +123,7 @@ def _line_tree_from_json(g: DiGraph, ctx: LineContext, data) -> SpanningTree:
     succ: list[int | None] = [None] * g.m
     for e_name, f_name in data["edges"]:
         e, f = _lookup(edges, "edge", e_name, err), _lookup(edges, "edge", f_name, err)
-        if g.target(e) != g.source(f):
+        if g.edges[e][1] != g.edges[f][0]:
             raise err(f"({e_name},{f_name}) is not an edge of the line graph")
         if succ[e] is not None:
             raise err(f"line vertex {e_name} has more than one out-edge")

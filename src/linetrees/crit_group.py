@@ -4,26 +4,14 @@ the de Bruijn and Kautz families.
 The Laplacian is the package's one builder, arborescence.out_laplacian:
 L(G) = D(G) - A(G) with D = diag(outdeg) and A the adjacency matrix
 (counting multiplicities, self-loops included), so a self-loop cancels on
-the diagonal.  It is held as sparse rows, one {col: value} dict per row;
-no dense n x n matrix is built.  The paper's figure shows A - D, the
-negation; a cokernel and a Smith normal form do not depend on the sign.
-The sandpile group with sink r is the cokernel of the reduced Laplacian
-(row and column of r deleted); its order is the number of spanning trees
-rooted at r.  On a balanced (indeg = outdeg) strongly connected graph the
-choice of sink does not matter and the common group is the critical group.
-
-Smith normal form works on those rows in exact arithmetic.  The public
-smith_normal_form checks its input; the sandpile group hands its reduced
-Laplacian straight to the body, _smith, which reads a column key only by
-key order, so the columns keep their labels, a gap at the sink.  A unit
-phase splits off entries +-g, g the gcd of what is left, as SNF(g M) =
-g SNF(M), least Markowitz cost (r-1)(c-1) first and with no test; on the
-families' reduced Laplacians g grows by m a round.  It is the phase that
-arborescence.determinant runs too, elimination._unit_pivots.  Once a round
-splits under a quarter of its rows, a general loop splits off divisor
-pivots of least |p| from a lazy heap (_divisor_pivots tells how).
-A chain fix-up of the diagonal gives the invariant factors d1 | d2 | ...
-of the cokernel (units dropped, zeros counted as free rank).
+the diagonal.  The paper's figure shows A - D, the negation; a cokernel
+and a Smith normal form do not depend on the sign.  The sandpile group
+with sink r is the cokernel of the reduced Laplacian (row and column of r
+deleted); its order is the number of spanning trees rooted at r.  On a
+balanced (indeg = outdeg) strongly connected graph the choice of sink does
+not matter and the common group is the critical group.  smith_normal_form
+checks its input for the body, _smith, which linetrees.elimination holds;
+the sandpile group hands its reduced Laplacian straight to the body.
 
 Closed forms implemented for the two families (m >= 2):
 
@@ -43,16 +31,14 @@ exponent is the one implemented and tested here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, inf, log10, prod
 from operator import index
 from typing import Mapping, Sequence
 
-from . import elimination
 from .arborescence import out_laplacian
 from .digraph import DiGraph, _vertex, detect_family, is_eulerian, is_strongly_connected
-from .elimination import _column_rows
+from .elimination import _checked_rows, _smith
 from .errors import MAX_ORDER_DIGITS, GraphError, integer, integers
 
 
@@ -71,136 +57,14 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None
     split off a cyclic factor per pivot; the diagonal is those, then a zero
     for each of the min(rows, cols) places the rank leaves, chain-fixed.
     """
-    try:    # keys that sort become 0..k-1 in key order, which _smith packs
-        cols = len(rows) if cols is None else index(cols)
-        rank = {c: x for x, c in enumerate(sorted(set().union(*(row.keys() for row in rows))))}
-        sparse = [{rank[c]: x for c, v in row.items() if (x := index(v))} for row in rows]
-    except (TypeError, AttributeError):
-        raise ValueError("Smith form takes rows of {col: value} whose keys sort, and its "
-                         "entries and column count must be integers") from None
+    text = ("Smith form takes rows of {col: value} whose keys sort, and its "
+            "entries and column count must be integers")
+    sparse = _checked_rows(rows, text)[0]
+    cols = len(sparse) if cols is None else integer(cols, text)
     if cols < 0 or (keyed := len(set().union(*sparse))) > cols:
         raise ValueError(f"column count {cols} is negative" if cols < 0 else
                          f"{keyed} distinct columns in a matrix of {cols} columns")
-    return SmithResult(_smith(sparse, min(len(rows), cols)))
-
-
-def _smith(sparse: list[dict[int, int]], places: int) -> list[int]:
-    """The Smith diagonal over `places` = min(rows, cols) places, from trusted
-    rows (nonzero ints under non-negative int keys), which it empties: the
-    unit phase, then _divisor_pivots on what is left."""
-    units = elimination._unit_pivots(sparse, _column_rows(sparse))[2]
-    pivots = list(map(abs, units)) + _divisor_pivots(sparse)
-    # the chain is unique, and sorted powers of one prime already form one
-    return _chain(sorted(pivots) + [0] * (places - len(pivots)))
-
-
-def _divisor_pivots(sparse: list[dict[int, int]]) -> list[int]:
-    """Eliminate rows stored as {col: value} dicts, splitting off one
-    divisor pivot at a time.
-
-    An entry p that divides every entry of its row and of its column (so
-    |p| is the gcd of both) splits off Z_|p|: integer row operations clear
-    p's column, after which p's row holds only multiples of p, and the
-    column operations that would clear it touch no other row; so the row
-    and column are simply dropped.
-
-    Entries sit in one heap of (|p|, Markowitz cost (r-1)(c-1), i, j),
-    pushed at the start and again on each new value (then at cost 0, which
-    the first pop corrects).  A popped entry that is gone or whose |p| has
-    changed is dropped, and one whose cost has changed goes back in.  What
-    is left is a live entry p of least |p|, and only now is it tested
-    against its row and column.  If it fails, it takes the same row
-    operations, which leave remainders smaller than |p| in its column;
-    once p is alone there, reducing its row modulo p is a column operation
-    that touches no other row.  Either a smaller entry appears or p
-    becomes a divisor pivot, so p goes back in, and the loop ends with
-    every entry gone.  A heap of over four items per live entry is rebuilt
-    from the matrix, so stale items do not pile up under a dense remainder.
-
-    Reduces the rows of `sparse` in place, emptying each pivot row, and
-    returns the |p| in pivot order.
-    """
-    col_rows = _column_rows(sparse)
-
-    def keyed() -> list[tuple[int, int, int, int]]:
-        heap = [(abs(v), (len(row) - 1) * (len(col_rows[j]) - 1), i, j)
-                for i, row in enumerate(sparse) for j, v in row.items()]
-        heapify(heap)
-        return heap
-
-    heap = keyed()
-    live = len(heap)
-    pivots: list[int] = []
-    while heap:
-        v, cost, i, j = heappop(heap)
-        prow = sparse[i]
-        if abs(prow.get(j, 0)) != v:    # gone, or rewritten and pushed again
-            continue
-        rs = col_rows[j]
-        now = (len(prow) - 1) * (len(rs) - 1)
-        if now != cost:
-            heappush(heap, (v, now, i, j))
-            continue
-        p = prow[j]
-        split = v == 1 or (all(x % p == 0 for x in prow.values())
-                           and all(sparse[r][j] % p == 0 for r in rs))
-        if split:
-            pivots.append(v)
-            sparse[i] = {}
-            live -= len(prow)
-            for c in prow:
-                col_rows[c].discard(i)
-        for r in [r for r in rs if r != i]:
-            row = sparse[r]
-            q = row[j] // p
-            for c, a in prow.items():
-                x = row.get(c, 0) - q * a
-                if x:
-                    if c not in row:
-                        col_rows[c].add(r)
-                        live += 1
-                    row[c] = x
-                    heappush(heap, (abs(x), 0, r, c))
-                else:
-                    del row[c]
-                    col_rows[c].discard(r)
-                    live -= 1
-        if not split:
-            if len(rs) == 1:    # p alone in its column
-                for c in [c for c in prow if c != j]:
-                    x = prow[c] % p
-                    if x:
-                        prow[c] = x
-                        heappush(heap, (abs(x), 0, i, c))
-                    else:
-                        del prow[c]
-                        col_rows[c].discard(i)
-                        live -= 1
-            heappush(heap, (v, 0, i, j))
-        if len(heap) > 4 * live:
-            heap = keyed()
-    if any(sparse):    # an entry left out of the heap would drop a factor
-        raise RuntimeError("Smith form loop ended with entries left")
-    return pivots
-
-
-def _chain(diag: list[int]) -> list[int]:
-    """Enforce the divisibility chain d1 | d2 | ... on a diagonal, in place.
-
-    (a, b) -> (gcd, lcm) is a 2x2 unimodular change of basis.  Any zeros
-    come last, where they stay.
-    """
-    k = len(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = diag[i], diag[i + 1]
-            if a != 0 and b % a != 0:
-                g = gcd(a, b)
-                diag[i], diag[i + 1] = g, a // g * b
-                changed = True
-    return diag
+    return SmithResult(_smith(sparse, min(len(sparse), cols)))
 
 
 # --- finite abelian groups ---------------------------------------------------

@@ -73,13 +73,13 @@ class DiGraph:
         return len(self.edges)
 
     def source(self, e: int) -> int:
-        return self.edges[e][0]
+        return self.edges[_vertex(self.m, e, "edge")][0]
 
     def target(self, e: int) -> int:
-        return self.edges[e][1]
+        return self.edges[_vertex(self.m, e, "edge")][1]
 
     def out_edges(self, v: int) -> tuple[int, ...]:
-        return self._out[v]
+        return self._out[_vertex(self.n, v, "vertex")]
 
     def vertex_label(self, v: int) -> str:
         return self.vertex_labels[v] if self.vertex_labels else str(v)
@@ -100,10 +100,7 @@ def line_graph(g: DiGraph) -> DiGraph:
     """
     if g.m == 0:
         raise GraphError("line graph of an edgeless graph has no vertices")
-    lg_edges = []
-    for e in range(g.m):
-        for f in g.out_edges(g.target(e)):
-            lg_edges.append((e, f))
+    lg_edges = [(e, f) for e, (_, t) in enumerate(g.edges) for f in g._out[t]]
     labels = tuple(g.edge_label(e) for e in range(g.m)) if g.edge_labels else None
     return DiGraph(g.m, lg_edges, vertex_labels=labels)
 
@@ -234,9 +231,9 @@ def eulerian_circuit(g: DiGraph) -> list[int]:
     while stack:
         v, via = stack[-1]
         if ptr[v] < g.outdeg[v]:
-            e = g.out_edges(v)[ptr[v]]
+            e = g._out[v][ptr[v]]
             ptr[v] += 1
-            stack.append((g.target(e), e))
+            stack.append((g.edges[e][1], e))
         else:
             stack.pop()
             if via is not None:

@@ -1,10 +1,51 @@
-"""The unit phase that both sparse eliminations, arborescence.determinant
-and crit_group's Smith form, run first on the same Laplacian rows."""
+"""Sparse exact elimination: the determinant's and the Smith form's bodies,
+and the unit phase that both run first.
+
+A matrix is a list of sparse rows, one {col: value} dict per row.  The
+bodies, _determinant and _smith, take trusted rows (nonzero ints under
+non-negative int keys, read only in key order, so a monotone relabelling
+of the keys changes no pivot) and reduce them in place.  The checking
+entries, arborescence.determinant and crit_group.smith_normal_form, make
+them with _checked_rows; the tree counts and the sandpile group hand over
+their Laplacian rows unchecked.  Each elimination builds one column index,
+_column_rows, and every phase keeps it current.
+
+The unit phase, _unit_pivots, splits off entries +-g, g the gcd of what is
+left, least Markowitz cost (r-1)(c-1) first and with no test: each is then
+alone in its row and column, a factor of the determinant and, as
+SNF(g M) = g SNF(M), a cyclic factor of the Smith form.  Once a round
+splits under a quarter of its rows, _determinant runs a fraction-free
+Markowitz loop and dense Bareiss elimination (_bareiss) on the block it
+leaves, and _smith splits off divisor pivots (_divisor_pivots) and fixes
+up the chain d1 | d2 | ... (_chain).
+"""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
+from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd, inf
+from math import gcd, inf, prod
+from operator import index
+
+# A matrix with at most this many rows goes to dense Bareiss at once,
+# and so does the block the sparse phase leaves at this size: on the
+# matrices of a few vertices that knuth_check and the identity corpus feed
+# in, the heap costs more than dense elimination does.
+DENSE_HANDOFF = 10
+
+
+def _checked_rows(rows: Iterable[Mapping], text: str) -> tuple[list[dict[int, int]], int]:
+    """Trusted rows from untrusted ones, for the checking entries: the keys,
+    which must sort, become 0..k-1 in key order, and each value goes
+    through operator.index, its zeros dropped.  Also returns k, the number
+    of distinct keys (a key that holds only 0 counts).  Anything but rows
+    of such mappings raises ValueError(text)."""
+    try:    # len() refuses an iterator, which the key pass would use up
+        rank = {c: x for x, c in enumerate(sorted(set().union(*rows)))} if len(rows) else {}
+        return [{rank[c]: x for c, v in row.items() if (x := index(v))} for row in rows], len(rank)
+    except (TypeError, AttributeError):
+        raise ValueError(text) from None
 
 
 def _column_rows(rows: list[dict[int, int]]) -> dict[int, set[int]]:
@@ -19,8 +60,7 @@ def _column_rows(rows: list[dict[int, int]]) -> dict[int, set[int]]:
 def _unit_pivots(sparse: list[dict[int, int]], col_rows: dict[int, set[int]],
                  skip_short: bool = False) -> tuple[list[int], list[int], list[int]]:
     """The unit phase: the rows, columns and signed values of its pivots, in
-    order.  It reduces trusted rows (nonzero ints under non-negative int
-    keys, read in key order) and their index (_column_rows) in place.
+    order.  It reduces the rows and their index in place.
 
     A round's units are the entries +-g, g the gcd of all, so none is
     divided.  `buckets` maps a Markowitz cost (r-1)(c-1) to its units as
@@ -100,3 +140,263 @@ def _unit_pivots(sparse: list[dict[int, int]], col_rows: dict[int, set[int]],
         if 4 * (len(pivots) - start) < len(live):
             break
     return pivot_rows, pivot_cols, pivots
+
+
+# --- the determinant ---------------------------------------------------------
+
+def _determinant(rows: list[dict[int, int]]) -> int:
+    """The determinant of k trusted rows under at most k keys.
+
+    The unit phase runs with skip_short, so it does not run a first round
+    whose units lie in too few distinct rows or columns to split a quarter
+    of the rows.  The rest takes sparse fraction-free elimination with
+    pivots in Markowitz order: the nonzero p at (i, j) with the least cost
+    (r - 1)(c - 1), for r entries in its row and c in its column, then the
+    least |p|.  Each row with an entry a in column j becomes
+    (p/g) row - (a/g) row_i, g = gcd(p, a), and is then divided by its
+    content (the gcd of its entries); the pivots, the multipliers p/g and
+    the contents are carried into the determinant.  Entries sit in a heap
+    of (cost, |p|, i, j) under one lazy rule: each entry is pushed when it
+    appears, at the start or as fill-in (then under the key (0, 0), so that
+    its first pop keys it), and a popped entry is checked against the
+    matrix.  One that has left its row, or whose row was pivoted, is
+    dropped; one whose (cost, |p|) has changed goes back in at its current
+    key.  Once at most DENSE_HANDOFF rows are left, or the cheapest pivot
+    would touch over half of the block left, that block goes to _bareiss.
+    """
+    k = len(rows)
+    if k <= DENSE_HANDOFF:
+        cols = sorted(set().union(*rows))
+        return _bareiss([[row.get(c, 0) for c in cols] for row in rows]) if len(cols) == k else 0
+    col_rows = _column_rows(rows)
+    if len(col_rows) < k:
+        return 0    # a zero column
+    cols = sorted(col_rows)     # every column, for the sign at the end
+    # factors: the pivots, the units' first; the loop adds the row contents
+    pivot_rows, pivot_cols, factors = _unit_pivots(rows, col_rows, skip_short=True)
+    if not all(col_rows.values()) or sum(map(bool, rows)) < len(col_rows):
+        return 0    # a column or a row of the rest that the units emptied
+    heap = [((len(row) - 1) * (len(col_rows[j]) - 1), abs(v), i, j)
+            for i, row in enumerate(rows) for j, v in row.items()]
+    heapify(heap)
+    scales: list[int] = []     # the multipliers p/g
+    while heap and len(col_rows) > DENSE_HANDOFF:     # a column per row left
+        cost, v, i, j = heappop(heap)
+        rs = col_rows.get(j, ())
+        if i not in rs:     # the entry left its row, or its row or column was pivoted
+            continue
+        prow = rows[i]
+        now, x = (len(prow) - 1) * (len(rs) - 1), abs(prow[j])
+        if now != cost or x != v:
+            heappush(heap, (now, x, i, j))
+            continue
+        if 2 * cost > (len(col_rows) - 1) ** 2:
+            break
+        pivot_rows.append(i)
+        pivot_cols.append(j)
+        p = prow[j]
+        factors.append(p)
+        for c in prow:
+            col_rows[c].discard(i)
+        for r in col_rows.pop(j):
+            row = rows[r]
+            a = row.pop(j)
+            if len(prow) > 1:   # else row_i = p e_j, and row - (a/p) row_i only drops a
+                g = gcd(p, a)
+                q, b = p // g, a // g
+                if q != 1:
+                    scales.append(q)
+                    for c in row:
+                        row[c] *= q
+                for c, x in prow.items():
+                    if c == j:
+                        continue
+                    y = row.get(c, 0) - b * x
+                    if y:
+                        if c not in row:
+                            col_rows[c].add(r)
+                            heappush(heap, (0, 0, r, c))
+                        row[c] = y
+                    else:
+                        del row[c]
+                        col_rows[c].discard(r)
+            content = gcd(*row.values())
+            if content == 0:
+                return 0       # a zero row
+            if content != 1:
+                factors.append(content)
+                for c in row:
+                    row[c] //= content
+    # the pivots, in order, then the block, in index order: a block
+    # triangular matrix whose determinant is the pivots' product times the block's
+    rest_rows = sorted(set(range(k)).difference(pivot_rows))
+    rest_cols = sorted(col_rows)
+    rank = {c: x for x, c in enumerate(cols)}
+    sign = _parity(pivot_rows + rest_rows) * _parity([rank[c] for c in pivot_cols + rest_cols])
+    block = _bareiss([[rows[i].get(c, 0) for c in rest_cols] for i in rest_rows])
+    return sign * prod(factors) * block // prod(scales)
+
+
+def _parity(order: list[int]) -> int:
+    """The sign of `order` as a permutation of 0..len(order)-1."""
+    seen = bytearray(len(order))
+    sign = 1
+    for x in range(len(order)):
+        if seen[x]:
+            continue
+        while not seen[x]:     # walk x's cycle; a cycle of length L is L - 1 swaps
+            seen[x] = 1
+            x = order[x]
+            sign = -sign
+        sign = -sign
+    return sign
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination, exact, on a square list of
+    integer lists that it reduces in place: arborescence.bareiss_determinant's
+    body."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = m[k]
+        p = pivot_row[k]
+        for row in m[k + 1:]:
+            a = row[k]
+            if a or p != prev:      # else the update leaves the row as it is
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * p - a * pivot_row[j]) // prev
+        prev = p
+    return sign * m[n - 1][n - 1]
+
+
+# --- the Smith normal form ---------------------------------------------------
+
+def _smith(sparse: list[dict[int, int]], places: int) -> list[int]:
+    """The Smith diagonal over `places` = min(rows, cols) places, from
+    trusted rows, which it empties: the unit phase, then _divisor_pivots on
+    what is left, with the one column index."""
+    col_rows = _column_rows(sparse)
+    units = _unit_pivots(sparse, col_rows)[2]
+    pivots = list(map(abs, units)) + _divisor_pivots(sparse, col_rows)
+    # the chain is unique, and sorted powers of one prime already form one
+    return _chain(sorted(pivots) + [0] * (places - len(pivots)))
+
+
+def _divisor_pivots(sparse: list[dict[int, int]], col_rows: dict[int, set[int]]) -> list[int]:
+    """Eliminate rows stored as {col: value} dicts, splitting off one
+    divisor pivot at a time; col_rows is their index, as the unit phase
+    left it.
+
+    An entry p that divides every entry of its row and of its column (so
+    |p| is the gcd of both) splits off Z_|p|: integer row operations clear
+    p's column, after which p's row holds only multiples of p, and the
+    column operations that would clear it touch no other row; so the row
+    and column are simply dropped.
+
+    Entries sit in one heap of (|p|, Markowitz cost (r-1)(c-1), i, j),
+    pushed at the start and again on each new value (then at cost 0, which
+    the first pop corrects).  A popped entry that is gone or whose |p| has
+    changed is dropped, and one whose cost has changed goes back in.  What
+    is left is a live entry p of least |p|, and only now is it tested
+    against its row and column.  If it fails, it takes the same row
+    operations, which leave remainders smaller than |p| in its column;
+    once p is alone there, reducing its row modulo p is a column operation
+    that touches no other row.  Either a smaller entry appears or p
+    becomes a divisor pivot, so p goes back in, and the loop ends with
+    every entry gone.  A heap of over four items per live entry is rebuilt
+    from the matrix, so stale items do not pile up under a dense remainder.
+
+    Reduces the rows of `sparse` and the index in place, emptying each
+    pivot row, and returns the |p| in pivot order.
+    """
+    def keyed() -> list[tuple[int, int, int, int]]:
+        heap = [(abs(v), (len(row) - 1) * (len(col_rows[j]) - 1), i, j)
+                for i, row in enumerate(sparse) for j, v in row.items()]
+        heapify(heap)
+        return heap
+
+    heap = keyed()
+    live = len(heap)
+    pivots: list[int] = []
+    while heap:
+        v, cost, i, j = heappop(heap)
+        prow = sparse[i]
+        if abs(prow.get(j, 0)) != v:    # gone, or rewritten and pushed again
+            continue
+        rs = col_rows[j]
+        now = (len(prow) - 1) * (len(rs) - 1)
+        if now != cost:
+            heappush(heap, (v, now, i, j))
+            continue
+        p = prow[j]
+        split = v == 1 or (all(x % p == 0 for x in prow.values())
+                           and all(sparse[r][j] % p == 0 for r in rs))
+        if split:
+            pivots.append(v)
+            sparse[i] = {}
+            live -= len(prow)
+            for c in prow:
+                col_rows[c].discard(i)
+        for r in [r for r in rs if r != i]:
+            row = sparse[r]
+            q = row[j] // p
+            for c, a in prow.items():
+                x = row.get(c, 0) - q * a
+                if x:
+                    if c not in row:
+                        col_rows[c].add(r)
+                        live += 1
+                    row[c] = x
+                    heappush(heap, (abs(x), 0, r, c))
+                else:
+                    del row[c]
+                    col_rows[c].discard(r)
+                    live -= 1
+        if not split:
+            if len(rs) == 1:    # p alone in its column
+                for c in [c for c in prow if c != j]:
+                    x = prow[c] % p
+                    if x:
+                        prow[c] = x
+                        heappush(heap, (abs(x), 0, i, c))
+                    else:
+                        del prow[c]
+                        col_rows[c].discard(i)
+                        live -= 1
+            heappush(heap, (v, 0, i, j))
+        if len(heap) > 4 * live:
+            heap = keyed()
+    if any(sparse):    # an entry left out of the heap would drop a factor
+        raise RuntimeError("Smith form loop ended with entries left")
+    return pivots
+
+
+def _chain(diag: list[int]) -> list[int]:
+    """Enforce the divisibility chain d1 | d2 | ... on a diagonal, in place.
+
+    (a, b) -> (gcd, lcm) is a 2x2 unimodular change of basis.  Any zeros
+    come last, where they stay.
+    """
+    k = len(diag)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k - 1):
+            a, b = diag[i], diag[i + 1]
+            if a != 0 and b % a != 0:
+                g = gcd(a, b)
+                diag[i], diag[i + 1] = g, a // g * b
+                changed = True
+    return diag

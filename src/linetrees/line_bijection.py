@@ -79,7 +79,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
-from operator import add, is_
+from operator import add, index, is_
 from typing import Iterable, Iterator, Sequence
 
 from .arborescence import (SpanningTree, _check_reaches_root, _check_shape, count_trees,
@@ -213,9 +213,9 @@ class LineContext:
         _check_shape(root, succ, self.g.m)
         line_id = self.line_id
         try:
-            return SpanningTree(root, tuple([None if f is None else line_id[e][f]
+            return SpanningTree(root, tuple([None if f is None else line_id[e][index(f)]
                                              for e, f in enumerate(succ)]))
-        except (KeyError, TypeError):   # not an out-edge of t(e), or unhashable
+        except (KeyError, TypeError):   # not an out-edge of t(e), or not an integer
             raise InvalidTreeError("each succ[e] must be None or an out-edge of t(e)") from None
 
     def successors(self, tree: SpanningTree) -> Succ:
@@ -223,8 +223,8 @@ class LineContext:
 
         Line edge j out of e is (e, f) with f the (j - off[e])-th out-edge
         of t(e), so no line graph is built."""
-        out, target, off = self.g.out_edges, self.target, self.off
-        return tuple([None if j is None else out(t)[j - o]
+        out, target, off = self.g._out, self.target, self.off
+        return tuple([None if j is None else out[t][j - o]
                       for j, t, o in zip(tree.out_edge, target, off)])
 
     def _checked_order(self, order: Sequence[int] | None) -> Sequence[int]:
@@ -382,7 +382,7 @@ def enumerate_tree_arrays(g: DiGraph, bound: int = DEFAULT_BOUND) -> Iterator[Tr
         raise EnumerationBound(f"{count_text(expected)} tree arrays "
                                f"exceed bound {count_text(bound)}")
     # all length-(indeg(v)-1) sequences of v's out-edges, lexicographically
-    protos = [list(product(g.out_edges(v), repeat=g.indeg[v] - 1)) for v in range(g.n)]
+    protos = [list(product(out, repeat=d - 1)) for out, d in zip(g._out, g.indeg)]
     if any(not p for p in protos):
         # some vertex has surplus indegree but no out-edges: the proto-list
         # product is empty, matching the zero factor in the array count

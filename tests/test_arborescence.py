@@ -1,3 +1,4 @@
+import ast
 import random
 import sys
 import time
@@ -10,16 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 import linetrees.arborescence as arb
 import linetrees.elimination as elimination
-from linetrees.arborescence import (DEFAULT_BOUND, DENSE_HANDOFF, SpanningTree, _candidate_count,
-                                    _frontier_counts, _parity, _poly_mul, _tree_roots, _unpack,
+from linetrees.arborescence import (DEFAULT_BOUND, SpanningTree, _candidate_count,
+                                    _frontier_counts, _poly_mul, _tree_roots, _unpack,
                                     bareiss_determinant, count_trees, determinant,
                                     enumerate_trees, kappa_edge, kappa_vertex, knuth_check, minor, out_laplacian, rhs_product,
                                     rooted_tree_counts, validate_tree, verify_identity,
                                     weighted_tree_sum)
 from linetrees.digraph import DiGraph, debruijn, kautz, line_graph
+from linetrees.elimination import DENSE_HANDOFF, _parity
 from linetrees.errors import (MAX_ORDER_DIGITS, EnumerationBound, GraphError, InvalidTreeError,
                               count_text)
 from oracles import count_trees_rooted, dense, dense_laplacian, dense_minor, sparse
+from test_public_surface import PACKAGE
 
 TWO_CYCLE = DiGraph(2, [(0, 1), (1, 0)])
 SELF_LOOP = DiGraph(1, [(0, 0)])
@@ -478,11 +481,12 @@ def test_count_trees_determinant_and_sandpile_group_share_one_unit_phase():
     # the phase lives in elimination alone; the tree count and the checked
     # determinant reach it through the determinant's body, which may skip a
     # short round, and the Smith form's body runs every round; a count on at
-    # most DENSE_HANDOFF vertices goes to bareiss_determinant instead
+    # most DENSE_HANDOFF vertices goes to dense Bareiss whole instead, and a
+    # larger one hands it only the block its loop leaves (0 and 3 rows here)
     import linetrees.crit_group as crit_group
     assert not hasattr(crit_group, "_unit_pivots") and not hasattr(arb, "_unit_pivots")
     calls, dense_calls = [], []
-    unit_pivots, bareiss = elimination._unit_pivots, arb.bareiss_determinant
+    unit_pivots, bareiss = elimination._unit_pivots, elimination._bareiss
 
     def recording(rows, col_rows, skip_short=False):
         calls.append((len(rows), skip_short))
@@ -495,13 +499,27 @@ def test_count_trees_determinant_and_sandpile_group_share_one_unit_phase():
     rows = [{i: 2, (i + 1) % 20: -1, (i * 7) % 20: 1} for i in range(20)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(elimination, "_unit_pivots", recording)
-        patch.setattr(arb, "bareiss_determinant", counting_bareiss)
+        patch.setattr(elimination, "_bareiss", counting_bareiss)
         assert count_trees(debruijn(2, 6)) == 2 ** 63
         assert determinant(rows) == sympy.Matrix(dense(rows, 20)).det()
         assert crit_group.sandpile_group(debruijn(2, 4), 3).order == 2 ** 11
-        assert (calls, dense_calls) == ([(64, True), (20, True), (15, False)], [])
+        assert (calls, dense_calls) == ([(64, True), (20, True), (15, False)], [0, 3])
         assert count_trees(debruijn(2, 3)) == 2 ** 7
-    assert (calls, dense_calls) == ([(64, True), (20, True), (15, False)], [8])
+    assert (calls, dense_calls) == ([(64, True), (20, True), (15, False)], [0, 3, 8])
+
+
+def test_only_elimination_touches_a_heap_or_a_column_index():
+    # the determinant's and the Smith form's bodies live in one module: no
+    # other imports heapq, or names the column index or the unit phase
+    touching = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "module", None), getattr(node, "id", None),
+                     getattr(node, "attr", None)}
+            names.update(a.name for a in getattr(node, "names", ()))
+            if {"heapq", "_column_rows", "_unit_pivots"} & names:
+                touching.append(path.stem)
+    assert set(touching) == {"elimination"}
 
 
 def _tree_sum_rows(g, weights):

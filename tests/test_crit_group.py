@@ -15,14 +15,14 @@ import linetrees.crit_group as crit_group
 import linetrees.elimination as elimination
 from linetrees.arborescence import (count_trees, determinant, minor, out_laplacian,
                                     rooted_tree_counts)
-from linetrees.crit_group import (AbelianGroup, DivisibilityReport, GroupFormula, _chain,
-                                  _divisor_pivots, check_divbym,
+from linetrees.crit_group import (AbelianGroup, DivisibilityReport, GroupFormula, check_divbym,
                                   critical_group, db_formula, group_from_cyclic_orders,
                                   group_from_diagonal, group_order_db,
                                   group_order_kautz, kautz_formula, mult_by_k,
                                   sandpile_group, smith_normal_form,
                                   tree_count_db, tree_count_kautz)
 from linetrees.digraph import DiGraph, debruijn, is_strongly_connected, kautz
+from linetrees.elimination import _chain, _column_rows, _divisor_pivots
 from linetrees.errors import GraphError
 from oracles import (bucket_unit_pivots, count_trees_rooted, dense, dense_diagonal,
                      dense_laplacian, dense_minor, sparse)
@@ -110,6 +110,12 @@ def test_snf_transforms_and_sympy_agreement(rows):
     assert result.diagonal == _dense_snf(rows)
 
 
+def _indexed_divisor_pivots(rows):
+    """_divisor_pivots on rows and a fresh column index, as _smith hands it
+    the index the unit phase left."""
+    return _divisor_pivots(rows, _column_rows(rows))
+
+
 @pytest.mark.parametrize("rows,split,diagonal", [
     # no entry divides its row and column: the least entry 2 leaves the
     # remainder 1, which then splits off, and 5 after it
@@ -120,7 +126,7 @@ def test_snf_transforms_and_sympy_agreement(rows):
     ([[2, 4], [4, 6]], [2, 2], [2, 2]),
 ])
 def test_divisor_pivots_split(rows, split, diagonal):
-    assert _divisor_pivots(sparse(rows)) == split
+    assert _indexed_divisor_pivots(sparse(rows)) == split
     assert smith_normal_form(sparse(rows), len(rows[0])).diagonal == diagonal
 
 
@@ -152,10 +158,10 @@ def test_family_laplacians_split_at_nearly_every_pop(make, m, n, non_split, pops
         popped.append(1)
         return heapq.heappop(heap)
 
-    monkeypatch.setattr(crit_group, "all", counting_all, raising=False)
-    monkeypatch.setattr(crit_group, "heappop", counting_heappop)
+    monkeypatch.setattr(elimination, "all", counting_all, raising=False)
+    monkeypatch.setattr(elimination, "heappop", counting_heappop)
     reduced = minor(out_laplacian(make(m, n)), 0)
-    assert len(_divisor_pivots(reduced)) == len(reduced)
+    assert len(_indexed_divisor_pivots(reduced)) == len(reduced)
     assert tests.count(False) == non_split
     assert len(popped) == pops
 
@@ -172,9 +178,9 @@ def test_lost_push_raises_instead_of_dropping_a_factor(rows, monkeypatch):
         if len(pushes) > 1:
             heapq.heappush(heap, item)
 
-    monkeypatch.setattr(crit_group, "heappush", losing_heappush)
+    monkeypatch.setattr(elimination, "heappush", losing_heappush)
     with pytest.raises(RuntimeError, match="entries left"):
-        _divisor_pivots(sparse(rows))
+        _indexed_divisor_pivots(sparse(rows))
     assert pushes[0][0] == 1
 
 
@@ -295,7 +301,7 @@ def test_packed_bucket_queue_matches_the_plain_bucket_oracle(matrix, keys):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(elimination, "_unit_pivots", recording)
-        patch.setattr(crit_group, "_divisor_pivots", lambda rest: [])
+        patch.setattr(elimination, "_divisor_pivots", lambda rest, col_rows: [])
         smith_normal_form(keyed, cols)
     assert keyed == given_rows      # the input is not changed
     oracle_left = [dict(row) for row in keyed]
@@ -359,12 +365,12 @@ def test_unit_phase_leaves_the_family_minors_a_small_remainder(
         contents.append(gcd(*values))
         return contents[-1]
 
-    def divisor_pivots(sparse):
+    def divisor_pivots(sparse, col_rows):
         entries.append(sum(map(len, sparse)))
-        return _divisor_pivots(sparse)
+        return _divisor_pivots(sparse, col_rows)
 
     monkeypatch.setattr(elimination, "gcd", counting_gcd)
-    monkeypatch.setattr(crit_group, "_divisor_pivots", divisor_pivots)
+    monkeypatch.setattr(elimination, "_divisor_pivots", divisor_pivots)
     g = make(m, n)
     rng = random.Random(0)
     perm = list(range(g.n))
@@ -376,8 +382,9 @@ def test_unit_phase_leaves_the_family_minors_a_small_remainder(
         entries.clear()
         reduced = minor(out_laplacian(graph), sink)
         # the pivots _smith takes: the unit phase's, then the divisor pivots
-        units = elimination._unit_pivots(reduced, elimination._column_rows(reduced))[2]
-        pivots = units + crit_group._divisor_pivots(reduced)
+        col_rows = elimination._column_rows(reduced)
+        units = elimination._unit_pivots(reduced, col_rows)[2]
+        pivots = units + elimination._divisor_pivots(reduced, col_rows)
         assert len(pivots) == len(reduced) and not any(reduced)
         # one gcd a round: 1 (the Laplacian's), then each the last or m times it
         assert contents[0] == 1 and all(b in (a, m * a) for a, b in zip(contents, contents[1:]))
@@ -423,12 +430,12 @@ def test_snf_of_permutation_graph_minors_compacts_the_heap(n, seed, monkeypatch)
             builds.append(len(heap))
         heapq.heapify(heap)
 
-    def divisor_pivots(sparse):
+    def divisor_pivots(sparse, col_rows):
         inside.append(1)
-        return _divisor_pivots(sparse)
+        return _divisor_pivots(sparse, col_rows)
 
-    monkeypatch.setattr(crit_group, "heapify", counting_heapify)
-    monkeypatch.setattr(crit_group, "_divisor_pivots", divisor_pivots)
+    monkeypatch.setattr(elimination, "heapify", counting_heapify)
+    monkeypatch.setattr(elimination, "_divisor_pivots", divisor_pivots)
     g = _permutation_graph(n, seed)
     diagonal = smith_normal_form(minor(out_laplacian(g), 0)).diagonal
     assert diagonal == _dense_snf(dense_minor(dense_laplacian(g), 0))
@@ -533,7 +540,7 @@ def test_sandpile_takes_the_pivots_of_the_public_smith_form(g):
     # rows, get the same pivots and hand the same rows on.  A renumbering
     # that reorders the columns (the last vertex moved into the sink's
     # slot, say) breaks ties between pivots another way and fails here.
-    unit_pivots, divisor_pivots = elimination._unit_pivots, crit_group._divisor_pivots
+    unit_pivots, divisor_pivots = elimination._unit_pivots, elimination._divisor_pivots
 
     def route(run):
         seen = []
@@ -543,14 +550,14 @@ def test_sandpile_takes_the_pivots_of_the_public_smith_form(g):
             seen.append(unit_pivots(rows, col_rows, skip_short))
             return seen[-1]
 
-        def recording_divisor(rows):
+        def recording_divisor(rows, col_rows):
             seen.append([dict(row) for row in rows])
-            seen.append(divisor_pivots(rows))
+            seen.append(divisor_pivots(rows, col_rows))
             return seen[-1]
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(elimination, "_unit_pivots", recording_unit)
-            patch.setattr(crit_group, "_divisor_pivots", recording_divisor)
+            patch.setattr(elimination, "_divisor_pivots", recording_divisor)
             result = run()
         # both phases' pivots in order: the units' signed values, then the divisors
         started, left, pivots = seen[0], seen[2], seen[1][2] + seen[3]

@@ -6,7 +6,8 @@ row of ROWS is (member, argument, bad values, error type, message pattern);
 every other argument takes its value from VALID.  A row with no bad values
 says that every value of the right kind is accepted.  Every parameter of
 every public callable (``test_public_surface.public_members()``, plus
-``LineContext.sigma``/``.pi``/``.line_tree``) needs a row, or its member a
+``LineContext.sigma``/``.pi``/``.line_tree`` and
+``DiGraph.source``/``.target``/``.out_edges``) needs a row, or its member a
 reason in NO_ARGUMENT_ROWS, so new API cannot skip the contract, and
 deleting any row or reason fails ``test_every_public_argument_has_a_row``.
 """
@@ -36,7 +37,8 @@ SUCC = LineContext(G).successors(TREE)
 ZERO_INDEGREE = DiGraph(2, [(0, 1)])            # nor strongly connected, nor balanced
 EDGELESS = DiGraph(1, [])
 UNLABELLED = DiGraph(2, [(0, 1), (1, 0)])
-METHODS = ("sigma", "pi", "line_tree")
+# the public methods with rows, by class; they are called on LineContext(G) and G
+METHODS = {LineContext: ("sigma", "pi", "line_tree"), DiGraph: ("source", "target", "out_edges")}
 
 # Valid arguments for each member; a row replaces one of them.
 VALID = {
@@ -100,6 +102,9 @@ VALID = {
     "LineContext.sigma": dict(a=ARRAY, order=[3, 2, 1, 0]),
     "LineContext.pi": dict(tree=TREE, order=[3, 2, 1, 0]),
     "LineContext.line_tree": dict(root=TREE.root, succ=SUCC),
+    "DiGraph.source": dict(e=3),
+    "DiGraph.target": dict(e=3),
+    "DiGraph.out_edges": dict(v=1),
     "enumerate_tree_arrays": dict(g=G, bound=100),
     "shuffled_order": dict(g=G, seed=1),
     "tree_array_count": dict(g=G),
@@ -137,7 +142,8 @@ def _succs(root, succ):
     head = G.target((root + 1) % len(succ))
     elsewhere = next(f for f in range(G.m) if G.source(f) != head)
     return [None, 5, succ[:-1], succ + (None,),
-            *(_put(root, succ, x) for x in ("x", 1.5, -1, 4, [1], elsewhere))]
+            *(_put(root, succ, x) for x in ("x", 1.5, float(G.out_edges(head)[0]), -1, 4, [1],
+                                            elsewhere))]
 
 
 ROWS = [
@@ -147,7 +153,7 @@ ROWS = [
     ("count_trees", "g", *ANY),
     ("degree_product", "g", [ZERO_INDEGREE], InvalidTreeError, "indegree"),
     ("determinant", "rows", [[{0: 1.5}], [{0: "x"}], [{0: None}], [{0: 1, 1: 1}],
-                             [{0: 1.5}] * 11],
+                             [{0: 1.5}] * 11, iter([{0: 1}])],
      ValueError, "matrix|determinant rows"),
     ("enumerate_trees", "g", *ANY),
     ("enumerate_trees", "root", [*NOT_INTEGERS[:2], -1, 2], GraphError, "^root"),
@@ -207,7 +213,8 @@ ROWS = [
     ("mult_by_k", "k", NOT_INTEGERS, ValueError, "integer k"),
     ("sandpile_group", "g", [ZERO_INDEGREE], GraphError, "strongly connected"),
     ("sandpile_group", "sink", [*NOT_INTEGERS, -1, 2], GraphError, "^sink"),
-    ("smith_normal_form", "rows", [[{0: 1.5}], [{0: "x"}], [{0: None}], [{0: 1, 1: 1, 2: 1}]],
+    ("smith_normal_form", "rows", [[{0: 1.5}], [{0: "x"}], [{0: None}], [{0: 1, 1: 1, 2: 1}],
+                                   iter([{0: 2}, {1: 3}])],
      ValueError, "entries|columns"),
     ("smith_normal_form", "cols", [1.5, "x", -1, 1], ValueError, "column"),
     # db_codec
@@ -232,6 +239,9 @@ ROWS = [
      GraphError, "edge"),
     ("DiGraph", "vertex_labels", [["a"], ["a", "a"]], GraphError, "vertex label"),
     ("DiGraph", "edge_labels", [["x"], ["x", "y", "z"]], GraphError, "edge label"),
+    ("DiGraph.source", "e", [*NOT_INTEGERS, 1.0, -1, 4], GraphError, "^edge"),
+    ("DiGraph.target", "e", [*NOT_INTEGERS, 1.0, -1, 4], GraphError, "^edge"),
+    ("DiGraph.out_edges", "v", [*NOT_INTEGERS, 1.0, -1, 2], GraphError, "^vertex"),
     ("class_cycle", "g", [G, UNLABELLED], UnsupportedFamilyError, "length|labels"),
     ("debruijn", "m", [0, *NOT_INTEGERS, 40], GraphError, "requires|alphabet"),
     ("debruijn", "n", [0, *NOT_INTEGERS, 30], GraphError, "requires|cap"),
@@ -301,19 +311,21 @@ NO_ARGUMENT_ROWS = {
 
 @cache
 def _members() -> dict:
-    """Every public callable, and the three public LineContext maps, by name."""
+    """Every public callable, and the public methods of METHODS, by name."""
     found = {}
     for name, module in public_members().items():
         obj = getattr(import_module(f"linetrees.{module}"), name)
         if callable(obj):
             found[name] = obj
-    found.update({f"LineContext.{m}": getattr(LineContext, m) for m in METHODS})
+    found.update({f"{cls.__name__}.{m}": getattr(cls, m)
+                  for cls, names in METHODS.items() for m in names})
     return found
 
 
 def _call(member: str, **changed):
     if "." in member:
-        target = getattr(LineContext(G), member.split(".")[1])
+        owner, method = member.split(".")
+        target = getattr({"LineContext": LineContext(G), "DiGraph": G}[owner], method)
     else:
         target = _members()[member]
     result = target(**{**VALID[member], **changed})
