@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Time critical groups and tree counts of family graphs against their size.
 
-For each case in CASES, a child process builds the graph, times REPS
+For each case in CASES, a child process builds the graph, times the case's
 `critical_group` or `count_trees` calls and reports their median, and then
 checks the answer against the closed forms (`db_formula`/`kautz_formula`,
-`tree_count_db`).  The
-"eulerian" rows take the union of three seeded random permutations of n
-vertices, a graph with no closed form, so their child checks the group's
-order against the determinant D of the reduced Laplacian instead, and the
-tree count against n * D, since every root of an Eulerian graph has the
-same count; these take seconds, so they are timed once.  Each child gets
-TIMEOUT_S seconds; the harness and --src are in scaling.py.
+`tree_count_db`).  The "eulerian" rows take the union of three seeded
+random permutations of n vertices, a graph with no closed form, so their
+child checks the group's order against the determinant of the reduced
+Laplacian instead, and the tree count against `weighted_tree_sum` with unit
+weights, det(L + 1 e_0^T), which `count_trees` does not take on a balanced
+graph.  Each child gets TIMEOUT_S seconds; the harness and --src are in
+scaling.py.
 
 Usage:
     python scripts/matrix_scaling.py [--src DIR ...]
@@ -18,31 +18,36 @@ Usage:
 
 import scaling
 
-TIMEOUT_S = 120.0
+TIMEOUT_S = 300.0
 # a family row takes 5-170 ms, within the noise of a shared host, so each
-# is a median
+# is the median of REPS calls.  An Eulerian row of up to ~20 s is the
+# median of EULERIAN_REPS, as single runs of the same code have read up to
+# 1.3x apart there.  On the Eulerian graphs a group's time also moves
+# between about 0.6x and 1.5x with the order in which tied pivots go, so
+# n = 300 runs 12 seeds once each, to be judged by their total, which the
+# table's last row gives; the n = 500 group (~25 s) runs once.
 REPS = 5
-# (what, family, m, n); for "eulerian", m is the seed and n the vertex count
-# the critical_group rows include each graph of perfbench's matrix workload:
-# db(2,8), db(3,5), db(4,4), kautz(2,8) and kautz(3,5).  On the Eulerian
-# graphs a seed's time moves between about 0.6x and 1.5x with the order in
-# which tied pivots go, so n = 300 runs 12 seeds, to be judged by their
-# total, which the table's last row gives; count_trees runs to n = 1000 to
-# show its growth past n = 500
-CASES = ([("critical_group", "db", 2, n) for n in range(8, 14)]
-         + [("critical_group", "db", 3, 5), ("critical_group", "db", 4, 4)]
-         + [("critical_group", "kautz", 2, 8), ("critical_group", "kautz", 3, 5)]
-         + [("critical_group", "eulerian", 1, n) for n in (150, 200)]
-         + [("critical_group", "eulerian", seed, 300) for seed in range(1, 13)]
-         + [("critical_group", "eulerian", 1, 500)]
-         + [("count_trees", "db", 2, n) for n in range(5, 14)]
-         + [("count_trees", "eulerian", 1, n) for n in (300, 500, 1000)])
-CHILD = f"REPS = {REPS}" + """
+EULERIAN_REPS = 3
+# (what, family, m, n, calls); for "eulerian", m is the seed and n the
+# vertex count.  The critical_group rows include each graph of perfbench's
+# matrix workload: db(2,8), db(3,5), db(4,4), kautz(2,8) and kautz(3,5);
+# count_trees runs to n = 1000 to show its growth past n = 500
+CASES = ([("critical_group", "db", 2, n, REPS) for n in range(8, 14)]
+         + [("critical_group", "db", 3, 5, REPS), ("critical_group", "db", 4, 4, REPS)]
+         + [("critical_group", "kautz", 2, 8, REPS), ("critical_group", "kautz", 3, 5, REPS)]
+         + [("critical_group", "eulerian", 1, n, EULERIAN_REPS) for n in (150, 200)]
+         + [("critical_group", "eulerian", seed, 300, 1) for seed in range(1, 13)]
+         + [("critical_group", "eulerian", 1, 500, 1)]
+         + [("count_trees", "db", 2, n, REPS) for n in range(5, 14)]
+         + [("count_trees", "eulerian", 1, n, EULERIAN_REPS) for n in (300, 500, 1000)])
+CHILD = """
 import json, random, resource, statistics, sys, time
-from linetrees.arborescence import count_trees, determinant, minor, out_laplacian
+from linetrees.arborescence import (count_trees, determinant, minor, out_laplacian,
+                                    weighted_tree_sum)
 from linetrees.crit_group import critical_group, db_formula, kautz_formula, tree_count_db
 from linetrees.digraph import DiGraph, debruijn, kautz
-what, family, m, n = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+what, family = sys.argv[1], sys.argv[2]
+m, n, calls = map(int, sys.argv[3:])
 if family == "eulerian":
     rng, edges = random.Random(m), []
     for _ in range(3):
@@ -53,14 +58,14 @@ if family == "eulerian":
 else:
     g = (debruijn if family == "db" else kautz)(m, n)
 times = []
-for _ in range(1 if family == "eulerian" else REPS):
+for _ in range(calls):
     start = time.perf_counter()
     result = critical_group(g) if what == "critical_group" else count_trees(g)
     times.append(time.perf_counter() - start)
 elapsed = statistics.median(times)
 if family == "eulerian":
-    reduced = abs(determinant(minor(out_laplacian(g), 0)))
-    ok = result.order == reduced if what == "critical_group" else result == n * reduced
+    ok = (result.order == abs(determinant(minor(out_laplacian(g), 0)))
+          if what == "critical_group" else result == weighted_tree_sum(g, [1] * g.m))
 elif what == "critical_group":
     ok = result == (db_formula if family == "db" else kautz_formula)(m, n).normalize()
 else:
@@ -73,7 +78,7 @@ print(json.dumps({"s": elapsed,
 
 
 def label(case: tuple) -> list[str]:
-    what, family, m, n = case
+    what, family, m, n, _ = case
     if family == "eulerian":
         return [what, f"eulerian(seed {m})", str(n)]
     size = m ** n if family == "db" else (m + 1) * m ** (n - 1)
@@ -84,7 +89,7 @@ def main():
     results = scaling.main(CHILD, CASES, TIMEOUT_S, ["call", "graph", "|V|"], label,
                            ["s", "peak MB"],
                            lambda r: [f"{r['s']:.3f}", f"{r['peak_rss_mb']:.0f}"])
-    seeds = [runs for (what, family, _, n), runs in results.items()
+    seeds = [runs for (what, family, _, n, _), runs in results.items()
              if (what, family, n) == ("critical_group", "eulerian", 300)]
     row = ["critical_group", f"eulerian({len(seeds)} seeds), total", "300"]
     for runs in zip(*seeds):    # one source tree's runs

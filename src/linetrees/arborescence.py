@@ -7,8 +7,11 @@ independent counting routes are kept side by side: :func:`enumerate_trees`
 is the brute-force oracle, :func:`rooted_tree_counts` takes the matrix-tree
 determinants, and the test suite insists they agree.  The count over all
 roots, :func:`weighted_tree_sum`, takes one determinant rather than one per
-root: the rows of L = D - A sum to 0, so by the matrix determinant lemma
-det(L + 1 e_0^T) is the sum of the rooted counts.  The brute-force route
+root: the rows of L = D - A sum to 0, so adj(L) = 1 kappa^T, kappa_r the
+(weighted) count rooted at r, and by the matrix determinant lemma
+det(L + 1 e_0^T) = det(L) + e_0^T adj(L) 1 = sum_r kappa_r.  On a balanced
+graph the columns sum to 0 too, every kappa_r is kappa_0, and
+:func:`count_trees` takes n kappa_0 instead.  The brute-force route
 is one search, shared by :func:`enumerate_trees` and the generating
 functions (kappa_vertex merges trees instead on graphs with many of
 them).  The determinant route is one Laplacian, :func:`out_laplacian`,
@@ -60,7 +63,7 @@ from operator import index
 import random
 
 from .digraph import DiGraph, _reach, _vertex, is_eulerian, line_graph
-from .elimination import _bareiss, _checked_rows, _determinant
+from .elimination import _bareiss, _checked_rows, _determinant, _minor_in_place
 from .errors import EnumerationBound, InvalidTreeError, count_text, integer, integers
 
 DEFAULT_BOUND = 10 ** 6
@@ -280,30 +283,24 @@ def minor(rows: Sequence[Mapping[int, int]], r: int) -> list[dict[int, int]]:
 
 
 def rooted_tree_counts(g: DiGraph) -> list[int]:
-    """The number of spanning trees rooted at each vertex, by the
-    matrix-tree theorem: one sparse minor of the one Laplacian per root.
-    On a balanced graph (indeg = outdeg everywhere) the columns of L sum
-    to 0 as its rows do, so every cofactor is equal and one minor serves."""
-    lap = out_laplacian(g)
+    """Trees rooted at each vertex, by the matrix-tree theorem: one reduced
+    Laplacian per root, or one in all on a balanced graph (indeg = outdeg)."""
     if is_eulerian(g):
-        return [abs(_determinant(minor(lap, 0)))] * g.n
-    return [abs(_determinant(minor(lap, r))) for r in range(g.n)]
+        return [_determinant(_minor_in_place(out_laplacian(g), 0))] * g.n
+    return [_determinant(_minor_in_place(out_laplacian(g), r)) for r in range(g.n)]
 
 
 def count_trees(g: DiGraph) -> int:
-    """kappa(G): spanning trees summed over all roots."""
+    """kappa(G), trees summed over all roots: n kappa_0 on a balanced graph,
+    else det(L + 1 e_0^T)."""
+    if is_eulerian(g):
+        return g.n * _determinant(_minor_in_place(out_laplacian(g), 0))
     return _tree_sum(out_laplacian(g))
 
 
 def weighted_tree_sum(g: DiGraph, weights: Sequence[int]) -> int:
-    """sum over all trees (all roots) of prod_{e in T} weights[e], by one determinant.
-
-    The rows of L = D - A sum to 0, so adj(L) = 1 kappa^T with kappa_r the
-    weighted count of trees rooted at r, and by the matrix determinant
-    lemma det(L + 1 e_0^T) = det(L) + e_0^T adj(L) 1 = sum_r kappa_r: add 1
-    to every entry of column 0 and take one n x n determinant.  There must
-    be g.m weights, each an integer; anything else raises ValueError.
-    """
+    """sum over all trees (all roots) of prod_{e in T} weights[e], as
+    det(L + 1 e_0^T); g.m integer weights, else ValueError."""
     if weights is None:     # out_laplacian reads None as unit weights
         raise ValueError(f"weights must be {g.m} integers, one per edge")
     return _tree_sum(out_laplacian(g, weights))

@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 from .arborescence import out_laplacian
 from .digraph import DiGraph, _vertex, detect_family, is_eulerian, is_strongly_connected
-from .elimination import _checked_rows, _smith
+from .elimination import _checked_rows, _minor_in_place, _smith
 from .errors import MAX_ORDER_DIGITS, GraphError, integer, integers
 
 
@@ -254,11 +254,7 @@ def critical_group(g: DiGraph) -> AbelianGroup:
 
 def _sandpile(g: DiGraph, sink: int) -> AbelianGroup:
     """sandpile_group's body, on a strongly connected g and a sink in range."""
-    lap = out_laplacian(g)
-    del lap[sink]
-    for row in lap:
-        row.pop(sink, None)
-    group = group_from_diagonal(_smith(lap, len(lap)))
+    group = group_from_diagonal(_smith(_minor_in_place(out_laplacian(g), sink), g.n - 1))
     if group.free_rank:
         raise GraphError("reduced Laplacian is singular")  # unreachable when strongly connected
     return group

@@ -82,9 +82,11 @@ class DiGraph:
         return self._out[_vertex(self.n, v, "vertex")]
 
     def vertex_label(self, v: int) -> str:
+        v = _vertex(self.n, v, "vertex")
         return self.vertex_labels[v] if self.vertex_labels else str(v)
 
     def edge_label(self, e: int) -> str:
+        e = _vertex(self.m, e, "edge")
         return self.edge_labels[e] if self.edge_labels else str(e)
 
     def __repr__(self) -> str:
@@ -101,8 +103,7 @@ def line_graph(g: DiGraph) -> DiGraph:
     if g.m == 0:
         raise GraphError("line graph of an edgeless graph has no vertices")
     lg_edges = [(e, f) for e, (_, t) in enumerate(g.edges) for f in g._out[t]]
-    labels = tuple(g.edge_label(e) for e in range(g.m)) if g.edge_labels else None
-    return DiGraph(g.m, lg_edges, vertex_labels=labels)
+    return DiGraph(g.m, lg_edges, vertex_labels=g.edge_labels)
 
 
 def _strings(m: int, length: int, kautz: bool) -> list[str]:
@@ -159,7 +160,7 @@ def kautz(m: int, n: int) -> DiGraph:
 
 def is_eulerian(g: DiGraph) -> bool:
     """True iff indeg(v) == outdeg(v) for every vertex."""
-    return all(g.indeg[v] == g.outdeg[v] for v in range(g.n))
+    return g.indeg == g.outdeg
 
 
 def _vertex(n: int, v, what: str) -> int:

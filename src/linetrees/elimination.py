@@ -14,10 +14,12 @@ The unit phase, _unit_pivots, splits off entries +-g, g the gcd of what is
 left, least Markowitz cost (r-1)(c-1) first and with no test: each is then
 alone in its row and column, a factor of the determinant and, as
 SNF(g M) = g SNF(M), a cyclic factor of the Smith form.  Once a round
-splits under a quarter of its rows, _determinant runs a fraction-free
-Markowitz loop and dense Bareiss elimination (_bareiss) on the block it
-leaves, and _smith splits off divisor pivots (_divisor_pivots) and fixes
-up the chain d1 | d2 | ... (_chain).
+splits under a quarter of its rows, _determinant divides each row left by
+its content, a factor of the determinant, and runs the phase again while
+that turns up units; then a fraction-free Markowitz loop and dense
+Bareiss elimination (_bareiss) take the block it leaves.  _smith instead
+splits off divisor pivots (_divisor_pivots), as dividing a row would
+change its group, and fixes up the chain d1 | d2 | ... (_chain).
 """
 
 from __future__ import annotations
@@ -48,6 +50,16 @@ def _checked_rows(rows: Iterable[Mapping], text: str) -> tuple[list[dict[int, in
         raise ValueError(text) from None
 
 
+def _minor_in_place(rows: list[dict[int, int]], r: int) -> list[dict[int, int]]:
+    """The rows without row and column r, the other keys keeping their
+    names: from a Laplacian's rows, the reduced Laplacian whose determinant
+    counts the trees rooted at r and whose cokernel is r's sandpile group."""
+    del rows[r]
+    for row in rows:
+        row.pop(r, None)
+    return rows
+
+
 def _column_rows(rows: list[dict[int, int]]) -> dict[int, set[int]]:
     """{col: the rows with an entry there}: the eliminations' column index."""
     col_rows: dict[int, set[int]] = {j: set() for j in set().union(*rows)}
@@ -73,13 +85,13 @@ def _unit_pivots(sparse: list[dict[int, int]], col_rows: dict[int, set[int]],
     where a dense row meets a dense column can cost more than the matrix
     has entries.  A round reads only the `live` rows, those not empty, and
     one that splits under a quarter of them ends the phase.  With
-    skip_short (the determinant's call), a first round whose units lie in
-    under a quarter as many distinct rows or columns as there are rows is
-    not run, as it could split no more: the phase is then empty, and the
-    determinant's heap loop takes the whole matrix, so a weighted one with
-    few units pays only the scan.  (Later rounds are not judged, as the
-    check's two sets cost more than the short rounds they would save.)  The
-    Smith form runs every round, keeping its pivot order.
+    skip_short (the determinant's calls), a call's first round whose units
+    lie in under a quarter as many distinct rows or columns as there are
+    rows is not run, as it could split no more: the call then splits
+    nothing, and the determinant's content step and heap loop take the
+    rows, so a weighted matrix with few units pays only the scan.  (Later rounds are not
+    judged, as the check's two sets cost more than the short rounds they
+    would save.)  The Smith form runs every round, keeping its pivot order.
     """
     w = max(col_rows, default=0).bit_length()
     cmask = (1 << w) - 1
@@ -149,20 +161,26 @@ def _determinant(rows: list[dict[int, int]]) -> int:
 
     The unit phase runs with skip_short, so it does not run a first round
     whose units lie in too few distinct rows or columns to split a quarter
-    of the rows.  The rest takes sparse fraction-free elimination with
-    pivots in Markowitz order: the nonzero p at (i, j) with the least cost
-    (r - 1)(c - 1), for r entries in its row and c in its column, then the
-    least |p|.  Each row with an entry a in column j becomes
-    (p/g) row - (a/g) row_i, g = gcd(p, a), and is then divided by its
-    content (the gcd of its entries); the pivots, the multipliers p/g and
-    the contents are carried into the determinant.  Entries sit in a heap
-    of (cost, |p|, i, j) under one lazy rule: each entry is pushed when it
-    appears, at the start or as fill-in (then under the key (0, 0), so that
-    its first pop keys it), and a popped entry is checked against the
-    matrix.  One that has left its row, or whose row was pivoted, is
-    dropped; one whose (cost, |p|) has changed goes back in at its current
-    key.  Once at most DENSE_HANDOFF rows are left, or the cheapest pivot
-    would touch over half of the block left, that block goes to _bareiss.
+    of the rows.  Once it stops with rows left, each row is divided by its
+    content (the gcd of its entries), a factor of the determinant, and if
+    that turns up a unit the phase runs again.  On a de Bruijn minor the
+    phase first stops with a remainder of gcd 2 but no +-2, all its rows
+    but one of content 4 (256 rows of db(2,10)'s); each later stop leaves
+    half as many rows, all but one of content 2, until none is left.  The
+    rest takes sparse fraction-free elimination with pivots in Markowitz
+    order: the nonzero p at (i, j) with the least cost (r - 1)(c - 1), for r
+    entries in its row and c in its column, then the least |p|.  Each row
+    with an entry a in column j becomes (p/g) row - (a/g) row_i,
+    g = gcd(p, a), and is then divided by its content; the pivots, the
+    multipliers p/g and the contents are carried into the determinant.
+    Entries sit in a heap of (cost, |p|, i, j) under one lazy rule: each
+    entry is pushed when it appears, at the start or as fill-in (then under
+    the key (0, 0), so that its first pop keys it), and a popped entry is
+    checked against the matrix.  One that has left its row, or whose row
+    was pivoted, is dropped; one whose (cost, |p|) has changed goes back in
+    at its current key.  Once at most DENSE_HANDOFF rows are left (a block
+    that small from the start builds no heap), or the cheapest pivot would
+    touch over half of the block left, that block goes to _bareiss.
     """
     k = len(rows)
     if k <= DENSE_HANDOFF:
@@ -172,14 +190,28 @@ def _determinant(rows: list[dict[int, int]]) -> int:
     if len(col_rows) < k:
         return 0    # a zero column
     cols = sorted(col_rows)     # every column, for the sign at the end
-    # factors: the pivots, the units' first; the loop adds the row contents
-    pivot_rows, pivot_cols, factors = _unit_pivots(rows, col_rows, skip_short=True)
+    # factors: the pivots and the row contents; scales: the multipliers p/g
+    pivot_rows, pivot_cols, factors, scales = [], [], [], []
+    units = True
+    while units:    # unit rounds, then the contents, while dividing turns up a unit
+        new_rows, new_cols, new_pivots = _unit_pivots(rows, col_rows, skip_short=True)
+        pivot_rows += new_rows
+        pivot_cols += new_cols
+        factors += new_pivots
+        units = False
+        for row in rows:
+            if row and (content := gcd(*row.values())) != 1:
+                factors.append(content)
+                for c in row:
+                    row[c] //= content
+                units = units or 1 in row.values() or -1 in row.values()
     if not all(col_rows.values()) or sum(map(bool, rows)) < len(col_rows):
         return 0    # a column or a row of the rest that the units emptied
-    heap = [((len(row) - 1) * (len(col_rows[j]) - 1), abs(v), i, j)
-            for i, row in enumerate(rows) for j, v in row.items()]
-    heapify(heap)
-    scales: list[int] = []     # the multipliers p/g
+    heap = []
+    if len(col_rows) > DENSE_HANDOFF:     # else the block goes to _bareiss as it is
+        heap = [((len(row) - 1) * (len(col_rows[j]) - 1), abs(v), i, j)
+                for i, row in enumerate(rows) for j, v in row.items()]
+        heapify(heap)
     while heap and len(col_rows) > DENSE_HANDOFF:     # a column per row left
         cost, v, i, j = heappop(heap)
         rs = col_rows.get(j, ())
@@ -232,9 +264,11 @@ def _determinant(rows: list[dict[int, int]]) -> int:
     rest_rows = sorted(set(range(k)).difference(pivot_rows))
     rest_cols = sorted(col_rows)
     rank = {c: x for x, c in enumerate(cols)}
-    sign = _parity(pivot_rows + rest_rows) * _parity([rank[c] for c in pivot_cols + rest_cols])
+    order = [0] * k     # row i's partner column, by rank: the sign is its parity
+    for i, c in zip(pivot_rows + rest_rows, pivot_cols + rest_cols):
+        order[i] = rank[c]
     block = _bareiss([[rows[i].get(c, 0) for c in rest_cols] for i in rest_rows])
-    return sign * prod(factors) * block // prod(scales)
+    return _parity(order) * prod(factors) * block // prod(scales)
 
 
 def _parity(order: list[int]) -> int:

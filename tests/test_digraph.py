@@ -67,6 +67,20 @@ def test_generators_refuse_parameters_that_are_not_integers(make, m, n):
         make(m, n)
 
 
+@pytest.mark.parametrize("g", [debruijn(2, 2), DiGraph(2, [(0, 1), (1, 0)])])
+def test_labels_take_their_index_through_the_range_check(g):
+    # labelled or not, an index a vertex or edge does not have is refused,
+    # as source/target/out_edges refuse it, not read from the end or printed
+    labels = ("01", "001") if g.vertex_labels else ("1", "1")
+    assert (g.vertex_label(1), g.edge_label(1)) == labels
+    for v in (-1, 1.5, 1.0, g.n):
+        with pytest.raises(GraphError, match="^vertex"):
+            g.vertex_label(v)
+    for e in (-1, 1.5, 1.0, g.m):
+        with pytest.raises(GraphError, match="^edge"):
+            g.edge_label(e)
+
+
 def test_line_graph_two_cycle():
     g = DiGraph(2, [(0, 1), (1, 0)])
     lg = line_graph(g)

@@ -6,10 +6,11 @@ row of ROWS is (member, argument, bad values, error type, message pattern);
 every other argument takes its value from VALID.  A row with no bad values
 says that every value of the right kind is accepted.  Every parameter of
 every public callable (``test_public_surface.public_members()``, plus
-``LineContext.sigma``/``.pi``/``.line_tree`` and
-``DiGraph.source``/``.target``/``.out_edges``) needs a row, or its member a
-reason in NO_ARGUMENT_ROWS, so new API cannot skip the contract, and
-deleting any row or reason fails ``test_every_public_argument_has_a_row``.
+``LineContext.sigma``/``.pi``/``.line_tree`` and ``DiGraph.source``/
+``.target``/``.out_edges``/``.vertex_label``/``.edge_label``) needs a row,
+or its member a reason in NO_ARGUMENT_ROWS, so new API cannot skip the
+contract, and deleting any row or reason fails
+``test_every_public_argument_has_a_row``.
 """
 
 import inspect
@@ -38,7 +39,8 @@ ZERO_INDEGREE = DiGraph(2, [(0, 1)])            # nor strongly connected, nor ba
 EDGELESS = DiGraph(1, [])
 UNLABELLED = DiGraph(2, [(0, 1), (1, 0)])
 # the public methods with rows, by class; they are called on LineContext(G) and G
-METHODS = {LineContext: ("sigma", "pi", "line_tree"), DiGraph: ("source", "target", "out_edges")}
+METHODS = {LineContext: ("sigma", "pi", "line_tree"),
+           DiGraph: ("source", "target", "out_edges", "vertex_label", "edge_label")}
 
 # Valid arguments for each member; a row replaces one of them.
 VALID = {
@@ -105,6 +107,8 @@ VALID = {
     "DiGraph.source": dict(e=3),
     "DiGraph.target": dict(e=3),
     "DiGraph.out_edges": dict(v=1),
+    "DiGraph.vertex_label": dict(v=1),
+    "DiGraph.edge_label": dict(e=3),
     "enumerate_tree_arrays": dict(g=G, bound=100),
     "shuffled_order": dict(g=G, seed=1),
     "tree_array_count": dict(g=G),
@@ -242,6 +246,8 @@ ROWS = [
     ("DiGraph.source", "e", [*NOT_INTEGERS, 1.0, -1, 4], GraphError, "^edge"),
     ("DiGraph.target", "e", [*NOT_INTEGERS, 1.0, -1, 4], GraphError, "^edge"),
     ("DiGraph.out_edges", "v", [*NOT_INTEGERS, 1.0, -1, 2], GraphError, "^vertex"),
+    ("DiGraph.vertex_label", "v", [*NOT_INTEGERS, 1.0, -1, 2], GraphError, "^vertex"),
+    ("DiGraph.edge_label", "e", [*NOT_INTEGERS, 1.0, -1, 4], GraphError, "^edge"),
     ("class_cycle", "g", [G, UNLABELLED], UnsupportedFamilyError, "length|labels"),
     ("debruijn", "m", [0, *NOT_INTEGERS, 40], GraphError, "requires|alphabet"),
     ("debruijn", "n", [0, *NOT_INTEGERS, 30], GraphError, "requires|cap"),
