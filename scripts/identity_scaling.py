@@ -6,8 +6,10 @@ graph LG, and times one call: `kappa_vertex(LG)`, the identity's left side;
 `kappa_edge(LG)` or `enumerate_trees(LG)`, the other two callers of the one
 tree search; or `verify_identity(G)`, which expands both sides.  The
 "evaluate" rows time `verify_identity(G, method="evaluate")` instead, which
-takes weighted determinants of G and LG at four points, and report the
-median of REPS calls, as one takes 0.02-0.2 s.  A "bouquet"
+takes weighted determinants of G and LG mod a prime at four points, and
+report the median of REPS calls, as one takes 0.02-0.2 s: on cycles, and
+on db(2,6) and db(3,3), whose line graphs db(2,7) and db(3,4) give weighted
+matrices with few units.  A "bouquet"
 is one vertex with k self-loops: LG is the complete digraph with loops on
 k vertices, with k^(k-1) trees but only C(2k-2, k-1) monomials.  An
 n-"cycle" is its own line graph, with n trees and n monomials.  The child
@@ -23,7 +25,8 @@ import scaling
 
 TIMEOUT_S = 300.0
 REPS = 5
-# (what, family, size): k loops of a bouquet, or n vertices of a cycle.
+# (what, family, size): k loops of a bouquet, n vertices of a cycle, or
+# the de Bruijn graph "m,n".
 # kappa_edge and enumerate_trees keep one entry per tree, so they skip the
 # 8-loop bouquet's 2,097,152 trees.
 CASES = [(what, family, size)
@@ -32,16 +35,19 @@ CASES = [(what, family, size)
          for what in ("kappa_vertex", "kappa_edge", "enumerate_trees", "verify_identity")
          if (family, size) != ("bouquet", 8) or what in ("kappa_vertex", "verify_identity")]
 CASES += [("evaluate", "cycle", size) for size in (300, 1000, 1500)]
+CASES += [("evaluate", "db", size) for size in ("2,6", "3,3")]
 CHILD = f"REPS = {REPS}" + """
 import json, resource, statistics, sys, time
 from linetrees.arborescence import (count_trees, enumerate_trees, kappa_edge, kappa_vertex,
                                     verify_identity)
-from linetrees.digraph import DiGraph, line_graph
-what, family, size = sys.argv[1], sys.argv[2], int(sys.argv[3])
+from linetrees.digraph import DiGraph, debruijn, line_graph
+what, family, size = sys.argv[1], sys.argv[2], sys.argv[3]
 if family == "bouquet":
-    g = DiGraph(1, [(0, 0)] * size)
+    g = DiGraph(1, [(0, 0)] * int(size))
+elif family == "cycle":
+    g = DiGraph(int(size), [(v, (v + 1) % int(size)) for v in range(int(size))])
 else:
-    g = DiGraph(size, [(v, (v + 1) % size) for v in range(size)])
+    g = debruijn(*map(int, size.split(",")))
 lg = line_graph(g)
 times = []
 for _ in range(REPS if what == "evaluate" else 1):

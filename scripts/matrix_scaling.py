@@ -7,10 +7,10 @@ checks the answer against the closed forms (`db_formula`/`kautz_formula`,
 `tree_count_db`).  The "eulerian" rows take the union of three seeded
 random permutations of n vertices, a graph with no closed form, so their
 child checks the group's order against the determinant of the reduced
-Laplacian instead, and the tree count against `weighted_tree_sum` with unit
-weights, det(L + 1 e_0^T), which `count_trees` does not take on a balanced
-graph.  Each child gets TIMEOUT_S seconds; the harness and --src are in
-scaling.py.
+Laplacian instead, and the tree count against `determinant` of
+L + 1 e_0^T (`_plus_ones`), which `count_trees` does not take on a
+balanced graph.  Each child gets TIMEOUT_S seconds; the harness and --src
+are in scaling.py.
 
 Usage:
     python scripts/matrix_scaling.py [--src DIR ...]
@@ -42,8 +42,7 @@ CASES = ([("critical_group", "db", 2, n, REPS) for n in range(8, 14)]
          + [("count_trees", "eulerian", 1, n, EULERIAN_REPS) for n in (300, 500, 1000)])
 CHILD = """
 import json, random, resource, statistics, sys, time
-from linetrees.arborescence import (count_trees, determinant, minor, out_laplacian,
-                                    weighted_tree_sum)
+from linetrees.arborescence import _plus_ones, count_trees, determinant, minor, out_laplacian
 from linetrees.crit_group import critical_group, db_formula, kautz_formula, tree_count_db
 from linetrees.digraph import DiGraph, debruijn, kautz
 what, family = sys.argv[1], sys.argv[2]
@@ -65,7 +64,7 @@ for _ in range(calls):
 elapsed = statistics.median(times)
 if family == "eulerian":
     ok = (result.order == abs(determinant(minor(out_laplacian(g), 0)))
-          if what == "critical_group" else result == weighted_tree_sum(g, [1] * g.m))
+          if what == "critical_group" else result == determinant(_plus_ones(out_laplacian(g))))
 elif what == "critical_group":
     ok = result == (db_formula if family == "db" else kautz_formula)(m, n).normalize()
 else:

@@ -6,12 +6,12 @@ vertex exactly one out-edge and a unique directed path to r.  Two
 independent counting routes are kept side by side: :func:`enumerate_trees`
 is the brute-force oracle, :func:`rooted_tree_counts` takes the matrix-tree
 determinants, and the test suite insists they agree.  The count over all
-roots, :func:`weighted_tree_sum`, takes one determinant rather than one per
+roots, :func:`count_trees`, takes one determinant rather than one per
 root: the rows of L = D - A sum to 0, so adj(L) = 1 kappa^T, kappa_r the
 (weighted) count rooted at r, and by the matrix determinant lemma
 det(L + 1 e_0^T) = det(L) + e_0^T adj(L) 1 = sum_r kappa_r.  On a balanced
-graph the columns sum to 0 too, every kappa_r is kappa_0, and
-:func:`count_trees` takes n kappa_0 instead.  The brute-force route
+graph the columns sum to 0 too, every kappa_r is kappa_0, and it takes
+n kappa_0 instead.  The brute-force route
 is one search, shared by :func:`enumerate_trees` and the generating
 functions (kappa_vertex merges trees instead on graphs with many of
 them).  The determinant route is one Laplacian, :func:`out_laplacian`,
@@ -63,7 +63,8 @@ from operator import index
 import random
 
 from .digraph import DiGraph, _reach, _vertex, is_eulerian, line_graph
-from .elimination import _bareiss, _checked_rows, _determinant, _minor_in_place
+from .elimination import (_bareiss, _checked_rows, _determinant, _determinant_mod, _is_prime,
+                          _minor_in_place)
 from .errors import EnumerationBound, InvalidTreeError, count_text, integer, integers
 
 DEFAULT_BOUND = 10 ** 6
@@ -295,25 +296,17 @@ def count_trees(g: DiGraph) -> int:
     else det(L + 1 e_0^T)."""
     if is_eulerian(g):
         return g.n * _determinant(_minor_in_place(out_laplacian(g), 0))
-    return _tree_sum(out_laplacian(g))
+    return _determinant(_plus_ones(out_laplacian(g)))
 
 
-def weighted_tree_sum(g: DiGraph, weights: Sequence[int]) -> int:
-    """sum over all trees (all roots) of prod_{e in T} weights[e], as
-    det(L + 1 e_0^T); g.m integer weights, else ValueError."""
-    if weights is None:     # out_laplacian reads None as unit weights
-        raise ValueError(f"weights must be {g.m} integers, one per edge")
-    return _tree_sum(out_laplacian(g, weights))
-
-
-def _tree_sum(lap: list[dict[int, int]]) -> int:
-    """det(L + 1 e_0^T) from the rows of L, which the body reduces in place."""
+def _plus_ones(lap: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The rows of L + 1 e_0^T from those of L, in place."""
     for row in lap:
         if x := row.get(0, 0) + 1:
             row[0] = x
         else:
             del row[0]
-    return _determinant(lap)
+    return lap
 
 
 def degree_product(g: DiGraph) -> int:
@@ -530,9 +523,15 @@ def verify_identity(g: DiGraph, method: str = "expand",
     """Check the line-graph generating-function identity on g.
 
     method="expand" compares exact monomial multisets.  method="evaluate"
-    is the probabilistic fallback for graphs past the expansion bound: both
-    sides are evaluated at 4 pseudorandom small integer points via
-    weighted matrix-tree determinants, with no enumeration at all.
+    is the probabilistic fallback for graphs past the expansion bound: it
+    draws a prime p in [2^30, 2^31) from the seed and compares both sides
+    mod p at 4 points drawn uniform in [0, p)^m, with no enumeration.  Both
+    sides have degree m - 1, so if p does not divide every coefficient of
+    their difference, a wrong identity holds at all 4 points with
+    probability at most ((m - 1)/p)^4 (Schwartz-Zippel).  p is uniform over
+    the ~5*10^7 primes in range, and a difference with coefficients below
+    2^B has at most B/30 of them dividing all its coefficients.  A failure's
+    witness gives the point, the prime and both sides' residues.
     """
     if any(d == 0 for d in g.indeg):
         raise InvalidTreeError("identity requires every indegree to be positive")
@@ -549,18 +548,26 @@ def verify_identity(g: DiGraph, method: str = "expand",
         return IdentityReport(False, len(lhs), len(rhs), witness, method)
     if method == "evaluate":
         rng = random.Random(seed)
+        while not _is_prime(p := rng.randrange(1 << 30, 1 << 31)):
+            pass
         for _ in range(4):
-            x = [rng.randint(1, 9) for _ in range(g.m)]
-            lg_weights = [x[f] for _, f in lg.edges]
-            lhs_val = weighted_tree_sum(lg, lg_weights)
-            rhs_val = weighted_tree_sum(g, x)
-            for v in range(g.n):
-                rhs_val *= sum(x[e] for e in g._out[v]) ** (g.indeg[v] - 1)
-            if lhs_val != rhs_val:
-                witness = {"point": x, "lhs": lhs_val, "rhs": rhs_val}
+            x = [rng.randrange(p) for _ in range(g.m)]
+            lhs, rhs = _sides_mod(g, lg, x, p)
+            if lhs != rhs:
+                witness = {"point": x, "prime": p, "lhs": lhs, "rhs": rhs}
                 return IdentityReport(False, None, None, witness, method)
         return IdentityReport(True, None, None, None, method)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _sides_mod(g: DiGraph, lg: DiGraph, x: list[int], p: int) -> tuple[int, int]:
+    """Both sides of the identity mod p at the point x, x[e] the variable of
+    edge e of g and of vertex e of lg: det(L + 1 e_0^T) of lg with its edge
+    (e, f) weighted x[f], and that of g times prod_v (sum_{s(e)=v} x_e)^(indeg(v)-1)."""
+    rhs = _determinant_mod(_plus_ones(out_laplacian(g, x)), p)
+    for v in range(g.n):
+        rhs = rhs * pow(sum(x[e] for e in g._out[v]), g.indeg[v] - 1, p) % p
+    return _determinant_mod(_plus_ones(out_laplacian(lg, [x[f] for _, f in lg.edges])), p), rhs
 
 
 @dataclass

@@ -20,6 +20,8 @@ that turns up units; then a fraction-free Markowitz loop and dense
 Bareiss elimination (_bareiss) take the block it leaves.  _smith instead
 splits off divisor pivots (_divisor_pivots), as dividing a row would
 change its group, and fixes up the chain d1 | d2 | ... (_chain).
+_determinant_mod, the determinant mod a prime (which _is_prime tests),
+pivots in Markowitz order alone, as every nonzero entry is a unit there.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ def _column_rows(rows: list[dict[int, int]]) -> dict[int, set[int]]:
     return col_rows
 
 
-def _unit_pivots(sparse: list[dict[int, int]], col_rows: dict[int, set[int]],
-                 skip_short: bool = False) -> tuple[list[int], list[int], list[int]]:
+def _unit_pivots(sparse: list[dict[int, int]],
+                 col_rows: dict[int, set[int]]) -> tuple[list[int], list[int], list[int]]:
     """The unit phase: the rows, columns and signed values of its pivots, in
     order.  It reduces the rows and their index in place.
 
@@ -84,14 +86,7 @@ def _unit_pivots(sparse: list[dict[int, int]], col_rows: dict[int, set[int]],
     first pop keys it.  It is a dict, not a list indexed by cost, as a +-1
     where a dense row meets a dense column can cost more than the matrix
     has entries.  A round reads only the `live` rows, those not empty, and
-    one that splits under a quarter of them ends the phase.  With
-    skip_short (the determinant's calls), a call's first round whose units
-    lie in under a quarter as many distinct rows or columns as there are
-    rows is not run, as it could split no more: the call then splits
-    nothing, and the determinant's content step and heap loop take the
-    rows, so a weighted matrix with few units pays only the scan.  (Later rounds are not
-    judged, as the check's two sets cost more than the short rounds they
-    would save.)  The Smith form runs every round, keeping its pivot order.
+    one that splits under a quarter of them ends the phase.
     """
     w = max(col_rows, default=0).bit_length()
     cmask = (1 << w) - 1
@@ -106,11 +101,6 @@ def _unit_pivots(sparse: list[dict[int, int]], col_rows: dict[int, set[int]],
                 if v in units:
                     cost = (len(row) - 1) * (len(col_rows[j]) - 1)
                     buckets.setdefault(cost, []).append(i << w | j)
-        if skip_short and not pivots:
-            keys = list(chain.from_iterable(buckets.values()))
-            if 4 * min(len({key >> w for key in keys}), len({key & cmask for key in keys})) \
-                    < len(live):
-                break
         for bucket in buckets.values():
             bucket.sort(reverse=True)
         low = min(buckets, default=inf)     # the least cost that has a bucket
@@ -159,28 +149,19 @@ def _unit_pivots(sparse: list[dict[int, int]], col_rows: dict[int, set[int]],
 def _determinant(rows: list[dict[int, int]]) -> int:
     """The determinant of k trusted rows under at most k keys.
 
-    The unit phase runs with skip_short, so it does not run a first round
-    whose units lie in too few distinct rows or columns to split a quarter
-    of the rows.  Once it stops with rows left, each row is divided by its
-    content (the gcd of its entries), a factor of the determinant, and if
-    that turns up a unit the phase runs again.  On a de Bruijn minor the
-    phase first stops with a remainder of gcd 2 but no +-2, all its rows
-    but one of content 4 (256 rows of db(2,10)'s); each later stop leaves
-    half as many rows, all but one of content 2, until none is left.  The
-    rest takes sparse fraction-free elimination with pivots in Markowitz
-    order: the nonzero p at (i, j) with the least cost (r - 1)(c - 1), for r
-    entries in its row and c in its column, then the least |p|.  Each row
-    with an entry a in column j becomes (p/g) row - (a/g) row_i,
-    g = gcd(p, a), and is then divided by its content; the pivots, the
-    multipliers p/g and the contents are carried into the determinant.
-    Entries sit in a heap of (cost, |p|, i, j) under one lazy rule: each
-    entry is pushed when it appears, at the start or as fill-in (then under
-    the key (0, 0), so that its first pop keys it), and a popped entry is
-    checked against the matrix.  One that has left its row, or whose row
-    was pivoted, is dropped; one whose (cost, |p|) has changed goes back in
-    at its current key.  Once at most DENSE_HANDOFF rows are left (a block
-    that small from the start builds no heap), or the cheapest pivot would
-    touch over half of the block left, that block goes to _bareiss.
+    The unit phase runs first.  Once it stops with rows left, each row is
+    divided by its content, a factor of the determinant, and if that turns
+    up a unit the phase runs again: on a de Bruijn minor each stop leaves
+    half as many rows, until none is left (256 at the first stop on
+    db(2,10)'s, all but one of content 4).  What a matrix with few units
+    leaves, such as a multigraph's Laplacian, takes sparse fraction-free
+    elimination, least Markowitz cost (r - 1)(c - 1) then least |p| first,
+    under _determinant_mod's lazy heap rule: each row with a under the
+    pivot p becomes (p/g) row - (a/g) row_i, g = gcd(p, a), and is divided
+    by its content; the pivots, the multipliers p/g and the contents are
+    carried into the determinant.  Once at most DENSE_HANDOFF rows are
+    left, or the cheapest pivot would touch over half of the block left,
+    that block goes to _bareiss.
     """
     k = len(rows)
     if k <= DENSE_HANDOFF:
@@ -189,12 +170,12 @@ def _determinant(rows: list[dict[int, int]]) -> int:
     col_rows = _column_rows(rows)
     if len(col_rows) < k:
         return 0    # a zero column
-    cols = sorted(col_rows)     # every column, for the sign at the end
+    rank = {c: x for x, c in enumerate(sorted(col_rows))}
     # factors: the pivots and the row contents; scales: the multipliers p/g
     pivot_rows, pivot_cols, factors, scales = [], [], [], []
     units = True
     while units:    # unit rounds, then the contents, while dividing turns up a unit
-        new_rows, new_cols, new_pivots = _unit_pivots(rows, col_rows, skip_short=True)
+        new_rows, new_cols, new_pivots = _unit_pivots(rows, col_rows)
         pivot_rows += new_rows
         pivot_cols += new_cols
         factors += new_pivots
@@ -226,6 +207,7 @@ def _determinant(rows: list[dict[int, int]]) -> int:
             break
         pivot_rows.append(i)
         pivot_cols.append(j)
+        rows[i] = {}    # so the rows left non-empty are the rest
         p = prow[j]
         factors.append(p)
         for c in prow:
@@ -259,16 +241,79 @@ def _determinant(rows: list[dict[int, int]]) -> int:
                 factors.append(content)
                 for c in row:
                     row[c] //= content
-    # the pivots, in order, then the block, in index order: a block
-    # triangular matrix whose determinant is the pivots' product times the block's
-    rest_rows = sorted(set(range(k)).difference(pivot_rows))
-    rest_cols = sorted(col_rows)
-    rank = {c: x for x, c in enumerate(cols)}
+    rest_rows, rest_cols = [i for i, row in enumerate(rows) if row], sorted(col_rows)
+    # the pivots, in order, then the rest, in index order: a block
+    # triangular matrix whose determinant is the pivots' product times the rest's
     order = [0] * k     # row i's partner column, by rank: the sign is its parity
     for i, c in zip(pivot_rows + rest_rows, pivot_cols + rest_cols):
         order[i] = rank[c]
     block = _bareiss([[rows[i].get(c, 0) for c in rest_cols] for i in rest_rows])
     return _parity(order) * prod(factors) * block // prod(scales)
+
+
+def _determinant_mod(rows: list[dict[int, int]], p: int) -> int:
+    """The determinant mod the prime p, in [0, p), of k rows of int entries
+    under at most k keys; the rows are not changed.
+
+    Every nonzero residue is a unit, so the pivots come in Markowitz order
+    alone: the entry at (i, j) with the least cost (r - 1)(c - 1), for r
+    entries in its row and c in its column.  Entries sit in a heap of
+    (cost, i, j) under one lazy rule: each is pushed when it appears, at the
+    start or as fill-in (then at cost 0, so that its first pop keys it),
+    and a popped entry is checked against the matrix.  One that has left
+    its row, or whose row or column was pivoted, is dropped; one whose cost
+    has changed goes back in at its current cost.
+    """
+    rows = [{j: x for j, v in row.items() if (x := v % p)} for row in rows]
+    col_rows = _column_rows(rows)
+    rank = {c: x for x, c in enumerate(sorted(col_rows))}
+    order, left, det = [0] * len(rows), len(rows), 1
+    heap = [((len(row) - 1) * (len(col_rows[j]) - 1), i, j)
+            for i, row in enumerate(rows) for j in row]
+    heapify(heap)
+    while heap:
+        cost, i, j = heappop(heap)
+        if i not in (rs := col_rows.get(j, ())):
+            continue
+        prow = rows[i]
+        if (now := (len(prow) - 1) * (len(rs) - 1)) != cost:
+            heappush(heap, (now, i, j))
+            continue
+        for c in prow:
+            col_rows[c].discard(i)
+        order[i], pivot, left = rank[j], prow.pop(j), left - 1
+        det = det * pivot % p
+        inverse = pow(pivot, -1, p)
+        for r in col_rows.pop(j):
+            row = rows[r]
+            q = row.pop(j) * inverse % p
+            for c, x in prow.items():
+                if y := (row.get(c, 0) - q * x) % p:
+                    if c not in row:
+                        col_rows[c].add(r)
+                        heappush(heap, (0, r, c))
+                    row[c] = y
+                else:
+                    del row[c]
+                    col_rows[c].discard(r)
+    return 0 if left else _parity(order) * det % p
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 7 and 61, exact below 4,759,123,141 (Jaeschke 1993)."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = d 2^s, d odd
+    for a in (2, 7, 61):
+        x = pow(a, (n - 1) >> s, n)
+        if a % n == 0 or x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            if (x := x * x % n) == n - 1:
+                break
+        else:
+            return False    # a is a witness that n is composite
+    return True
 
 
 def _parity(order: list[int]) -> int:

@@ -11,6 +11,12 @@ bucket queue written plainly, a dict of lists of ``(i, j)`` tuples; the
 library keeps one list per cost, of ints packed from (i, j), that must pop
 in the same order.
 
+``small_point_identity`` is the evaluate method of ``verify_identity`` as
+it once ran: both sides over the integers at 4 points with weights drawn
+from 1..9, each side a determinant of L + 1 e_0^T (``tree_sum_rows``).  A
+point of {1..9}^m bounds nothing once m >= 10, and the tests show it
+missing a wrong side that the library's draw mod a prime catches.
+
 ``heap_sigma`` and ``heap_pi`` run the tree-array maps as they read: each
 step pops the smallest ready element from a heap keyed by edge rank, in
 O(m log m).  The library's bodies find the same elements in one linear
@@ -35,10 +41,12 @@ sequence as it walks and checks only that no edge repeats.
 """
 
 import heapq
+import random
 from itertools import chain
 from math import gcd
 
-from linetrees.arborescence import SpanningTree, bareiss_determinant, validate_tree
+from linetrees.arborescence import SpanningTree, bareiss_determinant, determinant, validate_tree
+from linetrees.digraph import line_graph
 from linetrees.db_codec import HamPath, _heads, path_to_seq, seq_to_path
 from linetrees.errors import InvalidSequenceError, InvalidTreeArrayError, InvalidTreeError
 from linetrees.line_bijection import OMEGA, TreeArray, _edge_order, _pi, _sigma
@@ -71,6 +79,30 @@ def dense_minor(matrix, r):
 def count_trees_rooted(g, root, weights=None):
     """Weighted trees rooted at `root`: one dense Bareiss minor."""
     return abs(bareiss_determinant(dense_minor(dense_laplacian(g, weights), root)))
+
+
+def tree_sum_rows(g, weights=None):
+    """L + 1 e_0^T as sparse rows: by the matrix determinant lemma, its
+    determinant is the weighted tree count summed over all roots."""
+    return sparse([[x + (c == 0) for c, x in enumerate(row)]
+                   for row in dense_laplacian(g, weights)])
+
+
+def small_point_identity(g, seed, perturb=lambda x: 0):
+    """Whether the identity holds at 4 points with weights drawn from 1..9
+    by random.Random(seed), over the integers, with perturb(x) added to the
+    left side at the point x."""
+    lg = line_graph(g)
+    rng = random.Random(seed)
+    for _ in range(4):
+        x = [rng.randint(1, 9) for _ in range(g.m)]
+        lhs = determinant(tree_sum_rows(lg, [x[f] for _, f in lg.edges])) + perturb(x)
+        rhs = determinant(tree_sum_rows(g, x))
+        for v in range(g.n):
+            rhs *= sum(x[e] for e in g.out_edges(v)) ** (g.indeg[v] - 1)
+        if lhs != rhs:
+            return False
+    return True
 
 
 def dense_diagonal(d: list[list[int]]) -> list[int]:

@@ -3,7 +3,7 @@ import random
 import sys
 import time
 from collections import Counter
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
 
 import pytest
 import sympy
@@ -15,18 +15,22 @@ from linetrees.arborescence import (DEFAULT_BOUND, SpanningTree, _candidate_coun
                                     _frontier_counts, _poly_mul, _tree_roots, _unpack,
                                     bareiss_determinant, count_trees, determinant,
                                     enumerate_trees, kappa_edge, kappa_vertex, knuth_check, minor, out_laplacian, rhs_product,
-                                    rooted_tree_counts, validate_tree, verify_identity,
-                                    weighted_tree_sum)
+                                    rooted_tree_counts, validate_tree, verify_identity)
 from linetrees.crit_group import tree_count_db
 from linetrees.digraph import DiGraph, debruijn, kautz, line_graph
 from linetrees.elimination import DENSE_HANDOFF, _parity
 from linetrees.errors import (MAX_ORDER_DIGITS, EnumerationBound, GraphError, InvalidTreeError,
                               count_text)
-from oracles import count_trees_rooted, dense, dense_laplacian, dense_minor, sparse
+from oracles import (count_trees_rooted, dense, dense_laplacian, dense_minor, small_point_identity,
+                     sparse)
 from test_public_surface import PACKAGE
 
 TWO_CYCLE = DiGraph(2, [(0, 1), (1, 0)])
 SELF_LOOP = DiGraph(1, [(0, 0)])
+# a prime in the evaluate method's range [2^30, 2^31): the tests that take
+# residues mod P check the arithmetic, and verify_identity's own draw of p
+# is checked where its witness is
+P = 2 ** 31 - 1
 
 
 @st.composite
@@ -274,6 +278,45 @@ def test_sparse_determinant_against_bareiss_and_sympy(rows):
     assert determinant(sparse(rows)) == bareiss_determinant(rows) == sympy.Matrix(rows).det()
 
 
+def _times_7_times_11():
+    """A 12 x 12 matrix L diag(7, 11, 1, ..., 1) U, L and U unit triangular:
+    its determinant 77 is 0 mod 7 and 11 but not over the integers."""
+    rng = random.Random(4)
+    k = 12
+    lower = [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(k)] for i in range(k)]
+    upper = [[rng.randint(-3, 3) if j > i else int(i == j) * (7 if i == 0 else 11 if i == 1 else 1)
+              for j in range(k)] for i in range(k)]
+    return [[sum(lower[i][t] * upper[t][j] for t in range(k)) for j in range(k)]
+            for i in range(k)]
+
+
+@given(square_matrices(), st.sampled_from([2, 3, 7, 11, P]))
+@example(_times_7_times_11(), 7)
+@example(_times_7_times_11(), 11)
+@example(_times_7_times_11(), P)
+def test_determinant_mod_against_the_integer_body_and_sympy(rows, p):
+    # on both sides of DENSE_HANDOFF, singular or not mod p, the rows unchanged
+    given_rows = sparse(rows)
+    det = elimination._determinant_mod(given_rows, p)
+    assert given_rows == sparse(rows)
+    assert det == elimination._determinant(sparse(rows)) % p == sympy.Matrix(rows).det() % p
+
+
+def test_is_prime_against_trial_division():
+    # the strong pseudoprimes to base 2 (2047), to 2 and 3 (1373653) and to
+    # 2, 3 and 5 (25326001), to 2, 3, 5 and 7 (3215031751), and the
+    # Carmichael numbers 561 and 41041, which fool a Fermat test
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    rng = random.Random(0)
+    liars = [2047, 1373653, 25326001, 3215031751, 561, 41041]
+    cases = [*range(3000), *liars, 2 ** 31 - 1,
+             *(rng.randrange(2 ** 30, 2 ** 31) for _ in range(200))]
+    assert [n for n in cases if elimination._is_prime(n)] == [n for n in cases if trial(n)]
+    assert not any(map(elimination._is_prime, liars)) and elimination._is_prime(2 ** 31 - 1)
+
+
 def test_sparse_determinant_column_names_and_shape():
     # the columns are the keys in increasing order, whatever their names
     assert determinant([{5: 2, 9: 1}, {5: 1, 9: 3}]) == 5
@@ -363,7 +406,9 @@ def test_sparse_determinant_against_enumeration(case):
         by_root[t.root] += prod(weights[e] for e in t.out_edge if e is not None)
     lap = out_laplacian(g, weights)
     assert [abs(determinant(minor(lap, r))) for r in range(g.n)] == by_root
-    assert weighted_tree_sum(g, weights) == sum(by_root)
+    # over all roots, det(L + 1 e_0^T), exactly and mod the prime the evaluate method might draw
+    assert determinant(arb._plus_ones(out_laplacian(g, weights))) == sum(by_root)
+    assert elimination._determinant_mod(arb._plus_ones(lap), P) == sum(by_root) % P
 
 
 @st.composite
@@ -391,7 +436,7 @@ def test_sparse_determinant_against_bareiss_deep_in_the_sparse_phase(case):
         bareiss_determinant(dense_minor(lap, r))
     for row in lap:
         row[0] += 1
-    assert weighted_tree_sum(g, weights) == bareiss_determinant(lap)
+    assert determinant(arb._plus_ones(out_laplacian(g, weights))) == bareiss_determinant(lap)
 
 
 def _block_unit_matrix(units, content, lower_left, lower_right):
@@ -422,7 +467,7 @@ def unit_phase_matrices(draw):
     way the determinant is 0."""
     a = draw(st.integers(3, 8))
     # at most 3a rows below, so the units of U can split a quarter of the
-    # rows and the determinant's first round is not skipped
+    # rows and the phase goes on to a second round
     b = draw(st.integers(max(2, DENSE_HANDOFF + 1 - a), min(14, 3 * a)))
     g = draw(st.sampled_from([2, 3, 6]))
     sign = st.sampled_from([1, -1])
@@ -480,20 +525,20 @@ def test_unit_phase_empties_a_block_unit_matrix_or_leaves_the_heap_loop_a_block(
 
 def test_count_trees_determinant_and_sandpile_group_share_one_unit_phase():
     # the phase lives in elimination alone; the tree count and the checked
-    # determinant reach it through the determinant's body, which may skip a
-    # short round and runs the phase again after each content step that
-    # turns up a unit, and the Smith form's body runs every round.  The
-    # count of a balanced graph takes its reduced Laplacian, n - 1 rows: on
-    # at most DENSE_HANDOFF rows it goes to dense Bareiss whole, and a
-    # larger one hands it only the block its loop leaves (0 and 3 rows here)
+    # determinant reach it through the determinant's body, which runs the
+    # phase again after each content step that turns up a unit, and the
+    # Smith form's body runs it once.  The count of a balanced graph takes
+    # its reduced Laplacian, n - 1 rows: on at most DENSE_HANDOFF rows it
+    # goes to dense Bareiss whole, and a larger one hands it only the block
+    # its loops leave (0 and 3 rows here)
     import linetrees.crit_group as crit_group
     assert not hasattr(crit_group, "_unit_pivots") and not hasattr(arb, "_unit_pivots")
     calls, dense_calls = [], []
     unit_pivots, bareiss = elimination._unit_pivots, elimination._bareiss
 
-    def recording(rows, col_rows, skip_short=False):
-        calls.append((len(rows), skip_short))
-        return unit_pivots(rows, col_rows, skip_short)
+    def recording(rows, col_rows):
+        calls.append(len(rows))
+        return unit_pivots(rows, col_rows)
 
     def counting_bareiss(matrix):
         dense_calls.append(len(matrix))
@@ -506,7 +551,7 @@ def test_count_trees_determinant_and_sandpile_group_share_one_unit_phase():
         assert count_trees(debruijn(2, 6)) == 2 ** 63
         assert determinant(rows) == sympy.Matrix(dense(rows, 20)).det()
         assert crit_group.sandpile_group(debruijn(2, 4), 3).order == 2 ** 11
-        phases = [(63, True), (20, True), (15, False)]
+        phases = [63, 20, 15]
         assert (list(dict.fromkeys(calls)), dense_calls) == (phases, [0, 3])
         assert count_trees(debruijn(2, 3)) == 2 ** 7
     assert (list(dict.fromkeys(calls)), dense_calls) == (phases, [0, 3, 7])
@@ -543,7 +588,7 @@ def test_balanced_count_takes_one_reduced_laplacian(g):
     # the balanced route, n times det of L without row and column 0, against
     # the dense-column route that unbalanced graphs keep, det(L + 1 e_0^T)
     count = count_trees(g)
-    assert count == arb._tree_sum(out_laplacian(g))
+    assert count == arb._determinant(arb._plus_ones(out_laplacian(g)))
     assert rooted_tree_counts(g) == [count // g.n] * g.n
     if g.n <= 6:
         assert count == len(enumerate_trees(g))
@@ -579,33 +624,39 @@ def test_only_elimination_touches_a_heap_or_a_column_index():
     assert set(touching) == {"elimination"}
 
 
-def _tree_sum_rows(g, weights):
-    """The rows of L + 1 e_0^T that weighted_tree_sum hands the determinant's body."""
-    lap = out_laplacian(g, weights)
-    for row in lap:
-        row[0] = row.get(0, 0) + 1
-    return [{c: v for c, v in row.items() if v} for row in lap]
-
-
-def test_determinant_skips_a_unit_round_too_short_to_split_a_quarter_of_the_rows():
-    # weights 1-9 on a 300-cycle leave a +1 in every row (column 0) but
-    # the units in under a quarter as many columns as rows, so the round
-    # could split under 75 rows: the determinant does not run it, and its
-    # heap loop takes the whole matrix; the Smith form would run it.  Unit
-    # weights put units in every column, and the phase splits every row.
+def test_unit_phase_and_the_evaluated_tree_sum_of_a_weighted_cycle():
+    # weights 1-9 on a 300-cycle leave a +1 in every row (column 0) but the
+    # units in 72 columns: the phase splits 38 rows, the last of them column
+    # 0's at a cost of ~600, and stops.  Unit weights put units in every
+    # column, and it splits every row.  The trees rooted at r are the path
+    # to r, so the evaluate method's two sides, here mod a prime, are both
+    # the sum over r of the product of all weights but r's out-edge's
     n = 300
     cycle = DiGraph(n, [(v, (v + 1) % n) for v in range(n)])
     rng = random.Random(1)
-    weights = [rng.randint(1, 9) for _ in range(n)]
-    for skip_short, split in [(True, 0), (False, 38)]:
-        rows = _tree_sum_rows(cycle, weights)
-        pivots = elimination._unit_pivots(rows, elimination._column_rows(rows), skip_short)[2]
-        assert len(pivots) == split
-    rows = _tree_sum_rows(cycle, [1] * n)
-    assert len(elimination._unit_pivots(rows, elimination._column_rows(rows), True)[2]) == n
-    # the trees rooted at r are the path to r: all weights but r's out-edge's
-    assert weighted_tree_sum(cycle, weights) == sum(prod(weights) // w for w in weights)
+    for weights, split in [([rng.randint(1, 9) for _ in range(n)], 38), ([1] * n, n)]:
+        rows = arb._plus_ones(out_laplacian(cycle, weights))
+        assert len(elimination._unit_pivots(rows, elimination._column_rows(rows))[2]) == split
+    x = [rng.randrange(1, P) for _ in range(n)]
+    tree_sum = sum(prod(x) // w for w in x) % P
+    assert arb._sides_mod(cycle, line_graph(cycle), x, P) == (tree_sum, tree_sum)
     assert count_trees(cycle) == n
+
+
+def test_multigraph_count_takes_the_heap_loop_and_hands_bareiss_a_small_block():
+    # edge multiplicities 1-9 make a multigraph's Laplacian a weighted one
+    # with few units: the unit phase leaves 226 sparse rows of the
+    # 300-cycle's L + 1 e_0^T, which would cost dense Bareiss ~0.5 s, and
+    # the heap loop takes them down to DENSE_HANDOFF rows
+    n, rng = 300, random.Random(0)
+    mult = [rng.randint(1, 9) for _ in range(n)]
+    g = DiGraph(n, [(v, (v + 1) % n) for v in range(n) for _ in range(mult[v])])
+    blocks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(elimination, "_bareiss",
+                      lambda m, bareiss=elimination._bareiss: blocks.append(len(m)) or bareiss(m))
+        assert count_trees(g) == sum(prod(mult) // w for w in mult)
+    assert blocks == [DENSE_HANDOFF]
 
 
 def three_out_eulerian(n, seed):
@@ -835,7 +886,51 @@ def test_evaluate_method_agrees(g):
     assert verify_identity(g, method="evaluate", seed=11).holds
 
 
-def test_weighted_tree_sum_matches_enumeration():
+@pytest.mark.parametrize("g", [debruijn(2, 6), debruijn(3, 3), kautz(3, 3)],
+                         ids=["db(2,6)", "db(3,3)", "kautz(3,3)"])
+def test_evaluate_on_unit_poor_line_graphs_past_the_expansion_bound(g):
+    # the weighted line graphs fill in as they are eliminated, far past the
+    # sizes square_matrices draws: at weights 1..9 both sides mod a prime
+    # are the integer body's determinants mod it, and these agree over Z
+    lg, rng = line_graph(g), random.Random(5)
+    x = [rng.randint(1, 9) for _ in range(g.m)]
+    lhs = elimination._determinant(arb._plus_ones(out_laplacian(lg, [x[f] for _, f in lg.edges])))
+    rhs = elimination._determinant(arb._plus_ones(out_laplacian(g, x))) * prod(
+        sum(x[e] for e in g._out[v]) ** (g.indeg[v] - 1) for v in range(g.n))
+    assert lhs == rhs and arb._sides_mod(g, lg, x, P) == (lhs % P, rhs % P)
+    assert verify_identity(g, method="evaluate", seed=5).holds
+
+
+def _nine_roots(x):
+    """(x_0 - 1)(x_0 - 2)...(x_0 - 9): 0 wherever x_0 is in 1..9."""
+    return prod(x[0] - c for c in range(1, 10))
+
+
+def test_evaluate_catches_a_wrong_side_that_weights_1_to_9_miss(monkeypatch):
+    # the left side plus a polynomial that vanishes on {1..9}^m: weights
+    # drawn from 1..9 over the integers miss it at every seed, and weights
+    # drawn mod a prime catch it at every one, with a witness that names
+    # the prime and gives both sides' residues
+    g = debruijn(2, 3)
+    sides = arb._sides_mod
+
+    def wrong(graph, lg, x, p):
+        lhs, rhs = sides(graph, lg, x, p)
+        return (lhs + _nine_roots(x)) % p, rhs
+
+    monkeypatch.setattr(arb, "_sides_mod", wrong)
+    for seed in range(20):
+        assert small_point_identity(g, seed) and small_point_identity(g, seed, _nine_roots)
+        report = verify_identity(g, method="evaluate", seed=seed)
+        assert not report.holds
+        point, p = report.witness["point"], report.witness["prime"]
+        assert 2 ** 30 <= p < 2 ** 31 and elimination._is_prime(p) and len(point) == g.m
+        assert all(0 <= x < p for x in point)
+        lhs, rhs = report.witness["lhs"], report.witness["rhs"]
+        assert (lhs, rhs) == wrong(g, line_graph(g), point, p) and lhs != rhs
+
+
+def test_tree_sum_determinant_matches_enumeration():
     g = kautz(2, 1)
     weights = [2, 3, 5, 7, 11, 13]
     expected = 0
@@ -845,7 +940,7 @@ def test_weighted_tree_sum_matches_enumeration():
             if e is not None:
                 prod *= weights[e]
         expected += prod
-    assert weighted_tree_sum(g, weights) == expected
+    assert determinant(arb._plus_ones(out_laplacian(g, weights))) == expected
 
 
 @st.composite
@@ -859,25 +954,25 @@ def weighted_multigraphs(draw, max_n=5, max_m=9):
 
 
 @given(weighted_multigraphs())
-def test_weighted_tree_sum_is_the_sum_of_rooted_minors(case):
-    # one determinant of L + 1 e_0^T against the n dense per-root determinants
+def test_tree_sum_is_the_sum_of_rooted_minors(case):
+    # one determinant of L + 1 e_0^T against the n dense per-root
+    # determinants, exactly and mod a prime
     g, weights = case
-    assert weighted_tree_sum(g, weights) == sum(count_trees_rooted(g, r, weights)
-                                                for r in range(g.n))
+    by_roots = sum(count_trees_rooted(g, r, weights) for r in range(g.n))
+    assert elimination._determinant(arb._plus_ones(out_laplacian(g, weights))) == by_roots
+    assert elimination._determinant_mod(arb._plus_ones(out_laplacian(g, weights)), P) == \
+        by_roots % P
     assert count_trees(g) == len(enumerate_trees(g)) == sum(
         count_trees_rooted(g, r) for r in range(g.n)) == sum(rooted_tree_counts(g))
 
 
-@pytest.mark.parametrize("weights", [[1], [1] * 9, [1.0] * 8, [1] * 7 + [0.5], None, ["1"] * 8,
+@pytest.mark.parametrize("weights", [[1], [1] * 9, [1.0] * 8, [1] * 7 + [0.5], ["1"] * 8,
                                      [0.5] * 8, 8])
-def test_weighted_tree_sum_refuses_weights_that_are_not_one_integer_per_edge(weights):
+def test_out_laplacian_refuses_weights_that_are_not_one_integer_per_edge(weights):
     # 1 weight for 8 edges once raised IndexError, and float weights gave a
-    # float; out_laplacian makes the check, and None is its unit weighting
+    # float tree sum
     with pytest.raises(ValueError, match="8 integers"):
-        weighted_tree_sum(debruijn(2, 2), weights)
-    if weights is not None:
-        with pytest.raises(ValueError, match="8 integers"):
-            out_laplacian(debruijn(2, 2), weights)
+        out_laplacian(debruijn(2, 2), weights)
 
 
 @st.composite

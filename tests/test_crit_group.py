@@ -292,9 +292,9 @@ def test_packed_bucket_queue_matches_the_plain_bucket_oracle(matrix, keys):
     started, pivots, left = [], [], []
     unit_pivots = elimination._unit_pivots
 
-    def recording(sparse_rows, col_rows, skip_short=False):
+    def recording(sparse_rows, col_rows):
         started.extend(dict(row) for row in sparse_rows)
-        units = unit_pivots(sparse_rows, col_rows, skip_short)
+        units = unit_pivots(sparse_rows, col_rows)
         pivots.extend(map(abs, units[2]))
         left.extend(sparse_rows)
         return units
@@ -545,9 +545,9 @@ def test_sandpile_takes_the_pivots_of_the_public_smith_form(g):
     def route(run):
         seen = []
 
-        def recording_unit(rows, col_rows, skip_short=False):
+        def recording_unit(rows, col_rows):
             seen.append([dict(row) for row in rows])
-            seen.append(unit_pivots(rows, col_rows, skip_short))
+            seen.append(unit_pivots(rows, col_rows))
             return seen[-1]
 
         def recording_divisor(rows, col_rows):

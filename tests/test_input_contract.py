@@ -58,7 +58,6 @@ VALID = {
     "rooted_tree_counts": dict(g=G),
     "validate_tree": dict(g=G, t=SpanningTree(0, (None, 2))),
     "verify_identity": dict(g=G, method="expand", bound=100, seed=0),
-    "weighted_tree_sum": dict(g=G, weights=[1, 2, 3, 4]),
     "canonical_form": dict(n=2, edges=[(0, 1), (1, 1)]),
     "random_small_graphs": dict(count=1, max_vertices=1, max_edges=1, seed=0),
     "AbelianGroup": dict(invariant_factors=(2, 4), free_rank=0),
@@ -170,7 +169,7 @@ ROWS = [
     ("minor", "rows", *ANY),
     ("minor", "r", [*NOT_INTEGERS, -1, 2], GraphError, "^row index"),
     ("out_laplacian", "g", *ANY),
-    ("out_laplacian", "weights", [[1, 2, 3], [1.5] * 4, ["x"] * 4, 4],
+    ("out_laplacian", "weights", [[1, 2, 3], [1.5] * 4, ["x"] * 4, 4, "abcd"],
      ValueError, "^weights must be 4 integers"),
     ("rhs_product", "g", [ZERO_INDEGREE], InvalidTreeError, "indegree"),
     ("rhs_product", "bound", *BOUND),
@@ -184,9 +183,6 @@ ROWS = [
     ("verify_identity", "method", ["x", None], ValueError, "^unknown method"),
     ("verify_identity", "bound", *BOUND),
     ("verify_identity", "seed", *ANY),
-    ("weighted_tree_sum", "g", *ANY),
-    ("weighted_tree_sum", "weights", [None, [1, 2, 3], [1.5] * 4, "abcd"],
-     ValueError, "^weights must be 4 integers"),
     # corpus
     ("canonical_form", "n", [0, *NOT_INTEGERS[:2], 9], GraphError, "vertex"),
     ("canonical_form", "edges", [[(0, 5)], [(0, -1)], [(0, 1.5)], [(0, 1, 1)], [(0,)]],
