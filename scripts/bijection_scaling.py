@@ -8,9 +8,12 @@ takes every tree array of the `identity_corpus()` graphs with the given
 range of edge counts and at most BIJECTION_ARRAY_CAP arrays, as verify-all's
 criterion 3 does.  A family case takes ARRAYS random arrays of db(2,3) or
 kautz(2,3): a random spanning tree, then random out-edges before each last
-entry.  Every loop runs under one shuffled edge order and REPEATS times; a
-cell is the least time over the repeats divided by the calls in one loop.
-The cyclic collector is off while the loops run.
+entry.  Every loop runs under one shuffled edge order and REPEATS times,
+the four loops taking turns; a cell is the least time over the repeats
+divided by the calls in one loop.  The ratios σ/_σ and π/_π, the cost of
+each public map over its body, are taken within the child, so a drift of
+the host's speed between children cancels in them.  The cyclic collector is
+off while the loops run.
 The child checks pi(sigma(A)) == A on every array.  The harness and --src
 are in scaling.py.
 
@@ -60,18 +63,21 @@ for g, arrays in cases:
              "pi": lambda: [ctx.pi(t, order) for t in images],
              "_sigma": lambda: [_sigma(n, target, a, order) for a in arrays],
              "_pi": lambda: [_pi(n, target, r, s, order) for r, s in bodies]}
+    times = {name: [] for name in loops}
+    gc.collect()
     gc.disable()
-    for name, loop in loops.items():
-        times = []
-        gc.collect()
-        for _ in range(REPEATS):
+    for _ in range(REPEATS):
+        for name, loop in loops.items():
             start = time.perf_counter()
             loop()
-            times.append(time.perf_counter() - start)
-        best[name] += min(times)
+            times[name].append(time.perf_counter() - start)
     gc.enable()
+    for name in loops:
+        best[name] += min(times[name])
     calls += len(arrays)
-print(json.dumps({"calls": calls, **{k: 1e6 * v / calls for k, v in best.items()}}))
+print(json.dumps({"calls": calls, **{k: 1e6 * v / calls for k, v in best.items()},
+                  "sigma_ratio": best["sigma"] / best["_sigma"],
+                  "pi_ratio": best["pi"] / best["_pi"]}))
 """
 
 
@@ -79,9 +85,9 @@ def main():
     scaling.main(CHILD, CASES, TIMEOUT_S, ["graphs"],
                  lambda case: [f"corpus, m in {case[1]}..{case[2]}" if case[0] == "corpus"
                                else f"{case[0]}({case[1]},{case[2]})"],
-                 ["calls", "σ µs", "π µs", "_σ µs", "_π µs"],
-                 lambda r: [str(r["calls"])] + [f"{r[k]:.2f}"
-                                                for k in ("sigma", "pi", "_sigma", "_pi")])
+                 ["calls", "σ µs", "π µs", "_σ µs", "_π µs", "σ/_σ", "π/_π"],
+                 lambda r: [str(r["calls"])] + [f"{r[k]:.2f}" for k in (
+                     "sigma", "pi", "_sigma", "_pi", "sigma_ratio", "pi_ratio")])
 
 
 if __name__ == "__main__":

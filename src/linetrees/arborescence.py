@@ -73,8 +73,12 @@ DEFAULT_BOUND = 10 ** 6
 @dataclass(frozen=True)
 class SpanningTree:
     """Arborescence toward `root`: out_edge[v] is v's edge, None at the root."""
+    __slots__ = ("root", "out_edge")  # no per-instance dict, so quicker to build
     root: int
     out_edge: tuple[int | None, ...]
+
+    def __reduce__(self):  # pickle and copy by the constructor: the fields refuse setattr
+        return type(self), (self.root, self.out_edge)
 
 
 def validate_tree(g: DiGraph, t: SpanningTree) -> None:

@@ -50,22 +50,23 @@ linear time, and then run a body that trusts it; internal callers (the de
 Bruijn codec, verify-all's round trips) call the bodies directly.
 ``validate_tree_array``, the one check of a tree array, makes a pass over
 the entries, then walks the chains of last entries to the root once.
-``sigma`` makes the pass, counting the entries for its body, which is the
-acyclicity check: a run pops every entry, and were the last entries e_i of
-l_{v_i} a cycle, t(e_i) = v_{i+1}, the last pop from l_{v_{i+1}} would
-follow the taking of e_i, hence the pop of e_i, the last from l_{v_i}, and
-so, around the cycle, itself.  ``pi`` checks its tree through the
-numbering while building the successor list and its indegrees, so it
-builds no line graph: line edge j out of e is valid iff off[e] <= j <
-off[e + 1], with head the (j - off[e])-th out-edge of t(e).  A successor
-list peels down to its root iff it has no cycle, so pi's body is the
-acyclicity check too.  Only once a body fails, or the order is
-refused, does a public map walk the chains to name the error, so the
-errors of ``sigma`` are those of ``validate_tree_array`` and those of
-``pi`` those of ``validate_tree(ctx.line, tree)``, in order.  A context
-checks an edge order once and keeps it in one slot until some position
-holds another object.  ``enumerate_tree_arrays`` builds arrays valid by
-construction.
+``sigma`` makes the pass, counting the entries for its body, in one loop
+over the edge sources; an array that is not a tuple of tuples of exact
+ints and OMEGA takes the full pass, for the same values and messages.  Its
+body is the acyclicity check: a run pops every entry, and were the last
+entries e_i of l_{v_i} a cycle, t(e_i) = v_{i+1}, the last pop from
+l_{v_{i+1}} would follow the taking of e_i, hence the pop of e_i, the last
+from l_{v_i}, and so, around the cycle, itself.  ``pi`` checks its tree
+through the flat line-edge tables while building the successor list and
+its indegrees, so it builds no line graph: line edge j runs from
+line_src[j] to line_head[j].  A successor list peels down to its root iff
+it has no cycle, so pi's body is the acyclicity check too.  Only once a
+body fails, or the order is refused, does a public map walk the chains to
+name the error, so the errors of ``sigma`` are those of
+``validate_tree_array`` and those of ``pi`` those of ``validate_tree(ctx.line,
+tree)``, in order.  A context checks an edge order once and keeps it in one
+slot until some position holds another object.  ``enumerate_tree_arrays``
+builds arrays valid by construction.
 The invariants that make the loop in sigma well-defined (the candidate set
 and the popped list are never empty) are checked and raise typed errors,
 and every sigma run checks that each list copy was popped, i.e. that indeg
@@ -112,8 +113,12 @@ Succ = tuple[int | None, ...]  # a line-graph tree as a successor list
 @dataclass(frozen=True)
 class TreeArray:
     """Per-vertex entry lists; `root` is the vertex whose list ends in OMEGA."""
+    __slots__ = ("root", "lists")  # no per-instance dict, so quicker to build
     root: int
     lists: tuple[tuple[ArrayEntry, ...], ...]
+
+    def __reduce__(self):  # pickle and copy by the constructor: the fields refuse setattr
+        return type(self), (self.root, self.lists)
 
 
 def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
@@ -191,15 +196,18 @@ def shuffled_order(g: DiGraph, seed: int) -> list[int]:
 
 class LineContext:
     """A graph g and the numbering of its line edges: (e, f) is edge
-    ``line_id[e][f]`` of ``line`` (built on first use), off[e] plus the index
-    of f in ``out_edges(t(e))``, with off the prefix sums of outdeg(t(e))."""
+    ``off[e] + rank[f]`` of ``line`` (built on first use), with off the
+    prefix sums of outdeg(t(e)) and rank[f] the index of f in
+    ``out_edges(s(f))``; line edge j runs from line_src[j] to line_head[j]."""
 
     def __init__(self, g: DiGraph):
-        self.g = g
-        self.target = [t for _, t in g.edges]
-        self.off = list(accumulate((g.outdeg[t] for t in self.target), initial=0))
-        self.line_id = [{f: o + i for i, f in enumerate(g._out[t])}
-                        for t, o in zip(self.target, self.off)]
+        self.g, out = g, g._out
+        self.source = [s for s, _ in g.edges]
+        self.target = target = [t for _, t in g.edges]
+        self.off = list(accumulate((g.outdeg[t] for t in target), initial=0))
+        self.rank = [i for _, i in sorted((f, i) for fs in out for i, f in enumerate(fs))]
+        self.line_src = [e for e, t in enumerate(target) for _ in out[t]]
+        self.line_head = [f for t in target for f in out[t]]
         self._order = tuple(range(g.m))  # the last edge order checked
 
     @cached_property
@@ -211,21 +219,33 @@ class LineContext:
         that has one; InvalidTreeError unless the shape matches and each
         succ[e] is an out-edge of t(e).  Acyclicity is left to its reader."""
         _check_shape(root, succ, self.g.m)
-        line_id = self.line_id
+        out, target, off = self.g._out, self.target, self.off
         try:
-            return SpanningTree(root, tuple([None if f is None else line_id[e][index(f)]
-                                             for e, f in enumerate(succ)]))
-        except (KeyError, TypeError):   # not an out-edge of t(e), or not an integer
+            return SpanningTree(root, tuple([None if f is None else o + out[t].index(index(f))
+                                             for f, t, o in zip(succ, target, off)]))
+        except (TypeError, ValueError):   # not an integer, or not an out-edge of t(e)
             raise InvalidTreeError("each succ[e] must be None or an out-edge of t(e)") from None
 
     def successors(self, tree: SpanningTree) -> Succ:
-        """Inverse of :meth:`line_tree` on a valid tree: the head of each edge.
+        """Inverse of :meth:`line_tree`: the head of each edge, None at the root,
+        checked as :meth:`pi` checks it but for acyclicity, left to its reader."""
+        return tuple(self._heads(tree)[1])
 
-        Line edge j out of e is (e, f) with f the (j - off[e])-th out-edge
-        of t(e), so no line graph is built."""
-        out, target, off = self.g._out, self.target, self.off
-        return tuple([None if j is None else out[t][j - o]
-                      for j, t, o in zip(tree.out_edge, target, off)])
+    def _heads(self, tree: SpanningTree) -> tuple[int, list[int | None], list[int]]:
+        # validate_tree(self.line, tree) but the walk, through the flat
+        # line-edge tables: the root, the successor list and its indegrees
+        root, out_edge, m = tree.root, tree.out_edge, self.g.m
+        _check_shape(root, out_edge, m)
+        line_src, line_head, lines = self.line_src, self.line_head, len(self.line_src)
+        succ: list[int | None] = [None] * m
+        indeg = [0] * m
+        for e, j in enumerate(out_edge):
+            if e != root:
+                if not (isinstance(j, int) and 0 <= j < lines and line_src[j] == e):
+                    raise InvalidTreeError(f"vertex {e} needs exactly one out-edge with source {e}")
+                succ[e] = f = line_head[j]
+                indeg[f] += 1
+        return root, succ, indeg
 
     def _checked_order(self, order: Sequence[int] | None) -> Sequence[int]:
         # _edge_order, skipped while every position holds the same object
@@ -238,16 +258,43 @@ class LineContext:
             self._order = last = tuple(_edge_order(self.g, order))
         return last
 
+    def _counts(self, a: TreeArray) -> list[int] | None:
+        # _check_entries' copy counts for a tuple of tuples of exact ints and
+        # OMEGA; None for any other array, whose values and messages it decides
+        n, m, indeg, source = self.g.n, self.g.m, self.g.indeg, self.source
+        root, lists = a.root, a.lists
+        if not (type(root) is int and 0 <= root < n and type(lists) is tuple and len(lists) == n):
+            return None
+        count = [0] * m
+        omegas = 0
+        for v, entries in enumerate(lists):
+            if type(entries) is not tuple or len(entries) != indeg[v]:
+                return None
+            for e in entries:
+                if type(e) is int and 0 <= e < m and source[e] == v:
+                    count[e] += 1
+                elif e is OMEGA:
+                    omegas += 1
+                else:
+                    return None
+        # no list is empty when no indegree is 0; the one OMEGA then ends the root's
+        return count if 0 not in indeg and omegas == 1 and lists[root][-1] is OMEGA else None
+
     def sigma(self, a: TreeArray, order: Sequence[int] | None = None) -> SpanningTree:
         """Map a tree array of g to a spanning tree of the line graph, raising
         ``validate_tree_array``'s errors; its walk runs only if the body fails."""
-        count = _check_entries(self.g, a)
+        g = self.g
+        count = self._counts(a)
+        if count is None:
+            count = _check_entries(g, a)
         try:
-            root, succ = _sigma(self.g.n, self.target, a, self._checked_order(order), count)
+            root, succ = _sigma(g.n, self.target, a, self._checked_order(order), count)
         except (TypeError, ValueError):  # a refused order, or a cycle of last entries
-            validate_tree_array(self.g, a)
+            validate_tree_array(g, a)
             raise
-        return self.line_tree(root, succ)
+        off, rank = self.off, self.rank  # the body's line edges are valid: no check
+        return SpanningTree(root, tuple([None if f is None else off[e] + rank[f]
+                                         for e, f in enumerate(succ)]))
 
     def pi(self, tree: SpanningTree, order: Sequence[int] | None = None) -> TreeArray:
         """Map a spanning tree of the line graph back to a tree array of g.
@@ -256,21 +303,9 @@ class LineContext:
         the same errors in the same order, through the numbering alone: the
         body's peel is the acyclicity check, and the walk that names the
         cycle runs only once the peel stalls or the order is refused."""
-        root, out_edge, m = tree.root, tree.out_edge, self.g.m
-        _check_shape(root, out_edge, m)
-        out, target, off = self.g._out, self.target, self.off
-        succ: list[int | None] = [None] * m
-        indeg = [0] * m
-        for e, j in enumerate(out_edge):
-            if e == root:
-                continue
-            o = off[e]
-            if not isinstance(j, int) or not (o <= j < off[e + 1]):
-                raise InvalidTreeError(f"vertex {e} needs exactly one out-edge with source {e}")
-            succ[e] = f = out[target[e]][j - o]
-            indeg[f] += 1
+        root, succ, indeg = self._heads(tree)
         try:
-            return _pi(self.g.n, target, root, succ, self._checked_order(order), indeg)
+            return _pi(self.g.n, self.target, root, succ, self._checked_order(order), indeg)
         except (TypeError, ValueError):  # a refused order, or a stalled peel
             _check_reaches_root(root, succ)
             raise

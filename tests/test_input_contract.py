@@ -6,8 +6,9 @@ row of ROWS is (member, argument, bad values, error type, message pattern);
 every other argument takes its value from VALID.  A row with no bad values
 says that every value of the right kind is accepted.  Every parameter of
 every public callable (``test_public_surface.public_members()``, plus
-``LineContext.sigma``/``.pi``/``.line_tree`` and ``DiGraph.source``/
-``.target``/``.out_edges``/``.vertex_label``/``.edge_label``) needs a row,
+``LineContext.sigma``/``.pi``/``.line_tree``/``.successors`` and
+``DiGraph.source``/``.target``/``.out_edges``/``.vertex_label``/
+``.edge_label``) needs a row,
 or its member a reason in NO_ARGUMENT_ROWS, so new API cannot skip the
 contract, and deleting any row or reason fails
 ``test_every_public_argument_has_a_row``.
@@ -39,7 +40,7 @@ ZERO_INDEGREE = DiGraph(2, [(0, 1)])            # nor strongly connected, nor ba
 EDGELESS = DiGraph(1, [])
 UNLABELLED = DiGraph(2, [(0, 1), (1, 0)])
 # the public methods with rows, by class; they are called on LineContext(G) and G
-METHODS = {LineContext: ("sigma", "pi", "line_tree"),
+METHODS = {LineContext: ("sigma", "pi", "line_tree", "successors"),
            DiGraph: ("source", "target", "out_edges", "vertex_label", "edge_label")}
 
 # Valid arguments for each member; a row replaces one of them.
@@ -103,6 +104,7 @@ VALID = {
     "LineContext.sigma": dict(a=ARRAY, order=[3, 2, 1, 0]),
     "LineContext.pi": dict(tree=TREE, order=[3, 2, 1, 0]),
     "LineContext.line_tree": dict(root=TREE.root, succ=SUCC),
+    "LineContext.successors": dict(tree=TREE),
     "DiGraph.source": dict(e=3),
     "DiGraph.target": dict(e=3),
     "DiGraph.out_edges": dict(v=1),
@@ -280,6 +282,7 @@ ROWS = [
      "tree shape|root"),
     ("LineContext.line_tree", "succ", _succs(TREE.root, SUCC), InvalidTreeError,
      r"tree shape|succ\[e\]"),
+    ("LineContext.successors", "tree", _line_trees(TREE), InvalidTreeError, "tree shape|out-edge"),
     ("enumerate_tree_arrays", "g", [ZERO_INDEGREE], InvalidTreeArrayError, "indegree"),
     ("enumerate_tree_arrays", "bound", *BOUND),
     ("shuffled_order", "g", *ANY),
@@ -299,7 +302,8 @@ NO_ARGUMENT_ROWS = {
     **dict.fromkeys(["Poly", "Succ", "ArrayEntry"], "a type alias"),
     **dict.fromkeys(["IdentityReport", "KnuthReport", "DivisibilityReport", "SmithResult",
                      "CriterionResult"], "a result record the library fills in"),
-    "SpanningTree": "a record; validate_tree, LineContext.pi and .line_tree check it",
+    "SpanningTree": "a record; validate_tree and LineContext.pi, .line_tree and .successors "
+                    "check it",
     "TreeArray": "a record; validate_tree_array and LineContext.sigma check it",
     "HamPath": "a record; path_to_seq checks it",
     "main": "the CLI reports bad input by exit code, which test_cli checks",

@@ -1,6 +1,10 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
+from enum import IntEnum
 from itertools import product
 from math import prod
 from pathlib import Path
@@ -21,6 +25,22 @@ from oracles import array_tree, heap_pi, heap_sigma, two_pass_pi, two_pass_sigma
 
 TWO_CYCLE = DiGraph(2, [(0, 1), (1, 0)])
 SELF_LOOP = DiGraph(1, [(0, 0)])
+# an int subclass, accepted wherever an int is, for every id a corpus-size
+# graph or its line graph has
+Id = IntEnum("Id", {f"ID{i}": i for i in range(64)})
+
+
+class Index:
+    """Not an int, but usable as a list index: refused wherever an id is read."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def __index__(self):
+        return self.i
+
+    def __repr__(self):
+        return f"Index({self.i})"
 
 
 @st.composite
@@ -282,7 +302,8 @@ def boundary_cases(draw):
         elif kind == "range":
             lists[v][i] = draw(st.sampled_from([-1, m, m + 3]))
         elif kind == "type":
-            lists[v][i] = draw(st.sampled_from([1.0, True, None, "0"]))
+            lists[v][i] = draw(st.sampled_from([1.0, True, None, "0", Id(draw(edge)),
+                                                Index(draw(edge))]))
         elif kind == "omega":   # misplaced, missing or extra OMEGA
             lists[v][i] = OMEGA if lists[v][i] is not OMEGA else draw(edge)
         elif kind == "drop":
@@ -312,7 +333,8 @@ def boundary_cases(draw):
         if kind == "cycle" and e != t_root and closing:
             out_edge[e] = draw(st.sampled_from(closing))
         elif kind == "type" and e != t_root:
-            out_edge[e] = draw(st.sampled_from([None, 1.5, True, "x"]))
+            j = out_edge[e]
+            out_edge[e] = draw(st.sampled_from([None, 1.5, True, "x", Id(j), Index(j)]))
         elif kind == "range" and e != t_root:
             out_edge[e] = draw(st.sampled_from([-1, ctx.off[-1]]))
         elif kind == "root":
@@ -321,16 +343,18 @@ def boundary_cases(draw):
     # orders: index order, a shuffle, and a broken one
     shuffled = draw(st.permutations(range(m)))
     broken = list(shuffled)
-    kind = draw(st.sampled_from(["short", "dup", "float", "true", "none", "long", "unsized"]))
+    kind = draw(st.sampled_from(["short", "dup", "float", "true", "none", "enum", "index",
+                                 "long", "unsized"]))
     if kind == "unsized":   # no len(): a TypeError, after any cycle
         broken = m
     elif kind == "short":
         broken.pop()
     elif kind == "dup":
         broken[0] = broken[-1]      # for m = 1, the order stays valid
-    elif kind in ("float", "true", "none"):
+    elif kind in ("float", "true", "none", "enum", "index"):
         i = draw(st.integers(0, m - 1))
-        broken[i] = {"float": float(broken[i]), "true": True, "none": None}[kind]
+        broken[i] = {"float": float(broken[i]), "true": True, "none": None,
+                     "enum": Id(broken[i]), "index": Index(broken[i])}[kind]
     else:
         broken.append(0)
     return ctx, array, line_tree, [None, shuffled, broken, shuffled]
@@ -390,6 +414,86 @@ def test_sigma_walks_only_a_failed_body(monkeypatch):
     with pytest.raises(InvalidTreeArrayError, match="cycle through vertex 1"):
         db.sigma(cyclic, order=[0])
     assert len(walks) == 2
+
+
+def test_sigma_reads_exact_int_arrays_in_one_pass(monkeypatch):
+    # sigma checks and counts an array of exact ints in one loop and numbers
+    # its body's output unchecked: no _check_shape, no line_tree, and the
+    # full per-entry check only for an array holding another kind of value
+    def refuse(*_):
+        raise AssertionError("line_tree called")
+
+    graphs = [g for g in identity_corpus() if 0 < tree_array_count(g) <= 200]
+    contexts = [(LineContext(g), list(enumerate_tree_arrays(g))) for g in graphs]
+    images = [[ctx.sigma(a) for a in arrays] for ctx, arrays in contexts]
+    checks = _counting(monkeypatch, "_check_entries")
+    shapes = _counting(monkeypatch, "_check_shape")
+    monkeypatch.setattr(LineContext, "line_tree", refuse)
+    for (ctx, arrays), expected in zip(contexts, images):
+        assert [ctx.sigma(a) for a in arrays] == expected
+    assert checks == [] and shapes == [] and sum(map(len, images)) > 2000
+    # the same array with one entry an int subclass: the full check runs
+    # once, and the image is the same
+    ctx, arrays = contexts[-1]
+    a = arrays[-1]
+    v = next(v for v, entries in enumerate(a.lists) if entries[0] is not OMEGA)
+    lists = list(a.lists)
+    lists[v] = (Id(lists[v][0]),) + lists[v][1:]
+    assert ctx.sigma(TreeArray(a.root, tuple(lists))) == images[-1][-1]
+    assert checks == ["_check_entries"] and shapes == []
+
+
+def test_successors_checks_the_tree_as_pi_does():
+    # edges of DB_2(2) are numbered 0..7 and each has two line edges,
+    # 2e and 2e + 1; line edge 1 leaves edge 0, not edge 1, so the tree is
+    # refused, not read as some other successor list
+    g = debruijn(2, 2)
+    ctx = LineContext(g)
+    bad = SpanningTree(0, (None, 1, 4, 6, 8, 10, 12, 14))
+    message = "vertex 1 needs exactly one out-edge with source 1"
+    for read in (lambda t: validate_tree(ctx.line, t), ctx.pi, ctx.successors):
+        with pytest.raises(InvalidTreeError, match=f"^{message}$"):
+            read(bad)
+    t = ctx.sigma(next(enumerate_tree_arrays(g)))
+    for broken in (SpanningTree(t.root, t.out_edge[:-1]), SpanningTree(t.root, None),
+                   *(SpanningTree(t.root, _put(t.root, t.out_edge, x))
+                     for x in (-1, 16, 99, "x", 1.5, Index(3)))):
+        assert (_outcome(lambda: ctx.successors(broken))
+                == _outcome(lambda: validate_tree(ctx.line, broken)))
+        assert _outcome(lambda: ctx.successors(broken))[0] is InvalidTreeError
+    # acyclicity is left to the reader, as in line_tree
+    cyclic = _cycle_tree(ctx, ctx.line)
+    assert ctx.line_tree(cyclic.root, ctx.successors(cyclic)) == cyclic
+
+
+def _put(root, out_edge, x):
+    # out_edge with x in place of the entry after the root's
+    at = (root + 1) % len(out_edge)
+    return out_edge[:at] + (x,) + out_edge[at + 1:]
+
+
+@pytest.mark.parametrize("record, fields, text", [
+    (SpanningTree(1, (None, 2)), (1, (None, 2)), "SpanningTree(root=1, out_edge=(None, 2))"),
+    (TreeArray(0, ((OMEGA, 1), (2,))), (0, ((OMEGA, 1), (2,))),
+     "TreeArray(root=0, lists=((OMEGA, 1), (2,)))"),
+])
+def test_records_keep_their_behaviour(record, fields, text):
+    cls = type(record)
+    twin = cls(*fields)
+    assert record == twin and hash(record) == hash(twin) and record is not twin
+    assert record != cls(fields[0] + 1, fields[1]) and record != fields
+    assert repr(record) == text
+    assert not hasattr(record, "__dict__")    # fields live in slots
+    for name in ("root", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 0)
+    with pytest.raises(FrozenInstanceError):
+        del record.root
+    for back in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+        assert back == record and hash(back) == hash(record) and type(back) is cls
+    if cls is TreeArray:
+        assert pickle.loads(pickle.dumps(record)).lists[0][0] is OMEGA
+        assert copy.deepcopy(record).lists[0][0] is OMEGA
 
 
 def _entry_valid_arrays(g):
@@ -692,10 +796,12 @@ def test_sigma_body_guards_survive_optimize_flag():
 @given(digraphs_positive_indeg(max_n=4, max_m=8))
 def test_line_edge_numbering_matches_line_graph(g):
     # sigma's output ids and the codec's levels rely on this alignment:
-    # line_id[e][f] is where line_graph emits the line edge (e, f)
+    # off[e] + rank[f] is where line_graph emits the line edge (e, f), and
+    # pi reads line edge j as (line_src[j], line_head[j])
     ctx = LineContext(g)
     lg = line_graph(g)
     pairs = [(e, f) for e in range(g.m) for f in range(g.m) if g.target(e) == g.source(f)]
     assert len(pairs) == lg.m
     for e, f in pairs:
-        assert lg.edges[ctx.line_id[e][f]] == (e, f)
+        assert lg.edges[ctx.off[e] + ctx.rank[f]] == (e, f)
+    assert tuple(zip(ctx.line_src, ctx.line_head)) == lg.edges
