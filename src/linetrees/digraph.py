@@ -60,6 +60,9 @@ class DiGraph:
             edge_labels = tuple(edge_labels)
             if len(edge_labels) != len(edges):
                 raise GraphError("edge label count does not match edge count")
+        for what, labels in (("vertex", vertex_labels), ("edge", edge_labels)):
+            if labels is not None and not all(isinstance(label, str) for label in labels):
+                raise GraphError(f"{what} labels must be strings")
         self.n = n
         self.edges = edges
         self.vertex_labels = vertex_labels
@@ -98,12 +101,16 @@ def line_graph(g: DiGraph) -> DiGraph:
 
     Vertex i of the result is edge i of g, so no index map is needed.  Line
     edges are emitted in (e, then out-edges of t(e)) order, giving a
-    deterministic edge list.
+    deterministic edge list.  The edge labels of g become the vertex labels
+    when they are distinct; otherwise the line graph is unlabelled.
     """
     if g.m == 0:
         raise GraphError("line graph of an edgeless graph has no vertices")
     lg_edges = [(e, f) for e, (_, t) in enumerate(g.edges) for f in g._out[t]]
-    return DiGraph(g.m, lg_edges, vertex_labels=g.edge_labels)
+    labels = g.edge_labels
+    if labels is not None and len(set(labels)) < g.m:  # a repeated label names no vertex
+        labels = None
+    return DiGraph(g.m, lg_edges, vertex_labels=labels)
 
 
 def _strings(m: int, length: int, kautz: bool) -> list[str]:
@@ -340,6 +347,16 @@ def parse_edge_list(text: str) -> DiGraph:
 
 
 def format_edge_list(g: DiGraph) -> str:
+    """g as edge-list text; GraphError if the reader would not read g back:
+    a vertex with no edge, or a label that is empty or holds whitespace or '#'."""
+    missing = set(range(g.n)) - {v for edge in g.edges for v in edge}
+    if missing:
+        raise GraphError(f"vertex {g.vertex_label(min(missing))!r} has no edge, so edge-list "
+                         "text would lose it; use JSON output (--format json)")
+    for label in (*(g.vertex_labels or ()), *(g.edge_labels or ())):
+        if label.split() != [label] or "#" in label:
+            raise GraphError(f"label {label!r} would not read back from edge-list text; "
+                             "use JSON output (--format json)")
     lines = []
     for e in range(g.m):
         s, t = g.edges[e]

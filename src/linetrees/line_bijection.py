@@ -50,9 +50,7 @@ linear time, and then run a body that trusts it; internal callers (the de
 Bruijn codec, verify-all's round trips) call the bodies directly.
 ``validate_tree_array``, the one check of a tree array, makes a pass over
 the entries, then walks the chains of last entries to the root once.
-``sigma`` makes the pass, counting the entries for its body, in one loop
-over the edge sources; an array that is not a tuple of tuples of exact
-ints and OMEGA takes the full pass, for the same values and messages.  Its
+``sigma`` makes the same pass, which counts the entries for its body.  Its
 body is the acyclicity check: a run pops every entry, and were the last
 entries e_i of l_{v_i} a cycle, t(e_i) = v_{i+1}, the last pop from
 l_{v_{i+1}} would follow the taking of e_i, hence the pop of e_i, the last
@@ -80,7 +78,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
-from operator import add, index, is_
+from operator import add, index, indexOf, is_
 from typing import Iterable, Iterator, Sequence
 
 from .arborescence import (SpanningTree, _check_reaches_root, _check_shape, count_trees,
@@ -123,7 +121,7 @@ class TreeArray:
 
 def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
     """Raise InvalidTreeArrayError unless a is a tree array of g; O(n + m)."""
-    _check_entries(g, a)
+    _check_entries(g, a, [s for s, _ in g.edges])
     # every last entry is now an out-edge of its vertex, so the one check
     # left of the tree they form is that each chain of heads reaches the root
     edges, root = g.edges, a.root
@@ -134,33 +132,38 @@ def validate_tree_array(g: DiGraph, a: TreeArray) -> None:
         raise InvalidTreeArrayError(f"last entries do not form a spanning tree: {exc}") from None
 
 
-def _check_entries(g: DiGraph, a: TreeArray) -> list[int]:
-    # validate_tree_array's checks but the walk; returns each edge's copy count
-    n, m, indeg, edges = g.n, g.m, g.indeg, g.edges
-    root = a.root
+def _check_entries(g: DiGraph, a: TreeArray, source: Sequence[int]) -> list[int]:
+    # validate_tree_array's checks but the walk, in one loop over the edge
+    # sources: each edge's copy count.  An exact int of the list's vertex is
+    # counted and OMEGA placed before any other test runs; every entry before
+    # the first OMEGA is then a checked int, so indexOf finds it
+    n, m, indeg = g.n, g.m, g.indeg
+    root, lists = a.root, a.lists
     omegas = 0
     count = [0] * m
     shape = "array shape does not match the graph"
     try:
-        if len(a.lists) != n or not isinstance(root, int) or not (0 <= root < n):
+        if len(lists) != n or not isinstance(root, int) or not (0 <= root < n):
             raise InvalidTreeArrayError(shape)
-        for v, entries in enumerate(a.lists):
+        for v, entries in enumerate(lists):
             if len(entries) != indeg[v]:
                 raise InvalidTreeArrayError(
                     f"list of vertex {v} has length {len(entries)}, expected indeg {indeg[v]}")
-            for pos, entry in enumerate(entries):
-                if entry is OMEGA:
+            for e in entries:
+                if type(e) is int and 0 <= e < m and source[e] == v:
+                    count[e] += 1
+                elif e is OMEGA:
                     omegas += 1
-                    if v != root or pos != len(entries) - 1:
+                    if v != root or indexOf(entries, OMEGA) != len(entries) - 1:
                         raise InvalidTreeArrayError(
                             "OMEGA must be the last entry of the root's list")
-                elif isinstance(entry, int) and 0 <= entry < m:
-                    if edges[entry][0] != v:
+                elif isinstance(e, int) and 0 <= e < m:
+                    if source[e] != v:
                         raise InvalidTreeArrayError(
-                            f"entry {entry} in list of vertex {v} has source {edges[entry][0]}")
-                    count[entry] += 1
+                            f"entry {e} in list of vertex {v} has source {source[e]}")
+                    count[e] += 1
                 else:
-                    raise InvalidTreeArrayError(f"entry {entry!r} is not an edge id")
+                    raise InvalidTreeArrayError(f"entry {e!r} is not an edge id")
     except TypeError:   # the lists, or one of them, have no length
         raise InvalidTreeArrayError(shape) from None
     if omegas != 1:
@@ -258,35 +261,11 @@ class LineContext:
             self._order = last = tuple(_edge_order(self.g, order))
         return last
 
-    def _counts(self, a: TreeArray) -> list[int] | None:
-        # _check_entries' copy counts for a tuple of tuples of exact ints and
-        # OMEGA; None for any other array, whose values and messages it decides
-        n, m, indeg, source = self.g.n, self.g.m, self.g.indeg, self.source
-        root, lists = a.root, a.lists
-        if not (type(root) is int and 0 <= root < n and type(lists) is tuple and len(lists) == n):
-            return None
-        count = [0] * m
-        omegas = 0
-        for v, entries in enumerate(lists):
-            if type(entries) is not tuple or len(entries) != indeg[v]:
-                return None
-            for e in entries:
-                if type(e) is int and 0 <= e < m and source[e] == v:
-                    count[e] += 1
-                elif e is OMEGA:
-                    omegas += 1
-                else:
-                    return None
-        # no list is empty when no indegree is 0; the one OMEGA then ends the root's
-        return count if 0 not in indeg and omegas == 1 and lists[root][-1] is OMEGA else None
-
     def sigma(self, a: TreeArray, order: Sequence[int] | None = None) -> SpanningTree:
         """Map a tree array of g to a spanning tree of the line graph, raising
         ``validate_tree_array``'s errors; its walk runs only if the body fails."""
         g = self.g
-        count = self._counts(a)
-        if count is None:
-            count = _check_entries(g, a)
+        count = _check_entries(g, a, self.source)
         try:
             root, succ = _sigma(g.n, self.target, a, self._checked_order(order), count)
         except (TypeError, ValueError):  # a refused order, or a cycle of last entries

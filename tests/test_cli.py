@@ -193,6 +193,27 @@ def test_trees_identity_and_knuth(capsys, monkeypatch):
     assert data["kappa_line"] == "72"
 
 
+@pytest.mark.parametrize("argv", [["trees", "identity-check"], ["trees", "knuth-check"],
+                                  ["linegraph"], ["trees", "count"]])
+def test_line_graph_commands_take_repeated_edge_labels(capsys, monkeypatch, argv):
+    # the second edge's default label is "1", the first edge's label too
+    code, out, err = run_cli(capsys, monkeypatch, [*argv, "--input", "-"], stdin="a b 1\nb a\n")
+    assert code == 0 and err == ""
+    if argv == ["linegraph"]:
+        assert out == "0 1\n1 0\n"
+
+
+def test_linegraph_edge_list_refuses_a_vertex_with_no_edge(capsys, monkeypatch):
+    # the line graph of one edge 0 -> 1 is one vertex and no edge
+    code, out, err = run_cli(capsys, monkeypatch, ["linegraph", "--input", "-"], stdin="0 1\n")
+    assert code == 1 and out == ""
+    assert err == ("error: vertex '0' has no edge, so edge-list text would lose it; "
+                   "use JSON output (--format json)\n")
+    code, out, _ = run_cli(capsys, monkeypatch, ["linegraph", "--input", "-", "--format", "json"],
+                           stdin="0 1\n")
+    assert code == 0 and json.loads(out) == {"vertices": ["0"], "edges": []}
+
+
 def test_trees_enumerate(capsys, monkeypatch):
     stdin = "a b\nb a\n"
     code, out, _ = run_cli(capsys, monkeypatch,

@@ -7,6 +7,7 @@ from linetrees.digraph import (DiGraph, _check_family_size, class_cycle, debruij
                                detect_family, eulerian_circuit, format_edge_list, is_eulerian,
                                is_strongly_connected, kautz, label_isomorphic,
                                line_graph, parse_edge_list, to_dot, to_json_dict)
+from linetrees.arborescence import knuth_check, verify_identity
 from linetrees.errors import GraphError, UnsupportedFamilyError
 
 
@@ -254,6 +255,44 @@ def test_edge_list_roundtrip():
     assert g.edge_labels == ("e1", "e2")
     again = parse_edge_list(format_edge_list(g))
     assert again.edges == g.edges and again.vertex_labels == g.vertex_labels
+
+
+def test_line_graph_keeps_edge_labels_only_when_distinct():
+    assert line_graph(debruijn(2, 1)).vertex_labels == debruijn(2, 1).edge_labels
+    # a repeated edge label cannot name two vertices: the line graph is
+    # unlabelled, and the identity checks read it as the unlabelled graph's
+    repeated = DiGraph(2, [(0, 1), (1, 0)], edge_labels=["x", "x"])
+    plain = DiGraph(2, [(0, 1), (1, 0)])
+    assert line_graph(repeated).vertex_labels is None
+    assert line_graph(repeated).edges == line_graph(plain).edges
+    assert knuth_check(repeated) == knuth_check(plain)
+    assert verify_identity(repeated) == verify_identity(plain)
+
+
+@pytest.mark.parametrize("labels", [[1, "b"], ["a", None], [b"a", "b"]])
+def test_build_refuses_labels_that_are_not_strings(labels):
+    with pytest.raises(GraphError, match="^vertex labels must be strings$"):
+        DiGraph(2, [(0, 1)], vertex_labels=labels)
+    with pytest.raises(GraphError, match="^edge labels must be strings$"):
+        DiGraph(2, [(0, 1), (1, 0)], edge_labels=labels)
+
+
+@pytest.mark.parametrize("g, named", [
+    (DiGraph(3, [(0, 1)]), "vertex '2' has no edge"),
+    (DiGraph(3, [(0, 2)], vertex_labels=["a", "b", "c"]), "vertex 'b' has no edge"),
+    (DiGraph(2, [(0, 1)], vertex_labels=["a b", "c"]), "label 'a b'"),
+    (DiGraph(2, [(0, 1)], vertex_labels=["", "c"]), "label ''"),
+    (DiGraph(2, [(0, 1)], vertex_labels=["a#", "c"]), "label 'a#'"),
+    (DiGraph(2, [(0, 1)], vertex_labels=["a\n", "c"]), "label 'a\\n'"),
+    (DiGraph(2, [(0, 1)], edge_labels=["x\ty"]), "label 'x\\ty'"),
+    (DiGraph(2, [(0, 1)], edge_labels=[""]), "label ''"),
+])
+def test_edge_list_writer_refuses_what_the_reader_would_misread(g, named):
+    # format_edge_list("a b" -> "c") would print "a b c", an edge a -> b
+    # labelled c; a vertex with no edge would be dropped
+    with pytest.raises(GraphError) as info:
+        format_edge_list(g)
+    assert named in str(info.value) and "--format json" in str(info.value)
 
 
 def test_edge_list_rejects_garbage():

@@ -239,8 +239,10 @@ ROWS = [
     ("DiGraph", "edges", [[(0, 5), (1, 0)], [(0, -1), (1, 0)], [(0, 1.5), (1, 0)],
                           [(0, 1, 1), (1, 0)], [(0,), (1, 0)], [5, (1, 0)]],
      GraphError, "edge"),
-    ("DiGraph", "vertex_labels", [["a"], ["a", "a"]], GraphError, "vertex label"),
-    ("DiGraph", "edge_labels", [["x"], ["x", "y", "z"]], GraphError, "edge label"),
+    ("DiGraph", "vertex_labels", [["a"], ["a", "a"], [1, "b"], ["a", None]], GraphError,
+     "vertex label"),
+    ("DiGraph", "edge_labels", [["x"], ["x", "y", "z"], ["x", 2], [None, "y"]], GraphError,
+     "edge label"),
     ("DiGraph.source", "e", [*NOT_INTEGERS, 1.0, -1, 4], GraphError, "^edge"),
     ("DiGraph.target", "e", [*NOT_INTEGERS, 1.0, -1, 4], GraphError, "^edge"),
     ("DiGraph.out_edges", "v", [*NOT_INTEGERS, 1.0, -1, 2], GraphError, "^vertex"),
@@ -254,7 +256,11 @@ ROWS = [
     ("detect_family", "g", [UNLABELLED, DiGraph(1, [(0, 0)], ["x"])],
      UnsupportedFamilyError, "labels"),
     ("eulerian_circuit", "g", [ZERO_INDEGREE], GraphError, "balanced"),
-    ("format_edge_list", "g", *ANY),
+    ("format_edge_list", "g", [DiGraph(3, [(0, 1)]),
+                               DiGraph(2, [(0, 1)], vertex_labels=["a b", "c"]),
+                               DiGraph(2, [(0, 1)], edge_labels=[""]),
+                               DiGraph(2, [(0, 1)], edge_labels=["x#"])],
+     GraphError, "^vertex .* no edge|^label .* read back"),
     ("is_eulerian", "g", *ANY),
     ("is_strongly_connected", "g", *ANY),
     ("label_isomorphic", "a", [UNLABELLED], GraphError, "labels"),

@@ -314,7 +314,13 @@ def boundary_cases(draw):
             lists[v][-1] = draw(st.sampled_from(out(v)))
         elif kind == "root":
             root = draw(st.sampled_from([*range(n), -1, n]))
-    array = TreeArray(root, tuple(map(tuple, lists)))
+    # the lists as a tuple of tuples, or a list, or with one list a list
+    rows = list(map(tuple, lists))
+    kind = draw(st.sampled_from(["tuples", "tuples", "list", "one list"]))
+    if kind == "one list":
+        v = draw(st.integers(0, n - 1))
+        rows[v] = list(rows[v])
+    array = TreeArray(root, rows if kind == "list" else tuple(rows))
     # a line tree: the image of a valid array, broken by a mutation
     line_tree = None
     if tree is not None and all(d == 1 or d and out(v) for v, d in enumerate(g.indeg)):
@@ -416,10 +422,10 @@ def test_sigma_walks_only_a_failed_body(monkeypatch):
     assert len(walks) == 2
 
 
-def test_sigma_reads_exact_int_arrays_in_one_pass(monkeypatch):
-    # sigma checks and counts an array of exact ints in one loop and numbers
-    # its body's output unchecked: no _check_shape, no line_tree, and the
-    # full per-entry check only for an array holding another kind of value
+def test_sigma_reads_every_array_in_one_pass(monkeypatch):
+    # sigma checks and counts an array in one loop, whatever its entries'
+    # types, and numbers its body's output unchecked: one _check_entries
+    # call per array, and no _check_shape, line_tree or walk
     def refuse(*_):
         raise AssertionError("line_tree called")
 
@@ -428,19 +434,22 @@ def test_sigma_reads_exact_int_arrays_in_one_pass(monkeypatch):
     images = [[ctx.sigma(a) for a in arrays] for ctx, arrays in contexts]
     checks = _counting(monkeypatch, "_check_entries")
     shapes = _counting(monkeypatch, "_check_shape")
+    walks = _counting(monkeypatch, "_check_reaches_root")
     monkeypatch.setattr(LineContext, "line_tree", refuse)
     for (ctx, arrays), expected in zip(contexts, images):
         assert [ctx.sigma(a) for a in arrays] == expected
-    assert checks == [] and shapes == [] and sum(map(len, images)) > 2000
-    # the same array with one entry an int subclass: the full check runs
-    # once, and the image is the same
+    calls = sum(map(len, images))
+    assert len(checks) == calls > 2000 and shapes == walks == []
+    # the same array with one entry an int subclass, and as lists: the same
+    # image, through the same one check
     ctx, arrays = contexts[-1]
     a = arrays[-1]
     v = next(v for v, entries in enumerate(a.lists) if entries[0] is not OMEGA)
     lists = list(a.lists)
     lists[v] = (Id(lists[v][0]),) + lists[v][1:]
-    assert ctx.sigma(TreeArray(a.root, tuple(lists))) == images[-1][-1]
-    assert checks == ["_check_entries"] and shapes == []
+    for other in (TreeArray(a.root, tuple(lists)), TreeArray(a.root, list(map(list, a.lists)))):
+        assert ctx.sigma(other) == images[-1][-1]
+    assert len(checks) == calls + 2 and shapes == walks == []
 
 
 def test_successors_checks_the_tree_as_pi_does():
@@ -511,7 +520,7 @@ def _entry_valid_arrays(g):
 def _assert_body_fails_iff_cyclic(g, arrays, orders):
     ctx = LineContext(g)
     for a in arrays:
-        lb._check_entries(g, a)
+        lb._check_entries(g, a, ctx.source)
         valid = _outcome(lambda: validate_tree_array(g, a)) is None
         for order in orders:
             try:
