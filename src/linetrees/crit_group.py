@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 from .arborescence import out_laplacian
 from .digraph import DiGraph, _vertex, detect_family, is_eulerian, is_strongly_connected
-from .elimination import _checked_rows, _minor_in_place, _smith
+from .elimination import _chain, _checked_rows, _minor_in_place, _smith
 from .errors import MAX_ORDER_DIGITS, GraphError, integer, integers
 
 
@@ -54,8 +54,9 @@ def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None
     many as rows); distinct keys, which must sort, name distinct columns,
     and a column with no entry is a zero column.  The input is not changed;
     bad arguments raise ValueError.  The unit phase and the general loop
-    split off a cyclic factor per pivot; the diagonal is those, then a zero
-    for each of the min(rows, cols) places the rank leaves, chain-fixed.
+    split off a cyclic factor per pivot; the diagonal is those merged into
+    the chain d1 | d2 | ..., then a zero for each of the min(rows, cols)
+    places the rank leaves.
     """
     text = ("Smith form takes rows of {col: value} whose keys sort, and its "
             "entries and column count must be integers")
@@ -102,44 +103,18 @@ def group_from_diagonal(diagonal: Sequence[int]) -> AbelianGroup:
     return AbelianGroup(tuple(d for d in diagonal if d not in (0, 1)), list(diagonal).count(0))
 
 
-def _factorize(n: int) -> dict[int, int]:
-    powers: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            powers[p] = powers.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        powers[n] = powers.get(n, 0) + 1
-    return powers
-
-
 def group_from_cyclic_orders(orders: Sequence[int]) -> AbelianGroup:
     """Normalize a direct sum of cyclic groups to invariant-factor form."""
     orders = integers(orders, "cyclic orders must be integers")
-    by_prime: dict[int, list[int]] = {}
-    for n in orders:
-        if n < 1:
-            raise ValueError("cyclic orders must be positive")
-        for p, e in _factorize(n).items():
-            by_prime.setdefault(p, []).append(e)
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    depth = max((len(v) for v in by_prime.values()), default=0)
-    factors = []
-    for slot in range(depth):  # slot 0 collects the largest factor
-        f = 1
-        for p, exps in by_prime.items():
-            if slot < len(exps):
-                f *= p ** exps[slot]
-        factors.append(f)
-    return AbelianGroup(tuple(f for f in reversed(factors) if f > 1), 0)
+    if any(n < 1 for n in orders):
+        raise ValueError("cyclic orders must be positive")
+    return AbelianGroup(tuple(_chain(orders)))
 
 
 @dataclass(frozen=True)
 class GroupFormula:
-    """Direct sum of (Z_modulus)^multiplicity summands, as written."""
+    """Direct sum of (Z_modulus)^multiplicity summands, as written, whose
+    order has at most MAX_ORDER_DIGITS digits."""
     summands: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -149,10 +124,16 @@ class GroupFormula:
             raise ValueError("summands must be (modulus, multiplicity) pairs of integers") from None
         if any(mod < 1 or mult < 0 for mod, mult in summands):
             raise ValueError("moduli must be >= 1 and multiplicities >= 0")
+        # a multiplicity past 2^16 puts a modulus >= 2 past the cap alone,
+        # and capping it keeps the product a float
+        if sum(log10(mod) * min(mult, 1 << 16) for mod, mult in summands) > MAX_ORDER_DIGITS:
+            raise ValueError("summands give an order that exceeds the cap of "
+                             f"{MAX_ORDER_DIGITS} decimal digits")
         object.__setattr__(self, "summands", summands)
 
     def normalize(self) -> AbelianGroup:
-        return group_from_cyclic_orders([mod for mod, mult in self.summands for _ in range(mult)])
+        return group_from_cyclic_orders(
+            [mod for mod, mult in self.summands if mod > 1 for _ in range(mult)])
 
     def order(self) -> int:
         return prod(modulus ** mult for modulus, mult in self.summands)
@@ -163,9 +144,10 @@ class GroupFormula:
 
 
 # The closed forms build the group order as an integer, and normalizing a
-# formula builds a list with one entry per cyclic summand, about as many as
-# the order has bits.  Past MAX_ORDER_DIGITS decimal digits the order is
-# refused before either is built.
+# formula builds a list with one entry per cyclic summand of modulus > 1,
+# at most as many as the order has bits, that _chain merges.  Past
+# MAX_ORDER_DIGITS decimal digits _family_args refuses the order before
+# either is built, and GroupFormula refuses any formula past it when built.
 
 
 def _family_args(m: int, n: int, kautz: bool, trees: bool = False) -> tuple[int, int]:

@@ -19,7 +19,8 @@ its content, a factor of the determinant, and runs the phase again while
 that turns up units; then a fraction-free Markowitz loop and dense
 Bareiss elimination (_bareiss) take the block it leaves.  _smith instead
 splits off divisor pivots (_divisor_pivots), as dividing a row would
-change its group, and fixes up the chain d1 | d2 | ... (_chain).
+change its group, and merges its pivots into the chain d1 | d2 | ...
+(_chain, the normal form that crit_group's groups share).
 _determinant_mod, the determinant mod a prime (which _is_prime tests),
 pivots in Markowitz order alone, as every nonzero entry is a unit there.
 """
@@ -365,12 +366,13 @@ def _bareiss(m: list[list[int]]) -> int:
 def _smith(sparse: list[dict[int, int]], places: int) -> list[int]:
     """The Smith diagonal over `places` = min(rows, cols) places, from
     trusted rows, which it empties: the unit phase, then _divisor_pivots on
-    what is left, with the one column index."""
+    what is left, with the one column index.  Each pivot splits off a
+    cyclic factor, which _chain turns into the chain; the rank's other
+    places are 1s, and the places past it 0s."""
     col_rows = _column_rows(sparse)
-    units = _unit_pivots(sparse, col_rows)[2]
-    pivots = list(map(abs, units)) + _divisor_pivots(sparse, col_rows)
-    # the chain is unique, and sorted powers of one prime already form one
-    return _chain(sorted(pivots) + [0] * (places - len(pivots)))
+    pivots = _unit_pivots(sparse, col_rows)[2] + _divisor_pivots(sparse, col_rows)
+    factors = _chain(map(abs, pivots))
+    return [1] * (len(pivots) - len(factors)) + factors + [0] * (places - len(pivots))
 
 
 def _divisor_pivots(sparse: list[dict[int, int]], col_rows: dict[int, set[int]]) -> list[int]:
@@ -462,20 +464,27 @@ def _divisor_pivots(sparse: list[dict[int, int]], col_rows: dict[int, set[int]])
     return pivots
 
 
-def _chain(diag: list[int]) -> list[int]:
-    """Enforce the divisibility chain d1 | d2 | ... on a diagonal, in place.
+def _chain(orders: Iterable[int]) -> list[int]:
+    """The invariant factors above 1, ascending (d1 | d2 | ...), of the sum
+    of cyclic groups of the given positive orders: the package's one normal
+    form, for the Smith form and the groups of crit_group.
 
-    (a, b) -> (gcd, lcm) is a 2x2 unimodular change of basis.  Any zeros
-    come last, where they stay.
+    Each order x, in ascending order, merges into the chain c from the top:
+    while c[i-1] does not divide x, c[i-1] becomes lcm(c[i-1], x) and
+    gcd(c[i-1], x) goes on down as x, a 2x2 unimodular change of basis.  A
+    carry of 1 ends the merge; any other goes in above the first entry that
+    divides it.  For each prime this inserts x's exponent into the chain's
+    sorted exponents, so the result is exact; an order that the top
+    divides, as each sorted power of one prime is, is appended.
     """
-    k = len(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = diag[i], diag[i + 1]
-            if a != 0 and b % a != 0:
-                g = gcd(a, b)
-                diag[i], diag[i + 1] = g, a // g * b
-                changed = True
-    return diag
+    c: list[int] = []
+    for x in sorted(x for x in orders if x != 1):
+        i = len(c)
+        while x != 1 and i and x % c[i - 1]:
+            a = c[i - 1]
+            g = gcd(a, x)
+            c[i - 1], x = a // g * x, g
+            i -= 1
+        if x != 1:
+            c.insert(i, x)
+    return c

@@ -6,10 +6,15 @@ trees by one dense Bareiss minor per root, the route the library took
 before its sparse determinant.  ``dense_diagonal`` is the dense
 smallest-pivot Smith loop that once reduced whatever block the sparse
 divisor pivots left; the library now runs the whole form as one sparse
-loop.  ``bucket_unit_pivots`` is the Smith form's unit phase with its
-bucket queue written plainly, a dict of lists of ``(i, j)`` tuples; the
-library keeps one list per cost, of ints packed from (i, j), that must pop
-in the same order.
+loop.  ``bubble_chain`` and ``trial_division_factors`` are the two routes
+from cyclic orders to invariant factors that the library once took: the
+Smith form's gcd/lcm passes until the chain is stable (quadratic on
+interleaved prime powers), and the groups' trial-division factoring
+(exponential in an order's digits).  The library merges each order into
+the chain once.  ``bucket_unit_pivots`` is the Smith form's unit phase
+with its bucket queue written plainly, a dict of lists of ``(i, j)``
+tuples; the library keeps one list per cost, of ints packed from (i, j),
+that must pop in the same order.
 
 ``small_point_identity`` is the evaluate method of ``verify_identity`` as
 it once ran: both sides over the integers at 4 points with weights drawn
@@ -170,6 +175,49 @@ def dense_diagonal(d: list[list[int]]) -> list[int]:
     # each pivot row ends as (0, ..., 0, pivot, 0, ...) and later steps
     # leave it alone, so only the pivot's sign is left to fix
     return [abs(d[i][i]) for i in range(min(rows, cols))]
+
+
+def bubble_chain(diag: list[int]) -> list[int]:
+    """The divisibility chain d1 | d2 | ... on a diagonal, in place, by
+    adjacent (a, b) -> (gcd, lcm) passes until none changes.  Any zeros
+    come last, where they stay."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            a, b = diag[i], diag[i + 1]
+            if a != 0 and b % a != 0:
+                g = gcd(a, b)
+                diag[i], diag[i + 1] = g, a // g * b
+                changed = True
+    return diag
+
+
+def trial_division_factors(orders: list[int]) -> list[int]:
+    """The invariant factors above 1, ascending, of the sum of cyclic groups
+    of the given positive orders: each order factored by trial division,
+    each prime's exponents sorted, and slot k the product of every prime's
+    k-th largest power."""
+    by_prime: dict[int, list[int]] = {}
+    for n in orders:
+        p = 2
+        while n > 1:
+            if p * p > n:
+                p = n
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                by_prime.setdefault(p, []).append(e)
+            p += 1
+    slots: list[int] = []
+    for p, exps in by_prime.items():
+        exps.sort(reverse=True)
+        slots += [1] * (len(exps) - len(slots))
+        for k, e in enumerate(exps):
+            slots[k] *= p ** e
+    return slots[::-1]
 
 
 def bucket_unit_pivots(sparse):

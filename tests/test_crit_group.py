@@ -24,8 +24,9 @@ from linetrees.crit_group import (AbelianGroup, DivisibilityReport, GroupFormula
 from linetrees.digraph import DiGraph, debruijn, is_strongly_connected, kautz
 from linetrees.elimination import _chain, _column_rows, _divisor_pivots
 from linetrees.errors import GraphError
-from oracles import (bucket_unit_pivots, count_trees_rooted, dense, dense_diagonal,
-                     dense_laplacian, dense_minor, sparse)
+from oracles import (bubble_chain, bucket_unit_pivots, count_trees_rooted, dense,
+                     dense_diagonal, dense_laplacian, dense_minor, sparse,
+                     trial_division_factors)
 
 FIGURE_LAPLACIAN = [
     [-2, 0, 1, 1, 0, 0],
@@ -88,8 +89,8 @@ def sparse_matrices(draw):
 
 def _dense_snf(rows):
     """The dense loop alone, the Smith form's former route, as an oracle."""
-    return _chain(sorted(dense_diagonal([list(row) for row in rows]),
-                         key=lambda d: (d == 0, d)))
+    return bubble_chain(sorted(dense_diagonal([list(row) for row in rows]),
+                               key=lambda d: (d == 0, d)))
 
 
 @given(sparse_matrices())
@@ -706,6 +707,42 @@ def test_mult_by_k_matches_normalized_orders(orders, k):
     group = group_from_cyclic_orders(orders)
     factors = group.invariant_factors
     assert mult_by_k(group, k) == group_from_cyclic_orders([d // gcd(d, k) for d in factors])
+
+
+# products of small powers of 2, 3 and 5, so that a list draws repeats,
+# 1s and interleaved prime powers; and a few other orders
+CYCLIC_ORDERS = st.lists(
+    st.builds(lambda a, b, c: 2 ** a * 3 ** b * 5 ** c,
+              st.integers(0, 7), st.integers(0, 4), st.integers(0, 3))
+    | st.sampled_from([1, 7, 11 * 13, 2 ** 40]), max_size=40)
+
+
+@given(CYCLIC_ORDERS)
+@example([2 ** i for i in range(1, 9)] + [3 ** i for i in range(1, 9)] + [1, 1])
+def test_chain_matches_both_former_normal_forms(orders):
+    factors = _chain(orders)
+    assert factors == trial_division_factors(orders)
+    assert factors == [d for d in bubble_chain(sorted(orders)) if d != 1]
+    assert group_from_cyclic_orders(orders).invariant_factors == tuple(factors)
+
+
+def test_normalize_of_a_semiprime_within_bound():
+    # trial division took 10.8 s to factor this order
+    started = time.perf_counter()
+    group = GroupFormula(((2147483647 * 99999989, 1),)).normalize()
+    assert time.perf_counter() - started < 1.0
+    assert group == AbelianGroup((2147483647 * 99999989,))
+
+
+def test_snf_of_the_kautz_2_13_formula_diagonal_within_bound():
+    # passes of adjacent gcd/lcm steps until none changed took 1.65 s on
+    # these 6,144 interleaved powers of 2 and 3
+    formula = kautz_formula(2, 13)
+    orders = [mod for mod, mult in formula.summands for _ in range(mult)]
+    started = time.perf_counter()
+    diagonal = smith_normal_form([{i: d} for i, d in enumerate(orders)]).diagonal
+    assert time.perf_counter() - started < 0.5
+    assert group_from_diagonal(diagonal) == formula.normalize()
 
 
 def test_group_normalization():

@@ -16,6 +16,7 @@ contract, and deleting any row or reason fails
 
 import inspect
 import re
+import time
 from functools import cache
 from importlib import import_module
 
@@ -199,7 +200,7 @@ ROWS = [
      ValueError, "factors"),
     ("AbelianGroup", "free_rank", [*NOT_INTEGERS, -1], ValueError, "free rank"),
     ("GroupFormula", "summands", [((2, 1.5),), ((2,),), (("x", 1),), ((2, 1, 1),), (2,),
-                                  ((0, 1),), ((2, -1),)],
+                                  ((0, 1),), ((2, -1),), ((2, 10 ** 12),), ((HUGE, 1),)],
      ValueError, "^summands|^moduli"),
     ("check_divbym", "g", [G, UNLABELLED], GraphError, "length|labels"),
     ("critical_group", "g", [ZERO_INDEGREE], GraphError, "indeg = outdeg"),
@@ -298,6 +299,14 @@ ROWS = [
     ("validate_tree_array", "a", _arrays(ARRAY), InvalidTreeArrayError, "array shape|entry"),
     # verify
     ("run", "numbers", [[99], ["x"], [1.0], [0], [1, 10]], ValueError, "criterion numbers"),
+]
+
+# Values of the right kind that look large but are accepted, and answer at
+# once: (member, argument, value, method called on the result, its result).
+AT_ONCE = [
+    # modulus 1 adds nothing to the order, so the cap lets it through
+    ("GroupFormula", "summands", ((1, 10 ** 6),), "normalize", AbelianGroup(())),
+    ("GroupFormula", "summands", ((1, 10 ** 6), (2, 3)), "normalize", AbelianGroup((2, 2, 2))),
 ]
 
 # Members with no argument that the contract covers, and why.
@@ -401,6 +410,14 @@ def test_a_bad_value_raises_the_typed_error_naming_the_argument(member, argument
     with pytest.raises(error) as info:
         _call(member, **{argument: bad})
     assert re.search(pattern, str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("member, argument, value, method, result", AT_ONCE)
+def test_a_large_accepted_value_answers_at_once(member, argument, value, method, result):
+    # GroupFormula(((1, 10 ** 6),)).normalize() once built 10^6 list entries
+    started = time.perf_counter()
+    assert getattr(_call(member, **{argument: value}), method)() == result
+    assert time.perf_counter() - started < 0.1
 
 
 # the rows of integer arguments: those whose bad values include "x" and 1.5
