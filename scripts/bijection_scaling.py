@@ -41,13 +41,13 @@ if family == "corpus":
              if lo <= g.m <= hi and tree_array_count(g) <= BIJECTION_ARRAY_CAP]
 else:
     g = {"db": debruijn, "kautz": kautz}[family](lo, hi)
-    rng, out = random.Random(1), g.out_edges
+    rng, out = random.Random(1), g._out
     trees = enumerate_trees(g, bound=10 ** 8)
     arrays = []
     for _ in range(ARRAYS):
         t = rng.choice(trees)
         arrays.append(TreeArray(t.root, tuple(
-            (*(rng.choice(out(v)) for _ in range(g.indeg[v] - 1)),
+            (*(rng.choice(out[v]) for _ in range(g.indeg[v] - 1)),
              OMEGA if v == t.root else t.out_edge[v]) for v in range(g.n))))
     cases = [(g, arrays)]
 best = dict.fromkeys(("sigma", "pi", "_sigma", "_pi"), 0.0)

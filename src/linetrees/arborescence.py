@@ -82,22 +82,13 @@ class SpanningTree:
 
 
 def validate_tree(g: DiGraph, t: SpanningTree) -> None:
-    """Raise InvalidTreeError unless t is an arborescence of g; O(n)."""
-    root, out_edge = t.root, t.out_edge
-    _check_shape(root, out_edge, g.n)
-    edges, m = g.edges, g.m
-    succ: list[int | None] = [None] * g.n
-    for v, e in enumerate(out_edge):
-        if v == root:
-            continue
-        if not isinstance(e, int) or not (0 <= e < m) or edges[e][0] != v:
-            raise InvalidTreeError(f"vertex {v} needs exactly one out-edge with source {v}")
-        succ[v] = edges[e][1]
-    _check_reaches_root(root, succ)
+    """Raise InvalidTreeError unless t is an arborescence of g; O(n + m)."""
+    succ = _tree_heads(t, g.n, [s for s, _ in g.edges], [h for _, h in g.edges])[0]
+    _check_reaches_root(t.root, succ)
 
 
 def _check_shape(root: int, out_edge: Sequence, n: int) -> None:
-    # validate_tree's first two checks, shared with LineContext.pi/.line_tree
+    # validate_tree's first two checks, shared with LineContext.line_tree
     try:
         shape = len(out_edge) == n and isinstance(root, int) and 0 <= root < n
     except TypeError:   # out_edge has no length
@@ -106,6 +97,26 @@ def _check_shape(root: int, out_edge: Sequence, n: int) -> None:
         raise InvalidTreeError("tree shape does not match the graph")
     if out_edge[root] is not None:
         raise InvalidTreeError("root must not have an out-edge")
+
+
+def _tree_heads(t: SpanningTree, n: int, source: Sequence[int],
+                head: Sequence[int]) -> tuple[list[int | None], list[int]]:
+    """validate_tree's checks but the walk, on n vertices whose edge j runs
+    from source[j] to head[j]: the head of each vertex's tree edge, None at
+    the root, and the indegrees of that successor list.  Shared with
+    LineContext.pi/.successors, which pass the flat line-edge tables."""
+    root, out_edge = t.root, t.out_edge
+    _check_shape(root, out_edge, n)
+    m = len(source)
+    succ: list[int | None] = [None] * n
+    indeg = [0] * n
+    for v, e in enumerate(out_edge):
+        if v != root:
+            if not (isinstance(e, int) and 0 <= e < m and source[e] == v):
+                raise InvalidTreeError(f"vertex {v} needs exactly one out-edge with source {v}")
+            succ[v] = w = head[e]
+            indeg[w] += 1
+    return succ, indeg
 
 
 def _check_reaches_root(root: int, succ: Sequence[int | None]) -> None:
@@ -250,10 +261,7 @@ def determinant(rows: Sequence[Mapping[int, int]]) -> int:
     rows of any other kind raise ValueError.  Each entry is checked once,
     in the copy that the body, elimination._determinant, takes.
     """
-    rows, cols = _checked_rows(rows, "determinant rows must map keys that sort to integers")
-    if cols > len(rows):
-        raise ValueError(f"{cols} columns in a matrix of {len(rows)} rows")
-    return _determinant(rows)
+    return _determinant(_checked_rows(rows, "determinant rows must map keys that sort to integers"))
 
 
 def out_laplacian(g: DiGraph, weights: Sequence[int] | None = None) -> list[dict[int, int]]:
@@ -278,13 +286,6 @@ def out_laplacian(g: DiGraph, weights: Sequence[int] | None = None) -> list[dict
             for c in [c for c, v in row.items() if not v]:
                 del row[c]
     return lap
-
-
-def minor(rows: Sequence[Mapping[int, int]], r: int) -> list[dict[int, int]]:
-    """The matrix with row r and column r deleted, the other keys keeping
-    their names; r must be a row index, else GraphError (a ValueError)."""
-    r = _vertex(len(rows), r, "row index")
-    return [{c: v for c, v in row.items() if c != r} for i, row in enumerate(rows) if i != r]
 
 
 def rooted_tree_counts(g: DiGraph) -> list[int]:
@@ -535,10 +536,12 @@ def verify_identity(g: DiGraph, method: str = "expand",
     probability at most ((m - 1)/p)^4 (Schwartz-Zippel).  p is uniform over
     the ~5*10^7 primes in range, and a difference with coefficients below
     2^B has at most B/30 of them dividing all its coefficients.  A failure's
-    witness gives the point, the prime and both sides' residues.
+    witness gives the point, the prime and both sides' residues.  Either
+    method refuses a bound that is not an integer.
     """
     if any(d == 0 for d in g.indeg):
         raise InvalidTreeError("identity requires every indegree to be positive")
+    bound = integer(bound, "bound must be an integer")
     lg = line_graph(g)
     if method == "expand":
         # vertex e of lg is edge e of g: its vertex monomials are edge monomials

@@ -47,25 +47,20 @@ class SmithResult:
     diagonal: list[int]          # full diagonal, zeros included, d1 | d2 | ...
 
 
-def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int | None = None) -> SmithResult:
-    """Exact Smith normal form of an integer matrix held as sparse rows.
+def smith_normal_form(rows: Sequence[Mapping[int, int]]) -> SmithResult:
+    """Exact Smith normal form of a square integer matrix held as sparse rows.
 
-    Row i is rows[i] as {col: value}, over `cols` columns (default: as
-    many as rows); distinct keys, which must sort, name distinct columns,
-    and a column with no entry is a zero column.  The input is not changed;
-    bad arguments raise ValueError.  The unit phase and the general loop
-    split off a cyclic factor per pivot; the diagonal is those merged into
-    the chain d1 | d2 | ..., then a zero for each of the min(rows, cols)
+    Row i is rows[i] as {col: value}; distinct keys, which must sort, name
+    distinct columns (a key that holds 0 still names one), and there may be
+    no more of them than rows: fewer leave zero columns.  The input is not
+    changed; bad arguments raise ValueError.  The unit phase and the general
+    loop split off a cyclic factor per pivot; the diagonal is those merged
+    into the chain d1 | d2 | ..., then a zero for each of the len(rows)
     places the rank leaves.
     """
-    text = ("Smith form takes rows of {col: value} whose keys sort, and its "
-            "entries and column count must be integers")
-    sparse = _checked_rows(rows, text)[0]
-    cols = len(sparse) if cols is None else integer(cols, text)
-    if cols < 0 or (keyed := len(set().union(*sparse))) > cols:
-        raise ValueError(f"column count {cols} is negative" if cols < 0 else
-                         f"{keyed} distinct columns in a matrix of {cols} columns")
-    return SmithResult(_smith(sparse, min(len(sparse), cols)))
+    sparse = _checked_rows(rows, "Smith form takes rows of {col: value} whose keys sort, "
+                                 "and its entries must be integers")
+    return SmithResult(_smith(sparse))
 
 
 # --- finite abelian groups ---------------------------------------------------
@@ -236,7 +231,7 @@ def critical_group(g: DiGraph) -> AbelianGroup:
 
 def _sandpile(g: DiGraph, sink: int) -> AbelianGroup:
     """sandpile_group's body, on a strongly connected g and a sink in range."""
-    group = group_from_diagonal(_smith(_minor_in_place(out_laplacian(g), sink), g.n - 1))
+    group = group_from_diagonal(_smith(_minor_in_place(out_laplacian(g), sink)))
     if group.free_rank:
         raise GraphError("reduced Laplacian is singular")  # unreachable when strongly connected
     return group

@@ -75,15 +75,6 @@ class DiGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def source(self, e: int) -> int:
-        return self.edges[_vertex(self.m, e, "edge")][0]
-
-    def target(self, e: int) -> int:
-        return self.edges[_vertex(self.m, e, "edge")][1]
-
-    def out_edges(self, v: int) -> tuple[int, ...]:
-        return self._out[_vertex(self.n, v, "vertex")]
-
     def vertex_label(self, v: int) -> str:
         v = _vertex(self.n, v, "vertex")
         return self.vertex_labels[v] if self.vertex_labels else str(v)

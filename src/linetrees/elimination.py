@@ -40,17 +40,20 @@ from operator import index
 DENSE_HANDOFF = 10
 
 
-def _checked_rows(rows: Iterable[Mapping], text: str) -> tuple[list[dict[int, int]], int]:
+def _checked_rows(rows: Iterable[Mapping], text: str) -> list[dict[int, int]]:
     """Trusted rows from untrusted ones, for the checking entries: the keys,
     which must sort, become 0..k-1 in key order, and each value goes
-    through operator.index, its zeros dropped.  Also returns k, the number
-    of distinct keys (a key that holds only 0 counts).  Anything but rows
-    of such mappings raises ValueError(text)."""
+    through operator.index, its zeros dropped.  Anything but rows of such
+    mappings raises ValueError(text), and more distinct keys than rows (a
+    key that holds only 0 counts) a ValueError that gives both counts."""
     try:    # len() refuses an iterator, which the key pass would use up
         rank = {c: x for x, c in enumerate(sorted(set().union(*rows)))} if len(rows) else {}
-        return [{rank[c]: x for c, v in row.items() if (x := index(v))} for row in rows], len(rank)
+        checked = [{rank[c]: x for c, v in row.items() if (x := index(v))} for row in rows]
     except (TypeError, AttributeError):
         raise ValueError(text) from None
+    if len(rank) > len(checked):
+        raise ValueError(f"{len(rank)} columns in a matrix of {len(checked)} rows")
+    return checked
 
 
 def _minor_in_place(rows: list[dict[int, int]], r: int) -> list[dict[int, int]]:
@@ -363,12 +366,13 @@ def _bareiss(m: list[list[int]]) -> int:
 
 # --- the Smith normal form ---------------------------------------------------
 
-def _smith(sparse: list[dict[int, int]], places: int) -> list[int]:
-    """The Smith diagonal over `places` = min(rows, cols) places, from
-    trusted rows, which it empties: the unit phase, then _divisor_pivots on
-    what is left, with the one column index.  Each pivot splits off a
-    cyclic factor, which _chain turns into the chain; the rank's other
-    places are 1s, and the places past it 0s."""
+def _smith(sparse: list[dict[int, int]]) -> list[int]:
+    """The Smith diagonal, one place per row, from trusted rows with no
+    more columns than rows, which it empties: the unit phase, then
+    _divisor_pivots on what is left, with the one column index.  Each pivot
+    splits off a cyclic factor, which _chain turns into the chain; the
+    rank's other places are 1s, and the places past it 0s."""
+    places = len(sparse)
     col_rows = _column_rows(sparse)
     pivots = _unit_pivots(sparse, col_rows)[2] + _divisor_pivots(sparse, col_rows)
     factors = _chain(map(abs, pivots))

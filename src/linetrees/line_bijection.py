@@ -56,15 +56,16 @@ entries e_i of l_{v_i} a cycle, t(e_i) = v_{i+1}, the last pop from
 l_{v_{i+1}} would follow the taking of e_i, hence the pop of e_i, the last
 from l_{v_i}, and so, around the cycle, itself.  ``pi`` checks its tree
 through the flat line-edge tables while building the successor list and
-its indegrees, so it builds no line graph: line edge j runs from
-line_src[j] to line_head[j].  A successor list peels down to its root iff
-it has no cycle, so pi's body is the acyclicity check too.  Only once a
-body fails, or the order is refused, does a public map walk the chains to
-name the error, so the errors of ``sigma`` are those of
-``validate_tree_array`` and those of ``pi`` those of ``validate_tree(ctx.line,
-tree)``, in order.  A context checks an edge order once and keeps it in one
-slot until some position holds another object.  ``enumerate_tree_arrays``
-builds arrays valid by construction.
+its indegrees, in validate_tree's own loop (arborescence._tree_heads), so
+it builds no line graph: line edge j runs from line_src[j] to
+line_head[j].  A successor list peels down to its root iff it has no
+cycle, so pi's body is the acyclicity check too.  Only once a body fails,
+or the order is refused, does a public map walk the chains to name the
+error, so the errors of ``sigma`` are those of ``validate_tree_array`` and
+those of ``pi`` those of ``validate_tree(ctx.line, tree)``, in order.  A
+context checks an edge order once and keeps it in one slot until some
+position holds another object.  ``enumerate_tree_arrays`` builds arrays
+valid by construction.
 The invariants that make the loop in sigma well-defined (the candidate set
 and the popped list are never empty) are checked and raise typed errors,
 and every sigma run checks that each list copy was popped, i.e. that indeg
@@ -81,11 +82,10 @@ from itertools import accumulate, product
 from operator import add, index, indexOf, is_
 from typing import Iterable, Iterator, Sequence
 
-from .arborescence import (SpanningTree, _check_reaches_root, _check_shape, count_trees,
-                           degree_product, enumerate_trees, DEFAULT_BOUND)
+from .arborescence import (SpanningTree, _check_reaches_root, _check_shape, _tree_heads,
+                           count_trees, degree_product, enumerate_trees, DEFAULT_BOUND)
 from .digraph import DiGraph, line_graph
-from .errors import (EnumerationBound, InvalidTreeArrayError, InvalidTreeError, count_text,
-                     integer)
+from .errors import EnumerationBound, InvalidTreeArrayError, InvalidTreeError, count_text
 
 
 class _OmegaType:
@@ -200,8 +200,8 @@ def shuffled_order(g: DiGraph, seed: int) -> list[int]:
 class LineContext:
     """A graph g and the numbering of its line edges: (e, f) is edge
     ``off[e] + rank[f]`` of ``line`` (built on first use), with off the
-    prefix sums of outdeg(t(e)) and rank[f] the index of f in
-    ``out_edges(s(f))``; line edge j runs from line_src[j] to line_head[j]."""
+    prefix sums of outdeg(t(e)) and rank[f] the index of f among the
+    out-edges of s(f); line edge j runs from line_src[j] to line_head[j]."""
 
     def __init__(self, g: DiGraph):
         self.g, out = g, g._out
@@ -232,23 +232,7 @@ class LineContext:
     def successors(self, tree: SpanningTree) -> Succ:
         """Inverse of :meth:`line_tree`: the head of each edge, None at the root,
         checked as :meth:`pi` checks it but for acyclicity, left to its reader."""
-        return tuple(self._heads(tree)[1])
-
-    def _heads(self, tree: SpanningTree) -> tuple[int, list[int | None], list[int]]:
-        # validate_tree(self.line, tree) but the walk, through the flat
-        # line-edge tables: the root, the successor list and its indegrees
-        root, out_edge, m = tree.root, tree.out_edge, self.g.m
-        _check_shape(root, out_edge, m)
-        line_src, line_head, lines = self.line_src, self.line_head, len(self.line_src)
-        succ: list[int | None] = [None] * m
-        indeg = [0] * m
-        for e, j in enumerate(out_edge):
-            if e != root:
-                if not (isinstance(j, int) and 0 <= j < lines and line_src[j] == e):
-                    raise InvalidTreeError(f"vertex {e} needs exactly one out-edge with source {e}")
-                succ[e] = f = line_head[j]
-                indeg[f] += 1
-        return root, succ, indeg
+        return tuple(_tree_heads(tree, self.g.m, self.line_src, self.line_head)[0])
 
     def _checked_order(self, order: Sequence[int] | None) -> Sequence[int]:
         # _edge_order, skipped while every position holds the same object
@@ -282,11 +266,11 @@ class LineContext:
         the same errors in the same order, through the numbering alone: the
         body's peel is the acyclicity check, and the walk that names the
         cycle runs only once the peel stalls or the order is refused."""
-        root, succ, indeg = self._heads(tree)
+        succ, indeg = _tree_heads(tree, self.g.m, self.line_src, self.line_head)
         try:
-            return _pi(self.g.n, self.target, root, succ, self._checked_order(order), indeg)
+            return _pi(self.g.n, self.target, tree.root, succ, self._checked_order(order), indeg)
         except (TypeError, ValueError):  # a refused order, or a stalled peel
-            _check_reaches_root(root, succ)
+            _check_reaches_root(tree.root, succ)
             raise
 
 
@@ -384,24 +368,24 @@ def tree_array_count(g: DiGraph) -> int:
     return count_trees(g) * degree_product(g)
 
 
-def enumerate_tree_arrays(g: DiGraph, bound: int = DEFAULT_BOUND) -> Iterator[TreeArray]:
-    """Yield every tree array exactly once, deterministically.
+def enumerate_tree_arrays(g: DiGraph) -> Iterator[TreeArray]:
+    """Yield every tree array exactly once, deterministically, or raise
+    EnumerationBound if there are more than DEFAULT_BOUND of them.
 
     Outer order: spanning trees in enumerate_trees order; inner order:
     proto lists in lexicographic slot order, vertex by vertex.
     """
-    bound = integer(bound, "bound must be an integer")
     expected = tree_array_count(g)
-    if expected > bound:
+    if expected > DEFAULT_BOUND:
         raise EnumerationBound(f"{count_text(expected)} tree arrays "
-                               f"exceed bound {count_text(bound)}")
+                               f"exceed bound {count_text(DEFAULT_BOUND)}")
     # all length-(indeg(v)-1) sequences of v's out-edges, lexicographically
     protos = [list(product(out, repeat=d - 1)) for out, d in zip(g._out, g.indeg)]
     if any(not p for p in protos):
         # some vertex has surplus indegree but no out-edges: the proto-list
         # product is empty, matching the zero factor in the array count
         return
-    for tree in enumerate_trees(g, bound=bound):
+    for tree in enumerate_trees(g):
         # each list ends in the tree's out-edge, OMEGA at the root; a valid
         # tree and lists of out-edges always give a valid array, so nothing
         # is checked here

@@ -104,7 +104,7 @@ def small_point_identity(g, seed, perturb=lambda x: 0):
         lhs = determinant(tree_sum_rows(lg, [x[f] for _, f in lg.edges])) + perturb(x)
         rhs = determinant(tree_sum_rows(g, x))
         for v in range(g.n):
-            rhs *= sum(x[e] for e in g.out_edges(v)) ** (g.indeg[v] - 1)
+            rhs *= sum(x[e] for e, (s, _) in enumerate(g.edges) if s == v) ** (g.indeg[v] - 1)
         if lhs != rhs:
             return False
     return True

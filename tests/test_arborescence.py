@@ -14,11 +14,12 @@ import linetrees.elimination as elimination
 from linetrees.arborescence import (DEFAULT_BOUND, SpanningTree, _candidate_count,
                                     _frontier_counts, _poly_mul, _tree_roots, _unpack,
                                     bareiss_determinant, count_trees, determinant,
-                                    enumerate_trees, kappa_edge, kappa_vertex, knuth_check, minor, out_laplacian, rhs_product,
-                                    rooted_tree_counts, validate_tree, verify_identity)
+                                    enumerate_trees, kappa_edge, kappa_vertex, knuth_check,
+                                    out_laplacian, rhs_product, rooted_tree_counts,
+                                    validate_tree, verify_identity)
 from linetrees.crit_group import tree_count_db
 from linetrees.digraph import DiGraph, debruijn, kautz, line_graph
-from linetrees.elimination import DENSE_HANDOFF, _parity
+from linetrees.elimination import DENSE_HANDOFF, _minor_in_place, _parity
 from linetrees.errors import (MAX_ORDER_DIGITS, EnumerationBound, GraphError, InvalidTreeError,
                               count_text)
 from oracles import (count_trees_rooted, dense, dense_laplacian, dense_minor, small_point_identity,
@@ -152,7 +153,7 @@ def _reference_validate_tree(g, t):
     for v, e in enumerate(t.out_edge):
         if v == t.root:
             continue
-        if e is None or not (0 <= e < g.m) or g.source(e) != v:
+        if e is None or not (0 <= e < g.m) or g.edges[e][0] != v:
             raise InvalidTreeError(f"vertex {v} needs exactly one out-edge with source {v}")
     for v in range(g.n):
         seen = set()
@@ -161,7 +162,7 @@ def _reference_validate_tree(g, t):
             if w in seen:
                 raise InvalidTreeError(f"cycle through vertex {w}")
             seen.add(w)
-            w = g.target(t.out_edge[w])
+            w = g.edges[t.out_edge[w]][1]
 
 
 def _verdict(validator, g, t):
@@ -181,7 +182,8 @@ def out_edge_assignments(draw):
     root = draw(st.integers(-1, g.n) if noisy else st.integers(0, g.n - 1))
     out = []
     for v in range(g.n):
-        options = st.sampled_from(g.out_edges(v)) if g.out_edges(v) else st.none()
+        out_edges = [e for e, (s, _) in enumerate(g.edges) if s == v]
+        options = st.sampled_from(out_edges) if out_edges else st.none()
         if v == root and not noisy:
             options = st.none()
         elif noisy:
@@ -214,6 +216,23 @@ def test_validate_tree_linear_on_long_path():
     start = time.perf_counter()
     validate_tree(g, tree)
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("g", [TWO_CYCLE, SELF_LOOP, debruijn(2, 2), kautz(2, 2),
+                               DiGraph(3, [(0, 1), (0, 1), (1, 2), (2, 0), (2, 2), (1, 0)]),
+                               line_graph(debruijn(2, 1))],
+                         ids=["two-cycle", "self-loop", "debruijn-2-2", "kautz-2-2",
+                              "multigraph", "line-debruijn-2-1"])
+def test_tree_heads_gives_each_tree_edge_head_and_the_indegrees(g):
+    # the successor list and indegrees that validate_tree and LineContext.pi
+    # share, on every spanning tree, against the edges read one by one
+    source, head = [s for s, _ in g.edges], [h for _, h in g.edges]
+    trees = list(enumerate_trees(g))
+    assert trees
+    for t in trees:
+        succ, indeg = arb._tree_heads(t, g.n, source, head)
+        assert succ == [None if e is None else g.edges[e][1] for e in t.out_edge]
+        assert indeg == [succ.count(v) for v in range(g.n)]
 
 
 def test_count_rooted_kautz21():
@@ -360,7 +379,8 @@ def test_laplacian_rows_and_minor_match_the_dense_build():
     assert dense(lap, 4) == dense_laplacian(g, weights)
     assert lap[3] == {3: 17, 0: -17}    # the loop at 3 cancels
     for r in range(4):
-        assert [[row.get(c, 0) for c in range(4) if c != r] for row in minor(lap, r)] == \
+        rows = _minor_in_place(out_laplacian(g, weights), r)
+        assert [[row.get(c, 0) for c in range(4) if c != r] for row in rows] == \
             dense_minor(dense_laplacian(g, weights), r)
 
 
@@ -370,13 +390,6 @@ def test_laplacian_keys_are_one_int_per_vertex():
     g = DiGraph(300, [(v, (v + 1) % 300) for v in range(300)] * 2)
     first = {}
     assert all(first.setdefault(c, c) is c for row in out_laplacian(g) for c in row)
-
-
-@pytest.mark.parametrize("r", [1.5, 7, -1, "x"])
-def test_minor_refuses_a_row_that_is_not_an_integer_row_index(r):
-    # each of these once returned every row unchanged
-    with pytest.raises(ValueError, match="row index"):
-        minor(out_laplacian(debruijn(2, 2)), r)
 
 
 @st.composite
@@ -404,8 +417,9 @@ def test_sparse_determinant_against_enumeration(case):
     by_root = [0] * g.n
     for t in enumerate_trees(g):
         by_root[t.root] += prod(weights[e] for e in t.out_edge if e is not None)
+    assert [abs(determinant(_minor_in_place(out_laplacian(g, weights), r)))
+            for r in range(g.n)] == by_root
     lap = out_laplacian(g, weights)
-    assert [abs(determinant(minor(lap, r))) for r in range(g.n)] == by_root
     # over all roots, det(L + 1 e_0^T), exactly and mod the prime the evaluate method might draw
     assert determinant(arb._plus_ones(out_laplacian(g, weights))) == sum(by_root)
     assert elimination._determinant_mod(arb._plus_ones(lap), P) == sum(by_root) % P
@@ -432,7 +446,7 @@ def weighted_multigraphs_deep_in_the_sparse_phase(draw):
 def test_sparse_determinant_against_bareiss_deep_in_the_sparse_phase(case):
     g, weights, r = case
     lap = dense_laplacian(g, weights)
-    assert determinant(minor(out_laplacian(g, weights), r)) == \
+    assert determinant(_minor_in_place(out_laplacian(g, weights), r)) == \
         bareiss_determinant(dense_minor(lap, r))
     for row in lap:
         row[0] += 1
@@ -605,7 +619,7 @@ def test_content_steps_empty_the_de_bruijn_minor():
         patch.setattr(elimination, "_bareiss",
                       lambda m, bareiss=elimination._bareiss: blocks.append(len(m)) or bareiss(m))
         patch.setattr(elimination, "heapify", heaps.append)
-        assert determinant(minor(out_laplacian(debruijn(2, 10)), 0)) == \
+        assert determinant(_minor_in_place(out_laplacian(debruijn(2, 10)), 0)) == \
             tree_count_db(2, 10) // 2 ** 10
     assert (blocks, heaps) == ([0], [])
 
@@ -677,7 +691,7 @@ def test_sparse_determinant_against_bareiss_on_three_out_graphs(n, seed):
     for row in lap:
         row[0] += 1
     assert count_trees(g) == bareiss_determinant(lap) > 0
-    assert abs(determinant(minor(out_laplacian(g), 7))) == count_trees_rooted(g, 7)
+    assert abs(determinant(_minor_in_place(out_laplacian(g), 7))) == count_trees_rooted(g, 7)
 
 
 def test_kappa_polys_two_cycle():
@@ -857,6 +871,17 @@ def test_verify_identity_kautz21():
     report = verify_identity(kautz(2, 1))
     assert report.holds
     assert sum(rhs_product(kautz(2, 1)).values()) == 72
+
+
+@pytest.mark.parametrize("method", ["expand", "evaluate", "x"])
+def test_verify_identity_checks_the_indegrees_then_the_bound_before_any_work(method,
+                                                                           monkeypatch):
+    # the evaluate path once took any bound, as it never reads its value
+    with pytest.raises(InvalidTreeError, match="every indegree to be positive"):
+        verify_identity(DiGraph(2, [(0, 1), (1, 1)]), method, bound="x")
+    monkeypatch.setattr(arb, "line_graph", lambda g: pytest.fail("line graph built"))
+    with pytest.raises(ValueError, match="^bound must be an integer$"):
+        verify_identity(TWO_CYCLE, method, bound="x")
 
 
 def test_verify_identity_reports_witness(monkeypatch):

@@ -13,8 +13,7 @@ from hypothesis import assume, example, given, strategies as st
 
 import linetrees.crit_group as crit_group
 import linetrees.elimination as elimination
-from linetrees.arborescence import (count_trees, determinant, minor, out_laplacian,
-                                    rooted_tree_counts)
+from linetrees.arborescence import count_trees, determinant, out_laplacian, rooted_tree_counts
 from linetrees.crit_group import (AbelianGroup, DivisibilityReport, GroupFormula, check_divbym,
                                   critical_group, db_formula, group_from_cyclic_orders,
                                   group_from_diagonal, group_order_db,
@@ -22,7 +21,7 @@ from linetrees.crit_group import (AbelianGroup, DivisibilityReport, GroupFormula
                                   sandpile_group, smith_normal_form,
                                   tree_count_db, tree_count_kautz)
 from linetrees.digraph import DiGraph, debruijn, is_strongly_connected, kautz
-from linetrees.elimination import _chain, _column_rows, _divisor_pivots
+from linetrees.elimination import _chain, _column_rows, _divisor_pivots, _minor_in_place
 from linetrees.errors import GraphError
 from oracles import (bubble_chain, bucket_unit_pivots, count_trees_rooted, dense,
                      dense_diagonal, dense_laplacian, dense_minor, sparse,
@@ -87,6 +86,19 @@ def sparse_matrices(draw):
     return rows
 
 
+def _tall(rows):
+    """A wide matrix as its transpose, which has the same Smith form: the
+    Smith form takes no more columns than rows."""
+    return [list(col) for col in zip(*rows)] if len(rows[0]) > len(rows) else rows
+
+
+def _square(rows):
+    """_tall(rows) with zero columns up to its row count: the Smith form
+    the library gives a tall matrix, one place per row."""
+    rows = _tall(rows)
+    return [list(row) + [0] * (len(rows) - len(row)) for row in rows]
+
+
 def _dense_snf(rows):
     """The dense loop alone, the Smith form's former route, as an oracle."""
     return bubble_chain(sorted(dense_diagonal([list(row) for row in rows]),
@@ -95,20 +107,23 @@ def _dense_snf(rows):
 
 @given(sparse_matrices())
 def test_snf_transforms_and_sympy_agreement(rows):
+    rows = _tall(rows)
     n, m = len(rows), len(rows[0])
-    result = smith_normal_form(sparse(rows), m)
-    assert len(result.diagonal) == min(n, m)
+    diagonal = smith_normal_form(sparse(rows)).diagonal
+    # one place per row: the n - m zero columns the Smith form adds are 0s
+    assert len(diagonal) == n and diagonal[m:] == [0] * (n - m)
+    diagonal = diagonal[:m]
     # d1 * ... * dk is the k-th determinantal divisor: the certificate that
     # the diagonal is the Smith form, independent of the elimination
-    for k in range(1, min(n, m) + 1):
-        assert prod(result.diagonal[:k]) == _determinantal_divisor(rows, k)
-    for a, b in zip(result.diagonal, result.diagonal[1:]):
+    for k in range(1, m + 1):
+        assert prod(diagonal[:k]) == _determinantal_divisor(rows, k)
+    for a, b in zip(diagonal, diagonal[1:]):
         assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
     reference = sympy_snf(sympy.Matrix(rows))
-    ref_diag = [abs(int(reference[i, i])) for i in range(min(n, m))]
+    ref_diag = [abs(int(reference[i, i])) for i in range(m)]
     # sympy leaves factor order loose in edge cases; compare as multisets
-    assert sorted(ref_diag) == sorted(result.diagonal)
-    assert result.diagonal == _dense_snf(rows)
+    assert sorted(ref_diag) == sorted(diagonal)
+    assert diagonal == _dense_snf(rows)
 
 
 def _indexed_divisor_pivots(rows):
@@ -128,7 +143,7 @@ def _indexed_divisor_pivots(rows):
 ])
 def test_divisor_pivots_split(rows, split, diagonal):
     assert _indexed_divisor_pivots(sparse(rows)) == split
-    assert smith_normal_form(sparse(rows), len(rows[0])).diagonal == diagonal
+    assert smith_normal_form(sparse(rows)).diagonal == diagonal
 
 
 @pytest.mark.parametrize("make,m,n", [(debruijn, 2, 4), (debruijn, 3, 2), (kautz, 2, 3),
@@ -161,7 +176,7 @@ def test_family_laplacians_split_at_nearly_every_pop(make, m, n, non_split, pops
 
     monkeypatch.setattr(elimination, "all", counting_all, raising=False)
     monkeypatch.setattr(elimination, "heappop", counting_heappop)
-    reduced = minor(out_laplacian(make(m, n)), 0)
+    reduced = _minor_in_place(out_laplacian(make(m, n)), 0)
     assert len(_indexed_divisor_pivots(reduced)) == len(reduced)
     assert tests.count(False) == non_split
     assert len(popped) == pops
@@ -187,8 +202,9 @@ def test_lost_push_raises_instead_of_dropping_a_factor(rows, monkeypatch):
 
 @st.composite
 def deep_sparse_matrices(draw):
-    """15-40 rows of one to three entries in -9..9, some with a column more
-    or fewer than rows and some with a row repeated."""
+    """15-40 rows of one to three entries in -9..9, some drawn with a
+    column more or fewer than rows and some with a row repeated, returned
+    square (_square): a wide one transposed, zero columns added."""
     n = draw(st.integers(15, 40))
     m = n + draw(st.sampled_from([0, 0, -3, -1, 2, 4]))
     rows = [[0] * m for _ in range(n)]
@@ -197,7 +213,7 @@ def deep_sparse_matrices(draw):
             row[j] = draw(st.integers(-9, 9))
     if draw(st.booleans()):
         rows[draw(st.integers(0, n - 1))] = list(rows[draw(st.integers(0, n - 1))])
-    return rows
+    return _square(rows)
 
 
 # column key maps: every key is relabelled to its place in key order, so
@@ -213,7 +229,7 @@ def _keyed(rows, name):
 
 @given(deep_sparse_matrices(), st.sampled_from(sorted(COLUMN_KEYS)))
 def test_snf_of_larger_sparse_matrices_matches_dense_loop(rows, keys):
-    assert smith_normal_form(_keyed(sparse(rows), keys), len(rows[0])).diagonal == _dense_snf(rows)
+    assert smith_normal_form(_keyed(sparse(rows), keys)).diagonal == _dense_snf(rows)
 
 
 def _relabelled(g, rng):
@@ -227,7 +243,7 @@ MATRIX_GRAPHS = [(debruijn, 2, 8), (debruijn, 3, 5), (debruijn, 4, 4), (kautz, 2
 
 def _matrix_minor(make, m, n, rng):
     g = _relabelled(make(m, n), rng)
-    return minor(out_laplacian(g), rng.randrange(g.n)), g.n - 1
+    return _minor_in_place(out_laplacian(g), rng.randrange(g.n))
 
 
 @st.composite
@@ -271,7 +287,7 @@ def _arrow(k):
     return [{j: 1 for j in range(k + 1)}] + [{0: 1, i: 2} for i in range(1, k + 1)]
 
 
-@given(deep_sparse_matrices().map(lambda rows: (sparse(rows), len(rows[0]))) | matrix_minors(),
+@given(deep_sparse_matrices().map(sparse) | matrix_minors(),
        st.sampled_from(sorted(COLUMN_KEYS)))
 # minors on which the remainder changes when fill-in units go to the back
 # of bucket 0, not to its front
@@ -279,15 +295,14 @@ def _arrow(k):
 @example(_matrix_minor(kautz, 3, 5, random.Random(10)), "strings")
 # costs past the row count: a unit of cost 36 on 7 rows, and a minor on
 # 29 rows whose 191 pops re-key 85 units, up to cost 80
-@example((_arrow(6), 7), "strings")
-@example((minor(out_laplacian(_permutation_graph(30, 3)), 0), 29), "ints")
-def test_packed_bucket_queue_matches_the_plain_bucket_oracle(matrix, keys):
+@example(_arrow(6), "strings")
+@example(_minor_in_place(out_laplacian(_permutation_graph(30, 3)), 0), "ints")
+def test_packed_bucket_queue_matches_the_plain_bucket_oracle(rows, keys):
     # the library's unit phase, reached through smith_normal_form with the
     # divisor pivots cut off, against the phase with a dict of lists of
     # (i, j) tuples on the same keys: the same factors in the same order,
     # and the same rows left, once each side's keys are read as their
     # places in key order
-    rows, cols = matrix
     keyed = _keyed(rows, keys)
     given_rows = [dict(row) for row in keyed]
     started, pivots, left = [], [], []
@@ -303,7 +318,7 @@ def test_packed_bucket_queue_matches_the_plain_bucket_oracle(matrix, keys):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(elimination, "_unit_pivots", recording)
         patch.setattr(elimination, "_divisor_pivots", lambda rest, col_rows: [])
-        smith_normal_form(keyed, cols)
+        smith_normal_form(keyed)
     assert keyed == given_rows      # the input is not changed
     oracle_left = [dict(row) for row in keyed]
     assert pivots == bucket_unit_pivots(oracle_left)
@@ -320,8 +335,8 @@ FAMILY_LAPLACIANS = [dense_laplacian(make(m, n)) for make, m, n in
 def test_snf_of_a_multiple_is_the_multiple_of_the_snf(rows, k):
     # the unit phase takes the content k as its first unit
     scaled = [[k * x for x in row] for row in rows]
-    diagonal = smith_normal_form(sparse(rows), len(rows[0])).diagonal
-    assert smith_normal_form(sparse(scaled), len(rows[0])).diagonal == [k * d for d in diagonal]
+    diagonal = smith_normal_form(sparse(rows)).diagonal
+    assert smith_normal_form(sparse(scaled)).diagonal == [k * d for d in diagonal]
     assert [k * d for d in diagonal] == _dense_snf(scaled)
 
 
@@ -333,17 +348,24 @@ def test_snf_refuses_entries_that_are_not_integers(rows):
         smith_normal_form(rows)
 
 
-@pytest.mark.parametrize("rows,cols,message", [
-    ([{0: 1}], 2.5, "integers"), ([{0: 1}], "2", "integers"),
-    ([{0: 1}], -1, "negative"), ([], -1, "negative"),
-    ([[1, 2], [3, 4]], None, "rows"), ([{0: 1}, "ab"], None, "rows"),
+@pytest.mark.parametrize("rows,message", [
+    ([[1, 2], [3, 4]], "rows"), ([{0: 1}, "ab"], "rows"),
     # keys that do not sort, whether or not the heap would compare them,
     # and a key that holds only 0
-    ([{"a": 1, 0: 1}, {"a": 1, 0: 2}], 2, "sort"), ([{"a": 2, 0: 4}, {"a": 6, 0: 2}], 2, "sort"),
-    ([{"a": 0, 0: 1}], 1, "sort")])
-def test_snf_refuses_bad_arguments(rows, cols, message):
+    ([{"a": 1, 0: 1}, {"a": 1, 0: 2}], "sort"), ([{"a": 2, 0: 4}, {"a": 6, 0: 2}], "sort"),
+    ([{"a": 0, 0: 1}], "sort")])
+def test_snf_refuses_bad_arguments(rows, message):
     with pytest.raises(ValueError, match=message):
-        smith_normal_form(rows, cols)
+        smith_normal_form(rows)
+
+
+@pytest.mark.parametrize("rows,diagonal", [
+    ([], []), ([{}], [0]), ([{0: 2}, {0: 4}], [2, 0]),
+    ([{5: 3}, {5: 6}, {7: 1}], [1, 3, 0]),
+    # a key that holds only 0 still names a column, and a zero one
+    ([{0: 2, 1: 0}, {0: 4}], [2, 0])])
+def test_snf_gives_a_zero_place_per_missing_column(rows, diagonal):
+    assert smith_normal_form(rows).diagonal == diagonal
 
 
 @pytest.mark.parametrize("make,m,n,rounds,handed,rounds_at_0,handed_at_0", [
@@ -381,7 +403,7 @@ def test_unit_phase_leaves_the_family_minors_a_small_remainder(
                               (g, 0, (rounds_at_0, handed_at_0))]:
         contents.clear()
         entries.clear()
-        reduced = minor(out_laplacian(graph), sink)
+        reduced = _minor_in_place(out_laplacian(graph), sink)
         # the pivots _smith takes: the unit phase's, then the divisor pivots
         col_rows = elimination._column_rows(reduced)
         units = elimination._unit_pivots(reduced, col_rows)[2]
@@ -438,7 +460,7 @@ def test_snf_of_permutation_graph_minors_compacts_the_heap(n, seed, monkeypatch)
     monkeypatch.setattr(elimination, "heapify", counting_heapify)
     monkeypatch.setattr(elimination, "_divisor_pivots", divisor_pivots)
     g = _permutation_graph(n, seed)
-    diagonal = smith_normal_form(minor(out_laplacian(g), 0)).diagonal
+    diagonal = smith_normal_form(_minor_in_place(out_laplacian(g), 0)).diagonal
     assert diagonal == _dense_snf(dense_minor(dense_laplacian(g), 0))
     assert len(builds) >= 2     # the first build, then at least one rebuild
 
@@ -449,7 +471,7 @@ def test_critical_group_of_a_150_vertex_permutation_graph_within_bound():
     started = time.perf_counter()
     group = critical_group(g)
     assert time.perf_counter() - started < 2.0
-    assert group.order == abs(determinant(minor(out_laplacian(g), 0)))
+    assert group.order == abs(determinant(_minor_in_place(out_laplacian(g), 0)))
 
 
 def test_critical_group_db_2_10_within_bound():
@@ -473,7 +495,7 @@ def test_no_dense_matrix_on_the_library_path(call):
     assert peak < 4 * 2 ** 20
 
 
-@pytest.mark.parametrize("rows", [minor(out_laplacian(_hub(500)), 2), _arrow(500)],
+@pytest.mark.parametrize("rows", [_minor_in_place(out_laplacian(_hub(500)), 2), _arrow(500)],
                          ids=["hub-graph", "arrow-matrix"])
 def test_unit_phase_memory_follows_the_rows_not_the_costs(rows):
     # a cost of k^2 = 250,000: one empty list per cost up to it would take
@@ -492,13 +514,20 @@ def test_snf_of_rows_with_named_columns():
     # a minor's rows skip the deleted key; columns are named, not numbered
     lap = dense_laplacian(kautz(2, 2))
     for r in range(6):
-        rows = minor(sparse(lap), r)
+        rows = _minor_in_place(sparse(lap), r)
         assert smith_normal_form(rows).diagonal == _dense_snf(dense_minor(lap, r))
-    assert smith_normal_form([{7: 2}, {}], 3).diagonal == [2, 0]
-    # a key whose entries are all 0 names no column the count must hold
-    assert smith_normal_form([{0: 1, 1: 0}], 1).diagonal == [1]
-    with pytest.raises(ValueError):
-        smith_normal_form([{0: 1, 1: 1}, {2: 1}], 2)
+    assert smith_normal_form([{7: 2}, {}]).diagonal == [2, 0]
+
+
+@pytest.mark.parametrize("rows", [[{0: 1, 1: 0}], [{0: 1, 1: 1}, {2: 1}],
+                                  [{}, {10 ** 30: 2, 7: 1}, {-1: 0, 5: 1}]])
+def test_both_matrix_entries_refuse_more_column_keys_than_rows(rows):
+    # one check in the copy both entries take, with one message; a key
+    # whose entries are all 0 still names a column
+    keys = len(set().union(*rows))
+    for entry in (determinant, smith_normal_form):
+        with pytest.raises(ValueError, match=f"^{keys} columns in a matrix of {len(rows)} rows$"):
+            entry(rows)
 
 
 def test_sandpile_kautz21_every_sink():
@@ -507,6 +536,19 @@ def test_sandpile_kautz21_every_sink():
         group = sandpile_group(g, sink)
         assert group == AbelianGroup((3,))
         assert group.order == count_trees_rooted(g, sink)
+
+
+@pytest.mark.parametrize("make,m,n", [(debruijn, 2, 1), (debruijn, 2, 3), (debruijn, 3, 2),
+                                      (kautz, 2, 1), (kautz, 2, 3), (kautz, 3, 2)])
+def test_the_scripts_reduced_laplacian_gives_the_critical_group_at_every_sink(make, m, n):
+    # critical_group_table.py's route at sink 0; on a balanced graph the
+    # group and the rooted tree count do not depend on the sink
+    g = make(m, n)
+    group = critical_group(g)
+    for sink in range(g.n):
+        reduced = _minor_in_place(out_laplacian(g), sink)
+        assert group_from_diagonal(smith_normal_form(reduced).diagonal) == group
+        assert abs(determinant(reduced)) == group.order == count_trees_rooted(g, sink)
 
 
 @st.composite
@@ -565,10 +607,10 @@ def test_sandpile_takes_the_pivots_of_the_public_smith_form(g):
         keys = set().union(*started)
         return result, _by_place(started, keys), _by_place(left, keys), pivots
 
-    lap = out_laplacian(g)
     for sink in range(0, g.n, 7):
         body = route(lambda: crit_group._sandpile(g, sink))
-        public = route(lambda: group_from_diagonal(smith_normal_form(minor(lap, sink)).diagonal))
+        public = route(lambda: group_from_diagonal(
+            smith_normal_form(_minor_in_place(out_laplacian(g), sink)).diagonal))
         assert body == public
 
 

@@ -20,6 +20,20 @@ def small_digraphs(draw, max_n=4, max_m=8):
     return DiGraph(n, edges)
 
 
+@pytest.mark.parametrize("g", [DiGraph(1, []), DiGraph(2, [(0, 1), (1, 0)]),
+                               DiGraph(3, [(2, 0), (0, 1), (2, 2), (0, 1), (1, 2), (2, 0)]),
+                               debruijn(2, 2), kautz(3, 1), line_graph(kautz(2, 1))],
+                         ids=["edgeless", "two-cycle", "multigraph", "debruijn-2-2",
+                              "kautz-3-1", "line-kautz-2-1"])
+def test_out_lists_hold_each_edge_under_its_source_in_edge_order(g):
+    # LineContext's rank of f is its index in _out[s(f)], and line_graph
+    # lists the line edges in this order
+    assert g._out == tuple(tuple(e for e, (s, _) in enumerate(g.edges) if s == v)
+                           for v in range(g.n))
+    assert list(map(len, g._out)) == list(g.outdeg)
+    assert sorted(e for out in g._out for e in out) == list(range(g.m))
+
+
 def test_build_two_cycle():
     g = DiGraph(2, [(0, 1), (1, 0)])
     assert g.n == 2 and g.m == 2
@@ -71,7 +85,7 @@ def test_generators_refuse_parameters_that_are_not_integers(make, m, n):
 @pytest.mark.parametrize("g", [debruijn(2, 2), DiGraph(2, [(0, 1), (1, 0)])])
 def test_labels_take_their_index_through_the_range_check(g):
     # labelled or not, an index a vertex or edge does not have is refused,
-    # as source/target/out_edges refuse it, not read from the end or printed
+    # not read from the end or printed
     labels = ("01", "001") if g.vertex_labels else ("1", "1")
     assert (g.vertex_label(1), g.edge_label(1)) == labels
     for v in (-1, 1.5, 1.0, g.n):
@@ -89,7 +103,7 @@ def test_line_graph_two_cycle():
     assert sorted(lg.edges) == [(0, 1), (1, 0)]
     # vertex e of the line graph is edge e of g: line edges join consecutive edges
     assert lg.n == g.m
-    assert all(g.target(e) == g.source(f) for e, f in lg.edges)
+    assert all(g.edges[e][1] == g.edges[f][0] for e, f in lg.edges)
 
 
 def test_line_graph_self_loop():
@@ -196,7 +210,7 @@ def test_eulerian_circuit_is_a_circuit():
     circuit = eulerian_circuit(g)
     assert sorted(circuit) == list(range(g.m))
     for e, f in zip(circuit, circuit[1:] + circuit[:1]):
-        assert g.target(e) == g.source(f)
+        assert g.edges[e][1] == g.edges[f][0]
 
 
 def test_class_cycle_kautz22():

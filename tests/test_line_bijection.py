@@ -71,12 +71,23 @@ def test_enumerate_tree_arrays_counts():
     assert len(list(enumerate_tree_arrays(kautz(2, 1)))) == 72
 
 
+@pytest.mark.parametrize("g,count", [(TWO_CYCLE, 2), (debruijn(2, 1), 8), (kautz(2, 1), 72)],
+                         ids=["two-cycle", "debruijn-2-1", "kautz-2-1"])
+def test_enumerate_tree_arrays_yields_up_to_the_bound_and_refuses_past_it(g, count,
+                                                                          monkeypatch):
+    monkeypatch.setattr(lb, "DEFAULT_BOUND", count)
+    assert len(set(enumerate_tree_arrays(g))) == count
+    monkeypatch.setattr(lb, "DEFAULT_BOUND", count - 1)
+    with pytest.raises(EnumerationBound, match=f"^{count} tree arrays exceed bound {count - 1}$"):
+        next(enumerate_tree_arrays(g))
+
+
 def test_array_bound_message_past_the_digit_cap():
     # one vertex with 1700 loops has 1700^1699 tree arrays, about 10^5488:
     # too many digits for str(), so the message gives the logarithm
     with pytest.raises(EnumerationBound,
-                       match=r"^about 10\^5488\.5 tree arrays exceed bound 10$"):
-        next(enumerate_tree_arrays(DiGraph(1, [(0, 0)] * 1700), bound=10))
+                       match=r"^about 10\^5488\.5 tree arrays exceed bound 1000000$"):
+        next(enumerate_tree_arrays(DiGraph(1, [(0, 0)] * 1700)))
 
 
 def test_sigma_two_cycle_hand_trace():
@@ -119,9 +130,9 @@ def test_sigma_term_counts_match():
         indeg = [0] * g.m
         for e, j in enumerate(t.out_edge):
             if j is not None:
-                indeg[ctx.line.target(j)] += 1
+                indeg[ctx.line.edges[j][1]] += 1
         for e in range(g.m):
-            assert indeg[e] == sum(1 for x in a.lists[g.source(e)] if x == e)
+            assert indeg[e] == sum(1 for x in a.lists[g.edges[e][0]] if x == e)
 
 
 @settings(max_examples=30)
@@ -272,7 +283,8 @@ def boundary_cases(draw):
         n = draw(st.integers(1, 4))
         g = DiGraph(n, draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                      min_size=1, max_size=8)))
-    n, m, out = g.n, g.m, g.out_edges
+    n, m = g.n, g.m
+    out = [[e for e, (s, _) in enumerate(g.edges) if s == v] for v in range(n)]
     ctx = LineContext(g)
     edge = st.integers(0, m - 1)
     # a valid array when g has one: random surplus entries, then the
@@ -282,7 +294,7 @@ def boundary_cases(draw):
     root = tree.root if tree else draw(st.integers(0, n - 1))
     lists = []
     for v in range(n):
-        pick = st.sampled_from(out(v)) if out(v) else edge
+        pick = st.sampled_from(out[v]) if out[v] else edge
         entries = [draw(pick) for _ in range(g.indeg[v] - 1)]
         if g.indeg[v]:
             entries.append(OMEGA if v == root else tree.out_edge[v] if tree else draw(pick))
@@ -296,7 +308,7 @@ def boundary_cases(draw):
         kind = draw(st.sampled_from(["source", "range", "type", "omega", "drop", "extra",
                                      "last", "last", "last", "root"]))
         if kind == "source":    # an edge out of another vertex
-            others = [e for e in range(m) if g.source(e) != v]
+            others = [e for e in range(m) if g.edges[e][0] != v]
             if others:
                 lists[v][i] = draw(st.sampled_from(others))
         elif kind == "range":
@@ -309,9 +321,9 @@ def boundary_cases(draw):
         elif kind == "drop":
             del lists[v][i]
         elif kind == "extra":
-            lists[v].insert(i, draw(st.sampled_from([OMEGA, *out(v)] if out(v) else [OMEGA])))
-        elif kind == "last" and out(v):  # may close a cycle of last entries
-            lists[v][-1] = draw(st.sampled_from(out(v)))
+            lists[v].insert(i, draw(st.sampled_from([OMEGA, *out[v]] if out[v] else [OMEGA])))
+        elif kind == "last" and out[v]:  # may close a cycle of last entries
+            lists[v][-1] = draw(st.sampled_from(out[v]))
         elif kind == "root":
             root = draw(st.sampled_from([*range(n), -1, n]))
     # the lists as a tuple of tuples, or a list, or with one list a list
@@ -323,8 +335,8 @@ def boundary_cases(draw):
     array = TreeArray(root, rows if kind == "list" else tuple(rows))
     # a line tree: the image of a valid array, broken by a mutation
     line_tree = None
-    if tree is not None and all(d == 1 or d and out(v) for v, d in enumerate(g.indeg)):
-        valid = TreeArray(tree.root, tuple((*(out(v)[0] for _ in range(g.indeg[v] - 1)),
+    if tree is not None and all(d == 1 or d and out[v] for v, d in enumerate(g.indeg)):
+        valid = TreeArray(tree.root, tuple((*(out[v][0] for _ in range(g.indeg[v] - 1)),
                                             OMEGA if v == tree.root else tree.out_edge[v])
                                            for v in range(n)))
         line_tree = ctx.sigma(valid)
@@ -335,7 +347,7 @@ def boundary_cases(draw):
         succ = ctx.successors(line_tree)
         # line edges out of e whose head reaches e: each closes a cycle
         closing = [j for j in range(ctx.off[e], ctx.off[e + 1])
-                   if e in _chain(succ, out(g.target(e))[j - ctx.off[e]])]
+                   if e in _chain(succ, out[g.edges[e][1]][j - ctx.off[e]])]
         if kind == "cycle" and e != t_root and closing:
             out_edge[e] = draw(st.sampled_from(closing))
         elif kind == "type" and e != t_root:
@@ -509,10 +521,11 @@ def _entry_valid_arrays(g):
     # every array that passes all checks but the walk: for each root, each
     # list holds out-edges of its vertex, the root's closed by OMEGA, so
     # some of them have last entries that cycle
-    out, indeg = g.out_edges, g.indeg
+    indeg = g.indeg
+    out = [[e for e, (s, _) in enumerate(g.edges) if s == v] for v in range(g.n)]
     for root in range(g.n):
-        choices = [[(*p, OMEGA) for p in product(out(v), repeat=indeg[v] - 1)] if v == root
-                   else list(product(out(v), repeat=indeg[v])) for v in range(g.n)]
+        choices = [[(*p, OMEGA) for p in product(out[v], repeat=indeg[v] - 1)] if v == root
+                   else list(product(out[v], repeat=indeg[v])) for v in range(g.n)]
         for lists in product(*choices):
             yield TreeArray(root, lists)
 
@@ -561,7 +574,8 @@ def entry_valid_cases(draw):
                                                      for _ in range(extra)]))
     g = DiGraph(n, list(zip(sources, targets)))
     root = draw(st.integers(0, n - 1))
-    lists = tuple((*(draw(st.sampled_from(g.out_edges(v)))
+    out = [[e for e, (s, _) in enumerate(g.edges) if s == v] for v in range(n)]
+    lists = tuple((*(draw(st.sampled_from(out[v]))
                      for _ in range(g.indeg[v] - (v == root))),
                    *((OMEGA,) if v == root else ())) for v in range(n))
     return g, TreeArray(root, lists), draw(st.permutations(range(g.m)))
@@ -809,7 +823,7 @@ def test_line_edge_numbering_matches_line_graph(g):
     # pi reads line edge j as (line_src[j], line_head[j])
     ctx = LineContext(g)
     lg = line_graph(g)
-    pairs = [(e, f) for e in range(g.m) for f in range(g.m) if g.target(e) == g.source(f)]
+    pairs = [(e, f) for e in range(g.m) for f in range(g.m) if g.edges[e][1] == g.edges[f][0]]
     assert len(pairs) == lg.m
     for e, f in pairs:
         assert lg.edges[ctx.off[e] + ctx.rank[f]] == (e, f)
