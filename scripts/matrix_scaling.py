@@ -5,7 +5,11 @@ and the normal form that turns cyclic orders into invariant factors.
 For each case in CASES, a child process builds the graph, times the case's
 `critical_group` or `count_trees` calls and reports their median, and then
 checks the answer against the closed forms (`db_formula`/`kautz_formula`,
-`tree_count_db`).  The "eulerian" rows take the union of three seeded
+`tree_count_db`).  A family `critical_group` row also times the two phases
+of its Smith form alone, the unit phase (`_unit_pivots`) and the divisor
+pivots (`_divisor_pivots`) on what it leaves, on a fresh copy of the
+graph's minor at sink 0 per call, and gives each median in ms.  The
+"eulerian" rows take the union of three seeded
 random permutations of n vertices, a graph with no closed form, so their
 child checks the group's order against the determinant of the reduced
 Laplacian instead, and the tree count against `determinant` of
@@ -99,7 +103,22 @@ else:
     ok = result == tree_count_db(m, n)
 if not ok:
     sys.exit("answer differs from the closed form or the determinant")
-print(json.dumps({"s": elapsed,
+layers = {}
+if what == "critical_group" and family != "eulerian":
+    # the two phases of its Smith form, on a fresh copy of its minor per call
+    from linetrees.elimination import _column_rows, _divisor_pivots, _unit_pivots
+    minor, unit, divisor = _minor_in_place(out_laplacian(g), 0), [], []
+    for _ in range(calls):
+        rows = [dict(row) for row in minor]
+        col_rows = _column_rows(rows)
+        start = time.perf_counter()
+        _unit_pivots(rows, col_rows)
+        middle = time.perf_counter()
+        _divisor_pivots(rows, col_rows)
+        unit.append(middle - start)
+        divisor.append(time.perf_counter() - middle)
+    layers = {"unit_s": statistics.median(unit), "divisor_s": statistics.median(divisor)}
+print(json.dumps({"s": elapsed, **layers,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
@@ -122,13 +141,15 @@ def label(case: tuple) -> list[str]:
 
 def main():
     results = scaling.main(CHILD, CASES, TIMEOUT_S, ["call", "input", "size"], label,
-                           ["s", "peak MB"],
-                           lambda r: [f"{r['s']:.3f}", f"{r['peak_rss_mb']:.0f}"])
+                           ["s", "unit ms", "divisor ms", "peak MB"],
+                           lambda r: [f"{r['s']:.4f}", *(f"{1e3 * r[k]:.2f}" if k in r else "-"
+                                                         for k in ("unit_s", "divisor_s")),
+                                      f"{r['peak_rss_mb']:.0f}"])
     seeds = [runs for (what, family, _, n, _), runs in results.items()
              if (what, family, n) == ("critical_group", "eulerian", 300)]
     row = ["critical_group", f"eulerian({len(seeds)} seeds), total", "300"]
     for runs in zip(*seeds):    # one source tree's runs
-        row += ["timeout" if None in runs else f"{sum(r['s'] for r in runs):.3f}", "-"]
+        row += ["timeout" if None in runs else f"{sum(r['s'] for r in runs):.3f}", "-", "-", "-"]
     print("| " + " | ".join(row) + " |")
 
 

@@ -221,21 +221,21 @@ def trial_division_factors(orders: list[int]) -> list[int]:
 
 
 def bucket_unit_pivots(sparse):
-    """The unit phase with its bucket queue written plainly: the factors it
-    splits off, in order, with what is left in `sparse` (reduced in place)
-    for the divisor pivots.  Each round keeps a dict from Markowitz cost to
-    a list of (i, j), each list sorted as the round starts; the least
-    non-empty list gives up its first item, and a re-keyed unit or one made
-    by fill-in goes back in first.  Keys compare as themselves, so they
-    need only sort."""
+    """The unit phase with its bucket queue written plainly: the rows,
+    columns and signed values of its pivots, in order, with what is left in
+    `sparse` (reduced in place) for the divisor pivots.  Each round keeps a
+    dict from Markowitz cost to a list of (i, j), each list sorted as the
+    round starts; the least non-empty list gives up its first item, and a
+    re-keyed unit or one made by fill-in goes back in first.  Keys compare
+    as themselves, so they need only sort."""
     col_rows = {}
     for i, row in enumerate(sparse):
         for j in row:
             col_rows.setdefault(j, set()).add(i)
-    pivots = []
+    pivot_rows, pivot_cols, pivots = [], [], []
     while any(sparse):
         g = gcd(*chain.from_iterable(map(dict.values, sparse)))
-        start, split = len(sparse) - sparse.count({}), 0
+        live, before = len(sparse) - sparse.count({}), len(pivots)
         buckets = {}
         for i, row in enumerate(sparse):
             for j, v in row.items():
@@ -253,7 +253,9 @@ def bucket_unit_pivots(sparse):
             if now != cost:
                 buckets.setdefault(now, []).insert(0, (i, j))
                 continue
-            split += 1
+            pivot_rows.append(i)
+            pivot_cols.append(j)
+            pivots.append(p)
             sparse[i] = {}
             for c in prow:
                 col_rows[c].discard(i)
@@ -272,10 +274,9 @@ def bucket_unit_pivots(sparse):
                     else:
                         del row[c]
                         col_rows[c].discard(r)
-        pivots += [g] * split
-        if 4 * split < start:
+        if 4 * (len(pivots) - before) < live:
             break
-    return pivots
+    return pivot_rows, pivot_cols, pivots
 
 
 def _ranks(order):

@@ -253,9 +253,14 @@ def matrix_minors(draw):
     return _matrix_minor(make, m, n, draw(st.randoms(use_true_random=False)))
 
 
+def _places(keys):
+    """{key: its place among `keys` in increasing order}."""
+    return {c: x for x, c in enumerate(sorted(keys))}
+
+
 def _by_place(rows, keys):
     """`rows` with each key replaced by its place among `keys` in increasing order."""
-    place = {c: x for x, c in enumerate(sorted(keys))}
+    place = _places(keys)
     return [{place[c]: v for c, v in row.items()} for row in rows]
 
 
@@ -297,23 +302,27 @@ def _arrow(k):
 # 29 rows whose 191 pops re-key 85 units, up to cost 80
 @example(_arrow(6), "strings")
 @example(_minor_in_place(out_laplacian(_permutation_graph(30, 3)), 0), "ints")
+# a first round that splits 4 of 17 live rows, at least a fifth but under a
+# quarter: the stop rule's factor 4 ends the phase there, and 5 would not
+@example([{i: 1} for i in range(4)] + [{i: 2} for i in range(4, 17)], "ints")
 def test_packed_bucket_queue_matches_the_plain_bucket_oracle(rows, keys):
     # the library's unit phase, reached through smith_normal_form with the
     # divisor pivots cut off, against the phase with a dict of lists of
-    # (i, j) tuples on the same keys: the same factors in the same order,
-    # and the same rows left, once each side's keys are read as their
-    # places in key order
+    # (i, j) tuples on the same keys: the same pivots in the same order,
+    # each with its row, its column and its signed value, and the same rows
+    # left, once each side's keys are read as their places in key order
     keyed = _keyed(rows, keys)
     given_rows = [dict(row) for row in keyed]
-    started, pivots, left = [], [], []
+    started, units, left = [], ([], [], []), []
     unit_pivots = elimination._unit_pivots
 
     def recording(sparse_rows, col_rows):
         started.extend(dict(row) for row in sparse_rows)
-        units = unit_pivots(sparse_rows, col_rows)
-        pivots.extend(map(abs, units[2]))
+        result = unit_pivots(sparse_rows, col_rows)
+        for mine, taken in zip(units, result):
+            mine.extend(taken)
         left.extend(sparse_rows)
-        return units
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(elimination, "_unit_pivots", recording)
@@ -321,8 +330,12 @@ def test_packed_bucket_queue_matches_the_plain_bucket_oracle(rows, keys):
         smith_normal_form(keyed)
     assert keyed == given_rows      # the input is not changed
     oracle_left = [dict(row) for row in keyed]
-    assert pivots == bucket_unit_pivots(oracle_left)
+    oracle_rows, oracle_cols, oracle_values = bucket_unit_pivots(oracle_left)
     labels, names = set().union(*started), set().union(*keyed)
+    label_place, name_place = _places(labels), _places(names)
+    assert units[0] == oracle_rows
+    assert [label_place[j] for j in units[1]] == [name_place[j] for j in oracle_cols]
+    assert units[2] == oracle_values
     assert _by_place(started, labels) == _by_place(keyed, names)
     assert _by_place(left, labels) == _by_place(oracle_left, names)
 
