@@ -3,20 +3,29 @@
 and the normal form that turns cyclic orders into invariant factors.
 
 For each case in CASES, a child process builds the graph, times the case's
-`critical_group` or `count_trees` calls and reports their median, and then
-checks the answer against the closed forms (`db_formula`/`kautz_formula`,
-`tree_count_db`).  A family `critical_group` row also times the two phases
-of its Smith form alone, the unit phase (`_unit_pivots`) and the divisor
-pivots (`_divisor_pivots`) on what it leaves, on a fresh copy of the
-graph's minor at sink 0 per call, and gives each median in ms.  The
-"eulerian" rows take the union of three seeded
-random permutations of n vertices, a graph with no closed form, so their
-child checks the group's order against the determinant of the reduced
-Laplacian instead, and the tree count against `determinant` of
+`critical_group`, `count_trees` or `rooted_tree_counts` calls and reports
+their median, and then checks the answer against the closed forms
+(`db_formula`/`kautz_formula`, `tree_count_db`) or another route.  A family
+`critical_group` row also times the two phases of its Smith form alone,
+the unit phase (`_unit_pivots`) and the divisor pivots (`_divisor_pivots`)
+on what it leaves, on a fresh copy of the graph's minor at sink 0 per
+call, and gives each median in ms.  The "eulerian" rows take the union of
+three seeded random permutations of n vertices, a graph with no closed
+form, so their child checks the group's order against the determinant of
+the reduced Laplacian instead, and the tree count against `determinant` of
 L + 1 e_0^T (`_plus_ones`), which `count_trees` does not take on a
-balanced graph.  The "normalize" and "smith_normal_form" rows take the
-cyclic orders of `kautz_formula(2, n)`, as the formula and as the diagonal
-matrix of one order per row, and check each against the other; the
+balanced graph.  The "multicycle" and
+"multichords" rows take unbalanced multigraphs, whose weighted Laplacians
+leave the unit phase few units: they are the rows that reach the
+determinant's fraction-free heap loop.  A multicycle is the 300-cycle with
+seeded edge multiplicities 1-9, its tree count checked against the sum over
+roots r of the product of the other multiplicities.  A multichords graph
+gives each of its n vertices a cycle edge and an edge to a random vertex,
+both of multiplicity 2-9; its count is checked mod 2^61 - 1 by
+`_determinant_mod`, and its rooted counts by their sum, `count_trees`.
+The "normalize" and "smith_normal_form" rows take the cyclic orders of
+`kautz_formula(2, n)`, as the formula and as the diagonal matrix of one
+order per row, and check each against the other; the
 "group_from_cyclic_orders" row takes the powers 2^i and 3^i for
 0 < i < n, whose invariant factors are the 6^i.  Each child gets TIMEOUT_S
 seconds; the harness and --src are in scaling.py.
@@ -37,12 +46,13 @@ TIMEOUT_S = 300.0
 # table's last row gives; the n = 500 group (~25 s) runs once.
 REPS = 5
 EULERIAN_REPS = 3
-# (what, family, m, n, calls); for "eulerian", m is the seed and n the
-# vertex count, and for "powers" m is unused.  The critical_group rows
-# include each graph of perfbench's matrix workload: db(2,8), db(3,5),
-# db(4,4), kautz(2,8) and kautz(3,5); count_trees runs to n = 1000 to show
-# its growth past n = 500.  The group_from_cyclic_orders row is the one
-# input known where the merge of _chain is slower than trial division was
+# (what, family, m, n, calls); for "eulerian", "multicycle" and
+# "multichords", m is the seed and n the vertex count, and for "powers" m is
+# unused.  The critical_group rows include each graph of perfbench's matrix
+# workload: db(2,8), db(3,5), db(4,4), kautz(2,8) and kautz(3,5);
+# count_trees runs to n = 1000 to show its growth past n = 500.  The
+# group_from_cyclic_orders row is the one input known where the merge of
+# _chain is slower than trial division was
 CASES = ([("critical_group", "db", 2, n, REPS) for n in range(8, 14)]
          + [("critical_group", "db", 3, 5, REPS), ("critical_group", "db", 4, 4, REPS)]
          + [("critical_group", "kautz", 2, 8, REPS), ("critical_group", "kautz", 3, 5, REPS)]
@@ -51,17 +61,22 @@ CASES = ([("critical_group", "db", 2, n, REPS) for n in range(8, 14)]
          + [("critical_group", "eulerian", 1, 500, 1)]
          + [("count_trees", "db", 2, n, REPS) for n in range(5, 14)]
          + [("count_trees", "eulerian", 1, n, EULERIAN_REPS) for n in (300, 500, 1000)]
+         + [("count_trees", "multicycle", seed, 300, REPS) for seed in range(4)]
+         + [("count_trees", "multichords", seed, 300, REPS) for seed in range(3)]
+         + [("rooted_tree_counts", "multichords", 0, 60, REPS)]
          + [(what, "kautz", 2, n, REPS) for what in ("normalize", "smith_normal_form")
             for n in range(10, 14)]
          + [("group_from_cyclic_orders", "powers", 0, 1000, REPS)])
 CHILD = """
 import json, random, resource, statistics, sys, time
-from linetrees.arborescence import _plus_ones, count_trees, determinant, out_laplacian
+from math import prod
+from linetrees.arborescence import (_plus_ones, count_trees, determinant, out_laplacian,
+                                    rooted_tree_counts)
 from linetrees.crit_group import (AbelianGroup, critical_group, db_formula, group_from_cyclic_orders,
                                   group_from_diagonal, kautz_formula, smith_normal_form,
                                   tree_count_db)
 from linetrees.digraph import DiGraph, debruijn, kautz
-from linetrees.elimination import _minor_in_place
+from linetrees.elimination import _determinant_mod, _minor_in_place
 what, family = sys.argv[1], sys.argv[2]
 m, n, calls = map(int, sys.argv[3:])
 if family == "eulerian":
@@ -71,6 +86,16 @@ if family == "eulerian":
         rng.shuffle(p)
         edges += enumerate(p)
     g = DiGraph(n, edges)
+elif family == "multicycle":
+    rng = random.Random(m)
+    mult = [rng.randint(1, 9) for _ in range(n)]
+    g = DiGraph(n, [(v, (v + 1) % n) for v in range(n) for _ in range(mult[v])])
+elif family == "multichords":
+    rng, edges = random.Random(m), []
+    for v in range(n):
+        edges += [(v, (v + 1) % n)] * rng.randint(2, 9)
+        edges += [(v, rng.randrange(n))] * rng.randint(2, 9)
+    g = DiGraph(n, edges)
 elif family == "powers":
     orders = [2 ** i for i in range(1, n)] + [3 ** i for i in range(1, n)]
 elif what in ("normalize", "smith_normal_form"):
@@ -79,6 +104,7 @@ elif what in ("normalize", "smith_normal_form"):
 else:
     g = (debruijn if family == "db" else kautz)(m, n)
 call = {"critical_group": lambda: critical_group(g), "count_trees": lambda: count_trees(g),
+        "rooted_tree_counts": lambda: rooted_tree_counts(g),
         "normalize": lambda: formula.normalize(),
         "smith_normal_form": lambda: smith_normal_form([{i: d} for i, d in enumerate(orders)]),
         "group_from_cyclic_orders": lambda: group_from_cyclic_orders(orders)}[what]
@@ -94,6 +120,13 @@ elif what == "normalize":
     ok = result == group_from_diagonal(smith_normal_form([{i: d} for i, d in enumerate(orders)]).diagonal)
 elif what == "smith_normal_form":
     ok = group_from_diagonal(result.diagonal) == formula.normalize()
+elif family == "multicycle":
+    ok = result == sum(prod(mult[:r] + mult[r + 1:]) for r in range(n))
+elif what == "rooted_tree_counts":
+    ok = sum(result) == count_trees(g)
+elif family == "multichords":
+    p = 2 ** 61 - 1
+    ok = result % p == _determinant_mod(_plus_ones(out_laplacian(g)), p)
 elif family == "eulerian":
     ok = (result.order == abs(determinant(_minor_in_place(out_laplacian(g), 0)))
           if what == "critical_group" else result == determinant(_plus_ones(out_laplacian(g))))
@@ -102,7 +135,7 @@ elif what == "critical_group":
 else:
     ok = result == tree_count_db(m, n)
 if not ok:
-    sys.exit("answer differs from the closed form or the determinant")
+    sys.exit("answer differs from the closed form, the determinant or the tree counts")
 layers = {}
 if what == "critical_group" and family != "eulerian":
     # the two phases of its Smith form, on a fresh copy of its minor per call
@@ -127,8 +160,8 @@ def label(case: tuple) -> list[str]:
     """The call, its input and the input's size: |V| for a graph, else the
     number of cyclic orders."""
     what, family, m, n, _ = case
-    if family == "eulerian":
-        return [what, f"eulerian(seed {m})", str(n)]
+    if family in ("eulerian", "multicycle", "multichords"):
+        return [what, f"{family}(seed {m})", str(n)]
     if family == "powers":
         return [what, f"2^i, 3^i, 0 < i < {n}", str(2 * (n - 1))]
     if what in ("normalize", "smith_normal_form"):    # the multiplicities of kautz_formula

@@ -11,7 +11,7 @@ root: the rows of L = D - A sum to 0, so adj(L) = 1 kappa^T, kappa_r the
 (weighted) count rooted at r, and by the matrix determinant lemma
 det(L + 1 e_0^T) = det(L) + e_0^T adj(L) 1 = sum_r kappa_r.  On a balanced
 graph the columns sum to 0 too, every kappa_r is kappa_0, and it takes
-n kappa_0 instead.  The brute-force route
+n kappa_0 instead, from rows with no dense column 0.  The brute-force route
 is one search, shared by :func:`enumerate_trees` and the generating
 functions (kappa_vertex merges trees instead on graphs with many of
 them).  The determinant route is one Laplacian, :func:`out_laplacian`,
@@ -178,10 +178,11 @@ def _search_trees(g: DiGraph, roots: Sequence[int],
 
     For each root in turn, calls leaf(root, choice) once per oriented
     spanning tree, in lexicographic order of the out-edge choice vector:
-    choice[v] is v's tree edge (None at the root).  The choice list is
-    reused, so leaf copies what it keeps.  The bound caps the number of
-    candidate out-edge assignments (the product of the non-root
-    out-degrees, summed over the roots), not the number of trees.
+    choice[v] is v's tree edge (None at the root).  The choice list, all
+    that the search carries, is reused, so leaf copies what it keeps.  The
+    bound caps the number of candidate out-edge assignments (the product of
+    the non-root out-degrees, summed over the roots), not the number of
+    trees.
     """
     n = g.n
     _bounded_candidates(g.outdeg, roots, bound)
@@ -238,7 +239,8 @@ def enumerate_trees(g: DiGraph, root: int | None = None,
 
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Fraction-free Gaussian elimination, exact, of n sequences of n
-    integers each (not changed); anything else raises ValueError."""
+    integers each (not changed); anything else raises ValueError, as
+    floor division would round a float matrix to a wrong integer."""
     try:    # a list row skips the slower ABC check
         m = [list(map(index, row)) for row in matrix
              if type(row) is list or isinstance(row, Sequence)]
@@ -270,7 +272,9 @@ def out_laplacian(g: DiGraph, weights: Sequence[int] | None = None) -> list[dict
     Row v is {col: value} over its nonzero entries: entry (v, v) is the
     total weight of v's out-edges and entry (s, t) is minus the weight of
     the edges s -> t, so a self-loop cancels.  Unit weights (the default)
-    count trees; others must be g.m integers, else ValueError.
+    count trees; others must be g.m integers, else ValueError.  The keys
+    are one int object per vertex (past 256 ints are not cached), so the
+    eliminations' dict lookups match a key by identity.
     """
     weights = (repeat(1) if weights is None else
                integers(weights, f"weights must be {g.m} integers, one per edge", count=g.m))
@@ -449,7 +453,8 @@ def _frontier_counts(g: DiGraph, weights: Sequence[int]) -> dict[int, int]:
     edges in out-edge order.  By induction that walk meets the partial
     trees' choice vectors in lexicographic order, so each entry is inserted
     first by its least partial tree and the entries stay in that order; the
-    last layer, with one empty state, is in first-tree order.
+    last layer, with one empty state, is in first-tree order.  The work
+    grows with states times keys, not with trees.
     """
     n = g.n
     target = [t for _, t in g.edges]

@@ -20,7 +20,7 @@ from .crit_group import (check_divbym, critical_group, db_formula, group_order_d
                          group_order_kautz, kautz_formula)
 from .digraph import (DiGraph, debruijn, format_edge_list, kautz, line_graph,
                       parse_edge_list, to_dot, to_json_dict)
-from .errors import InvalidTreeArrayError, InvalidTreeError
+from .errors import GraphError, InvalidTreeArrayError, InvalidTreeError
 from .line_bijection import OMEGA, LineContext, TreeArray
 
 OK, DOMAIN_ERROR, USAGE_ERROR = 0, 1, 2
@@ -64,11 +64,22 @@ def _emit_graph(g: DiGraph, fmt: str) -> None:
 
 
 def _label_index(label, count: int) -> dict[str, int]:
-    # label -> first index carrying it: edge labels need not be unique
-    index: dict[str, int] = {}
-    for i in range(count):
-        index.setdefault(label(i), i)
-    return index
+    # label -> index: vertex labels are distinct, and so are the edge labels
+    # of a graph that _check_edge_labels has passed
+    return {label(i): i for i in range(count)}
+
+
+def _check_edge_labels(g: DiGraph) -> None:
+    # the bijection's JSON names each edge by its label, so a label that
+    # repeats, or that reads as the terminator, would name the wrong edge
+    seen = set()
+    for e in range(g.m):
+        name = g.edge_label(e)
+        if name == "OMEGA" or name in seen:
+            why = "reads as the terminator" if name == "OMEGA" else "repeats"
+            raise GraphError(f"edge label {name!r} {why}: the bijection's JSON needs "
+                             "distinct edge labels other than OMEGA")
+        seen.add(name)
 
 
 def _lookup(index: dict[str, int], kind: str, name, error: type[ValueError]) -> int:
@@ -190,6 +201,7 @@ def _cmd_trees(args) -> int:
 
 def _cmd_bijection(args) -> int:
     g = _load_graph(args)
+    _check_edge_labels(g)
     ctx = LineContext(g)
     data = json.load(sys.stdin)
     if args.action == "sigma":

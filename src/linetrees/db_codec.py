@@ -26,16 +26,22 @@ That is 1 + (2 + 4 + ... + 2^(n-2)) + 1 = 2^(n-1) bits.  The top level
 runs neither map.  The path is a tree of DB_n(2) with one leaf at each
 step, so pi peels it in walk order: a vertex's list in A_{n-1} is its exits
 in walk order.  The root, where the Eulerian walk of DB_{n-1}(2) described
-by the sequence starts and ends, has one exit, its free bit; every other
-list holds both out-edges, the tree edge last.  So encoding reads that bit
-and T_{n-1} in one pass over the steps.  Every edge but the root's unchosen
-one has one copy in A_{n-1}, so sigma has one candidate at each step, and
-its image is the walk (the BEST construction of van Aardenne-Ehrenfest and
-de Bruijn) that starts on that edge, leaves each vertex by its non-tree
-edge first and its tree edge second, and leaves the root by the chosen
-edge.  Decoding rebuilds T_1 from bit 1, applies sigma to each A_k,
+by the sequence starts and ends, has one exit, its free bit; read
+anywhere else it would not be invertible, as two sequences sharing all
+lower levels would collide.  Every other list holds both out-edges, the
+tree edge last.  So encoding reads that bit and T_{n-1} in one pass over
+the steps.  Every edge but the root's unchosen one has one copy in
+A_{n-1}, so sigma has one candidate at each step, and its image is the
+walk (the BEST construction of van Aardenne-Ehrenfest and de Bruijn) that
+starts on that edge, leaves each vertex by its non-tree edge first and its
+tree edge second, and leaves the root by the chosen edge.  Decoding rebuilds T_1 from bit 1, applies sigma to each A_k,
 assembled from its bits and T_k, to get T_{k+1}, and follows that walk,
 writing the top bit of each edge it takes and refusing an edge repeat.
+That check is enough: each step takes an out-edge of the vertex it is at,
+so 2^n distinct edges are an Eulerian circuit of DB_{n-1}(2), whose
+windows are all distinct, and a broken lower level stops the walk within
+2^n steps.  tests/oracles.py keeps the codec with the bodies at every level
+and the old top level, and the tests compare the two.
 
 No graph is built and nothing is kept between calls.  The bodies of sigma
 and pi read only a vertex count, the edge heads and the edge order, and
@@ -44,6 +50,10 @@ list(range(2^k)) * 2 in index order, range(2^(k+1)).  L(DB_k(2)) is
 DB_{k+1}(2) index for index: T_{k+1} enters the inverse map as
 succ[v] = the head of v's tree edge, and the line edge (e, f) that sigma
 gives back is the edge 2e + (f & 1) of DB_{k+1}(2).
+
+A degree that is not an integer is refused where it enters (_degree), and
+a length is compared with 2^n only while n < 64, as no string is longer
+(_length).
 """
 
 from __future__ import annotations

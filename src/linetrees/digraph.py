@@ -250,8 +250,9 @@ def class_cycle(g: DiGraph) -> list[int]:
     comes from a Hamiltonian cycle of the predecessor graph (level n): the
     canonical rotation cycle of the complete graph when n = 1, otherwise the
     cycle induced by an Eulerian circuit of the level-(n-1) graph.  Writing
-    the Hamiltonian cycle as a cyclic string and taking all length-(n+1)
-    windows yields the cycle; the output is edge-validated before returning.
+    the Hamiltonian cycle as a cyclic string of period c and taking all
+    length-(n+1) windows yields the cycle, which is edge- and
+    class-validated before it is returned.
     """
     family, m, length = detect_family(g)
     if length < 2:

@@ -49,12 +49,14 @@ The public maps (``LineContext.sigma``/``pi``) read their input once, in
 linear time, and then run a body that trusts it; internal callers (the de
 Bruijn codec, verify-all's round trips) call the bodies directly.
 ``validate_tree_array``, the one check of a tree array, makes a pass over
-the entries, then walks the chains of last entries to the root once.
-``sigma`` makes the same pass, which counts the entries for its body.  Its
-body is the acyclicity check: a run pops every entry, and were the last
-entries e_i of l_{v_i} a cycle, t(e_i) = v_{i+1}, the last pop from
-l_{v_{i+1}} would follow the taking of e_i, hence the pop of e_i, the last
-from l_{v_i}, and so, around the cycle, itself.  ``pi`` checks its tree
+the entries, then walks the chains of last entries to the root once; it
+builds no SpanningTree of G.  ``sigma`` makes the same pass, which counts
+the entries for its body.  Its body is the acyclicity check: a run pops
+every entry, and were the last entries e_i of l_{v_i} a cycle, t(e_i) =
+v_{i+1}, the last pop from l_{v_{i+1}} would follow the taking of e_i,
+hence the pop of e_i, the last from l_{v_i}, and so, around the cycle,
+itself.  So the body's line edges are valid, and sigma numbers them
+off[e] + rank[f] with no second check.  ``pi`` checks its tree
 through the flat line-edge tables while building the successor list and
 its indegrees, in validate_tree's own loop (arborescence._tree_heads), so
 it builds no line graph: line edge j runs from line_src[j] to
@@ -62,15 +64,18 @@ line_head[j].  A successor list peels down to its root iff it has no
 cycle, so pi's body is the acyclicity check too.  Only once a body fails,
 or the order is refused, does a public map walk the chains to name the
 error, so the errors of ``sigma`` are those of ``validate_tree_array`` and
-those of ``pi`` those of ``validate_tree(ctx.line, tree)``, in order.  A
-context checks an edge order once and keeps it in one slot until some
-position holds another object.  ``enumerate_tree_arrays`` builds arrays
-valid by construction.
+those of ``pi`` those of ``validate_tree(ctx.line, tree)``, in order.  The
+tests keep the walk as the oracle: on the corpus graphs under four edge
+orders and on random multigraphs, a body fails exactly when the walk
+does.  A context checks an edge order once and keeps it in one slot until
+some position holds another object.  ``enumerate_tree_arrays`` builds
+arrays valid by construction.
 The invariants that make the loop in sigma well-defined (the candidate set
 and the popped list are never empty) are checked and raise typed errors,
-and every sigma run checks that each list copy was popped, i.e. that indeg
-of e in the output tree equals the initial count of e in l_{s(e)} - the
-per-monomial statement behind the generating-function identity.
+not asserts that python -O strips, and every sigma run checks that each
+list copy was popped, i.e. that indeg of e in the output tree equals the
+initial count of e in l_{s(e)} - the per-monomial statement behind the
+generating-function identity.
 """
 
 from __future__ import annotations

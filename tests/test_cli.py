@@ -256,6 +256,26 @@ def test_bijection_rejects_malformed_array(tmp_path, capsys, monkeypatch):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("action", ["sigma", "pi", "roundtrip"])
+@pytest.mark.parametrize("edges,message", [
+    # (1, ((0,), (2, OMEGA))) and (1, ((1,), (2, OMEGA))) would write the same JSON
+    ("a b x\na b x\nb a y\n", "edge label 'x' repeats"),
+    # pi would write the root's list as ["OMEGA", "OMEGA"]
+    ("a a OMEGA\na b x\nb a y\n", "edge label 'OMEGA' reads as the terminator"),
+], ids=["repeated-label", "omega-label"])
+def test_bijection_refuses_edge_labels_its_json_cannot_tell_apart(tmp_path, capsys, monkeypatch,
+                                                                  action, edges, message):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(edges)
+    stdin = io.StringIO(json.dumps({"root": "b", "lists": {"a": ["x"], "b": ["y", "OMEGA"]}}))
+    monkeypatch.setattr("sys.stdin", stdin)
+    code = main(["bijection", action, "--input", str(graph_file)])
+    out, err = capsys.readouterr()
+    assert (code, out, stdin.tell()) == (1, "", 0)   # refused before stdin is read
+    assert err == (f"error: {message}: the bijection's JSON needs distinct edge labels "
+                   "other than OMEGA\n")
+
+
 @pytest.mark.parametrize("action,data", [
     ("sigma", {"lists": {}}),                                      # no "root"
     ("sigma", [["a", "OMEGA"]]),                                   # a list, not an object
